@@ -11,8 +11,15 @@ import sys
 from random import Random
 
 from . import checks, comptrees, counter_graph, counters
-from .experiments import ExperimentConfig, derive_seed, run_experiment
-from .graphs import load_graph_json, save_graph_json
+from .experiments import (
+    ExperimentConfig,
+    derive_seed,
+    load_graph,
+    load_index,
+    run_experiment,
+    sidecar_index_path,
+)
+from .graphs import save_graph_json
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -82,7 +89,7 @@ def cmd_gen(args) -> int:
     g, idx = counter_graph.build_counter_graph(args.n, args.r, args.s, args.t)
     out = args.out or f"counter_{args.n}_{args.r}_{args.s}_{args.t}.json"
     save_graph_json(g, out)
-    sidecar = out + ".index.json" if not out.endswith(".json") else out[:-5] + ".index.json"
+    sidecar = sidecar_index_path(out)
     with open(sidecar, "w") as fh:
         json.dump(counter_graph.index_to_json_dict(idx), fh, indent=1)
         fh.write("\n")
@@ -143,21 +150,9 @@ def cmd_counter(args) -> int:
     return 0
 
 
-def _load_index(path: str) -> counter_graph.CounterGraphIndex:
-    with open(path) as fh:
-        doc = json.load(fh)
-    p = doc["params"]
-    _, idx = counter_graph.build_counter_graph(p["n"], p["r"], p["s"], p["t"])
-    return idx
-
-
 def cmd_analyze(args) -> int:
-    g = load_graph_json(args.graph)
-    index_path = args.index or (
-        args.graph[:-5] + ".index.json" if args.graph.endswith(".json")
-        else args.graph + ".index.json"
-    )
-    idx = _load_index(index_path)
+    g = load_graph(args.graph)
+    idx = load_index(args.index or sidecar_index_path(args.graph))
     if idx.n_edges != g.n_edges:
         print("analyze: index does not match the graph", file=sys.stderr)
         return 2

@@ -458,27 +458,6 @@ def vertices_behind_b(idx: CounterGraphIndex, i: int, j: int) -> set[int]:
     return out
 
 
-def vertices_behind_a(idx: CounterGraphIndex, i: int, j: int, k: int) -> set[int]:
-    """Vertices that cannot reach a_{i,j,k}, including a_{i,j,k} itself."""
-    out: set[int] = set()
-    for i2 in idx.levels():
-        if i2 > i:
-            out.add(idx.u_vertex[i2])
-            out.add(idx.w_vertex[i2])
-            out.update(
-                idx.a_vertex[(i2, j2, k2)]
-                for j2 in range(1, idx.r + 1)
-                for k2 in range(1, idx.s + 1)
-            )
-        if i2 >= i:
-            out.update(idx.b_vertex[(i2, j2)] for j2 in range(1, idx.r * idx.s + 1))
-    for j2 in range(1, idx.r + 1):
-        if j2 != j:
-            out.update(idx.a_vertex[(i, j2, k2)] for k2 in range(1, idx.s + 1))
-    out.update(idx.a_vertex[(i, j, k2)] for k2 in range(k, idx.s + 1))
-    return out
-
-
 def index_to_json_dict(idx: CounterGraphIndex) -> dict:
     """Group-name to edge-id arrays, the sidecar schema for generated graphs."""
     groups: dict[str, list[int]] = {}

@@ -9,14 +9,24 @@ except the wall-clock timing is reproducible byte for byte.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
 from . import counter_graph, rules
-from .graphs import Digraph, Policy, bfs_tree_policy, load_graph_json
+from .graphs import (
+    Digraph,
+    DisconnectedVertexError,
+    NegativeCycleError,
+    Policy,
+    bfs_tree_policy,
+    load_graph_json,
+    optimal_distances_list,
+)
 
 
 class BadConfigError(Exception):
@@ -105,8 +115,6 @@ class ResultRecord:
     rule: str
     pivots: int
     wall_ns: int
-    outcome: str | None = None
-    detail: str | None = None
 
 
 def sidecar_index_path(graph_path: str) -> str:
@@ -115,23 +123,53 @@ def sidecar_index_path(graph_path: str) -> str:
     return graph_path + ".index.json"
 
 
+# faults of a malformed document; ValueError includes json.JSONDecodeError
+_DOCUMENT_ERRORS = (ValueError, KeyError, TypeError)
+
+
+def load_graph(path: str) -> Digraph:
+    """A graph JSON file, checked to have finite shortest distances.
+
+    A document that is not valid JSON, lacks a key, holds a value of the
+    wrong type, describes an invalid graph or one with a negative cycle
+    raises BadConfigError naming the file and the fault.
+    """
+    try:
+        g = load_graph_json(path)
+        optimal_distances_list(g)  # raises NegativeCycleError
+    except _DOCUMENT_ERRORS + (DisconnectedVertexError, NegativeCycleError) as exc:
+        raise BadConfigError(
+            f"cannot load graph {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    return g
+
+
+def load_index(path: str) -> counter_graph.CounterGraphIndex:
+    """The counter-graph index of a sidecar file, rebuilt from its
+    parameters. A malformed sidecar raises BadConfigError."""
+    try:
+        with open(path) as fh:
+            p = json.load(fh)["params"]
+        _, idx = counter_graph.build_counter_graph(p["n"], p["r"], p["s"], p["t"])
+    except _DOCUMENT_ERRORS as exc:
+        raise BadConfigError(
+            f"cannot load index {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    return idx
+
+
 def load_instance(config: ExperimentConfig):
     """The graph, its counter-graph index when available, and the start
     policy. Graph files written by `gen` carry a sidecar index, which makes
     the zero-edge start available for them too."""
-    import json
-    import os
-
     idx = None
     if config.gen_params is not None:
         g, idx = counter_graph.build_counter_graph(*config.gen_params)
     else:
-        g = load_graph_json(config.graph_path)
+        g = load_graph(config.graph_path)
         sidecar = sidecar_index_path(config.graph_path)
         if os.path.exists(sidecar):
-            with open(sidecar) as fh:
-                p = json.load(fh)["params"]
-            _, idx = counter_graph.build_counter_graph(p["n"], p["r"], p["s"], p["t"])
+            idx = load_index(sidecar)
             if idx.n_edges != g.n_edges:
                 idx = None
     start_mode = config.start
@@ -213,8 +251,6 @@ def summarize(pivot_counts: list[int]) -> Summary:
 def write_trace(config: ExperimentConfig, g: Digraph, start: Policy) -> None:
     """Dump trial 0's pivot log (plus the recursion tree for the facet rule)
     as JSON at config.trace_path."""
-    import json
-
     from . import comptrees, rules as _rules
 
     trial_seed = derive_seed(config.seed, 0)

@@ -78,13 +78,17 @@ class Digraph:
             else tuple(f"v{v}" for v in range(n_vertices))
         )
         out: list[list[int]] = [[] for _ in range(n_vertices)]
+        into: list[list[int]] = [[] for _ in range(n_vertices)]
         for e, (u, v) in enumerate(zip(self.tails, self.heads)):
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge {e} endpoint out of range")
             if u == target:
                 raise ValueError("the target vertex must have no outgoing edges")
             out[u].append(e)
+            into[v].append(e)
+        # edge ids per vertex, in increasing id order
         self.out_edges = tuple(tuple(es) for es in out)
+        self.in_edges = tuple(tuple(es) for es in into)
         for v in range(n_vertices):
             if v != target and not self.out_edges[v]:
                 raise DisconnectedVertexError(f"vertex {v} has no outgoing edge")
@@ -134,12 +138,6 @@ class Digraph:
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
 
-    def edge_str(self, e: int) -> str:
-        return (
-            f"{self.edge_names[e]}({self.vertex_names[self.tails[e]]}->"
-            f"{self.vertex_names[self.heads[e]]}, c={self.costs[e]})"
-        )
-
 
 @dataclass(frozen=True)
 class Policy:
@@ -152,13 +150,6 @@ class Policy:
 
     def edge_set(self) -> frozenset[int]:
         return frozenset(e for e in self.chosen if e is not None)
-
-    def chosen_list(self) -> list[int | None]:
-        return list(self.chosen)
-
-
-def policy_from_chosen(chosen: Sequence[int | None]) -> Policy:
-    return Policy(tuple(chosen))
 
 
 def tree_distances_list(
@@ -323,16 +314,13 @@ def optimal_edge_set(g: Digraph, subset: Iterable[int] | None = None) -> set[int
 def bfs_tree_policy(g: Digraph) -> Policy:
     """A deterministic valid policy: breadth-first tree toward the target."""
     chosen: list[int | None] = [None] * g.n_vertices
-    into: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for e in range(g.n_edges):
-        into[g.heads[e]].append(e)
     frontier = [g.target]
     seen = [False] * g.n_vertices
     seen[g.target] = True
     while frontier:
         nxt = []
         for v in frontier:
-            for e in sorted(into[v]):
+            for e in g.in_edges[v]:
                 u = g.tails[e]
                 if not seen[u]:
                     seen[u] = True

@@ -253,19 +253,6 @@ def random_facet_lp(
     return cur, log
 
 
-def lp_to_json_dict(lp: StdFormLP) -> dict:
-    """Debug dump: the exact matrices as numerator/denominator strings."""
-
-    def enc(x: Fraction) -> str:
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-    return {
-        "A": [[enc(x) for x in row] for row in lp.A],
-        "b": [enc(x) for x in lp.b],
-        "c": [enc(x) for x in lp.c],
-    }
-
-
 def brute_force_optimum(lp: StdFormLP) -> tuple[Fraction, list[tuple[int, ...]]]:
     """Enumerate every feasible basis; return the best value and its bases."""
     best: Fraction | None = None

@@ -1,24 +1,30 @@
 """Pivoting rules on the graph engine, plus edge-permutation machinery.
 
 Every engine works on exact integer distances and performs only strictly
-improving switches, so the summed tree distance decreases through each run;
-the engines check that invariant on every pivot. The facet-removal engines
-exist in two forms: a literal per-call recursion (explicit stack, optional
-event trace for computation-tree analysis) and a collapsed form that
-processes each descent's candidate list in one sweep. Both execute the same
-recursion; the collapsed form is the default because it does constant work
-per recursive call.
+improving switches, through one pivot kernel, `_PivotTracker`. A switch to
+edge e = (u, v) re-hangs u's subtree of the policy tree under v, so every
+vertex of that subtree moves by the same delta = c(e) + y(v) - y(u) and
+nothing else moves. The kernel shifts just that subtree, and the summed
+tree distance changes by delta * |subtree|; the strict-decrease invariant is
+therefore delta < 0, checked before any state changes. The facet-removal
+engines exist in two forms: a literal per-call recursion (explicit stack,
+optional event trace for computation-tree analysis) and a collapsed form
+that processes each descent's candidate list in one sweep. Both execute the
+same recursion; the collapsed form is the default because it does constant
+work per recursive call.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 from .counter_graph import CounterGraphIndex
 from .graphs import (
     Digraph,
     Policy,
+    PolicyCycleError,
     optimal_distances_list,
     tree_distances_list,
 )
@@ -43,7 +49,6 @@ class RunResult:
     seed: int | None = None
     sigma: list[int] | None = None
     trace_events: list | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _start(g: Digraph, policy: Policy, subset) -> tuple[list, set]:
@@ -54,18 +59,32 @@ def _start(g: Digraph, policy: Policy, subset) -> tuple[list, set]:
     return chosen, allowed
 
 
-def _objective(dist: list[int]) -> int:
-    return sum(dist)
-
-
 class _PivotTracker:
-    """Maintains distances and the strictly-decreasing objective check."""
+    """The pivot kernel: the policy tree, its distances and the pivot log.
+
+    `dist` is one list of exact integer distances, mutated in place, so
+    callers may hold it across pivots. `children[v]` lists the vertices
+    whose chosen edge points at v. A pivot on e = (u, v) walks u's subtree
+    through the child lists, shifts each of its distances by
+    delta = c(e) + y(v) - y(u), and moves u from its old parent's child
+    list to v's; the objective `obj` (summed tree distance) moves by
+    delta * |subtree|. A pivot with delta >= 0 raises PivotInvariantError,
+    and one whose head lies in u's own subtree (possible only when the
+    switch closes a negative cycle) raises PolicyCycleError; both leave
+    every field unchanged. `shifted` holds the vertices the last pivot
+    moved, so callers can re-test only the edges at those vertices.
+    """
 
     def __init__(self, g: Digraph, chosen: list):
         self.g = g
         self.chosen = chosen
         self.dist = tree_distances_list(g, chosen)
-        self.obj = _objective(self.dist)
+        self.obj = sum(self.dist)
+        self.children: list[list[int]] = [[] for _ in range(g.n_vertices)]
+        for u, e in enumerate(chosen):
+            if e is not None:
+                self.children[g.heads[e]].append(u)
+        self.shifted: list[int] = []
         self.log: list[tuple[int, int]] = []
 
     def improving(self, e: int) -> bool:
@@ -73,16 +92,32 @@ class _PivotTracker:
         return g.costs[e] + self.dist[g.heads[e]] < self.dist[g.tails[e]]
 
     def pivot(self, e: int) -> int:
-        u = self.g.tails[e]
-        leaving = self.chosen[u]
-        self.chosen[u] = e
-        self.dist = tree_distances_list(self.g, self.chosen)
-        new_obj = _objective(self.dist)
-        if new_obj >= self.obj:
+        g = self.g
+        dist = self.dist
+        u = g.tails[e]
+        v = g.heads[e]
+        delta = g.costs[e] + dist[v] - dist[u]
+        if delta >= 0:
             raise PivotInvariantError(
-                f"pivot on edge {e} moved the objective {self.obj} -> {new_obj}"
+                f"pivot on edge {e} would move the objective by {delta} per "
+                f"vertex of the subtree at vertex {u}"
             )
-        self.obj = new_obj
+        children = self.children
+        sub = [u]
+        for w in sub:  # the walk appends to the list it iterates over
+            sub.extend(children[w])
+        if v in sub:
+            raise PolicyCycleError(
+                f"edge {e} closes a cycle through vertex {u} and its subtree"
+            )
+        for w in sub:
+            dist[w] += delta
+        self.obj += delta * len(sub)
+        leaving = self.chosen[u]
+        children[g.heads[leaving]].remove(u)
+        children[v].append(u)
+        self.chosen[u] = e
+        self.shifted = sub
         self.log.append((e, leaving))
         return leaving
 
@@ -90,18 +125,23 @@ class _PivotTracker:
 def _facet_collapsed(g: Digraph, tracker: _PivotTracker, in_f: list, arrange) -> None:
     """Collapsed facet-removal recursion over the edges with in_f set.
 
-    `arrange(cands)` permutes a fresh candidate list into its removal order
-    (picked-first first). Each descent strips the whole candidate list, the
-    unwind tests candidates last-removed first against the evolving tree,
-    and every pivot opens a sub-descent over the surviving candidates.
+    `arrange(cands)` permutes a fresh candidate list, handed over in edge-id
+    order, into its removal order (picked-first first). Each descent strips
+    the whole candidate list, the unwind tests candidates last-removed first
+    against the evolving tree, and every pivot opens a sub-descent over the
+    surviving candidates. `avail` holds exactly the edges with in_f set that
+    are not chosen: a descent empties it, and the unwind adds back each
+    restored edge that does not improve, and each leaving edge still in_f.
+    in_f ends the call as it began.
     """
     chosen = tracker.chosen
-    tails = g.tails
+    dist = tracker.dist
+    tails, heads, costs = g.tails, g.heads, g.costs
+    avail = {e for e in range(g.n_edges) if in_f[e] and chosen[tails[e]] != e}
 
     def fresh_cands() -> list[int]:
-        cands = [
-            e for e in range(g.n_edges) if in_f[e] and chosen[tails[e]] != e
-        ]
+        cands = sorted(avail)
+        avail.clear()
         arrange(cands)
         for e in cands:
             in_f[e] = False
@@ -118,10 +158,14 @@ def _facet_collapsed(g: Digraph, tracker: _PivotTracker, in_f: list, arrange) ->
         e = frame[0][k]
         frame[1] = k - 1
         in_f[e] = True  # e belongs to this call's edge set again
-        if tracker.improving(e):
-            tracker.pivot(e)
+        if costs[e] + dist[heads[e]] < dist[tails[e]]:
+            leaving = tracker.pivot(e)
+            if in_f[leaving]:
+                avail.add(leaving)
             sub = fresh_cands()
             stack.append([sub, len(sub) - 1])
+        else:
+            avail.add(e)
 
 
 def _facet_literal(
@@ -330,17 +374,43 @@ def bland_nonrec(
     g: Digraph, policy: Policy, sigma, start: int = 1, seed: int | None = None
 ) -> RunResult:
     """Scanning form of the fixed-permutation rule: repeatedly pivot on the
-    improving edge of largest permutation index >= start."""
+    improving edge of largest permutation index >= start.
+
+    Improving edges wait in a heap ordered by rank, largest first (ties to
+    the lower edge id); an entry that stopped improving is dropped when it
+    reaches the top. A pivot changes the reduced cost only of edges with an
+    endpoint in the shifted subtree, the leaving edge among them, so only
+    those are re-tested and queued.
+    """
     m = g.n_edges
-    by_rank_desc = sorted(range(m), key=sigma.__getitem__, reverse=True)
-    by_rank_desc = [e for e in by_rank_desc if sigma[e] >= start]
     chosen = list(policy.chosen)
     tracker = _PivotTracker(g, chosen)
-    while True:
-        e = next((x for x in by_rank_desc if tracker.improving(x)), None)
-        if e is None:
-            break
+    dist = tracker.dist
+    tails, heads, costs = g.tails, g.heads, g.costs
+    in_edges, out_edges = g.in_edges, g.out_edges
+    # edges below start count as queued for good, so they never enter
+    queued = bytearray(sigma[e] < start for e in range(m))
+    # key e - m * sigma[e]: the smallest key has the largest rank, and
+    # key % m gives the edge back
+    heap = []
+    for e in range(m):
+        if not queued[e] and costs[e] + dist[heads[e]] < dist[tails[e]]:
+            queued[e] = 1
+            heap.append(e - m * sigma[e])
+    heapq.heapify(heap)
+    while heap:
+        e = heap[0] % m
+        if costs[e] + dist[heads[e]] >= dist[tails[e]]:
+            heapq.heappop(heap)
+            queued[e] = 0
+            continue
         tracker.pivot(e)
+        for w in tracker.shifted:
+            for edges in (in_edges[w], out_edges[w]):
+                for x in edges:
+                    if not queued[x] and costs[x] + dist[heads[x]] < dist[tails[x]]:
+                        queued[x] = 1
+                        heapq.heappush(heap, x - m * sigma[x])
     return RunResult(
         rule="bland-nonrec",
         pivots=len(tracker.log),

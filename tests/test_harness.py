@@ -196,6 +196,49 @@ def test_cli_analyze(tmp_path, capsys):
     assert "canonical frequency" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"target": 1, "edges": []}',
+        json.dumps({  # 0 -> 1 -> 0 costs -1
+            "target": 2,
+            "vertices": [{"id": v, "name": f"v{v}"} for v in range(3)],
+            "edges": [
+                {"id": e, "name": f"e{e}", "tail": t, "head": h, "scaled_cost": c}
+                for e, (t, h, c) in enumerate([(0, 1, "-2"), (1, 0, "1"), (0, 2, "0")])
+            ],
+        }),
+    ],
+    ids=["malformed-json", "missing-key", "negative-cycle"],
+)
+def test_cli_bad_graph_file_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (
+        ["run", "--rule", "dantzig", "--graph", str(path)],
+        ["analyze", "--graph", str(path), "--S", "1"],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load graph") and err.count("\n") == 1
+
+
+def test_cli_bad_sidecar_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert cli.main(["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
+                     "--out", str(out)]) == 0
+    (tmp_path / "g.index.json").write_text('{"params": {"n": 1}}')
+    capsys.readouterr()
+    for argv in (
+        ["run", "--rule", "dantzig", "--graph", str(out)],
+        ["analyze", "--graph", str(out), "--S", "1"],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load index") and err.count("\n") == 1
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["run"])  # missing required --rule

@@ -5,10 +5,12 @@ from random import Random
 
 import pytest
 
-from pivotlab import checks, counter_graph as cg, counters, rules
+from pivotlab import checks, comptrees, counter_graph as cg, counters, rules
 from pivotlab.graphs import (
     Digraph,
     Policy,
+    PolicyCycleError,
+    apply_switch,
     improving_switches,
     optimal_distances_list,
     random_dag,
@@ -17,6 +19,7 @@ from pivotlab.graphs import (
 )
 from pivotlab.rules import (
     InvalidStartError,
+    PivotInvariantError,
     bland_nonrec,
     bland_rec,
     dantzig,
@@ -87,6 +90,141 @@ def test_parallel_pair_single_pivot(name, runner):
     res = runner(g, Policy((0, None)), Random(1))
     assert res.pivots == 1
     assert res.pivot_log == [(1, 0)]
+
+
+class _CheckedTracker(rules._PivotTracker):
+    """The pivot kernel, checked against a full recompute after every pivot."""
+
+    pivots_checked = 0
+
+    def pivot(self, e: int) -> int:
+        before = list(self.dist)
+        leaving = super().pivot(e)
+        assert self.dist == tree_distances_list(self.g, self.chosen)
+        assert self.obj == sum(self.dist)
+        moved = {v for v in range(self.g.n_vertices) if before[v] != self.dist[v]}
+        assert sorted(self.shifted) == sorted(moved)
+        _CheckedTracker.pivots_checked += 1
+        return leaving
+
+
+@pytest.fixture
+def checked_kernel(monkeypatch):
+    monkeypatch.setattr(rules, "_PivotTracker", _CheckedTracker)
+    monkeypatch.setattr(comptrees, "_PivotTracker", _CheckedTracker)
+    monkeypatch.setattr(_CheckedTracker, "pivots_checked", 0)
+    return _CheckedTracker
+
+
+def _kernel_instances(rng):
+    for _ in range(15):
+        g = random_dag(rng, rng.randrange(2, 12), extra_edges=rng.randrange(0, 14))
+        yield g, random_policy(g, rng)
+    for params in ((3, 2, 2, 2), (4, 3, 3, 3)):
+        g, idx = cg.build_counter_graph(*params)
+        yield g, cg.initial_tree(idx)
+
+
+@pytest.mark.parametrize("name,runner", ALL_RULES)
+def test_incremental_kernel_matches_full_recompute(name, runner, checked_kernel):
+    rng = Random(name)
+    for g, b0 in _kernel_instances(rng):
+        res = runner(g, b0, rng)
+        assert tree_distances_list(g, res.final_policy.chosen) == optimal_distances_list(g)
+    assert checked_kernel.pivots_checked > 0
+
+
+def test_canonical_follower_kernel_matches_full_recompute(checked_kernel):
+    # the follower hands the facet engine pre-edited edge sets
+    g, idx = cg.build_counter_graph(4, 2, 2, 2)
+    for seed in range(10):
+        comptrees.follow_canonical(g, idx, [3, 1], Random(seed))
+    assert checked_kernel.pivots_checked > 0
+
+
+def test_facet_candidates_match_full_rebuild():
+    # every candidate list equals a rebuild from all edges, in id order, and
+    # the edge set ends the call as it began
+    rng = Random(47)
+    for g, b0 in _kernel_instances(rng):
+        chosen = list(b0.chosen)
+        in_f = [rng.random() < 0.8 or e in b0.edge_set() for e in range(g.n_edges)]
+        entry = list(in_f)
+
+        def arrange(cands):
+            assert cands == [
+                e for e in range(g.n_edges) if in_f[e] and chosen[g.tails[e]] != e
+            ]
+            rng.shuffle(cands)
+
+        rules._facet_collapsed(g, rules._PivotTracker(g, chosen), in_f, arrange)
+        assert in_f == entry
+
+
+def _bland_linear_scan(g, policy, sigma, start=1):
+    """The fixed-permutation rule by definition: rescan every edge in
+    descending rank order before each pivot. Returns the pivot log."""
+    by_rank_desc = [
+        e for e in sorted(range(g.n_edges), key=sigma.__getitem__, reverse=True)
+        if sigma[e] >= start
+    ]
+    log = []
+    while True:
+        imp = improving_switches(g, policy)
+        e = next((x for x in by_rank_desc if x in imp), None)
+        if e is None:
+            return log
+        log.append((e, policy.chosen[g.tails[e]]))
+        policy = apply_switch(g, policy, e)
+
+
+def test_bland_heap_matches_linear_scan():
+    rng = Random(31)
+    cases = []
+    for _ in range(60):
+        g = random_dag(rng, rng.randrange(2, 12), extra_edges=rng.randrange(0, 14))
+        cases.append((g, random_policy(g, rng), random_permutation_fn(g.n_edges, rng)))
+    for params in ((3, 2, 2, 2), (4, 3, 3, 3)):
+        g, idx = cg.build_counter_graph(*params)
+        for _ in range(3):
+            cases.append((g, cg.initial_tree(idx), sample_well_behaved(idx, rng)))
+            cases.append((g, cg.initial_tree(idx), random_permutation_fn(g.n_edges, rng)))
+    for g, b0, sigma in cases:
+        start = rng.choice([1, 1, 2, rng.randrange(1, g.n_edges + 2)])
+        assert bland_nonrec(g, b0, sigma, start=start).pivot_log == _bland_linear_scan(
+            g, b0, sigma, start
+        )
+
+
+def _kernel_state(tracker):
+    return (list(tracker.chosen), list(tracker.dist), tracker.obj,
+            [list(c) for c in tracker.children], list(tracker.log))
+
+
+def test_pivot_on_non_improving_edge_changes_nothing():
+    g = parallel_pair()
+    tracker = rules._PivotTracker(g, [1, None])
+    before = _kernel_state(tracker)
+    for e in (0, 1):  # a costlier edge, and the chosen edge itself
+        with pytest.raises(PivotInvariantError):
+            tracker.pivot(e)
+        assert _kernel_state(tracker) == before
+
+
+def test_switch_closing_a_negative_cycle_raises():
+    # 0 -> 1 costs -5 and 1 -> 0 costs 1: the cycle costs -4. In the tree
+    # 0 -> 1 -> target, the edge 1 -> 0 improves but points into 1's subtree.
+    g = Digraph(3, 2, tails=[0, 1, 0, 1], heads=[1, 0, 2, 2], costs=[-5, 1, 0, 0])
+    start = Policy((0, 3, None))
+    tracker = rules._PivotTracker(g, list(start.chosen))
+    assert tracker.improving(1)
+    before = _kernel_state(tracker)
+    with pytest.raises(PolicyCycleError):
+        tracker.pivot(1)
+    assert _kernel_state(tracker) == before
+    for run in (lambda: dantzig(g, start), lambda: bland_nonrec(g, start, [4, 3, 2, 1])):
+        with pytest.raises(PolicyCycleError):
+            run()
 
 
 def test_objective_decreases_along_every_log():
