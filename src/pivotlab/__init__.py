@@ -27,9 +27,7 @@ from .graphs import (
     Policy,
     apply_switch,
     improving_switches,
-    optimal_distances,
     optimal_edge_set,
-    tree_distances,
 )
 from .rules import (
     RunResult,
@@ -75,7 +73,6 @@ __all__ = [
     "initial_tree",
     "is_functional",
     "is_well_behaved",
-    "optimal_distances",
     "optimal_edge_set",
     "rand_count",
     "rand_count_one_perm",
@@ -87,7 +84,6 @@ __all__ = [
     "reset_level",
     "sample_well_behaved",
     "sigma_p",
-    "tree_distances",
 ]
 
 __version__ = "0.1.0"

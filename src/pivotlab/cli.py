@@ -6,12 +6,15 @@ Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from random import Random
 
 from . import checks, comptrees, counter_graph, counters
 from .experiments import (
+    RULE_NAMES,
+    BadConfigError,
     ExperimentConfig,
     derive_seed,
     load_graph,
@@ -43,11 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_gen)
 
     p_run = sub.add_parser("run", help="run pivot-rule trials")
-    p_run.add_argument(
-        "--rule", required=True,
-        choices=["random-facet", "random-facet-nonrec", "random-facet-1p",
-                 "bland", "random-bland", "dantzig"],
-    )
+    p_run.add_argument("--rule", required=True, choices=RULE_NAMES)
     p_run.add_argument("--graph", type=str, default=None, help="graph JSON file")
     p_run.add_argument("--n", type=int, default=None)
     p_run.add_argument("--r", type=int, default=None)
@@ -156,7 +155,14 @@ def cmd_analyze(args) -> int:
     if idx.n_edges != g.n_edges:
         print("analyze: index does not match the graph", file=sys.stderr)
         return 2
-    levels = [int(x) for x in args.S.split(",") if x]
+    if args.trials < 1:
+        raise BadConfigError("--trials must be at least 1")
+    try:
+        levels = [int(x) for x in args.S.split(",") if x]
+    except ValueError as exc:
+        raise BadConfigError(f"--S {args.S!r} is not a list of integers") from exc
+    if any(i < 1 or i > idx.n for i in levels):
+        raise BadConfigError(f"--S levels must lie in 1..{idx.n}")
     rows = []
     counts: dict[str, int] = {}
     for trial in range(args.trials):
@@ -182,12 +188,19 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = json.loads(args.params) if args.params else {}
     try:
-        report = checks.run_check(args.check, **params)
-    except checks.UnknownCheckError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise BadConfigError(f"--params is not valid JSON: {exc}") from exc
+    if not isinstance(params, dict):
+        raise BadConfigError("--params must be a JSON object")
+    try:
+        inspect.signature(checks.CHECKS[args.check]).bind(**params)
+    except TypeError as exc:
+        raise BadConfigError(
+            f"--params does not fit check {args.check!r}: {exc}"
+        ) from exc
+    report = checks.run_check(args.check, **params)
     text = json.dumps(report, indent=1, default=str)
     if args.out:
         with open(args.out, "w") as fh:
@@ -197,8 +210,6 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    from .experiments import BadConfigError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -348,9 +348,7 @@ def follow_canonical(
     in_f = [True] * g.n_edges
     path: ComputationPath = []
     while True:
-        cands = sorted(
-            e for e in range(g.n_edges) if in_f[e] and chosen[g.tails[e]] != e
-        )
+        cands = sorted(tracker.nonbasic(in_f))
         if not cands:
             return CanonicalOutcome(EXHAUSTED, None, path, len(tracker.log))
         e = cands[rng.randrange(len(cands))]
@@ -359,7 +357,7 @@ def follow_canonical(
         if stop == CANONICAL:
             # the final switch must exist; run the first call, then pivot
             in_f[e] = False
-            _solve_in_place(g, tracker, in_f, rng)
+            _facet_collapsed(tracker, in_f, rng.shuffle)
             in_f[e] = True
             if not tracker.improving(e):
                 return CanonicalOutcome(
@@ -375,21 +373,11 @@ def follow_canonical(
             continue
         # right step: complete the first recursive call, then switch
         in_f[e] = False
-        _solve_in_place(g, tracker, in_f, rng)
+        _facet_collapsed(tracker, in_f, rng.shuffle)
         in_f[e] = True
         if not tracker.improving(e):
             return CanonicalOutcome(MISSING_CHILD, None, path, len(tracker.log))
         tracker.pivot(e)
-
-
-def _solve_in_place(g: Digraph, tracker: _PivotTracker, in_f: list, rng) -> None:
-    """Run the facet recursion to optimality over the in_f edges, evolving
-    the tracker's tree."""
-
-    def arrange(cands: list[int]) -> None:
-        rng.shuffle(cands)
-
-    _facet_collapsed(g, tracker, in_f, arrange)
 
 
 def classify_path(

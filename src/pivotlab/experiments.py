@@ -164,7 +164,12 @@ def load_instance(config: ExperimentConfig):
     the zero-edge start available for them too."""
     idx = None
     if config.gen_params is not None:
-        g, idx = counter_graph.build_counter_graph(*config.gen_params)
+        try:
+            g, idx = counter_graph.build_counter_graph(*config.gen_params)
+        except ValueError as exc:
+            raise BadConfigError(
+                f"cannot build counter graph {config.gen_params}: {exc}"
+            ) from exc
     else:
         g = load_graph(config.graph_path)
         sidecar = sidecar_index_path(config.graph_path)

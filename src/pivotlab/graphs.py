@@ -188,12 +188,6 @@ def tree_distances_list(
     return dist  # type: ignore[return-value]
 
 
-def tree_distances(g: Digraph, policy: Policy) -> dict[int, int]:
-    """Exact distance of every vertex to the target along the policy tree."""
-    dist = tree_distances_list(g, policy.chosen)
-    return {v: dist[v] for v in range(g.n_vertices)}
-
-
 def policy_objective(g: Digraph, policy: Policy) -> int:
     """Sum of all tree distances; strictly decreases on improving switches."""
     return sum(tree_distances_list(g, policy.chosen))
@@ -256,11 +250,6 @@ def optimal_distances_list(
             if dh is not INF and costs[e] + dh < dist[tails[e]]:
                 raise NegativeCycleError("relaxation still improves after n-1 rounds")
     return dist
-
-
-def optimal_distances(g: Digraph, subset: Iterable[int] | None = None) -> dict[int, int]:
-    dist = optimal_distances_list(g, subset)
-    return {v: dist[v] for v in range(g.n_vertices)}
 
 
 def improving_switches(

@@ -15,6 +15,7 @@ from math import lcm
 from typing import Sequence
 
 from .graphs import Digraph, Policy
+from .rules import _facet_collapsed
 
 
 class SingularBasisError(Exception):
@@ -193,64 +194,51 @@ def tree_basis(g: Digraph, policy: Policy) -> tuple[int, ...]:
     return tuple(sorted(policy.edge_set()))
 
 
+class _LPTracker:
+    """A basis of the LP as the facet engine's pivot oracle.
+
+    `red` holds the reduced cost of every column for the current basis; it
+    is refreshed in place after each pivot, so every candidate test reads a
+    list instead of pricing the basis again.
+    """
+
+    def __init__(self, lp: StdFormLP, basis: Sequence[int]):
+        self.lp = lp
+        self.basis = tuple(basis)
+        self.red, _ = reduced_costs(lp, self.basis)
+        self.log: list[tuple[int, int]] = []
+
+    def nonbasic(self, in_f: list) -> set[int]:
+        """The columns with in_f set that are not basic."""
+        cols = set(itertools.compress(range(self.lp.n_cols), in_f))
+        cols.difference_update(self.basis)
+        return cols
+
+    def pivot(self, entering: int) -> int:
+        self.basis, leaving = pivot_lp(self.lp, self.basis, entering)
+        self.red[:] = reduced_costs(self.lp, self.basis)[0]
+        self.log.append((entering, leaving))
+        return leaving
+
+
 def random_facet_lp(
     lp: StdFormLP, allowed: Sequence[int], basis: Sequence[int], rng
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """Facet-removal recursion on the LP restricted to the `allowed` columns.
 
-    Candidate selection draws a uniform index into the id-sorted candidate
-    list, the same discipline as the graph engine, so seeded runs stay in
-    lockstep. Returns the optimal basis and the pivot log.
+    The recursion is the graph rule's own engine, `rules._facet_collapsed`,
+    with an LP basis as its pivot oracle and the same removal order (one
+    `rng.shuffle` of each id-sorted candidate list). So a seeded run pivots
+    in lockstep with `rules.random_facet` on the graph the LP encodes.
+    Returns the optimal basis and the pivot log.
     """
     allowed_set = frozenset(allowed)
-    cur = tuple(basis)
-    if not set(cur) <= allowed_set:
+    if not set(basis) <= allowed_set:
         raise ValueError("basis must lie inside the allowed column set")
-    log: list[tuple[int, int]] = []
-
-    # Each frame is [removed_stack, k]; see the graph engine for the shape of
-    # this collapse: descend removing candidates in pick order, then test
-    # improvement in reverse while the basis evolves globally.
-    in_f = {j: (j in allowed_set) for j in range(lp.n_cols)}
-
-    def candidates() -> list[int]:
-        return [j for j in range(lp.n_cols) if in_f[j] and j not in cur_set]
-
-    cur_set = set(cur)
-    first = candidates()
-    order: list[int] = []
-    while first:
-        pick = first[rng.randrange(len(first))]
-        order.append(pick)
-        first.remove(pick)
-    for j in order:
-        in_f[j] = False
-    stack = [[order, len(order) - 1]]
-    while stack:
-        frame = stack[-1]
-        cands, k = frame
-        if k < 0:
-            stack.pop()
-            continue
-        j = cands[k]
-        frame[1] = k - 1
-        in_f[j] = True
-        cbar, _ = reduced_costs(lp, cur)
-        if cbar[j] < 0:
-            new_basis, leaving = pivot_lp(lp, cur, j)
-            log.append((j, leaving))
-            cur = new_basis
-            cur_set = set(cur)
-            sub = candidates()
-            suborder: list[int] = []
-            while sub:
-                pick = sub[rng.randrange(len(sub))]
-                suborder.append(pick)
-                sub.remove(pick)
-            for jj in suborder:
-                in_f[jj] = False
-            stack.append([suborder, len(suborder) - 1])
-    return cur, log
+    tracker = _LPTracker(lp, basis)
+    in_f = [j in allowed_set for j in range(lp.n_cols)]
+    _facet_collapsed(tracker, in_f, rng.shuffle)
+    return tracker.basis, tracker.log
 
 
 def brute_force_optimum(lp: StdFormLP) -> tuple[Fraction, list[tuple[int, ...]]]:

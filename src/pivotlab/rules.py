@@ -6,19 +6,23 @@ edge e = (u, v) re-hangs u's subtree of the policy tree under v, so every
 vertex of that subtree moves by the same delta = c(e) + y(v) - y(u) and
 nothing else moves. The kernel shifts just that subtree, and the summed
 tree distance changes by delta * |subtree|; the strict-decrease invariant is
-therefore delta < 0, checked before any state changes. The facet-removal
-engines exist in two forms: a literal per-call recursion (explicit stack,
-optional event trace for computation-tree analysis) and a collapsed form
-that processes each descent's candidate list in one sweep. Both execute the
-same recursion; the collapsed form is the default because it does constant
-work per recursive call.
+therefore delta < 0, checked before any state changes. The kernel also keeps
+every edge's reduced cost in the list `red`, so an improving test is a list
+read.
+
+The facet-removal recursion has one engine, `_facet_collapsed`. It talks to
+a pivot oracle (a reduced-cost list `red`, `pivot(e) -> leaving` and
+`nonbasic(in_f)`) that both `_PivotTracker` and the LP basis tracker of
+`lp.random_facet_lp` implement, and it can emit the event stream from which
+`comptrees.ComputationTree` rebuilds the recursion tree. So the traced run,
+the untraced run and the LP run of one seed are the same run.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 from .counter_graph import CounterGraphIndex
 from .graphs import (
@@ -60,26 +64,34 @@ def _start(g: Digraph, policy: Policy, subset) -> tuple[list, set]:
 
 
 class _PivotTracker:
-    """The pivot kernel: the policy tree, its distances and the pivot log.
+    """The pivot kernel: the policy tree, its distances, every edge's reduced
+    cost and the pivot log.
 
-    `dist` is one list of exact integer distances, mutated in place, so
-    callers may hold it across pivots. `children[v]` lists the vertices
-    whose chosen edge points at v. A pivot on e = (u, v) walks u's subtree
-    through the child lists, shifts each of its distances by
-    delta = c(e) + y(v) - y(u), and moves u from its old parent's child
-    list to v's; the objective `obj` (summed tree distance) moves by
-    delta * |subtree|. A pivot with delta >= 0 raises PivotInvariantError,
-    and one whose head lies in u's own subtree (possible only when the
-    switch closes a negative cycle) raises PolicyCycleError; both leave
-    every field unchanged. `shifted` holds the vertices the last pivot
-    moved, so callers can re-test only the edges at those vertices.
+    `dist` is one list of exact integer distances and `red` one list of
+    exact integer reduced costs red[x] = c(x) + y(head x) - y(tail x); both
+    are mutated in place, never rebound, so callers may hold them across
+    pivots. `children[v]` lists the vertices whose chosen edge points at v.
+    A pivot on e = (u, v) walks u's subtree through the child lists, shifts
+    each of its distances by delta = c(e) + y(v) - y(u), and moves u from
+    its old parent's child list to v's; the objective `obj` (summed tree
+    distance) moves by delta * |subtree|. For each shifted vertex w the
+    reduced cost of every edge into w rises by delta and of every edge out
+    of w falls by delta, so an edge with both ends in the subtree keeps its
+    reduced cost. A pivot with delta >= 0 raises PivotInvariantError, and
+    one whose head lies in u's own subtree (possible only when the switch
+    closes a negative cycle) raises PolicyCycleError; both leave every field
+    unchanged. `shifted` holds the vertices the last pivot moved, so callers
+    can re-test only the edges at those vertices.
     """
 
     def __init__(self, g: Digraph, chosen: list):
         self.g = g
         self.chosen = chosen
-        self.dist = tree_distances_list(g, chosen)
-        self.obj = sum(self.dist)
+        self.dist = dist = tree_distances_list(g, chosen)
+        self.red = [
+            c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
+        ]
+        self.obj = sum(dist)
         self.children: list[list[int]] = [[] for _ in range(g.n_vertices)]
         for u, e in enumerate(chosen):
             if e is not None:
@@ -88,8 +100,13 @@ class _PivotTracker:
         self.log: list[tuple[int, int]] = []
 
     def improving(self, e: int) -> bool:
-        g = self.g
-        return g.costs[e] + self.dist[g.heads[e]] < self.dist[g.tails[e]]
+        return self.red[e] < 0
+
+    def nonbasic(self, in_f: list) -> set[int]:
+        """The edges with in_f set that are not chosen."""
+        edges = set(compress(range(self.g.n_edges), in_f))
+        edges.difference_update(self.chosen)
+        return edges
 
     def pivot(self, e: int) -> int:
         g = self.g
@@ -110,8 +127,14 @@ class _PivotTracker:
             raise PolicyCycleError(
                 f"edge {e} closes a cycle through vertex {u} and its subtree"
             )
+        red = self.red
+        in_edges, out_edges = g.in_edges, g.out_edges
         for w in sub:
             dist[w] += delta
+            for x in in_edges[w]:
+                red[x] += delta
+            for x in out_edges[w]:
+                red[x] -= delta
         self.obj += delta * len(sub)
         leaving = self.chosen[u]
         children[g.heads[leaving]].remove(u)
@@ -122,22 +145,29 @@ class _PivotTracker:
         return leaving
 
 
-def _facet_collapsed(g: Digraph, tracker: _PivotTracker, in_f: list, arrange) -> None:
-    """Collapsed facet-removal recursion over the edges with in_f set.
+def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -> None:
+    """The facet-removal recursion over the columns with in_f set.
 
-    `arrange(cands)` permutes a fresh candidate list, handed over in edge-id
+    `tracker` is a pivot oracle: `red`, a list of the current reduced cost
+    of every column that `pivot` updates in place; `pivot(e) -> leaving`;
+    and `nonbasic(in_f)`, the set of in_f columns outside the basis.
+    `arrange(cands)` permutes a fresh candidate list, handed over in id
     order, into its removal order (picked-first first). Each descent strips
-    the whole candidate list, the unwind tests candidates last-removed first
-    against the evolving tree, and every pivot opens a sub-descent over the
-    surviving candidates. `avail` holds exactly the edges with in_f set that
-    are not chosen: a descent empties it, and the unwind adds back each
-    restored edge that does not improve, and each leaving edge still in_f.
-    in_f ends the call as it began.
+    the whole candidate list, which is the chain of left children down to a
+    leaf; the unwind tests candidates last-removed first against the
+    evolving basis, and every pivot opens the right child: a sub-descent
+    over the surviving candidates. `avail` holds exactly the in_f columns
+    outside the basis: a descent empties it, and the unwind adds back each
+    restored column that does not improve, and each leaving column still
+    in_f. in_f ends the call as it began.
+
+    With `events` given, the run appends ("pick", e) for each removal,
+    ("leaf",) at the end of each descent and ("up", pivoted, leaving) for
+    each test, the stream `comptrees.ComputationTree.from_events` reads.
     """
-    chosen = tracker.chosen
-    dist = tracker.dist
-    tails, heads, costs = g.tails, g.heads, g.costs
-    avail = {e for e in range(g.n_edges) if in_f[e] and chosen[tails[e]] != e}
+    red = tracker.red
+    pivot = tracker.pivot
+    avail = tracker.nonbasic(in_f)
 
     def fresh_cands() -> list[int]:
         cands = sorted(avail)
@@ -145,6 +175,9 @@ def _facet_collapsed(g: Digraph, tracker: _PivotTracker, in_f: list, arrange) ->
         arrange(cands)
         for e in cands:
             in_f[e] = False
+        if events is not None:
+            events.extend(("pick", e) for e in cands)
+            events.append(("leaf",))
         return cands
 
     first = fresh_cands()
@@ -158,69 +191,18 @@ def _facet_collapsed(g: Digraph, tracker: _PivotTracker, in_f: list, arrange) ->
         e = frame[0][k]
         frame[1] = k - 1
         in_f[e] = True  # e belongs to this call's edge set again
-        if costs[e] + dist[heads[e]] < dist[tails[e]]:
-            leaving = tracker.pivot(e)
+        if red[e] < 0:
+            leaving = pivot(e)
             if in_f[leaving]:
                 avail.add(leaving)
+            if events is not None:
+                events.append(("up", True, leaving))
             sub = fresh_cands()
             stack.append([sub, len(sub) - 1])
         else:
+            if events is not None:
+                events.append(("up", False, None))
             avail.add(e)
-
-
-def _facet_literal(
-    g: Digraph, tracker: _PivotTracker, in_f: list, rng, events: list | None
-) -> None:
-    """Literal per-call facet-removal recursion with an explicit stack.
-
-    Each call picks one random candidate (uniform index into the id-sorted
-    candidate list), recurses without it, and pivots plus re-recurses when
-    the pick improves the returned tree. Optionally emits trace events:
-    ("pick", e), ("leaf",), ("up", pivoted, leaving).
-    """
-    chosen = tracker.chosen
-    tails = g.tails
-    cands = sorted(
-        e for e in range(g.n_edges) if in_f[e] and chosen[tails[e]] != e
-    )
-    # frame: [stage, picked_edge]; stage 0 = entering, 1 = after first call
-    stack = [[0, -1]]
-    while stack:
-        frame = stack[-1]
-        if frame[0] == 0:
-            if not cands:
-                if events is not None:
-                    events.append(("leaf",))
-                stack.pop()
-                continue
-            idx = rng.randrange(len(cands))
-            e = cands.pop(idx)
-            in_f[e] = False
-            frame[0] = 1
-            frame[1] = e
-            if events is not None:
-                events.append(("pick", e))
-            stack.append([0, -1])
-            continue
-        # first recursive call returned; decide on the pick
-        e = frame[1]
-        in_f[e] = True
-        if tracker.improving(e):
-            leaving = tracker.pivot(e)
-            # e joined the tree; the leaving edge becomes a candidate again
-            if in_f[leaving] and chosen[tails[leaving]] != leaving:
-                bisect.insort(cands, leaving)
-            if events is not None:
-                events.append(("up", True, leaving))
-            frame[0] = 0
-            frame[1] = -1
-            continue
-        if events is not None:
-            events.append(("up", False, None))
-        # e returns to the caller's candidate pool unless it is now chosen
-        if chosen[tails[e]] != e:
-            bisect.insort(cands, e)
-        stack.pop()
 
 
 def random_facet(
@@ -231,23 +213,19 @@ def random_facet(
     trace: bool = False,
     seed: int | None = None,
 ) -> RunResult:
-    """Facet-removal rule with a fresh random pick at every call."""
+    """Facet-removal rule with a fresh random pick at every call.
+
+    Each descent shuffles its id-sorted candidate list once, which draws
+    every removal uniformly. With `trace`, the run also records the event
+    stream of its computation tree; the pivots are the same either way.
+    """
     chosen, allowed = _start(g, policy, subset)
     in_f = [False] * g.n_edges
     for e in allowed:
         in_f[e] = True
     tracker = _PivotTracker(g, chosen)
-    if trace:
-        events: list = []
-        _facet_literal(g, tracker, in_f, rng, events)
-    else:
-        events = None
-
-        def arrange(cands: list[int]) -> None:
-            # drawing a uniform index per removal equals one uniform shuffle
-            rng.shuffle(cands)
-
-        _facet_collapsed(g, tracker, in_f, arrange)
+    events: list | None = [] if trace else None
+    _facet_collapsed(tracker, in_f, rng.shuffle, events)
     return RunResult(
         rule="random-facet",
         pivots=len(tracker.log),
@@ -276,7 +254,7 @@ def random_facet_one_perm(
     def arrange(cands: list[int]) -> None:
         cands.sort(key=sigma.__getitem__)
 
-    _facet_collapsed(g, tracker, in_f, arrange)
+    _facet_collapsed(tracker, in_f, arrange)
     return RunResult(
         rule="random-facet-1p",
         pivots=len(tracker.log),
@@ -378,39 +356,38 @@ def bland_nonrec(
 
     Improving edges wait in a heap ordered by rank, largest first (ties to
     the lower edge id); an entry that stopped improving is dropped when it
-    reaches the top. A pivot changes the reduced cost only of edges with an
-    endpoint in the shifted subtree, the leaving edge among them, so only
-    those are re-tested and queued.
+    reaches the top. A pivot with step delta < 0 lowers the reduced cost
+    only of edges into the shifted subtree from outside it (edges out of
+    it rise, the leaving edge among them), so only edges into shifted
+    vertices are re-tested and queued.
     """
     m = g.n_edges
     chosen = list(policy.chosen)
     tracker = _PivotTracker(g, chosen)
-    dist = tracker.dist
-    tails, heads, costs = g.tails, g.heads, g.costs
-    in_edges, out_edges = g.in_edges, g.out_edges
+    red = tracker.red
+    in_edges = g.in_edges
     # edges below start count as queued for good, so they never enter
     queued = bytearray(sigma[e] < start for e in range(m))
     # key e - m * sigma[e]: the smallest key has the largest rank, and
     # key % m gives the edge back
     heap = []
     for e in range(m):
-        if not queued[e] and costs[e] + dist[heads[e]] < dist[tails[e]]:
+        if not queued[e] and red[e] < 0:
             queued[e] = 1
             heap.append(e - m * sigma[e])
     heapq.heapify(heap)
     while heap:
         e = heap[0] % m
-        if costs[e] + dist[heads[e]] >= dist[tails[e]]:
+        if red[e] >= 0:
             heapq.heappop(heap)
             queued[e] = 0
             continue
         tracker.pivot(e)
         for w in tracker.shifted:
-            for edges in (in_edges[w], out_edges[w]):
-                for x in edges:
-                    if not queued[x] and costs[x] + dist[heads[x]] < dist[tails[x]]:
-                        queued[x] = 1
-                        heapq.heappush(heap, x - m * sigma[x])
+            for x in in_edges[w]:
+                if not queued[x] and red[x] < 0:
+                    queued[x] = 1
+                    heapq.heappush(heap, x - m * sigma[x])
     return RunResult(
         rule="bland-nonrec",
         pivots=len(tracker.log),
@@ -436,14 +413,11 @@ def dantzig(g: Digraph, policy: Policy, seed: int | None = None) -> RunResult:
     cost(e) + y(head) - y(tail); ties break to the lowest edge id."""
     chosen = list(policy.chosen)
     tracker = _PivotTracker(g, chosen)
+    red = tracker.red
+    edges = range(g.n_edges)
     while True:
-        best = None
-        best_red = 0
-        for e in range(g.n_edges):
-            red = g.costs[e] + tracker.dist[g.heads[e]] - tracker.dist[g.tails[e]]
-            if red < best_red:
-                best, best_red = e, red
-        if best is None:
+        best = min(edges, key=red.__getitem__, default=None)
+        if best is None or red[best] >= 0:
             break
         tracker.pivot(best)
     return RunResult(

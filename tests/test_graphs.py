@@ -15,13 +15,13 @@ from pivotlab.graphs import (
     apply_switch,
     improving_switches,
     load_graph_json,
-    optimal_distances,
+    optimal_distances_list,
     optimal_edge_set,
     policy_objective,
     random_dag,
     random_policy,
     save_graph_json,
-    tree_distances,
+    tree_distances_list,
 )
 
 
@@ -37,23 +37,23 @@ def chain():
 
 def test_single_edge_distance():
     g = Digraph(2, 1, tails=[0], heads=[1], costs=[5])
-    assert tree_distances(g, Policy((0, None))) == {0: 5, 1: 0}
+    assert tree_distances_list(g, (0, None)) == [5, 0]
 
 
 def test_chain_distances():
     g = chain()
-    assert tree_distances(g, Policy((0, 1, None))) == {0: 5, 1: 3, 2: 0}
+    assert tree_distances_list(g, (0, 1, None)) == [5, 3, 0]
 
 
 def test_policy_cycle_detected():
     g = Digraph(3, 2, tails=[0, 1, 0], heads=[1, 0, 2], costs=[1, 1, 1])
     with pytest.raises(PolicyCycleError):
-        tree_distances(g, Policy((0, 1, None)))
+        tree_distances_list(g, (0, 1, None))
 
 
 def test_optimal_distances_parallel():
     g = parallel_pair()
-    assert optimal_distances(g) == {0: 2, 1: 0}
+    assert optimal_distances_list(g) == [2, 0]
 
 
 def test_unreachable_rejected_at_construction():
@@ -71,7 +71,7 @@ def test_improving_switches_parallel():
 def test_apply_switch():
     g = parallel_pair()
     pol = apply_switch(g, Policy((0, None)), 1)
-    assert tree_distances(g, pol)[0] == 2
+    assert tree_distances_list(g, pol.chosen)[0] == 2
     with pytest.raises(NotAnEdgeError):
         apply_switch(g, pol, 7)
     with pytest.warns(SelfReplaceWarning):
@@ -81,7 +81,7 @@ def test_apply_switch():
 def test_non_improving_switch_still_valid_on_dag():
     g = parallel_pair()
     pol = apply_switch(g, Policy((1, None)), 0)
-    assert tree_distances(g, pol)[0] == 5
+    assert tree_distances_list(g, pol.chosen)[0] == 5
 
 
 def test_objective_strictly_decreases_on_improving_switch():
@@ -93,7 +93,7 @@ def test_objective_strictly_decreases_on_improving_switch():
             assert policy_objective(g, apply_switch(g, pol, e)) < policy_objective(g, pol)
 
 
-def _brute_force_distances(g: Digraph) -> dict[int, int]:
+def _brute_force_distances(g: Digraph) -> list[int]:
     # enumerate all simple paths to the target
     best = {g.target: 0}
 
@@ -114,14 +114,14 @@ def _brute_force_distances(g: Digraph) -> dict[int, int]:
                     out = cand
         return out
 
-    return {v: walk(v, 0, {v}) for v in range(g.n_vertices)}
+    return [walk(v, 0, {v}) for v in range(g.n_vertices)]
 
 
 def test_optimal_distances_against_path_enumeration():
     rng = Random(11)
     for _ in range(25):
         g = random_dag(rng, rng.randrange(2, 7), extra_edges=rng.randrange(0, 6))
-        assert optimal_distances(g) == _brute_force_distances(g)
+        assert optimal_distances_list(g) == _brute_force_distances(g)
 
 
 def test_bellman_ford_on_cyclic_graph():
@@ -133,7 +133,7 @@ def test_bellman_ford_on_cyclic_graph():
         costs=[1, 1, 10, 3],
     )
     assert not g.is_acyclic
-    assert optimal_distances(g) == {0: 4, 1: 3, 2: 0}
+    assert optimal_distances_list(g) == [4, 3, 0]
 
 
 def test_negative_cycle_detected():
@@ -144,7 +144,7 @@ def test_negative_cycle_detected():
         costs=[-2, 1, 10, 3],
     )
     with pytest.raises(NegativeCycleError):
-        optimal_distances(g)
+        optimal_distances_list(g)
 
 
 def test_optimal_edge_set_examples():
@@ -164,8 +164,8 @@ def test_improving_empty_iff_optimal():
     for _ in range(30):
         g = random_dag(rng, rng.randrange(2, 8), extra_edges=rng.randrange(0, 8))
         pol = random_policy(g, rng)
-        dist = tree_distances(g, pol)
-        opt = optimal_distances(g)
+        dist = tree_distances_list(g, pol.chosen)
+        opt = optimal_distances_list(g)
         assert (not improving_switches(g, pol)) == (dist == opt)
 
 
@@ -211,4 +211,4 @@ def test_tree_distance_equals_optimal_when_edges_all_optimal():
             chosen[v] = cands[0]
         assert ok
         pol = Policy(tuple(chosen))
-        assert tree_distances(g, pol) == optimal_distances(g)
+        assert tree_distances_list(g, pol.chosen) == optimal_distances_list(g)

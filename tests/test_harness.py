@@ -243,3 +243,43 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["run"])  # missing required --rule
     assert exc.value.code == 2
+
+
+def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    out = tmp_path / "c.csv"
+    assert cli.main(["run", "--rule", "random-facet", "--n", "3", "--r", "2",
+                     "--s", "2", "--t", "2", "--trace", str(trace),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.load(open(trace))
+    rows = list(csv.DictReader(open(out)))
+    assert doc["seed"] == int(rows[0]["seed"])
+    assert len(doc["pivot_log"]) == int(rows[0]["pivots"])
+    assert sum(r is not None for r in doc["tree"]["right"]) == int(rows[0]["pivots"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "recurrence", "--params", "{x"],
+        ["verify", "recurrence", "--params", "[1]"],
+        ["verify", "recurrence", "--params", '{"bogus": 1}'],
+        ["analyze", "--S", "a"],
+        ["analyze", "--S", "9"],
+        ["analyze", "--S", "1", "--trials", "0"],
+        ["run", "--rule", "dantzig", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
+    ],
+    ids=["params-json", "params-list", "params-key", "levels-text",
+         "levels-range", "zero-trials", "counter-params"],
+)
+def test_cli_bad_flag_is_a_usage_error(tmp_path, capsys, argv):
+    graph = tmp_path / "g.json"
+    assert cli.main(["gen", "--n", "2", "--r", "1", "--s", "1", "--t", "1",
+                     "--out", str(graph)]) == 0
+    capsys.readouterr()
+    if argv[0] == "analyze":
+        argv = argv + ["--graph", str(graph)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

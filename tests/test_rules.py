@@ -99,9 +99,14 @@ class _CheckedTracker(rules._PivotTracker):
 
     def pivot(self, e: int) -> int:
         before = list(self.dist)
+        red = self.red
         leaving = super().pivot(e)
-        assert self.dist == tree_distances_list(self.g, self.chosen)
+        g = self.g
+        dist = tree_distances_list(g, self.chosen)
+        assert self.dist == dist
         assert self.obj == sum(self.dist)
+        assert self.red is red
+        assert red == [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
         moved = {v for v in range(self.g.n_vertices) if before[v] != self.dist[v]}
         assert sorted(self.shifted) == sorted(moved)
         _CheckedTracker.pivots_checked += 1
@@ -157,8 +162,22 @@ def test_facet_candidates_match_full_rebuild():
             ]
             rng.shuffle(cands)
 
-        rules._facet_collapsed(g, rules._PivotTracker(g, chosen), in_f, arrange)
+        rules._facet_collapsed(rules._PivotTracker(g, chosen), in_f, arrange)
         assert in_f == entry
+
+
+def test_traced_run_is_the_untraced_run():
+    rng = Random(53)
+    instances = []
+    for _ in range(20):
+        g = random_dag(rng, rng.randrange(2, 9), extra_edges=rng.randrange(0, 9))
+        instances.append((g, random_policy(g, rng)))
+    g, idx = cg.build_counter_graph(2, 1, 1, 1)
+    instances.append((g, cg.initial_tree(idx)))
+    for k, (g, b0) in enumerate(instances):
+        traced = random_facet(g, b0, Random(k), trace=True)
+        assert traced.pivot_log == random_facet(g, b0, Random(k)).pivot_log
+        comptrees.record_tree(traced).validate(g, b0)
 
 
 def _bland_linear_scan(g, policy, sigma, start=1):
@@ -259,8 +278,8 @@ def test_invalid_start_rejected():
 
 
 def test_facet_engines_agree_in_distribution():
-    # collapsed, literal, and non-recursive engines share the exact
-    # expected pivot count computed by enumeration
+    # the untraced, traced and non-recursive runs share the exact expected
+    # pivot count computed by enumeration
     rng = Random(101)
     g = random_dag(rng, 4, extra_edges=5, max_cost=9)
     b0 = random_policy(g, rng)
