@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 import numpy as np
@@ -205,63 +205,13 @@ def check_bland_equiv(
 def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     """Exact expected pivot count of the recursive facet rule by exhaustive
     enumeration of every random choice, with the full distribution over
-    returned trees threaded through the recursion."""
-    dist_cache: dict[tuple, list[int]] = {}
+    returned trees threaded through the recursion.
 
-    def dists(chosen: tuple) -> list[int]:
-        if chosen not in dist_cache:
-            dist_cache[chosen] = tree_distances_list(g, chosen)
-        return dist_cache[chosen]
-
-    def improving(e: int, chosen: tuple) -> bool:
-        d = dists(chosen)
-        return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
-
-    memo: dict[tuple, tuple[Fraction, dict]] = {}
-
-    def go(f_set: frozenset, chosen: tuple) -> tuple[Fraction, dict]:
-        key = (f_set, chosen)
-        if key in memo:
-            return memo[key]
-        cands = sorted(e for e in f_set if chosen[g.tails[e]] != e)
-        if not cands:
-            memo[key] = (Fraction(0), {chosen: Fraction(1)})
-            return memo[key]
-        exp_total = Fraction(0)
-        dist_total: dict = defaultdict(Fraction)
-        for e in cands:
-            exp_left, dist_left = go(f_set - {e}, chosen)
-            exp_e = exp_left
-            for ret, p in dist_left.items():
-                if improving(e, ret):
-                    switched = list(ret)
-                    switched[g.tails[e]] = e
-                    exp_right, dist_right = go(f_set, tuple(switched))
-                    exp_e += p * (1 + exp_right)
-                    for ret2, p2 in dist_right.items():
-                        dist_total[ret2] += p * p2
-                else:
-                    dist_total[ret] += p
-            exp_total += exp_e
-        k = len(cands)
-        memo[key] = (
-            exp_total / k,
-            {ret: p / k for ret, p in dist_total.items()},
-        )
-        return memo[key]
-
-    exp, _ = go(frozenset(range(g.n_edges)), tuple(start.chosen))
-    return exp
-
-
-def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
-    """Exact expected pivot count of the permutation-maintaining facet rule.
-
-    States carry the scan structure: an ordered run of uniformly shuffled
-    blocks followed by a fixed tail. A pivot merges everything scanned
-    before the entering edge (plus the leaving edge) into one reshuffled
-    block and leaves the unscanned order alone, which is exactly the
-    prefix-reshuffle the rule performs.
+    A memo entry (den, exp, dist) holds the expectation exp / den and the
+    probability dist[tree] / den of each returned tree as integer
+    numerators over one denominator. Terms are added over the lcm of their
+    denominators, and each entry is reduced by one gcd when it is stored;
+    the only `Fraction` is the returned value.
     """
     dist_cache: dict[tuple, list[int]] = {}
 
@@ -274,7 +224,86 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
         d = dists(chosen)
         return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
 
-    memo: dict[tuple, Fraction] = {}
+    memo: dict[tuple, tuple[int, int, dict]] = {}
+
+    def go(f_set: frozenset, chosen: tuple) -> tuple[int, int, dict]:
+        key = (f_set, chosen)
+        if key in memo:
+            return memo[key]
+        cands = sorted(e for e in f_set if chosen[g.tails[e]] != e)
+        if not cands:
+            memo[key] = (1, 0, {chosen: 1})
+            return memo[key]
+        den, exp_total = 1, 0
+        dist_total: dict = defaultdict(int)
+
+        def over(d: int) -> int:
+            # rescale the running sums to a multiple of d; den // d
+            nonlocal den, exp_total
+            if den % d:
+                k = d // gcd(den, d)
+                den *= k
+                exp_total *= k
+                for ret in dist_total:
+                    dist_total[ret] *= k
+            return den // d
+
+        # `over` may rescale the sums, so each call comes before the sum
+        # it scales for is read
+        for e in cands:
+            den_left, exp_left, dist_left = go(f_set - {e}, chosen)
+            k = over(den_left)
+            exp_total += exp_left * k
+            for ret, p in dist_left.items():
+                if improving(e, ret):
+                    switched = list(ret)
+                    switched[g.tails[e]] = e
+                    den_right, exp_right, dist_right = go(f_set, tuple(switched))
+                    # p / den_left * (1 + exp_right / den_right)
+                    q = p * over(den_left * den_right)
+                    exp_total += q * (den_right + exp_right)
+                    for ret2, p2 in dist_right.items():
+                        dist_total[ret2] += q * p2
+                else:
+                    k = over(den_left)
+                    dist_total[ret] += p * k
+        den *= len(cands)
+        common = gcd(den, exp_total, *dist_total.values())
+        memo[key] = (
+            den // common,
+            exp_total // common,
+            {ret: p // common for ret, p in dist_total.items()},
+        )
+        return memo[key]
+
+    den, exp, _ = go(frozenset(range(g.n_edges)), tuple(start.chosen))
+    return Fraction(exp, den)
+
+
+def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
+    """Exact expected pivot count of the permutation-maintaining facet rule.
+
+    States carry the scan structure: an ordered run of uniformly shuffled
+    blocks followed by a fixed tail. A pivot merges everything scanned
+    before the entering edge (plus the leaving edge) into one reshuffled
+    block and leaves the unscanned order alone, which is exactly the
+    prefix-reshuffle the rule performs. A memo entry is the expectation as
+    an integer pair (num, den), summed over the lcm of the children's
+    denominators and reduced by one gcd; the only `Fraction` is the
+    returned value.
+    """
+    dist_cache: dict[tuple, list[int]] = {}
+
+    def dists(chosen: tuple) -> list[int]:
+        if chosen not in dist_cache:
+            dist_cache[chosen] = tree_distances_list(g, chosen)
+        return dist_cache[chosen]
+
+    def improving(e: int, chosen: tuple) -> bool:
+        d = dists(chosen)
+        return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
+
+    memo: dict[tuple, tuple[int, int]] = {}
 
     def pivot(chosen: tuple, e: int) -> tuple[tuple, int]:
         switched = list(chosen)
@@ -282,7 +311,7 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
         switched[g.tails[e]] = e
         return tuple(switched), leaving
 
-    def go(blocks: tuple, tail: tuple, chosen: tuple) -> Fraction:
+    def go(blocks: tuple, tail: tuple, chosen: tuple) -> tuple[int, int]:
         key = (blocks, tail, chosen)
         if key in memo:
             return memo[key]
@@ -293,14 +322,14 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
             non = sorted(e for e in blk if not improving(e, chosen))
             earlier: set = set().union(*blocks[:bi]) if bi else set()
             b_len = len(blk)
-            total = Fraction(0)
+            # total = sum of a! (b_len - a - 1)! / b_len! * (1 + child) over
+            # every entering e and every set of a non-improving edges
+            # scanned before it; kept as num / den until the last step
+            num, den = 0, 1
             for e in imp:
                 switched, leaving = pivot(chosen, e)
                 for a_sz in range(len(non) + 1):
-                    weight = Fraction(
-                        factorial(a_sz) * factorial(b_len - a_sz - 1),
-                        factorial(b_len),
-                    )
+                    weight = factorial(a_sz) * factorial(b_len - a_sz - 1)
                     for a_set in itertools.combinations(non, a_sz):
                         prefix = earlier | set(a_set) | {leaving}
                         rest = blk - {e} - set(a_set)
@@ -308,26 +337,32 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
                         if rest:
                             new_blocks += (frozenset(rest),)
                         new_blocks += blocks[bi + 1:]
-                        total += weight * (
-                            1 + go(new_blocks, tail, switched)
-                        )
-            memo[key] = total
-            return total
+                        c_num, c_den = go(new_blocks, tail, switched)
+                        if den % c_den:
+                            k = c_den // gcd(den, c_den)
+                            den *= k
+                            num *= k
+                        num += weight * (c_den + c_num) * (den // c_den)
+            den *= factorial(b_len)
+            common = gcd(num, den)
+            memo[key] = (num // common, den // common)
+            return memo[key]
         for pos, e in enumerate(tail):
             if improving(e, chosen):
                 switched, leaving = pivot(chosen, e)
                 prefix = set().union(*blocks) if blocks else set()
                 prefix |= set(tail[:pos]) | {leaving}
-                result = 1 + go((frozenset(prefix),), tail[pos + 1:], switched)
-                memo[key] = result
-                return result
-        memo[key] = Fraction(0)
-        return Fraction(0)
+                c_num, c_den = go((frozenset(prefix),), tail[pos + 1:], switched)
+                memo[key] = (c_den + c_num, c_den)
+                return memo[key]
+        memo[key] = (0, 1)
+        return memo[key]
 
     nontree = frozenset(
         e for e in range(g.n_edges) if start.chosen[g.tails[e]] != e
     )
-    return go((nontree,), (), tuple(start.chosen))
+    num, den = go((nontree,), (), tuple(start.chosen))
+    return Fraction(num, den)
 
 
 def check_rf_equiv(seed: int = 20243, sizes=(3, 3, 3, 3, 3, 3, 3, 4, 4, 4,

@@ -319,10 +319,14 @@ def bfs_tree_policy(g: Digraph) -> Policy:
     return Policy(tuple(chosen))
 
 
+_RANDOM_POLICY_DRAWS = 1000
+
+
 def random_policy(g: Digraph, rng) -> Policy:
     """Uniform random out-edge per vertex; valid on acyclic graphs, else
-    resampled until the chosen edges form a tree."""
-    while True:
+    resampled until the chosen edges form a tree. Raises ValueError when
+    _RANDOM_POLICY_DRAWS draws in a row all close a cycle."""
+    for _ in range(_RANDOM_POLICY_DRAWS):
         chosen: list[int | None] = [None] * g.n_vertices
         for v in range(g.n_vertices):
             if v != g.target:
@@ -330,6 +334,9 @@ def random_policy(g: Digraph, rng) -> Policy:
         pol = Policy(tuple(chosen))
         if g.is_acyclic or is_valid_policy(g, pol):
             return pol
+    raise ValueError(
+        f"no random policy without a cycle in {_RANDOM_POLICY_DRAWS} draws"
+    )
 
 
 def random_dag(

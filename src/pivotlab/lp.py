@@ -1,9 +1,17 @@
-"""Exact-arithmetic standard-form LP kernel and the shortest-path encoding.
+"""Exact standard-form LP kernel and the shortest-path encoding.
 
-Instances are desk scale (at most a few hundred columns), so every basis
-operation is a fresh fraction-free elimination; exactness matters more than
-factorization updates here. Degeneracy is detected and reported, never
-perturbed.
+Each LP keeps its rational data and, built once on first use, an integer
+copy: every row of [A | b] scaled by the lcm of its denominators, c scaled
+by the lcm of its denominators, and the nonzeros of every column. Solves,
+pricing and ratio tests run on that copy in Python integers. One
+fraction-free (Bareiss) elimination solves a basis for several right-hand
+sides at once and returns integer numerators over the determinant; reduced
+costs are integer numerators over one positive denominator, computed from
+the sparse columns; ratios are compared by cross-multiplication. A
+`Fraction` is built only for a value a public function returns. Instances
+are desk scale (at most a few hundred columns), so each basis is
+eliminated afresh rather than kept in an updated factorization.
+Degeneracy is detected and reported, never perturbed.
 """
 
 from __future__ import annotations
@@ -11,8 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Digraph, Policy
 from .rules import _facet_collapsed
@@ -28,6 +37,19 @@ class UnboundedError(Exception):
 
 class DegenerateError(Exception):
     """Tie or zero step in the ratio test; the instance is degenerate."""
+
+
+class _ScaledLP(NamedTuple):
+    """The integer copy of an LP: row r of [A | b] times row_scale[r], c
+    times c_den, and cols[j] the (row, entry) nonzeros of scaled column j.
+    Row scaling leaves every primal solution and every reduced cost as it
+    is; dual r is row_scale[r] times the scaled system's dual."""
+
+    cols: list[tuple[tuple[int, int], ...]]
+    b: list[int]
+    c: list[int]
+    c_den: int
+    row_scale: list[int]
 
 
 @dataclass(frozen=True)
@@ -46,6 +68,25 @@ class StdFormLP:
     def n_cols(self) -> int:
         return len(self.c)
 
+    @cached_property
+    def _scaled(self) -> _ScaledLP:
+        """The integer copy, built on first use and kept with the LP."""
+        rows, b, row_scale = [], [], []
+        for row, rhs in zip(self.A, self.b):
+            d = lcm(*(x.denominator for x in row), rhs.denominator)
+            rows.append([x.numerator * (d // x.denominator) for x in row])
+            b.append(rhs.numerator * (d // rhs.denominator))
+            row_scale.append(d)
+        c_den = lcm(*(x.denominator for x in self.c))
+        return _ScaledLP(
+            [tuple((r, row[j]) for r, row in enumerate(rows) if row[j])
+             for j in range(self.n_cols)],
+            b,
+            [x.numerator * (c_den // x.denominator) for x in self.c],
+            c_den,
+            row_scale,
+        )
+
 
 def make_lp(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StdFormLP:
     return StdFormLP(
@@ -55,53 +96,117 @@ def make_lp(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StdFormLP:
     )
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve the square system rows * x = rhs by fraction-free elimination.
+def _bareiss(aug: list[list[int]], n_rhs: int) -> tuple[list[list[int]], int]:
+    """Solve M x = r for each of the n_rhs right-hand sides of the augmented
+    integer rows [M | r_1 .. r_k] (M square); returns ([D * x for each r],
+    D), D > 0.
 
-    Rows are scaled to integers, eliminated Bareiss-style (every division is
-    exact), and back-substituted with rationals.
+    Fraction-free elimination: every row update divides exactly by the
+    previous pivot, and a pivot row with a negative pivot is negated first,
+    so D, the last pivot, is |det M|. When the previous pivot divides the
+    new one (always, for the unimodular flow bases) only the pivot row's
+    nonzeros are touched. Back substitution keeps D * x, an integer by
+    Cramer's rule, so its divisions are exact too. `aug` is overwritten.
     """
-    m = len(rows)
-    aug: list[list[int]] = []
-    for i in range(m):
-        denom = lcm(*(x.denominator for x in rows[i]), rhs[i].denominator)
-        aug.append([int(x * denom) for x in rows[i]] + [int(rhs[i] * denom)])
+    m = len(aug)
+    w = m + n_rhs
     prev = 1
     for col in range(m):
-        pivot_row = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot_row is None:
+        piv = next((r for r in range(col, m) if aug[r][col]), None)
+        if piv is None:
             raise SingularBasisError(f"no pivot in column {col}")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        p = aug[col][col]
-        for r in range(col + 1, m):
-            factor = aug[r][col]
-            row_r = aug[r]
-            row_p = aug[col]
-            for j in range(col, m + 1):
-                row_r[j] = (p * row_r[j] - factor * row_p[j]) // prev
+        row_p = aug[piv]
+        aug[piv] = aug[col]
+        aug[col] = row_p
+        p = row_p[col]
+        if p < 0:
+            p = -p
+            for j in range(col, w):
+                row_p[j] = -row_p[j]
+        if p % prev == 0:
+            s = p // prev
+            nz = [j for j in range(col + 1, w) if row_p[j]]
+            for r in range(col + 1, m):
+                row_r = aug[r]
+                f = row_r[col]
+                if s != 1:
+                    for j in range(col + 1, w):
+                        row_r[j] *= s
+                if f:
+                    for j in nz:
+                        row_r[j] -= f * row_p[j] // prev
+        else:
+            for r in range(col + 1, m):
+                row_r = aug[r]
+                f = row_r[col]
+                for j in range(col + 1, w):
+                    row_r[j] = (p * row_r[j] - f * row_p[j]) // prev
         prev = p
-    x: list[Fraction] = [Fraction(0)] * m
-    for i in range(m - 1, -1, -1):
-        acc = Fraction(aug[i][m])
-        for j in range(i + 1, m):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+    upper = [[j for j in range(i + 1, m) if aug[i][j]] for i in range(m)]
+    sols = []
+    for t in range(m, w):
+        x = [0] * m
+        for i in range(m - 1, -1, -1):
+            row = aug[i]
+            acc = prev * row[t]
+            for j in upper[i]:
+                acc -= row[j] * x[j]
+            x[i] = acc // row[i]
+        sols.append(x)
+    return sols, prev
 
 
-def _basis_columns(lp: StdFormLP, basis: Sequence[int]) -> list[list[Fraction]]:
-    return [[lp.A[r][j] for j in basis] for r in range(lp.n_rows)]
+def _check_size(lp: StdFormLP, basis: Sequence[int]) -> None:
+    if len(basis) != lp.n_rows:
+        raise ValueError("basis size must equal the number of rows")
+
+
+def _primal(lp: StdFormLP, basis: Sequence[int], *entering: int):
+    """One elimination of B for x_B and each entering column's direction
+    B^-1 A_e: returns ([X, Dir_e ...], D), numerators over D > 0."""
+    _check_size(lp, basis)
+    sc = lp._scaled
+    m = lp.n_rows
+    aug = [[0] * (m + 1 + len(entering)) for _ in range(m)]
+    for k, j in enumerate(basis):
+        for r, a in sc.cols[j]:
+            aug[r][k] = a
+    for r, rhs in enumerate(sc.b):
+        aug[r][m] = rhs
+    for t, e in enumerate(entering, m + 1):
+        for r, a in sc.cols[e]:
+            aug[r][t] = a
+    return _bareiss(aug, 1 + len(entering))
+
+
+def _price(lp: StdFormLP, basis: Sequence[int]) -> tuple[list[int], int, list[int]]:
+    """Reduced costs by one elimination of B': returns (N, den, Y) with
+    reduced cost j = N[j] / den, den > 0, and dual r = row_scale[r] * Y[r]
+    / den."""
+    _check_size(lp, basis)
+    sc = lp._scaled
+    m = lp.n_rows
+    aug = []
+    for j in basis:
+        row = [0] * (m + 1)
+        for r, a in sc.cols[j]:
+            row[r] = a
+        row[m] = sc.c[j]
+        aug.append(row)
+    (y,), d = _bareiss(aug, 1)
+    red = [
+        d * cj - sum([a * y[r] for r, a in col])
+        for cj, col in zip(sc.c, sc.cols)
+    ]
+    return red, d * sc.c_den, y
 
 
 def basic_solution(lp: StdFormLP, basis: Sequence[int]) -> tuple[list[Fraction], bool]:
     """The basic solution for the basis and whether it is feasible (x_B >= 0)."""
-    if len(basis) != lp.n_rows:
-        raise ValueError("basis size must equal the number of rows")
-    xb = _solve_exact(_basis_columns(lp, basis), list(lp.b))
+    (xb,), d = _primal(lp, basis)
     x = [Fraction(0)] * lp.n_cols
-    for k, j in enumerate(basis):
-        x[j] = xb[k]
+    for j, v in zip(basis, xb):
+        x[j] = Fraction(v, d)
     return x, all(v >= 0 for v in xb)
 
 
@@ -109,52 +214,44 @@ def reduced_costs(
     lp: StdFormLP, basis: Sequence[int]
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Reduced cost vector and the dual vector y solving B'y = c_B."""
-    cols = _basis_columns(lp, basis)
-    bt = [[cols[r][k] for r in range(lp.n_rows)] for k in range(lp.n_rows)]
-    y = _solve_exact(bt, [lp.c[j] for j in basis])
-    cbar = []
-    for j in range(lp.n_cols):
-        acc = lp.c[j]
-        for r in range(lp.n_rows):
-            acc -= lp.A[r][j] * y[r]
-        cbar.append(acc)
-    return cbar, y
+    red, den, y = _price(lp, basis)
+    return (
+        [Fraction(v, den) for v in red],
+        [Fraction(s * v, den) for s, v in zip(lp._scaled.row_scale, y)],
+    )
+
+
+def _value(lp: StdFormLP, basis: Sequence[int], xb: list[int], d: int) -> Fraction:
+    sc = lp._scaled
+    return Fraction(sum(sc.c[j] * v for j, v in zip(basis, xb)), d * sc.c_den)
 
 
 def objective_value(lp: StdFormLP, basis: Sequence[int]) -> Fraction:
-    x, _ = basic_solution(lp, basis)
-    return sum((lp.c[j] * x[j] for j in range(lp.n_cols)), Fraction(0))
+    (xb,), d = _primal(lp, basis)
+    return _value(lp, basis, xb, d)
 
 
-def pivot_lp(lp: StdFormLP, basis: Sequence[int], entering: int) -> tuple[tuple[int, ...], int]:
-    """One pivot with `entering` joining the basis; returns (basis, leaving).
-
-    Requires a strictly negative reduced cost for the entering column. Raises
-    UnboundedError when no basic variable blocks the move, DegenerateError
-    on a tie or a zero-length step.
-    """
-    cbar, _ = reduced_costs(lp, basis)
-    if cbar[entering] >= 0:
-        raise ValueError(
-            f"column {entering} has reduced cost {cbar[entering]} >= 0"
-        )
-    xb = _solve_exact(_basis_columns(lp, basis), list(lp.b))
-    direction = _solve_exact(
-        _basis_columns(lp, basis), [lp.A[r][entering] for r in range(lp.n_rows)]
-    )
-    best: Fraction | None = None
+def _ratio_test(
+    basis: Sequence[int], entering: int, xb: list[int], direction: list[int]
+) -> tuple[tuple[int, ...], int]:
+    """The pivot's new basis and leaving column, from x_B and the entering
+    direction as numerators over one positive denominator; ratios
+    xb[k] / direction[k] are compared by cross-multiplication."""
     best_k: int | None = None
     tie = False
-    for k, d in enumerate(direction):
-        if d > 0:
-            ratio = xb[k] / d
-            if best is None or ratio < best:
-                best, best_k, tie = ratio, k, False
-            elif ratio == best:
+    for k, dk in enumerate(direction):
+        if dk > 0:
+            if best_k is None:
+                best_k, bx, bd = k, xb[k], dk
+                continue
+            lhs, rhs = xb[k] * bd, bx * dk
+            if lhs < rhs:
+                best_k, bx, bd, tie = k, xb[k], dk, False
+            elif lhs == rhs:
                 tie = True
     if best_k is None:
         raise UnboundedError(f"column {entering} improves without bound")
-    if tie or best == 0:
+    if tie or bx == 0:
         raise DegenerateError(
             f"ratio test for column {entering} is not uniquely resolved"
         )
@@ -162,6 +259,25 @@ def pivot_lp(lp: StdFormLP, basis: Sequence[int], entering: int) -> tuple[tuple[
     leaving = new_basis[best_k]
     new_basis[best_k] = entering
     return tuple(new_basis), leaving
+
+
+def pivot_lp(lp: StdFormLP, basis: Sequence[int], entering: int) -> tuple[tuple[int, ...], int]:
+    """One pivot with `entering` joining the basis; returns (basis, leaving).
+
+    Requires a strictly negative reduced cost for the entering column, read
+    from the entering direction d as c_e - c_B'd, so one elimination serves
+    the check and the ratio test. Raises ValueError for a non-improving
+    column, UnboundedError when no basic variable blocks the move,
+    DegenerateError on a tie or a zero-length step.
+    """
+    (xb, direction), d = _primal(lp, basis, entering)
+    sc = lp._scaled
+    red = d * sc.c[entering] - sum(sc.c[j] * v for j, v in zip(basis, direction))
+    if red >= 0:
+        raise ValueError(
+            f"column {entering} has reduced cost {Fraction(red, d * sc.c_den)} >= 0"
+        )
+    return _ratio_test(basis, entering, xb, direction)
 
 
 def sp_to_lp(g: Digraph) -> tuple[StdFormLP, dict[int, int], list[int]]:
@@ -197,15 +313,17 @@ def tree_basis(g: Digraph, policy: Policy) -> tuple[int, ...]:
 class _LPTracker:
     """A basis of the LP as the facet engine's pivot oracle.
 
-    `red` holds the reduced cost of every column for the current basis; it
-    is refreshed in place after each pivot, so every candidate test reads a
-    list instead of pricing the basis again.
+    `red` holds every column's reduced cost for the current basis as an
+    integer numerator over a positive denominator, which keeps its sign.
+    The engine pivots only on a column with red < 0, so a pivot runs the
+    ratio test without pricing, then prices the new basis once and refreshes
+    `red` in place.
     """
 
     def __init__(self, lp: StdFormLP, basis: Sequence[int]):
         self.lp = lp
         self.basis = tuple(basis)
-        self.red, _ = reduced_costs(lp, self.basis)
+        self.red = _price(lp, self.basis)[0]
         self.log: list[tuple[int, int]] = []
 
     def nonbasic(self, in_f: list) -> set[int]:
@@ -215,8 +333,9 @@ class _LPTracker:
         return cols
 
     def pivot(self, entering: int) -> int:
-        self.basis, leaving = pivot_lp(self.lp, self.basis, entering)
-        self.red[:] = reduced_costs(self.lp, self.basis)[0]
+        (xb, direction), _ = _primal(self.lp, self.basis, entering)
+        self.basis, leaving = _ratio_test(self.basis, entering, xb, direction)
+        self.red[:] = _price(self.lp, self.basis)[0]
         self.log.append((entering, leaving))
         return leaving
 
@@ -247,12 +366,12 @@ def brute_force_optimum(lp: StdFormLP) -> tuple[Fraction, list[tuple[int, ...]]]
     argmin: list[tuple[int, ...]] = []
     for basis in itertools.combinations(range(lp.n_cols), lp.n_rows):
         try:
-            x, feasible = basic_solution(lp, basis)
+            (xb,), d = _primal(lp, basis)
         except SingularBasisError:
             continue
-        if not feasible:
+        if any(v < 0 for v in xb):
             continue
-        val = sum((lp.c[j] * x[j] for j in range(lp.n_cols)), Fraction(0))
+        val = _value(lp, basis, xb, d)
         if best is None or val < best:
             best, argmin = val, [basis]
         elif val == best:

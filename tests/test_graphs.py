@@ -212,3 +212,43 @@ def test_tree_distance_equals_optimal_when_edges_all_optimal():
         assert ok
         pol = Policy(tuple(chosen))
         assert tree_distances_list(g, pol.chosen) == optimal_distances_list(g)
+
+
+def _first_draw(g, rng) -> tuple:
+    # one uniform out-edge per non-target vertex, in vertex order
+    return tuple(
+        None if v == g.target else g.out_edges[v][rng.randrange(len(g.out_edges[v]))]
+        for v in range(g.n_vertices)
+    )
+
+
+def test_random_policy_draw_discipline():
+    # the acyclic path and a valid first draw on a cyclic graph take exactly
+    # one draw per vertex, so a seeded caller sees the same random stream
+    rng = Random(29)
+    graphs = [
+        random_dag(rng, rng.randrange(2, 8), extra_edges=rng.randrange(0, 8))
+        for _ in range(20)
+    ]
+    # 0 <-> 1 plus exits to the target; seed 0 draws a valid policy at once
+    graphs.append(
+        Digraph(3, 2, tails=[0, 0, 1, 1], heads=[1, 2, 0, 2], costs=[1, 1, 1, 1])
+    )
+    for seed, g in enumerate(graphs):
+        run, ref = Random(seed), Random(seed)
+        assert random_policy(g, run).chosen == _first_draw(g, ref)
+        assert run.getstate() == ref.getstate()
+
+
+def test_random_policy_gives_up_on_cycle_traps():
+    # every vertex has one exit to the target and 19 self-loops, so a draw
+    # is valid with probability 20**-10: every choice closes a cycle
+    n = 10
+    tails, heads = [], []
+    for v in range(n):
+        tails += [v] * 20
+        heads += [n] + [v] * 19
+    g = Digraph(n + 1, n, tails, heads, [1] * len(tails))
+    with pytest.raises(ValueError, match="no random policy") as info:
+        random_policy(g, Random(3))
+    assert "\n" not in str(info.value)

@@ -1,5 +1,6 @@
 """Exact LP kernel: basic solutions, reduced costs, pivots, flow encoding."""
 
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -213,3 +214,115 @@ def test_flow_conservation_and_feasibility_after_every_pivot():
         for r in range(prob.n_rows):
             lhs = sum(prob.A[r][j] * x[j] for j in range(prob.n_cols))
             assert lhs == prob.b[r]
+
+
+# A fractional LP in no way a flow: column 5 is twice column 0, so every
+# basis holding both is singular.
+FRACTIONAL = make_lp(
+    [
+        [Fraction(1, 2), Fraction(-2, 3), 1, 0, Fraction(3, 4), 1],
+        [Fraction(5, 3), 0, Fraction(-1, 4), 1, 1, Fraction(10, 3)],
+        [0, 1, Fraction(2, 5), Fraction(-3, 2), Fraction(1, 3), 0],
+    ],
+    [Fraction(7, 2), Fraction(-1, 3), 2],
+    [Fraction(3, 4), Fraction(-5, 6), 2, Fraction(1, 7), -1, Fraction(9, 5)],
+)
+
+
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    # plain rational Gaussian elimination, independent of the kernel
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def _assert_residuals_vanish(prob, basis):
+    # B x_B = b, x_N = 0, B'y = c_B, and reduced costs c - A'y, zero on B
+    x, _ = basic_solution(prob, basis)
+    cbar, y = reduced_costs(prob, basis)
+    rows = range(prob.n_rows)
+    for r in rows:
+        assert sum(prob.A[r][j] * x[j] for j in basis) == prob.b[r]
+    assert all(x[j] == 0 for j in range(prob.n_cols) if j not in basis)
+    for j in range(prob.n_cols):
+        priced = prob.c[j] - sum(prob.A[r][j] * y[r] for r in rows)
+        assert cbar[j] == priced
+        if j in basis:
+            assert priced == 0
+    assert all(isinstance(v, Fraction) for v in x + cbar + y)
+
+
+def test_residual_oracle_on_flow_bases():
+    rng = Random(41)
+    for _ in range(25):
+        g = random_dag(rng, rng.randrange(2, 9), extra_edges=rng.randrange(1, 10))
+        prob, _, _ = sp_to_lp(g)
+        basis = list(tree_basis(g, random_policy(g, rng)))
+        _assert_residuals_vanish(prob, basis)
+        _, log = random_facet_lp(prob, range(g.n_edges), tuple(basis), rng)
+        for entering, leaving in log:
+            basis[basis.index(leaving)] = entering
+            _assert_residuals_vanish(prob, basis)
+
+
+def test_residual_oracle_on_fractional_lp():
+    singular = 0
+    for basis in itertools.combinations(range(FRACTIONAL.n_cols), FRACTIONAL.n_rows):
+        cols = [[FRACTIONAL.A[r][j] for j in basis] for r in range(FRACTIONAL.n_rows)]
+        if _det(cols) == 0:
+            singular += 1
+            with pytest.raises(SingularBasisError):
+                basic_solution(FRACTIONAL, basis)
+            with pytest.raises(SingularBasisError):
+                reduced_costs(FRACTIONAL, basis)
+            continue
+        _assert_residuals_vanish(FRACTIONAL, basis)
+        # reduced costs read from the entering direction agree with pricing
+        cbar, _ = reduced_costs(FRACTIONAL, basis)
+        for j in set(range(FRACTIONAL.n_cols)) - set(basis):
+            if cbar[j] >= 0:
+                with pytest.raises(ValueError, match=f"reduced cost {cbar[j]} >= 0"):
+                    pivot_lp(FRACTIONAL, basis, j)
+    assert singular == 4  # {0, 5} with each of the other four columns
+
+
+@pytest.mark.parametrize("prob, basis, entering, error", [
+    # columns 0 and 1 are parallel
+    (make_lp([[1, 2, 0], [2, 4, 1]], [1, 1], [0, 0, -1]), (0, 1), 2,
+     SingularBasisError),
+    # nothing blocks column 0
+    (make_lp([[0, 1]], [1], [-1, 0]), (1,), 0, UnboundedError),
+    # both rows hit the ratio bound at once
+    (make_lp([[1, 0, 1], [0, 1, 1]], [1, 1], [0, 0, -1]), (0, 1), 2,
+     DegenerateError),
+])
+def test_pivot_errors_fire_from_both_entry_points(prob, basis, entering, error):
+    with pytest.raises(error):
+        pivot_lp(prob, basis, entering)
+    with pytest.raises(error):
+        random_facet_lp(prob, range(prob.n_cols), basis, Random(0))
+
+
+def test_non_improving_and_misplaced_columns_rejected():
+    # c = (5/6, 1/4) on one row: column 0 prices at 5/6 - 1/4 = 7/12
+    prob = make_lp([[1, 1]], [1], [Fraction(5, 6), Fraction(1, 4)])
+    with pytest.raises(ValueError, match=r"column 0 has reduced cost 7/12 >= 0"):
+        pivot_lp(prob, (1,), 0)
+    # the facet run pivots only on improving columns, so from an optimal
+    # basis it makes none; its own ValueError guards the allowed set
+    assert random_facet_lp(prob, range(2), (1,), Random(0)) == ((1,), [])
+    with pytest.raises(ValueError, match="allowed column set"):
+        random_facet_lp(prob, [0], (1,), Random(0))
+    with pytest.raises(ValueError, match="basis size"):
+        random_facet_lp(prob, range(2), (0, 1), Random(0))

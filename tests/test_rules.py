@@ -1,11 +1,12 @@
 """Pivoting rules: termination at the optimum, formulation equivalences,
 permutation machinery, counter lower bounds."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from pivotlab import checks, comptrees, counter_graph as cg, counters, rules
+from pivotlab import checks, comptrees, counter_graph as cg, counters, experiments, lp, rules
 from pivotlab.graphs import (
     Digraph,
     Policy,
@@ -277,22 +278,68 @@ def test_invalid_start_rejected():
         random_facet(g, b0, Random(0), subset=subset)
 
 
+def _costliest_start(g) -> Policy:
+    # the start of check_rf_equiv: every vertex on its costliest out-edge
+    return Policy(tuple(
+        max(g.out_edges[u], key=lambda e: (g.costs[e], e)) if u != g.target else None
+        for u in range(g.n_vertices)
+    ))
+
+
 def test_facet_engines_agree_in_distribution():
-    # the untraced, traced and non-recursive runs share the exact expected
-    # pivot count computed by enumeration
-    rng = Random(101)
-    g = random_dag(rng, 4, extra_edges=5, max_cost=9)
-    b0 = random_policy(g, rng)
-    exact = float(checks.expected_pivots_recursive(g, b0))
-    trials = 3000
-    for runner in (
-        lambda r: random_facet(g, b0, r),
-        lambda r: random_facet(g, b0, r, trace=True),
-        lambda r: random_facet_nonrec(g, b0, r),
-    ):
-        mean = sum(runner(Random(10_000 + i)).pivots for i in range(trials)) / trials
-        var_bound = 4 * (exact + 1) / trials ** 0.5  # crude but generous
-        assert abs(mean - exact) < max(0.35, var_bound)
+    # Monte Carlo means of every facet engine against the exact enumeration.
+    # For n independent runs with sample standard deviation s, the test asks
+    # |mean - exact| <= 4 s / sqrt(n), checked exactly as
+    # n (mean - exact)^2 <= 16 s^2; a run count with s = 0 must equal the
+    # exact value. Each engine gets its own seeds, so the four samples are
+    # independent (the LP run with a graph run's seed is its lockstep twin).
+    rng = Random(606)
+    trials = 400
+    for k in range(6):
+        g = random_dag(rng, rng.randrange(4, 6), extra_edges=rng.randrange(5, 8),
+                       max_cost=(1, 2, 6)[k % 3])
+        b0 = _costliest_start(g)
+        exact = checks.expected_pivots_recursive(g, b0)
+        prob, _, _ = lp.sp_to_lp(g)
+        basis = lp.tree_basis(g, b0)
+        runners = (
+            lambda s: experiments.run_rule("random-facet", g, b0, s).pivots,
+            lambda s: random_facet(g, b0, Random(s), trace=True).pivots,
+            lambda s: random_facet_nonrec(g, b0, Random(s)).pivots,
+            lambda s: len(lp.random_facet_lp(prob, range(g.n_edges), basis, Random(s))[1]),
+        )
+        for r, runner in enumerate(runners):
+            xs = [runner(10_000 * k + 1000 * r + i) for i in range(trials)]
+            mean = Fraction(sum(xs), trials)
+            var = (sum(x * x for x in xs) - trials * mean * mean) / (trials - 1)
+            assert trials * (mean - exact) ** 2 <= 16 * var, (k, r, mean, exact)
+
+
+# str() of the exact expected pivot count on 30 seeded DAGs (see
+# _enumerator_instances), recorded from the Fraction-arithmetic enumerators
+PINNED_EXPECTATIONS = [
+    "4", "2", "11/3", "2", "13/6", "7/2", "1", "7/2", "3", "2",
+    "31/12", "4", "2", "1", "3", "81/20", "7/2", "115/24", "1", "7/3",
+    "211/60", "3", "5/2", "53/12", "1", "2", "97/30", "2", "7/3", "25/6",
+]
+
+
+def _enumerator_instances():
+    # max_cost 1 and 2 make ties, and with them random pivot sequences
+    rng = Random(20250)
+    for k in range(len(PINNED_EXPECTATIONS)):
+        g = random_dag(rng, rng.randrange(3, 6), extra_edges=rng.randrange(3, 8),
+                       max_cost=(1, 2, 6)[k % 3])
+        yield g, _costliest_start(g)
+
+
+def test_expected_pivots_pinned_values():
+    got = [
+        (str(checks.expected_pivots_recursive(g, b0)),
+         str(checks.expected_pivots_nonrec(g, b0)))
+        for g, b0 in _enumerator_instances()
+    ]
+    assert got == [(v, v) for v in PINNED_EXPECTATIONS]
 
 
 def test_bland_formulations_identical_logs():
