@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .counter_graph import CounterGraphIndex, initial_tree
 from .graphs import Digraph, Policy
-from .rules import RunResult, _facet_collapsed, _PivotTracker
+from .rules import RunResult, _facet_collapsed, _PivotTracker, shuffled_order
 
 
 class ComputationTree:
@@ -357,7 +357,7 @@ def follow_canonical(
         if stop == CANONICAL:
             # the final switch must exist; run the first call, then pivot
             in_f[e] = False
-            _facet_collapsed(tracker, in_f, rng.shuffle)
+            _facet_collapsed(tracker, in_f, shuffled_order(rng))
             in_f[e] = True
             if not tracker.improving(e):
                 return CanonicalOutcome(
@@ -373,7 +373,7 @@ def follow_canonical(
             continue
         # right step: complete the first recursive call, then switch
         in_f[e] = False
-        _facet_collapsed(tracker, in_f, rng.shuffle)
+        _facet_collapsed(tracker, in_f, shuffled_order(rng))
         in_f[e] = True
         if not tracker.improving(e):
             return CanonicalOutcome(MISSING_CHILD, None, path, len(tracker.log))

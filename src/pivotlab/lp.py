@@ -24,7 +24,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .graphs import Digraph, Policy
-from .rules import _facet_collapsed
+from .rules import _facet_collapsed, shuffled_order
 
 
 class SingularBasisError(Exception):
@@ -346,9 +346,11 @@ def random_facet_lp(
     """Facet-removal recursion on the LP restricted to the `allowed` columns.
 
     The recursion is the graph rule's own engine, `rules._facet_collapsed`,
-    with an LP basis as its pivot oracle and the same removal order (one
-    `rng.shuffle` of each id-sorted candidate list). So a seeded run pivots
-    in lockstep with `rules.random_facet` on the graph the LP encodes.
+    with an LP basis as its pivot oracle and the same removal order
+    (`rules.shuffled_order`: one `rules.shuffle_exact` of each id-sorted
+    candidate list, which draws the same bits as `rng.shuffle`). So a
+    seeded run pivots in lockstep with `rules.random_facet` on the graph the
+    LP encodes.
     Returns the optimal basis and the pivot log.
     """
     allowed_set = frozenset(allowed)
@@ -356,7 +358,7 @@ def random_facet_lp(
         raise ValueError("basis must lie inside the allowed column set")
     tracker = _LPTracker(lp, basis)
     in_f = [j in allowed_set for j in range(lp.n_cols)]
-    _facet_collapsed(tracker, in_f, rng.shuffle)
+    _facet_collapsed(tracker, in_f, shuffled_order(rng))
     return tracker.basis, tracker.log
 
 

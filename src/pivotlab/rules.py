@@ -15,7 +15,13 @@ a pivot oracle (a reduced-cost list `red`, `pivot(e) -> leaving` and
 `nonbasic(in_f)`) that both `_PivotTracker` and the LP basis tracker of
 `lp.random_facet_lp` implement, and it can emit the event stream from which
 `comptrees.ComputationTree` rebuilds the recursion tree. So the traced run,
-the untraced run and the LP run of one seed are the same run.
+the untraced run and the LP run of one seed are the same run. Each descent
+asks an `arrange(avail) -> list` callable for its removal order:
+`shuffled_order(rng)` (id order, then `shuffle_exact`, which draws exactly
+the bits `Random.shuffle` draws, at about half its cost) or one sort by a
+fixed permutation. The engine reads the caller's edge-set flags `in_f` but
+never writes them; its docstring gives the argument that the one read
+needs no writes.
 """
 
 from __future__ import annotations
@@ -151,15 +157,25 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
     `tracker` is a pivot oracle: `red`, a list of the current reduced cost
     of every column that `pivot` updates in place; `pivot(e) -> leaving`;
     and `nonbasic(in_f)`, the set of in_f columns outside the basis.
-    `arrange(cands)` permutes a fresh candidate list, handed over in id
-    order, into its removal order (picked-first first). Each descent strips
-    the whole candidate list, which is the chain of left children down to a
-    leaf; the unwind tests candidates last-removed first against the
-    evolving basis, and every pivot opens the right child: a sub-descent
-    over the surviving candidates. `avail` holds exactly the in_f columns
-    outside the basis: a descent empties it, and the unwind adds back each
-    restored column that does not improve, and each leaving column still
-    in_f. in_f ends the call as it began.
+    `arrange(avail) -> list` returns the removal order (picked-first first)
+    of the candidate set it is handed, and must not depend on the set's
+    iteration order. Each descent strips the whole candidate list, which is
+    the chain of left children down to a leaf; the unwind tests candidates
+    last-removed first against the evolving basis, and every pivot opens
+    the right child: a sub-descent over the surviving candidates. An unwind
+    is a reversed iterator over its descent's list; a pivot pauses it under
+    the sub-descent's iterator on the stack. `avail` holds exactly the in_f
+    columns outside the basis: a descent empties it, and the unwind adds
+    back each restored column that does not improve, and each leaving
+    column still in_f.
+
+    The engine writes no flag, so in_f ends the call as it began. The
+    textbook form clears a column's flag when a descent removes it and sets
+    it again when the unwind restores it; its one read, in_f[leaving], gets
+    the same answer without those writes. The leaving column was basic, and
+    the textbook form never writes the flag of a basic column: a removed
+    column stays nonbasic until it is restored, and every column pivoted in
+    came from `nonbasic(in_f)`, so its flag was already True.
 
     With `events` given, the run appends ("pick", e) for each removal,
     ("leaf",) at the end of each descent and ("up", pivoted, leaving) for
@@ -168,41 +184,44 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
     red = tracker.red
     pivot = tracker.pivot
     avail = tracker.nonbasic(in_f)
+    add = avail.add
 
-    def fresh_cands() -> list[int]:
-        cands = sorted(avail)
+    def descend():
+        cands = arrange(avail)
         avail.clear()
-        arrange(cands)
-        for e in cands:
-            in_f[e] = False
         if events is not None:
             events.extend(("pick", e) for e in cands)
             events.append(("leaf",))
-        return cands
+        return reversed(cands)
 
-    first = fresh_cands()
-    stack = [[first, len(first) - 1]]
+    stack = [descend()]
     while stack:
-        frame = stack[-1]
-        k = frame[1]
-        if k < 0:
-            stack.pop()
-            continue
-        e = frame[0][k]
-        frame[1] = k - 1
-        in_f[e] = True  # e belongs to this call's edge set again
-        if red[e] < 0:
-            leaving = pivot(e)
-            if in_f[leaving]:
-                avail.add(leaving)
-            if events is not None:
-                events.append(("up", True, leaving))
-            sub = fresh_cands()
-            stack.append([sub, len(sub) - 1])
-        else:
+        for e in stack[-1]:
+            if red[e] < 0:
+                leaving = pivot(e)
+                if in_f[leaving]:
+                    add(leaving)
+                if events is not None:
+                    events.append(("up", True, leaving))
+                stack.append(descend())
+                break
+            add(e)
             if events is not None:
                 events.append(("up", False, None))
-            avail.add(e)
+        else:
+            stack.pop()
+
+
+def shuffled_order(rng):
+    """The `arrange` of the fresh-randomness rule: the candidates in id
+    order, shuffled once by `shuffle_exact`, so every removal is uniform."""
+
+    def arrange(avail) -> list[int]:
+        cands = sorted(avail)
+        shuffle_exact(cands, rng)
+        return cands
+
+    return arrange
 
 
 def random_facet(
@@ -215,9 +234,10 @@ def random_facet(
 ) -> RunResult:
     """Facet-removal rule with a fresh random pick at every call.
 
-    Each descent shuffles its id-sorted candidate list once, which draws
-    every removal uniformly. With `trace`, the run also records the event
-    stream of its computation tree; the pivots are the same either way.
+    Each descent shuffles its id-sorted candidate list once (see
+    `shuffled_order`), which draws every removal uniformly. With `trace`,
+    the run also records the event stream of its computation tree; the
+    pivots are the same either way.
     """
     chosen, allowed = _start(g, policy, subset)
     in_f = [False] * g.n_edges
@@ -225,7 +245,7 @@ def random_facet(
         in_f[e] = True
     tracker = _PivotTracker(g, chosen)
     events: list | None = [] if trace else None
-    _facet_collapsed(tracker, in_f, rng.shuffle, events)
+    _facet_collapsed(tracker, in_f, shuffled_order(rng), events)
     return RunResult(
         rule="random-facet",
         pivots=len(tracker.log),
@@ -244,15 +264,19 @@ def random_facet_one_perm(
     seed: int | None = None,
 ) -> RunResult:
     """Facet-removal rule that always removes the candidate of minimum
-    permutation index; deterministic given sigma."""
+    permutation index; deterministic given sigma.
+
+    sigma is a bijection, so one sort by rank orders each candidate set
+    whatever its iteration order.
+    """
     chosen, allowed = _start(g, policy, subset)
     in_f = [False] * g.n_edges
     for e in allowed:
         in_f[e] = True
     tracker = _PivotTracker(g, chosen)
 
-    def arrange(cands: list[int]) -> None:
-        cands.sort(key=sigma.__getitem__)
+    def arrange(avail) -> list[int]:
+        return sorted(avail, key=sigma.__getitem__)
 
     _facet_collapsed(tracker, in_f, arrange)
     return RunResult(
@@ -273,19 +297,21 @@ def random_facet_nonrec(
     Keeps an explicit permutation of the non-tree edges; pivots on the first
     improving edge in permutation order, then reshuffles the scanned prefix
     together with the edge that left the tree, keeping the suffix order.
+    Both shuffles are `shuffle_exact`.
     """
     chosen = list(policy.chosen)
     tracker = _PivotTracker(g, chosen)
+    red = tracker.red
     perm = [e for e in range(g.n_edges) if chosen[g.tails[e]] != e]
-    rng.shuffle(perm)
+    shuffle_exact(perm, rng)
     while True:
-        j = next((i for i, e in enumerate(perm) if tracker.improving(e)), None)
+        j = next((i for i, e in enumerate(perm) if red[e] < 0), None)
         if j is None:
             break
         e = perm[j]
         leaving = tracker.pivot(e)
         prefix = perm[:j] + [leaving]
-        rng.shuffle(prefix)
+        shuffle_exact(prefix, rng)
         perm = prefix + perm[j + 1:]
     return RunResult(
         rule="random-facet-nonrec",
@@ -433,10 +459,29 @@ def dantzig(g: Digraph, policy: Policy, seed: int | None = None) -> RunResult:
 # Permutation machinery
 
 
+def shuffle_exact(x: list, rng) -> None:
+    """Shuffle x in place, drawing exactly the bits `rng.shuffle(x)` draws.
+
+    `random.Random.shuffle` swaps x[i] with x[j] for i from the end down to
+    1, with j = rng._randbelow(i + 1): getrandbits(k) for k = (i +
+    1).bit_length(), redrawn while it exceeds i. This is that loop without
+    the `_randbelow` call per element, about twice as fast; a seeded rng
+    leaves the same list and the same generator state (see the differential
+    test against `Random.shuffle`).
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def random_permutation_fn(m: int, rng) -> list[int]:
     """A uniform bijection edge id -> rank in 1..m, as a list."""
     ranks = list(range(1, m + 1))
-    rng.shuffle(ranks)
+    shuffle_exact(ranks, rng)
     return ranks
 
 

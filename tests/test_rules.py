@@ -1,6 +1,7 @@
 """Pivoting rules: termination at the optimum, formulation equivalences,
 permutation machinery, counter lower bounds."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -149,22 +150,55 @@ def test_canonical_follower_kernel_matches_full_recompute(checked_kernel):
 
 
 def test_facet_candidates_match_full_rebuild():
-    # every candidate list equals a rebuild from all edges, in id order, and
-    # the edge set ends the call as it began
+    # every candidate set equals a rebuild from all edges: the nonbasic edges
+    # of the edge set that no descent on the stack has removed, replayed from
+    # the event stream (each "up" restores the last removal still out); the
+    # engine never writes the edge set, so it ends the call as it began
     rng = Random(47)
     for g, b0 in _kernel_instances(rng):
         chosen = list(b0.chosen)
         in_f = [rng.random() < 0.8 or e in b0.edge_set() for e in range(g.n_edges)]
         entry = list(in_f)
+        events = []
+        seen = 0
+        removed = []
 
-        def arrange(cands):
+        def arrange(avail):
+            nonlocal seen
+            for ev in events[seen:]:
+                if ev[0] == "pick":
+                    removed.append(ev[1])
+                elif ev[0] == "up":
+                    removed.pop()
+            seen = len(events)
+            out = set(removed)
+            cands = sorted(avail)
             assert cands == [
-                e for e in range(g.n_edges) if in_f[e] and chosen[g.tails[e]] != e
+                e for e in range(g.n_edges)
+                if in_f[e] and chosen[g.tails[e]] != e and e not in out
             ]
+            assert in_f == entry
             rng.shuffle(cands)
+            return cands
 
-        rules._facet_collapsed(rules._PivotTracker(g, chosen), in_f, arrange)
+        rules._facet_collapsed(rules._PivotTracker(g, chosen), in_f, arrange, events)
         assert in_f == entry
+
+
+def test_shuffle_exact_is_random_shuffle():
+    # same list and same generator state as the stdlib shuffle, at every
+    # length around a change of the bit count drawn per element
+    lengths = sorted({0, 1, 2, 3, 540} | {
+        n for k in range(1, 10) for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)
+    })
+    for n in lengths:
+        for seed in range(30):
+            want, got = list(range(n)), list(range(n))
+            ref, rng = Random(seed), Random(seed)
+            ref.shuffle(want)
+            rules.shuffle_exact(got, rng)
+            assert got == want, (n, seed)
+            assert rng.getstate() == ref.getstate(), (n, seed)
 
 
 def test_traced_run_is_the_untraced_run():
@@ -619,3 +653,59 @@ def test_drop_containment_on_traced_runs():
                 for i in range(1, p):
                     assert set(idx.b1(i)) & returned.edge_set() <= sub
     assert qualified > 10
+
+
+# SHA-256 of the repr of each group's seeded results (see _pinned_logs),
+# recorded when every shuffle was `Random.shuffle`; a change of a
+# random-number discipline or of the facet engine's pivot choice shows up
+# here as a changed digest
+PINNED_LOG_DIGESTS = {
+    "random-facet": "1b44b58ac162630ab0b4b0b8806dfbbbe55567d21ca09120a4f5ae2d16db6ebf",
+    "random-facet-traced": "4a00e10e3f826618e59b2d8101616213cac954641f6385a00e9a2588861f9ff9",
+    "random-facet-1p": "55395177be4b10cb4ec2a1f72d470be4dd3d3acf3327c545f82ac2f3ed19f7ae",
+    "random-bland": "dac7146497c74a67d014babf130f7499f9d0c27d420267724c01565507ffa218",
+    "random-facet-nonrec": "57cbbc25dfecc9eae49365ac2d7c4a6949b2be2877f2d86187b4b032ca9157c5",
+    "follow-canonical": "c69780a0c7674be8aa60be9e471dba445e5698b05ee091ef1be1d3d46aad7218",
+    "lp-facet": "a4506dad4e722647ae309b82bfcfe678582e54dda9ef0f260c026996f0c8c12c",
+}
+
+
+def _pinned_logs():
+    rng = Random(4242)
+    instances = []
+    g, idx = cg.build_counter_graph(3, 2, 2, 2)
+    instances.append((g, cg.initial_tree(idx)))
+    for _ in range(10):
+        g = random_dag(rng, rng.randrange(3, 10), extra_edges=rng.randrange(2, 12))
+        instances.append((g, random_policy(g, rng)))
+    groups = {name: [] for name in (
+        "random-facet", "random-facet-traced", "random-facet-1p",
+        "random-bland", "random-facet-nonrec", "follow-canonical", "lp-facet",
+    )}
+    for k, (g, b0) in enumerate(instances):
+        for seed in range(3):
+            s = 100 * k + seed
+            for rule in ("random-facet", "random-facet-1p", "random-bland",
+                         "random-facet-nonrec"):
+                res = experiments.run_rule(rule, g, b0, s)
+                groups[rule].append((res.pivot_log, res.sigma))
+            traced = random_facet(g, b0, Random(s), trace=True)
+            groups["random-facet-traced"].append((traced.pivot_log, traced.trace_events))
+    g, idx = cg.build_counter_graph(4, 2, 2, 2)
+    for seed in range(10):
+        out = comptrees.follow_canonical(g, idx, [3, 1], Random(seed))
+        groups["follow-canonical"].append((out.kind, out.detail, out.path, out.pivots_done))
+    for k, (g, b0) in enumerate(instances[1:6]):
+        prob, _, _ = lp.sp_to_lp(g)
+        groups["lp-facet"].append(
+            lp.random_facet_lp(prob, range(g.n_edges), lp.tree_basis(g, b0), Random(k))
+        )
+    return groups
+
+
+def test_seeded_pivot_logs_pinned():
+    got = {
+        name: hashlib.sha256(repr(results).encode()).hexdigest()
+        for name, results in _pinned_logs().items()
+    }
+    assert got == PINNED_LOG_DIGESTS
