@@ -55,10 +55,6 @@ class ComputationTree:
     def n_nodes(self) -> int:
         return len(self.picked)
 
-    def switch_nodes(self) -> list[int]:
-        """Nodes with a right child; one per pivot of the run."""
-        return [u for u in range(self.n_nodes) if self.right[u] is not None]
-
     def switch_count(self) -> int:
         return sum(1 for u in range(self.n_nodes) if self.right[u] is not None)
 
@@ -334,6 +330,12 @@ def follow_canonical(
     left-steps drop the picked edge, right-steps let the first recursive
     call run to completion through the ordinary solver, then perform the
     switch. Levels must be distinct; they are followed in descending order.
+
+    Each pick is uniform over the pick list: the id-ordered nonbasic edges
+    of the current edge set, as `nonbasic` returns them. A left step only
+    drops the picked edge, so the list is kept across left steps and
+    rebuilt only after a right step, whose sub-solve and switch change the
+    tree.
     """
     s_sorted = sorted(set(s_levels), reverse=True)
     if not s_sorted:
@@ -346,12 +348,13 @@ def follow_canonical(
     chosen = list(start.chosen)
     tracker = _PivotTracker(g, chosen)
     in_f = [True] * g.n_edges
+    cands = tracker.nonbasic(in_f)
     path: ComputationPath = []
     while True:
-        cands = sorted(tracker.nonbasic(in_f))
         if not cands:
             return CanonicalOutcome(EXHAUSTED, None, path, len(tracker.log))
-        e = cands[rng.randrange(len(cands))]
+        k = rng.randrange(len(cands))
+        e = cands[k]
         direction, stop, detail = state.decide(e)
         path.append((e, direction))
         if stop == CANONICAL:
@@ -370,6 +373,7 @@ def follow_canonical(
         if direction == L:
             state.removed(e)
             in_f[e] = False
+            del cands[k]
             continue
         # right step: complete the first recursive call, then switch
         in_f[e] = False
@@ -378,6 +382,7 @@ def follow_canonical(
         if not tracker.improving(e):
             return CanonicalOutcome(MISSING_CHILD, None, path, len(tracker.log))
         tracker.pivot(e)
+        cands = tracker.nonbasic(in_f)
 
 
 def classify_path(

@@ -326,11 +326,12 @@ class _LPTracker:
         self.red = _price(lp, self.basis)[0]
         self.log: list[tuple[int, int]] = []
 
-    def nonbasic(self, in_f: list) -> set[int]:
-        """The columns with in_f set that are not basic."""
-        cols = set(itertools.compress(range(self.lp.n_cols), in_f))
-        cols.difference_update(self.basis)
-        return cols
+    def nonbasic(self, in_f: list) -> list[int]:
+        """The columns with in_f set that are not basic, in id order."""
+        mask = bytearray(in_f)
+        for j in self.basis:
+            mask[j] = 0
+        return list(itertools.compress(range(self.lp.n_cols), mask))
 
     def pivot(self, entering: int) -> int:
         (xb, direction), _ = _primal(self.lp, self.basis, entering)

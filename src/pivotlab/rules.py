@@ -108,11 +108,13 @@ class _PivotTracker:
     def improving(self, e: int) -> bool:
         return self.red[e] < 0
 
-    def nonbasic(self, in_f: list) -> set[int]:
-        """The edges with in_f set that are not chosen."""
-        edges = set(compress(range(self.g.n_edges), in_f))
-        edges.difference_update(self.chosen)
-        return edges
+    def nonbasic(self, in_f: list) -> list[int]:
+        """The edges with in_f set that are not chosen, in id order."""
+        mask = bytearray(in_f)
+        for e in self.chosen:
+            if e is not None:  # the target chooses no edge
+                mask[e] = 0
+        return list(compress(range(self.g.n_edges), mask))
 
     def pivot(self, e: int) -> int:
         g = self.g
@@ -156,18 +158,21 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
 
     `tracker` is a pivot oracle: `red`, a list of the current reduced cost
     of every column that `pivot` updates in place; `pivot(e) -> leaving`;
-    and `nonbasic(in_f)`, the set of in_f columns outside the basis.
-    `arrange(avail) -> list` returns the removal order (picked-first first)
-    of the candidate set it is handed, and must not depend on the set's
-    iteration order. Each descent strips the whole candidate list, which is
+    and `nonbasic(in_f)`, the list of in_f columns outside the basis, in id
+    order. `arrange(avail) -> list` returns the removal order (picked-first
+    first) of the candidate list it is handed, and must not depend on the
+    list's order. Each descent strips the whole candidate list, which is
     the chain of left children down to a leaf; the unwind tests candidates
     last-removed first against the evolving basis, and every pivot opens
     the right child: a sub-descent over the surviving candidates. An unwind
     is a reversed iterator over its descent's list; a pivot pauses it under
-    the sub-descent's iterator on the stack. `avail` holds exactly the in_f
-    columns outside the basis: a descent empties it, and the unwind adds
-    back each restored column that does not improve, and each leaving
-    column still in_f.
+    the sub-descent's iterator on the stack. The pool `avail` is a list
+    holding exactly the in_f columns outside the basis that no descent
+    still unwinding holds: a descent empties it, and the unwind appends
+    each restored column that does not improve, and each leaving column
+    still in_f. It never holds a duplicate. A restored column was cleared
+    from the pool by the descent that removed it; a leaving column was
+    basic, so neither the pool nor any unwinding descent held it.
 
     The engine writes no flag, so in_f ends the call as it began. The
     textbook form clears a column's flag when a descent removes it and sets
@@ -184,7 +189,7 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
     red = tracker.red
     pivot = tracker.pivot
     avail = tracker.nonbasic(in_f)
-    add = avail.add
+    add = avail.append
 
     def descend():
         cands = arrange(avail)
@@ -266,8 +271,10 @@ def random_facet_one_perm(
     """Facet-removal rule that always removes the candidate of minimum
     permutation index; deterministic given sigma.
 
-    sigma is a bijection, so one sort by rank orders each candidate set
-    whatever its iteration order.
+    sigma is a bijection, so one sort by rank orders each candidate list
+    whatever its order. The unwind appends restored columns in descending
+    rank, so the pool arrives as a few descending runs, which the sort
+    merges cheaply.
     """
     chosen, allowed = _start(g, policy, subset)
     in_f = [False] * g.n_edges

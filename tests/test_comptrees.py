@@ -11,9 +11,12 @@ from pivotlab.comptrees import (
     BAD3,
     CANONICAL,
     EXHAUSTED,
+    L,
     MISSING_CHILD,
     NOT_APPLICABLE,
+    CanonicalOutcome,
     ComputationTree,
+    _FollowState,
     classify_path,
     estimate_canonical_probability,
     follow_canonical,
@@ -22,7 +25,7 @@ from pivotlab.comptrees import (
     wilson_interval,
 )
 from pivotlab.graphs import Digraph, Policy, random_dag, random_policy
-from pivotlab.rules import random_facet
+from pivotlab.rules import _facet_collapsed, _PivotTracker, random_facet, shuffled_order
 
 
 def parallel_pair():
@@ -135,6 +138,61 @@ def test_follower_matches_posthoc_classification():
             assert kind == out.kind
             seen.add(out.kind)
     assert {BAD2, BAD3} <= seen  # tiny chains make failures common
+
+
+def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
+    """The follower with its pick list rebuilt from every edge at each path
+    step; the oracle for the kept list."""
+    s_sorted = sorted(set(s_levels), reverse=True)
+    if start is None:
+        start = cg.initial_tree(idx)
+    state = _FollowState(idx, s_sorted)
+    tracker = _PivotTracker(g, list(start.chosen))
+    in_f = [True] * g.n_edges
+    path = []
+    while True:
+        cands = sorted(tracker.nonbasic(in_f))
+        if not cands:
+            return CanonicalOutcome(EXHAUSTED, None, path, len(tracker.log))
+        e = cands[rng.randrange(len(cands))]
+        direction, stop, detail = state.decide(e)
+        path.append((e, direction))
+        if stop == CANONICAL:
+            in_f[e] = False
+            _facet_collapsed(tracker, in_f, shuffled_order(rng))
+            in_f[e] = True
+            if not tracker.improving(e):
+                return CanonicalOutcome(MISSING_CHILD, detail, path, len(tracker.log))
+            tracker.pivot(e)
+            return CanonicalOutcome(CANONICAL, detail, path, len(tracker.log))
+        if stop is not None:
+            return CanonicalOutcome(stop, detail, path, len(tracker.log))
+        if direction == L:
+            state.removed(e)
+            in_f[e] = False
+            continue
+        in_f[e] = False
+        _facet_collapsed(tracker, in_f, shuffled_order(rng))
+        in_f[e] = True
+        if not tracker.improving(e):
+            return CanonicalOutcome(MISSING_CHILD, None, path, len(tracker.log))
+        tracker.pivot(e)
+
+
+def test_follower_matches_per_step_rebuild():
+    # same outcomes, paths and pivot counts from the same seed, from the
+    # initial tree and from random start trees
+    kinds = set()
+    for params, levels in (((4, 2, 2, 2), [3, 1]), ((6, 2, 2, 2), [4, 2]),
+                           ((3, 3, 3, 3), [2])):
+        g, idx = cg.build_counter_graph(*params)
+        starts = [None] + [random_policy(g, Random(k)) for k in range(4)]
+        for seed in range(100):
+            start = starts[seed % len(starts)]
+            got = follow_canonical(g, idx, levels, Random(seed), start)
+            assert got == _follow_canonical_rebuild(g, idx, levels, Random(seed), start)
+            kinds.add(got.kind)
+    assert {CANONICAL, BAD1, BAD2, BAD3} <= kinds
 
 
 def test_follower_finds_bad2_and_matches_hand_reading():

@@ -149,12 +149,13 @@ def test_canonical_follower_kernel_matches_full_recompute(checked_kernel):
     assert checked_kernel.pivots_checked > 0
 
 
-def test_facet_candidates_match_full_rebuild():
-    # every candidate set equals a rebuild from all edges: the nonbasic edges
+def _check_pool_against_rebuild(rng, order):
+    # every candidate pool equals a rebuild from all edges: the nonbasic edges
     # of the edge set that no descent on the stack has removed, replayed from
-    # the event stream (each "up" restores the last removal still out); the
-    # engine never writes the edge set, so it ends the call as it began
-    rng = Random(47)
+    # the event stream (each "up" restores the last removal still out), so a
+    # pooled duplicate shows as a repeated id; the engine never writes the
+    # edge set, so it ends the call as it began.
+    # order(g) gives the instance's removal order of a checked pool.
     for g, b0 in _kernel_instances(rng):
         chosen = list(b0.chosen)
         in_f = [rng.random() < 0.8 or e in b0.edge_set() for e in range(g.n_edges)]
@@ -162,6 +163,7 @@ def test_facet_candidates_match_full_rebuild():
         events = []
         seen = 0
         removed = []
+        arrange_checked = order(g)
 
         def arrange(avail):
             nonlocal seen
@@ -178,11 +180,35 @@ def test_facet_candidates_match_full_rebuild():
                 if in_f[e] and chosen[g.tails[e]] != e and e not in out
             ]
             assert in_f == entry
-            rng.shuffle(cands)
-            return cands
+            return arrange_checked(avail)
 
         rules._facet_collapsed(rules._PivotTracker(g, chosen), in_f, arrange, events)
         assert in_f == entry
+
+
+def test_facet_candidates_match_full_rebuild():
+    rng = Random(47)
+
+    def shuffled(g):
+        def arrange(avail):
+            cands = sorted(avail)
+            rng.shuffle(cands)
+            return cands
+        return arrange
+
+    _check_pool_against_rebuild(rng, shuffled)
+
+
+def test_facet_pool_matches_full_rebuild_under_one_perm_order():
+    # the one-permutation order hands the unwind's descending-rank runs back
+    # to the next descent, a different pool order from the shuffled one
+    rng = Random(61)
+
+    def by_rank(g):
+        sigma = random_permutation_fn(g.n_edges, rng)
+        return lambda avail: sorted(avail, key=sigma.__getitem__)
+
+    _check_pool_against_rebuild(rng, by_rank)
 
 
 def test_shuffle_exact_is_random_shuffle():
