@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import factorial, gcd
 from random import Random
 
-import numpy as np
-
 from . import comptrees, counter_graph, counters, lp, rules
 from .graphs import (
     Digraph,
@@ -202,6 +200,28 @@ def check_bland_equiv(
     )
 
 
+def _improving_masks(g: Digraph):
+    """Return `mask(chosen)`: a `bytes` over the edges whose entry e is 1
+    exactly when edge e improves on the tree `chosen` (its exact reduced cost
+    is negative). Each tree's mask is computed once. A tree edge never
+    improves on its own tree.
+    """
+    cache: dict[tuple, bytes] = {}
+    heads, tails, costs = g.heads, g.tails, g.costs
+    edges = range(g.n_edges)
+
+    def mask(chosen: tuple) -> bytes:
+        m = cache.get(chosen)
+        if m is None:
+            d = tree_distances_list(g, chosen)
+            m = cache[chosen] = bytes(
+                costs[e] + d[heads[e]] < d[tails[e]] for e in edges
+            )
+        return m
+
+    return mask
+
+
 def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     """Exact expected pivot count of the recursive facet rule by exhaustive
     enumeration of every random choice, with the full distribution over
@@ -212,28 +232,26 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     numerators over one denominator. Terms are added over the lcm of their
     denominators, and each entry is reduced by one gcd when it is stored;
     the only `Fraction` is the returned value.
+
+    A facet with no edge improving on its tree is a leaf: it returns its
+    tree after 0 pivots with probability 1. This is exact, not an
+    approximation. The rule pivots only on an improving edge, and every
+    subfacet under the same tree has no improving edge either, so each of
+    its recursive calls returns the same tree unchanged; walking the 2^k
+    subfacets of its k candidates would reach the same entry.
     """
-    dist_cache: dict[tuple, list[int]] = {}
-
-    def dists(chosen: tuple) -> list[int]:
-        if chosen not in dist_cache:
-            dist_cache[chosen] = tree_distances_list(g, chosen)
-        return dist_cache[chosen]
-
-    def improving(e: int, chosen: tuple) -> bool:
-        d = dists(chosen)
-        return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
-
+    mask = _improving_masks(g)
     memo: dict[tuple, tuple[int, int, dict]] = {}
 
     def go(f_set: frozenset, chosen: tuple) -> tuple[int, int, dict]:
         key = (f_set, chosen)
         if key in memo:
             return memo[key]
-        cands = sorted(e for e in f_set if chosen[g.tails[e]] != e)
-        if not cands:
+        m = mask(chosen)
+        if not any(map(m.__getitem__, f_set)):
             memo[key] = (1, 0, {chosen: 1})
             return memo[key]
+        cands = sorted(e for e in f_set if chosen[g.tails[e]] != e)
         den, exp_total = 1, 0
         dist_total: dict = defaultdict(int)
 
@@ -255,7 +273,7 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
             k = over(den_left)
             exp_total += exp_left * k
             for ret, p in dist_left.items():
-                if improving(e, ret):
+                if mask(ret)[e]:
                     switched = list(ret)
                     switched[g.tails[e]] = e
                     den_right, exp_right, dist_right = go(f_set, tuple(switched))
@@ -291,18 +309,17 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
     an integer pair (num, den), summed over the lcm of the children's
     denominators and reduced by one gcd; the only `Fraction` is the
     returned value.
+
+    A pivot to an optimal tree is a leaf, added in closed form. The edges
+    of a state are always exactly the non-tree edges of its tree, so every
+    child of entering edge e holds the non-tree edges of the switched tree,
+    whatever was scanned before e. When that tree is optimal, none of them
+    improves and each child is worth 0 further pivots; their weights sum to
+    the chance that e comes first among the block's improving edges, and
+    the 2^k children over the block's k non-improving edges are never
+    built. This is exact, not an approximation.
     """
-    dist_cache: dict[tuple, list[int]] = {}
-
-    def dists(chosen: tuple) -> list[int]:
-        if chosen not in dist_cache:
-            dist_cache[chosen] = tree_distances_list(g, chosen)
-        return dist_cache[chosen]
-
-    def improving(e: int, chosen: tuple) -> bool:
-        d = dists(chosen)
-        return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
-
+    mask = _improving_masks(g)
     memo: dict[tuple, tuple[int, int]] = {}
 
     def pivot(chosen: tuple, e: int) -> tuple[tuple, int]:
@@ -315,11 +332,13 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
         key = (blocks, tail, chosen)
         if key in memo:
             return memo[key]
+        m = mask(chosen)
         for bi, blk in enumerate(blocks):
-            imp = sorted(e for e in blk if improving(e, chosen))
+            order = sorted(blk)
+            imp = [e for e in order if m[e]]
             if not imp:
                 continue
-            non = sorted(e for e in blk if not improving(e, chosen))
+            non = [e for e in order if not m[e]]
             earlier: set = set().union(*blocks[:bi]) if bi else set()
             b_len = len(blk)
             # total = sum of a! (b_len - a - 1)! / b_len! * (1 + child) over
@@ -328,6 +347,11 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
             num, den = 0, 1
             for e in imp:
                 switched, leaving = pivot(chosen, e)
+                if 1 not in mask(switched):
+                    # every child is (0, 1); the weights sum to
+                    # sum_a C(|non|, a) a! (b_len - a - 1)! = b_len! / |imp|
+                    num += den * (factorial(b_len) // len(imp))
+                    continue
                 for a_sz in range(len(non) + 1):
                     weight = factorial(a_sz) * factorial(b_len - a_sz - 1)
                     for a_set in itertools.combinations(non, a_sz):
@@ -348,7 +372,7 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
             memo[key] = (num // common, den // common)
             return memo[key]
         for pos, e in enumerate(tail):
-            if improving(e, chosen):
+            if m[e]:
                 switched, leaving = pivot(chosen, e)
                 prefix = set().union(*blocks) if blocks else set()
                 prefix |= set(tail[:pos]) | {leaving}
@@ -513,7 +537,13 @@ def _lower_bound_check(name, ns, rst, samples, seed, star: bool) -> dict:
 def well_behaved_frequency(
     n: int, r: int, s: int, t: int, trials: int, seed: int
 ) -> float:
-    """Vectorized empirical frequency of well-behaved uniform permutations."""
+    """Vectorized empirical frequency of well-behaved uniform permutations.
+
+    NumPy is imported here, its only use, so that importing the package (and
+    every CLI call) does not load it.
+    """
+    import numpy as np
+
     _, idx = counter_graph.build_counter_graph(n, r, s, t)
     b1 = np.array([idx.b1(i) for i in idx.levels()])
     a1 = np.array(

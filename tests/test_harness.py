@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pivotlab
 from pivotlab import cli
 from pivotlab.checks import UnknownCheckError, run_check
 from pivotlab.experiments import (
@@ -147,6 +152,17 @@ def test_cli_gen_and_run(tmp_path, capsys):
     assert len(rows) == 4
     assert set(rows[0]) == {"trial", "seed", "rule", "pivots", "wall_ns"}
     capsys.readouterr()
+
+
+def test_cli_import_does_not_load_numpy():
+    # a fresh interpreter, so that no other test's imports count
+    src = str(Path(pivotlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, pivotlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_counter_exact(capsys):

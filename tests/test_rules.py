@@ -2,10 +2,16 @@
 permutation machinery, counter lower bounds."""
 
 import hashlib
+import itertools
+import math
+from collections import defaultdict
 from fractions import Fraction
+from math import factorial, gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotlab import checks, comptrees, counter_graph as cg, counters, experiments, lp, rules
 from pivotlab.graphs import (
@@ -402,6 +408,185 @@ def test_expected_pivots_pinned_values():
     assert got == [(v, v) for v in PINNED_EXPECTATIONS]
 
 
+# The enumerators without their leaf shortcuts, kept verbatim as the oracles
+# of the pruned ones in checks: every subfacet and every child state is built.
+
+
+def _expected_pivots_recursive_unpruned(g: Digraph, start: Policy) -> Fraction:
+    dist_cache: dict[tuple, list[int]] = {}
+
+    def dists(chosen: tuple) -> list[int]:
+        if chosen not in dist_cache:
+            dist_cache[chosen] = tree_distances_list(g, chosen)
+        return dist_cache[chosen]
+
+    def improving(e: int, chosen: tuple) -> bool:
+        d = dists(chosen)
+        return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
+
+    memo: dict[tuple, tuple[int, int, dict]] = {}
+
+    def go(f_set: frozenset, chosen: tuple) -> tuple[int, int, dict]:
+        key = (f_set, chosen)
+        if key in memo:
+            return memo[key]
+        cands = sorted(e for e in f_set if chosen[g.tails[e]] != e)
+        if not cands:
+            memo[key] = (1, 0, {chosen: 1})
+            return memo[key]
+        den, exp_total = 1, 0
+        dist_total: dict = defaultdict(int)
+
+        def over(d: int) -> int:
+            # rescale the running sums to a multiple of d; den // d
+            nonlocal den, exp_total
+            if den % d:
+                k = d // gcd(den, d)
+                den *= k
+                exp_total *= k
+                for ret in dist_total:
+                    dist_total[ret] *= k
+            return den // d
+
+        # `over` may rescale the sums, so each call comes before the sum
+        # it scales for is read
+        for e in cands:
+            den_left, exp_left, dist_left = go(f_set - {e}, chosen)
+            k = over(den_left)
+            exp_total += exp_left * k
+            for ret, p in dist_left.items():
+                if improving(e, ret):
+                    switched = list(ret)
+                    switched[g.tails[e]] = e
+                    den_right, exp_right, dist_right = go(f_set, tuple(switched))
+                    # p / den_left * (1 + exp_right / den_right)
+                    q = p * over(den_left * den_right)
+                    exp_total += q * (den_right + exp_right)
+                    for ret2, p2 in dist_right.items():
+                        dist_total[ret2] += q * p2
+                else:
+                    k = over(den_left)
+                    dist_total[ret] += p * k
+        den *= len(cands)
+        common = gcd(den, exp_total, *dist_total.values())
+        memo[key] = (
+            den // common,
+            exp_total // common,
+            {ret: p // common for ret, p in dist_total.items()},
+        )
+        return memo[key]
+
+    den, exp, _ = go(frozenset(range(g.n_edges)), tuple(start.chosen))
+    return Fraction(exp, den)
+
+
+def _expected_pivots_nonrec_unpruned(g: Digraph, start: Policy) -> Fraction:
+    dist_cache: dict[tuple, list[int]] = {}
+
+    def dists(chosen: tuple) -> list[int]:
+        if chosen not in dist_cache:
+            dist_cache[chosen] = tree_distances_list(g, chosen)
+        return dist_cache[chosen]
+
+    def improving(e: int, chosen: tuple) -> bool:
+        d = dists(chosen)
+        return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
+
+    memo: dict[tuple, tuple[int, int]] = {}
+
+    def pivot(chosen: tuple, e: int) -> tuple[tuple, int]:
+        switched = list(chosen)
+        leaving = switched[g.tails[e]]
+        switched[g.tails[e]] = e
+        return tuple(switched), leaving
+
+    def go(blocks: tuple, tail: tuple, chosen: tuple) -> tuple[int, int]:
+        key = (blocks, tail, chosen)
+        if key in memo:
+            return memo[key]
+        for bi, blk in enumerate(blocks):
+            imp = sorted(e for e in blk if improving(e, chosen))
+            if not imp:
+                continue
+            non = sorted(e for e in blk if not improving(e, chosen))
+            earlier: set = set().union(*blocks[:bi]) if bi else set()
+            b_len = len(blk)
+            # total = sum of a! (b_len - a - 1)! / b_len! * (1 + child) over
+            # every entering e and every set of a non-improving edges
+            # scanned before it; kept as num / den until the last step
+            num, den = 0, 1
+            for e in imp:
+                switched, leaving = pivot(chosen, e)
+                for a_sz in range(len(non) + 1):
+                    weight = factorial(a_sz) * factorial(b_len - a_sz - 1)
+                    for a_set in itertools.combinations(non, a_sz):
+                        prefix = earlier | set(a_set) | {leaving}
+                        rest = blk - {e} - set(a_set)
+                        new_blocks = (frozenset(prefix),)
+                        if rest:
+                            new_blocks += (frozenset(rest),)
+                        new_blocks += blocks[bi + 1:]
+                        c_num, c_den = go(new_blocks, tail, switched)
+                        if den % c_den:
+                            k = c_den // gcd(den, c_den)
+                            den *= k
+                            num *= k
+                        num += weight * (c_den + c_num) * (den // c_den)
+            den *= factorial(b_len)
+            common = gcd(num, den)
+            memo[key] = (num // common, den // common)
+            return memo[key]
+        for pos, e in enumerate(tail):
+            if improving(e, chosen):
+                switched, leaving = pivot(chosen, e)
+                prefix = set().union(*blocks) if blocks else set()
+                prefix |= set(tail[:pos]) | {leaving}
+                c_num, c_den = go((frozenset(prefix),), tail[pos + 1:], switched)
+                memo[key] = (c_den + c_num, c_den)
+                return memo[key]
+        memo[key] = (0, 1)
+        return memo[key]
+
+    nontree = frozenset(
+        e for e in range(g.n_edges) if start.chosen[g.tails[e]] != e
+    )
+    num, den = go((nontree,), (), tuple(start.chosen))
+    return Fraction(num, den)
+
+
+def test_pruned_enumerators_match_unpruned_oracles():
+    # both starts on 200 seeded DAGs; max_cost 1 and 2 make ties, and random
+    # starts make trees far from the optimum, so both shortcuts fire often
+    # and also fail to fire often
+    rng = Random(20251)
+    for k in range(200):
+        g = random_dag(rng, rng.randrange(3, 7), extra_edges=rng.randrange(1, 8),
+                       max_cost=(1, 2, 6)[k % 3])
+        for b0 in (_costliest_start(g), random_policy(g, rng)):
+            rec = checks.expected_pivots_recursive(g, b0)
+            non = checks.expected_pivots_nonrec(g, b0)
+            assert rec == _expected_pivots_recursive_unpruned(g, b0), (k, b0)
+            assert non == _expected_pivots_nonrec_unpruned(g, b0), (k, b0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vertices=st.integers(min_value=3, max_value=6),
+    extra=st.integers(min_value=1, max_value=7),
+    max_cost=st.sampled_from((1, 2, 6)),
+    random_start=st.booleans(),
+)
+def test_facet_rule_expectations_agree(seed, vertices, extra, max_cost, random_start):
+    # the formulation claim: both facet rules make the same expected number
+    # of pivots on every instance
+    rng = Random(seed)
+    g = random_dag(rng, vertices, extra_edges=extra, max_cost=max_cost)
+    b0 = random_policy(g, rng) if random_start else _costliest_start(g)
+    assert (checks.expected_pivots_recursive(g, b0)
+            == checks.expected_pivots_nonrec(g, b0))
+
+
 def test_bland_formulations_identical_logs():
     rng = Random(77)
     for _ in range(40):
@@ -523,11 +708,27 @@ def test_induced_permutation_orders_levels():
     assert hat[2] == 1 and hat[3] == 2 and hat[1] == 3
 
 
+def _chi2_sf_5_dof(x: float) -> float:
+    # survival function of the chi-square law with 5 degrees of freedom; for
+    # odd k it has the closed form erfc(sqrt(x/2)) + sqrt(2x/pi) e^(-x/2) times
+    # the sum over j < (k-1)/2 of x^j / (1 * 3 * ... * (2j+1))
+    return (math.erfc(math.sqrt(x / 2))
+            + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * (1 + x / 3))
+
+
+def _chi2_quantile_5_dof(p: float) -> float:
+    # bisection on the decreasing survival function, to float resolution
+    lo, hi = 0.0, 200.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if _chi2_sf_5_dof(mid) > 1 - p:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def test_induced_permutation_uniform_chi_square():
-    import math
-
-    from scipy.stats import chi2
-
     n = 3
     _, idx = cg.build_counter_graph(n, 2, 2, 2)
     rng = Random(123)
@@ -543,8 +744,12 @@ def test_induced_permutation_uniform_chi_square():
         (counts.get(h, 0) - expected) ** 2 / expected
         for h in counts
     ) + (cells - len(counts)) * expected
-    # generous 99.9% cutoff; a uniform induced order should sit well inside
-    assert stat < chi2.ppf(0.999, cells - 1)
+    # generous 99.9% cutoff; a uniform induced order should sit well inside.
+    # 20.515005652432873 is scipy.stats.chi2.ppf(0.999, 5)
+    assert cells - 1 == 5
+    cutoff = _chi2_quantile_5_dof(0.999)
+    assert abs(cutoff - 20.515005652432873) < 1e-9
+    assert stat < cutoff
 
 
 def test_suffix_set():
