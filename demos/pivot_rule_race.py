@@ -4,7 +4,8 @@
 Runs every rule from the all-zero-edge start on growing instances and
 prints the mean pivot counts. The one-permutation and fixed-permutation
 rules track the counter dynamics, so their counts climb fastest; the
-counter expectation itself is printed for scale.
+counter expectation itself is printed for scale. It ends with one
+well-behaved permutation at the paper's chain lengths.
 """
 
 from random import Random
@@ -49,6 +50,19 @@ def main():
         bound = counters.rand_count_one_perm(range(1, 5), hat)
         run = rules.random_facet_one_perm(g, b0, sigma)
         print(f"  sample {k}: counter bound {bound:>3}, pivots {run.pivots:>4}")
+
+    print()
+    print("At the paper's scale (8,9,9,9), where a uniform permutation is")
+    print("well behaved with probability at least 1/2, for one sample:")
+    g, idx = cg.build_counter_graph(8, 9, 9, 9)
+    b0 = cg.initial_tree(idx)
+    sigma = rules.sample_well_behaved(idx, Random(8))
+    hat = rules.induced_permutation(idx, sigma)
+    bound = counters.rand_count_one_perm(range(1, 9), hat)
+    run = rules.random_facet_one_perm(g, b0, sigma)
+    rbl = rules.random_bland(g, b0, Random(8))
+    print(f"  {g.n_edges} edges: counter bound {bound}, rf-1p pivots "
+          f"{run.pivots}, r-bland pivots {rbl.pivots}")
 
 
 if __name__ == "__main__":

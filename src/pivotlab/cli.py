@@ -85,7 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    g, idx = counter_graph.build_counter_graph(args.n, args.r, args.s, args.t)
+    try:
+        g, idx = counter_graph.build_counter_graph(args.n, args.r, args.s, args.t)
+    except ValueError as exc:
+        raise BadConfigError(f"cannot build counter graph: {exc}") from exc
     out = args.out or f"counter_{args.n}_{args.r}_{args.s}_{args.t}.json"
     save_graph_json(g, out)
     sidecar = sidecar_index_path(out)
@@ -125,10 +128,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_counter(args) -> int:
+    if args.n < 0:
+        raise BadConfigError("--n must be non-negative")
     if args.exact:
         f = counters.expected_increments(args.n)
         print(f"{f.numerator}/{f.denominator}")
         return 0
+    if args.trials < 1:
+        raise BadConfigError("--trials must be at least 1")
     values = []
     for trial in range(args.trials):
         trng = Random(derive_seed(args.seed, trial))

@@ -10,23 +10,32 @@ therefore delta < 0, checked before any state changes. The kernel also keeps
 every edge's reduced cost in the list `red`, so an improving test is a list
 read.
 
-The facet-removal recursion has one engine, `_facet_collapsed`. It talks to
-a pivot oracle (a reduced-cost list `red`, `pivot(e) -> leaving` and
-`nonbasic(in_f)`) that both `_PivotTracker` and the LP basis tracker of
-`lp.random_facet_lp` implement, and it can emit the event stream from which
-`comptrees.ComputationTree` rebuilds the recursion tree. So the traced run,
-the untraced run and the LP run of one seed are the same run. Each descent
-asks an `arrange(avail) -> list` callable for its removal order:
-`shuffled_order(rng)` (id order, then `shuffle_exact`, which draws exactly
-the bits `Random.shuffle` draws, at about half its cost) or one sort by a
-fixed permutation. The engine reads the caller's edge-set flags `in_f` but
-never writes them; its docstring gives the argument that the one read
-needs no writes.
+The fresh-randomness facet-removal recursion has one engine,
+`_facet_collapsed`, behind `random_facet`, `comptrees.follow_canonical` and
+`lp.random_facet_lp`. It talks to a pivot oracle (a reduced-cost list
+`red`, `pivot(e) -> leaving` and `nonbasic(in_f)`) that both `_PivotTracker`
+and the LP basis tracker implement, and it can emit the event stream from
+which `comptrees.ComputationTree` rebuilds the recursion tree. So the traced
+run, the untraced run and the LP run of one seed are the same run. Each
+descent asks an `arrange(avail) -> list` callable for its removal order,
+`shuffled_order(rng)`: id order, then `shuffle_exact`, which draws exactly
+the bits `Random.shuffle` draws, at about half its cost. The engine reads
+the caller's edge-set flags `in_f` but never writes them; its docstring
+gives the argument that the one read needs no writes.
+
+The one-permutation rule, `random_facet_one_perm`, makes the pivots of
+`_facet_collapsed` with every candidate list sorted by sigma, but from its
+own engine: a stack of frames, each a rank cursor and a heap of improving
+columns, so a pivot costs per shifted vertex, like `bland_nonrec`'s heap,
+not per candidate. The tests keep the sorted `_facet_collapsed` run as its
+oracle. Both rank-ordered recursions, it and `bland_rec`, reject a sigma
+that is not a permutation of 1..m.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
@@ -161,12 +170,16 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
     and `nonbasic(in_f)`, the list of in_f columns outside the basis, in id
     order. `arrange(avail) -> list` returns the removal order (picked-first
     first) of the candidate list it is handed, and must not depend on the
-    list's order. Each descent strips the whole candidate list, which is
-    the chain of left children down to a leaf; the unwind tests candidates
-    last-removed first against the evolving basis, and every pivot opens
-    the right child: a sub-descent over the surviving candidates. An unwind
-    is a reversed iterator over its descent's list; a pivot pauses it under
-    the sub-descent's iterator on the stack. The pool `avail` is a list
+    list's order: the engine's callers pass `shuffled_order(rng)`, which
+    sorts by id before it shuffles. (Sorting by a fixed permutation instead
+    gives the one-permutation rule; `random_facet_one_perm` runs that rule
+    on its own engine, and the tests use this one as its oracle.) Each
+    descent strips the whole candidate list, which is the chain of left
+    children down to a leaf; the unwind tests candidates last-removed
+    first against the evolving basis, and every pivot opens the right
+    child: a sub-descent over the surviving candidates. An unwind is a
+    reversed iterator over its descent's list; a pivot pauses it under the
+    sub-descent's iterator on the stack. The pool `avail` is a list
     holding exactly the in_f columns outside the basis that no descent
     still unwinding holds: a descent empties it, and the unwind appends
     each restored column that does not improve, and each leaving column
@@ -261,6 +274,18 @@ def random_facet(
     )
 
 
+def _edge_of_rank(sigma, m: int) -> list[int]:
+    """The inverse of sigma, indexed by rank (entry 0 unused). Raises
+    ValueError unless sigma is a permutation of 1..m: with a tied rank, a
+    rank-ordered rule would skip an edge."""
+    if sorted(sigma) != list(range(1, m + 1)):
+        raise ValueError(f"sigma is not a permutation of 1..{m}")
+    edge_of_rank = [0] * (m + 1)
+    for e, rank in enumerate(sigma):
+        edge_of_rank[rank] = e
+    return edge_of_rank
+
+
 def random_facet_one_perm(
     g: Digraph,
     policy: Policy,
@@ -271,25 +296,89 @@ def random_facet_one_perm(
     """Facet-removal rule that always removes the candidate of minimum
     permutation index; deterministic given sigma.
 
-    sigma is a bijection, so one sort by rank orders each candidate list
-    whatever its order. The unwind appends restored columns in descending
-    rank, so the pool arrives as a few descending runs, which the sort
-    merges cheaply.
+    This is `_facet_collapsed` with every candidate list sorted by sigma, so
+    each unwind tests its candidates in descending rank and pivots on the
+    first improving one. This engine makes the same pivots, but its work per
+    pivot scales with the shifted subtree, as `bland_nonrec`'s does, not
+    with the candidate pool: the non-improving candidates that the general
+    engine tests and restores are never touched. Three facts keep it exact:
+
+    - A pivot only ever happens while every pool column is non-improving:
+      the pool holds columns tested non-improving since the last pivot, and
+      leaving columns, which a pivot leaves non-improving. So after a pivot
+      by step delta < 0, the only columns that can have become improving
+      are in-edges x of shifted vertices with red[x] < 0 <= red[x] - delta.
+    - Each such x belongs to one place: the first live frame created at or
+      after the pivot where x last left the basis whose rank cursor is
+      above sigma[x]. No older frame holds x, which was basic after each
+      of them was created; a younger frame whose cursor passed sigma[x]
+      tested x and restored it to the pool; and the frame pushed at this
+      pivot stands for the pool. Creation times rise up the stack, so a
+      bisect over them finds where to start looking.
+    - Each frame is a rank cursor plus a max-rank heap of the columns it
+      holds that have improved. The top frame pivots on its highest-ranked
+      heap entry that still has red < 0, and sets its cursor to that rank;
+      if there is no such entry, the frame is popped. That is the general
+      unwind's pick, because every entry with red < 0 is a column the frame
+      still holds. Entries above the cursor were popped before the frame
+      last pivoted. An entry at the cursor is a copy of the column it last
+      pivoted in: that column is now basic or, having left the basis after
+      the frame was created and outlived every younger frame, in the pool.
+      Either way its red is not negative while the frame is on top.
     """
+    m = g.n_edges
+    edge_of_rank = _edge_of_rank(sigma, m)
     chosen, allowed = _start(g, policy, subset)
-    in_f = [False] * g.n_edges
+    in_f = bytearray(m)
     for e in allowed:
-        in_f[e] = True
+        in_f[e] = 1
     tracker = _PivotTracker(g, chosen)
-
-    def arrange(avail) -> list[int]:
-        return sorted(avail, key=sigma.__getitem__)
-
-    _facet_collapsed(tracker, in_f, arrange)
+    red = tracker.red
+    pivot = tracker.pivot
+    log = tracker.log
+    in_edges = g.in_edges
+    heappush, heappop = heapq.heappush, heapq.heappop
+    left_at = [0] * m  # pivot count at which each column last left the basis
+    # frame k: created[k] (pivot count at its creation), cursor[k] and a heap
+    # of -rank; basic columns have red 0, so the first heap needs no filter
+    created = [0]
+    cursor = [m + 1]
+    heap = [-sigma[e] for e in compress(range(m), in_f) if red[e] < 0]
+    heapq.heapify(heap)
+    heaps = [heap]
+    while heaps:
+        heap = heaps[-1]
+        while heap:
+            rank = -heappop(heap)
+            e = edge_of_rank[rank]
+            if red[e] < 0:
+                break
+        else:
+            heaps.pop()
+            created.pop()
+            cursor.pop()
+            continue
+        cursor[-1] = rank
+        delta = red[e]
+        leaving = pivot(e)
+        t = len(log)
+        left_at[leaving] = t
+        created.append(t)
+        cursor.append(m + 1)
+        heaps.append([])
+        for w in tracker.shifted:
+            for x in in_edges[w]:
+                r = red[x]
+                if r < 0 <= r - delta and in_f[x]:
+                    k = bisect_left(created, left_at[x])
+                    rank = sigma[x]
+                    while cursor[k] <= rank:
+                        k += 1
+                    heappush(heaps[k], -rank)
     return RunResult(
         rule="random-facet-1p",
-        pivots=len(tracker.log),
-        pivot_log=tracker.log,
+        pivots=len(log),
+        pivot_log=log,
         final_policy=Policy(tuple(chosen)),
         seed=seed,
         sigma=list(sigma),
@@ -345,9 +434,7 @@ def bland_rec(
     entering, policy_after)` observes every pivot.
     """
     m = g.n_edges
-    edge_of_rank = [0] * (m + 1)
-    for e in range(m):
-        edge_of_rank[sigma[e]] = e
+    edge_of_rank = _edge_of_rank(sigma, m)
     chosen = list(policy.chosen)
     tracker = _PivotTracker(g, chosen)
     # frame: [rank, stage]; global policy threads through the recursion

@@ -285,9 +285,13 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
         ["analyze", "--S", "9"],
         ["analyze", "--S", "1", "--trials", "0"],
         ["run", "--rule", "dantzig", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
+        ["gen", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
+        ["counter", "--n", "-3", "--exact"],
+        ["counter", "--n", "5", "--trials", "0"],
     ],
     ids=["params-json", "params-list", "params-key", "levels-text",
-         "levels-range", "zero-trials", "counter-params"],
+         "levels-range", "zero-trials", "counter-params", "gen-params",
+         "counter-negative-n", "counter-zero-trials"],
 )
 def test_cli_bad_flag_is_a_usage_error(tmp_path, capsys, argv):
     graph = tmp_path / "g.json"

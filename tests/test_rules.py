@@ -639,6 +639,73 @@ def test_one_perm_determinism_and_decision_point_freedom():
     assert res1.pivot_log == res3.pivot_log
 
 
+def _one_perm_oracle(g, b0, sigma, subset=None):
+    """The one-permutation rule by definition: the general facet engine with
+    every candidate list sorted by sigma. Returns the pivot log and the final
+    policy."""
+    chosen, allowed = rules._start(g, b0, subset)
+    in_f = [e in allowed for e in range(g.n_edges)]
+    tracker = rules._PivotTracker(g, chosen)
+    rules._facet_collapsed(
+        tracker, in_f, lambda avail: sorted(avail, key=sigma.__getitem__)
+    )
+    return tracker.log, Policy(tuple(chosen))
+
+
+def _assert_one_perm_matches_oracle(g, b0, sigma, subset=None):
+    res = random_facet_one_perm(g, b0, sigma, subset=subset)
+    log, final = _one_perm_oracle(g, b0, sigma, subset)
+    assert res.pivot_log == log
+    assert res.final_policy == final
+    return res.pivots
+
+
+def test_one_perm_engine_matches_general_engine_on_dags():
+    rng = Random(1410)
+    pivots = 0
+    for k in range(200):
+        g = random_dag(rng, rng.randrange(2, 14), extra_edges=rng.randrange(0, 25))
+        b0 = random_policy(g, rng)
+        sigma = random_permutation_fn(g.n_edges, rng)
+        subset = None
+        if k % 2:
+            subset = {e for e in range(g.n_edges) if rng.random() < 0.7}
+            subset |= b0.edge_set()
+        pivots += _assert_one_perm_matches_oracle(g, b0, sigma, subset)
+    assert pivots > 400
+
+
+def test_one_perm_engine_matches_general_engine_on_counter_graphs():
+    # counter graphs re-enter and re-leave the same columns across nested
+    # frames, which random DAGs rarely do
+    rng = Random(7530)
+    for params in ((3, 2, 2, 2), (4, 2, 2, 2), (3, 3, 3, 3), (5, 2, 3, 2)):
+        g, idx = cg.build_counter_graph(*params)
+        b0 = cg.initial_tree(idx)
+        for k in range(12):
+            if k % 2:
+                sigma = sample_well_behaved(idx, rng)
+            else:
+                sigma = random_permutation_fn(g.n_edges, rng)
+            start = b0 if k % 4 < 2 else random_policy(g, rng)
+            _assert_one_perm_matches_oracle(g, start, sigma)
+    g, idx = cg.build_counter_graph(6, 7, 7, 7)
+    assert g.n_edges >= 5000
+    sigma = sample_well_behaved(idx, rng)
+    assert _assert_one_perm_matches_oracle(g, cg.initial_tree(idx), sigma) > 1000
+
+
+@pytest.mark.parametrize("rule", [random_facet_one_perm, bland_rec])
+@pytest.mark.parametrize(
+    "sigma", [[1, 1], [2, 2], [0, 1], [1, 3], [1], [1, 2, 3]],
+    ids=["tie-low", "tie-high", "zero", "gap", "short", "long"],
+)
+def test_rank_rules_reject_a_sigma_that_is_not_a_permutation(rule, sigma):
+    g = parallel_pair()
+    with pytest.raises(ValueError, match="not a permutation"):
+        rule(g, Policy((0, None)), sigma)
+
+
 def test_rf_expected_equality_fixed_six_edge_instance():
     # fixed 6-edge acyclic instance: expected pivots agree exactly between
     # the recursive and non-recursive formulations
