@@ -537,27 +537,26 @@ def _lower_bound_check(name, ns, rst, samples, seed, star: bool) -> dict:
 def well_behaved_frequency(
     n: int, r: int, s: int, t: int, trials: int, seed: int
 ) -> float:
-    """Vectorized empirical frequency of well-behaved uniform permutations.
+    """Empirical frequency of well-behaved uniform permutations.
 
-    NumPy is imported here, its only use, so that importing the package (and
-    every CLI call) does not load it.
+    `rules.is_well_behaved` compares only order statistics of disjoint edge
+    groups, so a trial draws those from iid uniform keys by inverse CDFs:
+    Y, the smallest multi-edge group maximum, and per level A, the largest
+    a-chain minimum, and B, the b-chain minimum. It is well-behaved when
+    every B < A < Y.
     """
-    import numpy as np
-
     _, idx = counter_graph.build_counter_graph(n, r, s, t)
-    b1 = np.array([idx.b1(i) for i in idx.levels()])
-    a1 = np.array(
-        [idx.a1(i, j) for i in idx.levels() for j in range(1, r + 1)]
-    )
-    multi = np.array(idx.multi_edges)
-    gen = np.random.default_rng(seed)
+    inv_m, inv_t = 1 / len(idx.multi_edges), 1 / t
+    inv_r, inv_s, inv_rs = 1 / r, 1 / s, 1 / (r * s)
+    rng = Random(seed)
     good = 0
     for _ in range(trials):
-        ranks = gen.permutation(idx.n_edges)
-        chunk_min = ranks[a1].min(axis=1)
-        level_a = chunk_min.reshape(n, r).max(axis=1)
-        level_b = ranks[b1].min(axis=1)
-        if (level_b < level_a).all() and chunk_min.max() < ranks[multi].max(axis=1).min():
+        y = (1 - rng.random() ** inv_m) ** inv_t
+        for _ in range(n):
+            a = 1 - (1 - rng.random() ** inv_r) ** inv_s
+            if not 1 - rng.random() ** inv_rs < a < y:
+                break
+        else:
             good += 1
     return good / trials
 

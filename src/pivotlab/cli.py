@@ -25,10 +25,8 @@ from .experiments import (
 from .graphs import save_graph_json
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
-    p.add_argument("--out", type=str, default=None, help="output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--r", type=int, required=True)
     p_gen.add_argument("--s", type=int, required=True)
     p_gen.add_argument("--t", type=int, required=True)
-    _add_common(p_gen)
+    p_gen.add_argument("--out", type=str, default=None,
+                       help="graph JSON path (default: counter_<n>_<r>_<s>_<t>.json)")
 
     p_run = sub.add_parser("run", help="run pivot-rule trials")
     p_run.add_argument("--rule", required=True, choices=RULE_NAMES)
@@ -56,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--start", choices=["auto", "zero", "bfs"], default="auto")
     p_run.add_argument("--trace", type=str, default=None,
                        help="dump pivot log and computation tree JSON here")
-    _add_common(p_run)
+    p_run.add_argument("--out", type=str, default=None, help="per-trial CSV path")
+    p_run.add_argument("--threads", type=int, default=1, help="worker processes")
+    _add_seed(p_run)
 
     p_counter = sub.add_parser("counter", help="randomized counter experiments")
     p_counter.add_argument("--variant", choices=["fresh", "one-perm"],
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_counter.add_argument("--trials", type=int, default=1000)
     p_counter.add_argument("--exact", action="store_true",
                            help="print the exact expectation and exit")
-    _add_common(p_counter)
+    _add_seed(p_counter)
 
     p_analyze = sub.add_parser("analyze", help="canonical-path event frequencies")
     p_analyze.add_argument("--graph", type=str, required=True)
@@ -74,13 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--S", type=str, required=True,
                            help="comma-separated bit levels, e.g. 3,1")
     p_analyze.add_argument("--trials", type=int, default=100)
-    _add_common(p_analyze)
+    p_analyze.add_argument("--out", type=str, default=None, help="per-trial CSV path")
+    _add_seed(p_analyze)
 
     p_verify = sub.add_parser("verify", help="run a named verification check")
     p_verify.add_argument("check", choices=sorted(checks.CHECKS))
     p_verify.add_argument("--params", type=str, default=None,
                           help="JSON object of keyword overrides")
-    _add_common(p_verify)
+    p_verify.add_argument("--out", type=str, default=None, help="report JSON path")
     return parser
 
 
@@ -100,18 +102,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    gen = None
-    if args.graph is None:
-        if None in (args.n, args.r, args.s, args.t):
-            print("run: need --graph or all of --n/--r/--s/--t", file=sys.stderr)
-            return 2
-        gen = (args.n, args.r, args.s, args.t)
+    params = (args.n, args.r, args.s, args.t)
+    if args.graph is not None and params != (None,) * 4:
+        raise BadConfigError("--graph excludes --n/--r/--s/--t")
+    if args.graph is None and None in params:
+        raise BadConfigError("run needs --graph or all of --n/--r/--s/--t")
     config = ExperimentConfig(
         rule=args.rule,
         trials=args.trials,
         seed=args.seed,
         graph_path=args.graph,
-        gen_params=gen,
+        gen_params=params if args.graph is None else None,
         start=args.start,
         out_path=args.out,
         threads=args.threads,
@@ -158,10 +159,7 @@ def cmd_counter(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = load_graph(args.graph)
-    idx = load_index(args.index or sidecar_index_path(args.graph))
-    if idx.n_edges != g.n_edges:
-        print("analyze: index does not match the graph", file=sys.stderr)
-        return 2
+    idx = load_index(args.index or sidecar_index_path(args.graph), g)
     if args.trials < 1:
         raise BadConfigError("--trials must be at least 1")
     try:
@@ -194,6 +192,43 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# the integer --params that may be 0: a seed, and the largest n of a range
+# that starts at 0; every other one counts or sizes something
+_ZERO_ALLOWED = frozenset({"seed", "n_max"})
+
+
+def _int_at_least(value, floor: int) -> bool:
+    return type(value) is int and value >= floor
+
+
+def _check_params(check: str, params: dict) -> dict:
+    """The --params overrides, typed like the check's defaults: an integer
+    default takes a positive int (`seed` and `n_max` may be 0), a tuple
+    default a non-empty list of positive ints."""
+    signature = inspect.signature(checks.CHECKS[check])
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        raise BadConfigError(f"--params does not fit check {check!r}: {exc}") from exc
+    typed = {}
+    for name, value in params.items():
+        if isinstance(signature.parameters[name].default, tuple):
+            if not (isinstance(value, list) and value
+                    and all(_int_at_least(v, 1) for v in value)):
+                raise BadConfigError(
+                    f"--params {name!r} must be a non-empty list of positive integers"
+                )
+            value = tuple(value)
+        else:
+            floor = 0 if name in _ZERO_ALLOWED else 1
+            if not _int_at_least(value, floor):
+                raise BadConfigError(
+                    f"--params {name!r} must be an integer of at least {floor}"
+                )
+        typed[name] = value
+    return typed
+
+
 def cmd_verify(args) -> int:
     try:
         params = json.loads(args.params) if args.params else {}
@@ -201,13 +236,7 @@ def cmd_verify(args) -> int:
         raise BadConfigError(f"--params is not valid JSON: {exc}") from exc
     if not isinstance(params, dict):
         raise BadConfigError("--params must be a JSON object")
-    try:
-        inspect.signature(checks.CHECKS[args.check]).bind(**params)
-    except TypeError as exc:
-        raise BadConfigError(
-            f"--params does not fit check {args.check!r}: {exc}"
-        ) from exc
-    report = checks.run_check(args.check, **params)
+    report = checks.run_check(args.check, **_check_params(args.check, params))
     text = json.dumps(report, indent=1, default=str)
     if args.out:
         with open(args.out, "w") as fh:

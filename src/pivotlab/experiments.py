@@ -144,9 +144,10 @@ def load_graph(path: str) -> Digraph:
     return g
 
 
-def load_index(path: str) -> counter_graph.CounterGraphIndex:
-    """The counter-graph index of a sidecar file, rebuilt from its
-    parameters. A malformed sidecar raises BadConfigError."""
+def load_index(path: str, g: Digraph) -> counter_graph.CounterGraphIndex:
+    """The counter-graph index of graph g's sidecar file, rebuilt from its
+    parameters. A malformed sidecar, or one whose edge count is not g's,
+    raises BadConfigError."""
     try:
         with open(path) as fh:
             p = json.load(fh)["params"]
@@ -155,6 +156,11 @@ def load_index(path: str) -> counter_graph.CounterGraphIndex:
         raise BadConfigError(
             f"cannot load index {path}: {type(exc).__name__}: {exc}"
         ) from exc
+    if idx.n_edges != g.n_edges:
+        raise BadConfigError(
+            f"index {path} does not match the graph: "
+            f"{idx.n_edges} edges, the graph has {g.n_edges}"
+        )
     return idx
 
 
@@ -174,9 +180,7 @@ def load_instance(config: ExperimentConfig):
         g = load_graph(config.graph_path)
         sidecar = sidecar_index_path(config.graph_path)
         if os.path.exists(sidecar):
-            idx = load_index(sidecar)
-            if idx.n_edges != g.n_edges:
-                idx = None
+            idx = load_index(sidecar, g)
     start_mode = config.start
     if start_mode == "auto":
         start_mode = "zero" if idx is not None else "bfs"

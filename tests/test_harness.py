@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import pivotlab
-from pivotlab import cli
+from pivotlab import checks, cli, counter_graph, rules
 from pivotlab.checks import UnknownCheckError, run_check
 from pivotlab.experiments import (
     BadConfigError,
@@ -163,6 +164,33 @@ def test_cli_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+    # with NumPy made unimportable, the check that once used it still runs
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from pivotlab import checks, cli\n"
+        "checks.check_well_behaved_prob(n=2, rst=2, trials=200)\n"
+        "sys.exit(cli.main(['verify', 'well-behaved-prob']))\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True)
+
+
+@pytest.mark.parametrize("nrst", [(1, 1, 1, 1), (1, 2, 2, 3), (2, 2, 3, 3),
+                                  (2, 2, 3, 4), (3, 2, 3, 4)])
+def test_well_behaved_frequency_matches_permutation_monte_carlo(nrst):
+    # the order-statistic sampler against is_well_behaved on uniform
+    # permutations, within four combined standard errors
+    p = checks.well_behaved_frequency(*nrst, trials=20_000, seed=5)
+    g, idx = counter_graph.build_counter_graph(*nrst)
+    rng = Random(6)
+    trials = 3000
+    q = sum(
+        rules.is_well_behaved(idx, rules.random_permutation_fn(g.n_edges, rng))
+        for _ in range(trials)
+    ) / trials
+    assert q > 0.01  # enough hits for the normal approximation
+    stderr = (p * (1 - p) / 20_000 + q * (1 - q) / trials) ** 0.5
+    assert abs(p - q) <= 4 * stderr
 
 
 def test_cli_counter_exact(capsys):
@@ -255,6 +283,47 @@ def test_cli_bad_sidecar_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: cannot load index") and err.count("\n") == 1
 
 
+def test_cli_sidecar_of_another_graph_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert cli.main(["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
+                     "--out", str(out)]) == 0
+    (tmp_path / "g.index.json").write_text(
+        '{"params": {"n": 2, "r": 1, "s": 1, "t": 1}}'
+    )
+    capsys.readouterr()
+    for argv in (
+        ["run", "--rule", "dantzig", "--graph", str(out)],
+        ["analyze", "--graph", str(out), "--S", "1"],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1", "--seed", "3"],
+        ["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1", "--threads", "2"],
+        ["counter", "--n", "3", "--threads", "2"],
+        ["counter", "--n", "3", "--out", "x"],
+        ["analyze", "--graph", "g.json", "--S", "1", "--threads", "2"],
+        ["verify", "recurrence", "--seed", "3"],
+        ["verify", "recurrence", "--threads", "2"],
+    ],
+    ids=["gen-seed", "gen-threads", "counter-threads", "counter-out",
+         "analyze-threads", "verify-seed", "verify-threads"],
+)
+def test_cli_unread_flag_is_rejected(tmp_path, monkeypatch, capsys, argv):
+    # a flag the subcommand would ignore is an argparse usage error
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert not os.listdir(tmp_path)
+    capsys.readouterr()
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["run"])  # missing required --rule
@@ -281,25 +350,38 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
         ["verify", "recurrence", "--params", "{x"],
         ["verify", "recurrence", "--params", "[1]"],
         ["verify", "recurrence", "--params", '{"bogus": 1}'],
-        ["analyze", "--S", "a"],
-        ["analyze", "--S", "9"],
-        ["analyze", "--S", "1", "--trials", "0"],
+        ["verify", "recurrence", "--params", '{"n_max": "x"}'],
+        ["verify", "recurrence", "--params", '{"n_max": true}'],
+        ["verify", "counters-equality", "--params", '{"n_max": -2}'],
+        ["verify", "well-behaved-prob", "--params", '{"trials": 0}'],
+        ["verify", "technical-star", "--params", '{"ns": 3}'],
+        ["verify", "technical-star", "--params", '{"ns": [3, -1]}'],
+        ["verify", "technical-star", "--params", '{"ns": []}'],
+        ["verify", "well-behaved-prob", "--params", '{"rst": 0}'],
+        ["analyze", "--S", "a", "--graph", "GRAPH"],
+        ["analyze", "--S", "9", "--graph", "GRAPH"],
+        ["analyze", "--S", "1", "--trials", "0", "--graph", "GRAPH"],
         ["run", "--rule", "dantzig", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
+        ["run", "--rule", "dantzig", "--graph", "GRAPH", "--n", "5"],
+        ["run", "--rule", "dantzig", "--n", "2", "--r", "1"],
         ["gen", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
         ["counter", "--n", "-3", "--exact"],
         ["counter", "--n", "5", "--trials", "0"],
     ],
-    ids=["params-json", "params-list", "params-key", "levels-text",
-         "levels-range", "zero-trials", "counter-params", "gen-params",
-         "counter-negative-n", "counter-zero-trials"],
+    ids=["params-json", "params-list", "params-key", "params-type",
+         "params-bool", "params-negative", "params-zero-trials",
+         "params-not-a-list", "params-negative-entry", "params-empty-list",
+         "params-zero-chain", "levels-text",
+         "levels-range", "zero-trials", "counter-params", "run-graph-and-params",
+         "run-partial-params", "gen-params", "counter-negative-n",
+         "counter-zero-trials"],
 )
 def test_cli_bad_flag_is_a_usage_error(tmp_path, capsys, argv):
     graph = tmp_path / "g.json"
     assert cli.main(["gen", "--n", "2", "--r", "1", "--s", "1", "--t", "1",
                      "--out", str(graph)]) == 0
     capsys.readouterr()
-    if argv[0] == "analyze":
-        argv = argv + ["--graph", str(graph)]
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
