@@ -13,13 +13,14 @@ from random import Random
 
 from . import checks, comptrees, counter_graph, counters
 from .experiments import (
-    RULE_NAMES,
+    RULES,
     BadConfigError,
     ExperimentConfig,
     derive_seed,
     load_graph,
     load_index,
     run_experiment,
+    save_index,
     sidecar_index_path,
 )
 from .graphs import save_graph_json
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="graph JSON path (default: counter_<n>_<r>_<s>_<t>.json)")
 
     p_run = sub.add_parser("run", help="run pivot-rule trials")
-    p_run.add_argument("--rule", required=True, choices=RULE_NAMES)
+    p_run.add_argument("--rule", required=True, choices=list(RULES))
     p_run.add_argument("--graph", type=str, default=None, help="graph JSON file")
     p_run.add_argument("--n", type=int, default=None)
     p_run.add_argument("--r", type=int, default=None)
@@ -94,9 +95,7 @@ def cmd_gen(args) -> int:
     out = args.out or f"counter_{args.n}_{args.r}_{args.s}_{args.t}.json"
     save_graph_json(g, out)
     sidecar = sidecar_index_path(out)
-    with open(sidecar, "w") as fh:
-        json.dump(counter_graph.index_to_json_dict(idx), fh, indent=1)
-        fh.write("\n")
+    save_index(sidecar, idx)
     print(f"wrote {out} ({g.n_vertices} vertices, {g.n_edges} edges) and {sidecar}")
     return 0
 

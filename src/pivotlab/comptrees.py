@@ -29,26 +29,22 @@ class ComputationTree:
     """Binary recursion tree stored as parallel arrays.
 
     Per node: the picked edge (None at leaves), child ids, and for nodes
-    with a right child the leaving edge plus the pivot's position in the
-    run's pivot log. Edge sets per node are implicit: the left child's set
-    drops the picked edge, the right child's set is unchanged.
+    with a right child the leaving edge. Edge sets per node are implicit:
+    the left child's set drops the picked edge, the right child's set is
+    unchanged.
     """
 
     def __init__(self):
         self.picked: list[int | None] = []
         self.left: list[int | None] = []
         self.right: list[int | None] = []
-        self.parent: list[int | None] = []
         self.leaving: list[int | None] = []
-        self.pivot_seq: list[int | None] = []
 
-    def _new_node(self, parent: int | None) -> int:
+    def _new_node(self) -> int:
         self.picked.append(None)
         self.left.append(None)
         self.right.append(None)
-        self.parent.append(parent)
         self.leaving.append(None)
-        self.pivot_seq.append(None)
         return len(self.picked) - 1
 
     @property
@@ -62,16 +58,14 @@ class ComputationTree:
     def from_events(cls, events: list) -> "ComputationTree":
         """Rebuild the tree from a traced run's event stream."""
         tree = cls()
-        root = tree._new_node(None)
-        cur = root
+        cur = tree._new_node()
         open_nodes: list[int] = []
-        pivots_seen = 0
         for ev in events:
             kind = ev[0]
             if kind == "pick":
                 tree.picked[cur] = ev[1]
                 open_nodes.append(cur)
-                child = tree._new_node(cur)
+                child = tree._new_node()
                 tree.left[cur] = child
                 cur = child
             elif kind == "leaf":
@@ -80,11 +74,9 @@ class ComputationTree:
                 u = open_nodes.pop()
                 _, pivoted, leaving = ev
                 if pivoted:
-                    child = tree._new_node(u)
+                    child = tree._new_node()
                     tree.right[u] = child
                     tree.leaving[u] = leaving
-                    tree.pivot_seq[u] = pivots_seen
-                    pivots_seen += 1
                     cur = child
                 else:
                     cur = -1
@@ -357,31 +349,24 @@ def follow_canonical(
         e = cands[k]
         direction, stop, detail = state.decide(e)
         path.append((e, direction))
-        if stop == CANONICAL:
-            # the final switch must exist; run the first call, then pivot
-            in_f[e] = False
-            _facet_collapsed(tracker, in_f, shuffled_order(rng))
-            in_f[e] = True
-            if not tracker.improving(e):
-                return CanonicalOutcome(
-                    MISSING_CHILD, detail, path, len(tracker.log)
-                )
-            tracker.pivot(e)
-            return CanonicalOutcome(CANONICAL, detail, path, len(tracker.log))
-        if stop is not None:
+        if stop is not None and stop != CANONICAL:
             return CanonicalOutcome(stop, detail, path, len(tracker.log))
         if direction == L:
             state.removed(e)
             in_f[e] = False
             del cands[k]
             continue
-        # right step: complete the first recursive call, then switch
+        # right step: complete the first recursive call, then switch; a
+        # canonical stop (always an R step) ends on this switch, and a
+        # missing child keeps its level as detail (None on a plain step)
         in_f[e] = False
         _facet_collapsed(tracker, in_f, shuffled_order(rng))
         in_f[e] = True
         if not tracker.improving(e):
-            return CanonicalOutcome(MISSING_CHILD, None, path, len(tracker.log))
+            return CanonicalOutcome(MISSING_CHILD, detail, path, len(tracker.log))
         tracker.pivot(e)
+        if stop == CANONICAL:
+            return CanonicalOutcome(CANONICAL, detail, path, len(tracker.log))
         cands = tracker.nonbasic(in_f)
 
 

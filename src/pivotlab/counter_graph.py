@@ -360,18 +360,22 @@ def bf_edge_set(idx: CounterGraphIndex, subset: Iterable[int]) -> frozenset[int]
     def keep_present(ids: Sequence[int]) -> None:
         out.update(e for e in ids if e in sub)
 
+    def keep_a_chains(i: int) -> None:
+        # each a chain's one-edges past its last missing one, and the present
+        # a0 copies of the rest
+        for j in range(1, idx.r + 1):
+            la = last_a(idx, i, j, sub)
+            for k, e in enumerate(idx.a1(i, j), start=1):
+                if k > la:
+                    out.add(e)
+                else:
+                    keep_present(idx.a0(i, j, k))
+
     for i in idx.levels():
         b_intact = all(e in sub for e in idx.b1(i))
         if i > reset and b_intact:
             out.update(idx.b1(i))
-            for j in range(1, idx.r + 1):
-                la = last_a(idx, i, j, sub)
-                chunk = idx.a1(i, j)
-                for k, e in enumerate(chunk, start=1):
-                    if k > la:
-                        out.add(e)
-                    else:
-                        keep_present(idx.a0(i, j, k))
+            keep_a_chains(i)
             keep_present(idx.u1(i))
             for j in range(1, idx.r + 1):
                 if all(e in sub for e in idx.a1(i, j)):
@@ -390,14 +394,7 @@ def bf_edge_set(idx: CounterGraphIndex, subset: Iterable[int]) -> frozenset[int]
             keep_present(idx.w0(i))
         elif i == reset:
             out.update(idx.b1(i))
-            for j in range(1, idx.r + 1):
-                la = last_a(idx, i, j, sub)
-                chunk = idx.a1(i, j)
-                for k, e in enumerate(chunk, start=1):
-                    if k > la:
-                        out.add(e)
-                    else:
-                        keep_present(idx.a0(i, j, k))
+            keep_a_chains(i)
             keep_present(idx.u1(i))
             keep_present(idx.w0(i))
         else:  # i < reset

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
-from . import counter_graph, rules
+from . import comptrees, counter_graph, rules
 from .graphs import (
     Digraph,
     DisconnectedVertexError,
@@ -51,38 +51,30 @@ def derive_seed(master: int, trial: int) -> int:
     return splitmix64((master ^ ((trial + 1) * _GOLDEN)) & _MASK64)
 
 
-RULE_NAMES = (
-    "random-facet",
-    "random-facet-nonrec",
-    "random-facet-1p",
-    "bland",
-    "random-bland",
-    "dantzig",
-)
+# The rule registry: each rule name and its runner (g, start, rng) -> RunResult.
+RULES = {
+    "random-facet": rules.random_facet,
+    "random-facet-nonrec": rules.random_facet_nonrec,
+    "random-facet-1p": lambda g, start, rng: rules.random_facet_one_perm(
+        g, start, rules.random_permutation_fn(g.n_edges, rng)
+    ),
+    # classic lowest-edge-id scan: the highest permutation rank goes to the
+    # lowest id
+    "bland": lambda g, start, rng: rules.bland_nonrec(
+        g, start, [g.n_edges - e for e in range(g.n_edges)]
+    ),
+    "random-bland": rules.random_bland,
+    "dantzig": lambda g, start, rng: rules.dantzig(g, start),
+}
 
 
 def run_rule(
     rule: str, g: Digraph, start: Policy, seed: int
 ) -> rules.RunResult:
     """One seeded run of a named rule from the given start policy."""
-    rng = Random(seed)
-    if rule == "random-facet":
-        return rules.random_facet(g, start, rng, seed=seed)
-    if rule == "random-facet-nonrec":
-        return rules.random_facet_nonrec(g, start, rng, seed=seed)
-    if rule == "random-facet-1p":
-        sigma = rules.random_permutation_fn(g.n_edges, rng)
-        return rules.random_facet_one_perm(g, start, sigma, seed=seed)
-    if rule == "bland":
-        # classic lowest-edge-id scan: the highest permutation rank goes to
-        # the lowest id
-        sigma = [g.n_edges - e for e in range(g.n_edges)]
-        return rules.bland_nonrec(g, start, sigma, seed=seed)
-    if rule == "random-bland":
-        return rules.random_bland(g, start, rng, seed=seed)
-    if rule == "dantzig":
-        return rules.dantzig(g, start, seed=seed)
-    raise BadConfigError(f"unknown rule {rule!r}")
+    if rule not in RULES:
+        raise BadConfigError(f"unknown rule {rule!r}")
+    return RULES[rule](g, start, Random(seed))
 
 
 @dataclass
@@ -98,10 +90,12 @@ class ExperimentConfig:
     trace_path: str | None = None
 
     def validate(self) -> None:
-        if self.rule not in RULE_NAMES:
+        if self.rule not in RULES:
             raise BadConfigError(f"unknown rule {self.rule!r}")
         if self.trials < 1:
             raise BadConfigError("trials must be at least 1")
+        if self.threads < 1:
+            raise BadConfigError("threads must be at least 1")
         if (self.graph_path is None) == (self.gen_params is None):
             raise BadConfigError("need exactly one of graph_path or gen_params")
         if self.start not in ("auto", "zero", "bfs"):
@@ -162,6 +156,14 @@ def load_index(path: str, g: Digraph) -> counter_graph.CounterGraphIndex:
             f"{idx.n_edges} edges, the graph has {g.n_edges}"
         )
     return idx
+
+
+def save_index(path: str, idx: counter_graph.CounterGraphIndex) -> None:
+    """Write idx's sidecar file: its parameters, which `load_index` reads
+    back, and its named edge groups."""
+    with open(path, "w") as fh:
+        json.dump(counter_graph.index_to_json_dict(idx), fh, indent=1)
+        fh.write("\n")
 
 
 def load_instance(config: ExperimentConfig):
@@ -260,12 +262,10 @@ def summarize(pivot_counts: list[int]) -> Summary:
 def write_trace(config: ExperimentConfig, g: Digraph, start: Policy) -> None:
     """Dump trial 0's pivot log (plus the recursion tree for the facet rule)
     as JSON at config.trace_path."""
-    from . import comptrees, rules as _rules
-
     trial_seed = derive_seed(config.seed, 0)
     doc: dict = {"rule": config.rule, "seed": trial_seed}
     if config.rule == "random-facet":
-        run = _rules.random_facet(g, start, Random(trial_seed), trace=True)
+        run = rules.random_facet(g, start, Random(trial_seed), trace=True)
         tree = comptrees.record_tree(run)
         doc["tree"] = {
             "picked": tree.picked,

@@ -33,9 +33,6 @@ class SelfReplaceWarning(UserWarning):
     """The switch target is already the chosen edge; applying it is a no-op."""
 
 
-INF = float("inf")
-
-
 class Digraph:
     """Directed graph with integer scaled costs and a designated target.
 
@@ -199,8 +196,10 @@ def optimal_distances_list(
     """True shortest distances to the target, restricted to `subset` edges.
 
     Uses topological-order relaxation when the graph is acyclic, Bellman-Ford
-    otherwise. Raises DisconnectedVertexError if some vertex cannot reach the
-    target within the subset, NegativeCycleError on a negative cycle.
+    otherwise; None marks a vertex not yet reached, so every comparison is
+    between integers. Raises DisconnectedVertexError if some vertex cannot
+    reach the target within the subset, NegativeCycleError on a negative
+    cycle.
     """
     sub = None if subset is None else set(subset)
     if sub is not None:
@@ -213,33 +212,34 @@ def optimal_distances_list(
     tails, heads, costs = g.tails, g.heads, g.costs
     topo = g.topological_order()
     if topo is not None:
-        dist: list = [INF] * n
+        dist: list = [None] * n
         dist[g.target] = 0
         for v in reversed(topo):
             if v == g.target:
                 continue
-            best = INF
+            best = None
             for e in g.out_edges[v]:
                 if sub is not None and e not in sub:
                     continue
                 d = dist[heads[e]]
-                if d is not INF:
+                if d is not None:
                     cand = costs[e] + d
-                    if cand < best:
+                    if best is None or cand < best:
                         best = cand
             dist[v] = best
         return dist
     # Bellman-Ford toward the target.
-    dist = [INF] * n
+    dist = [None] * n
     dist[g.target] = 0
     edges = range(g.n_edges) if sub is None else sub
     for _ in range(n - 1):
         changed = False
         for e in edges:
             dh = dist[heads[e]]
-            if dh is not INF:
+            if dh is not None:
                 cand = costs[e] + dh
-                if cand < dist[tails[e]]:
+                dt = dist[tails[e]]
+                if dt is None or cand < dt:
                     dist[tails[e]] = cand
                     changed = True
         if not changed:
@@ -247,7 +247,8 @@ def optimal_distances_list(
     else:
         for e in edges:
             dh = dist[heads[e]]
-            if dh is not INF and costs[e] + dh < dist[tails[e]]:
+            # n-1 rounds reach every vertex, so no tail is None here
+            if dh is not None and costs[e] + dh < dist[tails[e]]:
                 raise NegativeCycleError("relaxation still improves after n-1 rounds")
     return dist
 

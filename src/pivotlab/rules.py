@@ -62,12 +62,14 @@ class RunResult:
     """Outcome of one pivoting-rule run."""
 
     rule: str
-    pivots: int
     pivot_log: list[tuple[int, int]]  # (entering edge, leaving edge)
     final_policy: Policy
-    seed: int | None = None
     sigma: list[int] | None = None
     trace_events: list | None = None
+
+    @property
+    def pivots(self) -> int:
+        return len(self.pivot_log)
 
 
 def _start(g: Digraph, policy: Policy, subset) -> tuple[list, set]:
@@ -161,6 +163,19 @@ class _PivotTracker:
         self.log.append((e, leaving))
         return leaving
 
+    def result(
+        self, rule: str, sigma=None, trace_events: list | None = None
+    ) -> RunResult:
+        """The run's record: its pivot log and the current tree as the final
+        policy."""
+        return RunResult(
+            rule=rule,
+            pivot_log=self.log,
+            final_policy=Policy(tuple(self.chosen)),
+            sigma=None if sigma is None else list(sigma),
+            trace_events=trace_events,
+        )
+
 
 def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -> None:
     """The facet-removal recursion over the columns with in_f set.
@@ -248,7 +263,6 @@ def random_facet(
     rng,
     subset=None,
     trace: bool = False,
-    seed: int | None = None,
 ) -> RunResult:
     """Facet-removal rule with a fresh random pick at every call.
 
@@ -264,14 +278,7 @@ def random_facet(
     tracker = _PivotTracker(g, chosen)
     events: list | None = [] if trace else None
     _facet_collapsed(tracker, in_f, shuffled_order(rng), events)
-    return RunResult(
-        rule="random-facet",
-        pivots=len(tracker.log),
-        pivot_log=tracker.log,
-        final_policy=Policy(tuple(chosen)),
-        seed=seed,
-        trace_events=events,
-    )
+    return tracker.result("random-facet", trace_events=events)
 
 
 def _edge_of_rank(sigma, m: int) -> list[int]:
@@ -287,11 +294,7 @@ def _edge_of_rank(sigma, m: int) -> list[int]:
 
 
 def random_facet_one_perm(
-    g: Digraph,
-    policy: Policy,
-    sigma,
-    subset=None,
-    seed: int | None = None,
+    g: Digraph, policy: Policy, sigma, subset=None
 ) -> RunResult:
     """Facet-removal rule that always removes the candidate of minimum
     permutation index; deterministic given sigma.
@@ -375,19 +378,10 @@ def random_facet_one_perm(
                     while cursor[k] <= rank:
                         k += 1
                     heappush(heaps[k], -rank)
-    return RunResult(
-        rule="random-facet-1p",
-        pivots=len(log),
-        pivot_log=log,
-        final_policy=Policy(tuple(chosen)),
-        seed=seed,
-        sigma=list(sigma),
-    )
+    return tracker.result("random-facet-1p", sigma)
 
 
-def random_facet_nonrec(
-    g: Digraph, policy: Policy, rng, seed: int | None = None
-) -> RunResult:
+def random_facet_nonrec(g: Digraph, policy: Policy, rng) -> RunResult:
     """Non-recursive facet-removal rule.
 
     Keeps an explicit permutation of the non-tree edges; pivots on the first
@@ -409,13 +403,7 @@ def random_facet_nonrec(
         prefix = perm[:j] + [leaving]
         shuffle_exact(prefix, rng)
         perm = prefix + perm[j + 1:]
-    return RunResult(
-        rule="random-facet-nonrec",
-        pivots=len(tracker.log),
-        pivot_log=tracker.log,
-        final_policy=Policy(tuple(chosen)),
-        seed=seed,
-    )
+    return tracker.result("random-facet-nonrec")
 
 
 def bland_rec(
@@ -423,7 +411,6 @@ def bland_rec(
     policy: Policy,
     sigma,
     ell: int = 1,
-    seed: int | None = None,
     frame_hook=None,
 ) -> RunResult:
     """Recursive fixed-permutation rule over the suffix edge sets.
@@ -458,19 +445,10 @@ def bland_rec(
             frame[1] = 0  # tail call: rerun this suffix with the new tree
             continue
         stack.pop()
-    return RunResult(
-        rule="bland",
-        pivots=len(tracker.log),
-        pivot_log=tracker.log,
-        final_policy=Policy(tuple(chosen)),
-        seed=seed,
-        sigma=list(sigma),
-    )
+    return tracker.result("bland", sigma)
 
 
-def bland_nonrec(
-    g: Digraph, policy: Policy, sigma, start: int = 1, seed: int | None = None
-) -> RunResult:
+def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult:
     """Scanning form of the fixed-permutation rule: repeatedly pivot on the
     improving edge of largest permutation index >= start.
 
@@ -482,8 +460,7 @@ def bland_nonrec(
     vertices are re-tested and queued.
     """
     m = g.n_edges
-    chosen = list(policy.chosen)
-    tracker = _PivotTracker(g, chosen)
+    tracker = _PivotTracker(g, list(policy.chosen))
     red = tracker.red
     in_edges = g.in_edges
     # edges below start count as queued for good, so they never enter
@@ -508,31 +485,21 @@ def bland_nonrec(
                 if not queued[x] and red[x] < 0:
                     queued[x] = 1
                     heapq.heappush(heap, x - m * sigma[x])
-    return RunResult(
-        rule="bland-nonrec",
-        pivots=len(tracker.log),
-        pivot_log=tracker.log,
-        final_policy=Policy(tuple(chosen)),
-        seed=seed,
-        sigma=list(sigma),
-    )
+    return tracker.result("bland-nonrec", sigma)
 
 
-def random_bland(
-    g: Digraph, policy: Policy, rng, seed: int | None = None
-) -> RunResult:
+def random_bland(g: Digraph, policy: Policy, rng) -> RunResult:
     """Fixed-permutation rule with a uniformly random permutation."""
     sigma = random_permutation_fn(g.n_edges, rng)
-    res = bland_nonrec(g, policy, sigma, start=1, seed=seed)
+    res = bland_nonrec(g, policy, sigma)
     res.rule = "random-bland"
     return res
 
 
-def dantzig(g: Digraph, policy: Policy, seed: int | None = None) -> RunResult:
+def dantzig(g: Digraph, policy: Policy) -> RunResult:
     """Baseline rule: pivot on the edge of smallest reduced cost
     cost(e) + y(head) - y(tail); ties break to the lowest edge id."""
-    chosen = list(policy.chosen)
-    tracker = _PivotTracker(g, chosen)
+    tracker = _PivotTracker(g, list(policy.chosen))
     red = tracker.red
     edges = range(g.n_edges)
     while True:
@@ -540,13 +507,7 @@ def dantzig(g: Digraph, policy: Policy, seed: int | None = None) -> RunResult:
         if best is None or red[best] >= 0:
             break
         tracker.pivot(best)
-    return RunResult(
-        rule="dantzig",
-        pivots=len(tracker.log),
-        pivot_log=tracker.log,
-        final_policy=Policy(tuple(chosen)),
-        seed=seed,
-    )
+    return tracker.result("dantzig")
 
 
 # ---------------------------------------------------------------------------

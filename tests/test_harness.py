@@ -14,6 +14,7 @@ import pivotlab
 from pivotlab import checks, cli, counter_graph, rules
 from pivotlab.checks import UnknownCheckError, run_check
 from pivotlab.experiments import (
+    RULES,
     BadConfigError,
     ExperimentConfig,
     derive_seed,
@@ -41,12 +42,26 @@ def test_splitmix_avalanche_and_determinism():
 def test_run_rule_names():
     g = parallel_pair()
     start = Policy((0, None))
-    for rule in ("random-facet", "random-facet-nonrec", "random-facet-1p",
-                 "bland", "random-bland", "dantzig"):
+    # each registry name and the RunResult.rule label its run carries; the
+    # CSV rule column and the bench digests depend on these strings
+    labels = {
+        "random-facet": "random-facet",
+        "random-facet-nonrec": "random-facet-nonrec",
+        "random-facet-1p": "random-facet-1p",
+        "bland": "bland-nonrec",
+        "random-bland": "random-bland",
+        "dantzig": "dantzig",
+    }
+    assert list(RULES) == list(labels)
+    for rule, label in labels.items():
         res = run_rule(rule, g, start, seed=3)
         assert res.pivots == 1
+        assert res.rule == label
     with pytest.raises(BadConfigError):
         run_rule("newton", g, start, seed=3)
+    run_parser = cli.build_parser()._subparsers._group_actions[0].choices["run"]
+    rule_flag = next(a for a in run_parser._actions if a.dest == "rule")
+    assert list(rule_flag.choices) == list(RULES)
 
 
 def test_config_validation():
@@ -364,6 +379,10 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
         ["run", "--rule", "dantzig", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
         ["run", "--rule", "dantzig", "--graph", "GRAPH", "--n", "5"],
         ["run", "--rule", "dantzig", "--n", "2", "--r", "1"],
+        ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
+         "--threads", "0"],
+        ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
+         "--threads", "-3"],
         ["gen", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
         ["counter", "--n", "-3", "--exact"],
         ["counter", "--n", "5", "--trials", "0"],
@@ -373,7 +392,8 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
          "params-not-a-list", "params-negative-entry", "params-empty-list",
          "params-zero-chain", "levels-text",
          "levels-range", "zero-trials", "counter-params", "run-graph-and-params",
-         "run-partial-params", "gen-params", "counter-negative-n",
+         "run-partial-params", "run-zero-threads", "run-negative-threads",
+         "gen-params", "counter-negative-n",
          "counter-zero-trials"],
 )
 def test_cli_bad_flag_is_a_usage_error(tmp_path, capsys, argv):
