@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from random import Random
 
 from . import comptrees, counter_graph, counters, lp, rules
@@ -200,26 +200,53 @@ def check_bland_equiv(
     )
 
 
-def _improving_masks(g: Digraph):
-    """Return `mask(chosen)`: a `bytes` over the edges whose entry e is 1
-    exactly when edge e improves on the tree `chosen` (its exact reduced cost
-    is negative). Each tree's mask is computed once. A tree edge never
-    improves on its own tree.
+class _TreeTable:
+    """The trees one enumeration meets, interned as int ids, with bitmasks.
+
+    A tree tuple gets its id on first sight. Per id the table keeps
+    `imp[tid]`, an int whose bit e is set exactly when edge e improves on
+    the tree (`c_e + d[head] < d[tail]` on its exact distances, computed
+    once), and `tree[tid]`, the bits of the tree's own edges. A tree edge
+    never improves on its own tree. `switch` is cached per (id, edge). Each
+    enumeration builds its own table, so nothing outlives the call.
     """
-    cache: dict[tuple, bytes] = {}
-    heads, tails, costs = g.heads, g.tails, g.costs
-    edges = range(g.n_edges)
 
-    def mask(chosen: tuple) -> bytes:
-        m = cache.get(chosen)
-        if m is None:
+    def __init__(self, g: Digraph):
+        self.g = g
+        self.ids: dict[tuple, int] = {}
+        self.trees: list[tuple] = []
+        self.imp: list[int] = []
+        self.tree: list[int] = []
+        self._switched: dict[int, tuple[int, int]] = {}
+
+    def intern(self, chosen: tuple) -> int:
+        tid = self.ids.get(chosen)
+        if tid is None:
+            g = self.g
+            heads, tails, costs = g.heads, g.tails, g.costs
             d = tree_distances_list(g, chosen)
-            m = cache[chosen] = bytes(
-                costs[e] + d[heads[e]] < d[tails[e]] for e in edges
-            )
-        return m
+            imp = 0
+            for e in range(g.n_edges):
+                if costs[e] + d[heads[e]] < d[tails[e]]:
+                    imp |= 1 << e
+            tid = self.ids[chosen] = len(self.trees)
+            self.trees.append(chosen)
+            self.imp.append(imp)
+            self.tree.append(sum(1 << e for e in chosen if e is not None))
+        return tid
 
-    return mask
+    def switch(self, tid: int, e: int) -> tuple[int, int]:
+        """The id of tree `tid` with edge e swapped in, and the edge that
+        leaves it."""
+        key = tid * self.g.n_edges + e
+        hit = self._switched.get(key)
+        if hit is None:
+            switched = list(self.trees[tid])
+            u = self.g.tails[e]
+            leaving = switched[u]
+            switched[u] = e
+            hit = self._switched[key] = (self.intern(tuple(switched)), leaving)
+        return hit
 
 
 def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
@@ -227,31 +254,39 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     enumeration of every random choice, with the full distribution over
     returned trees threaded through the recursion.
 
-    A memo entry (den, exp, dist) holds the expectation exp / den and the
-    probability dist[tree] / den of each returned tree as integer
+    Trees are int ids of a `_TreeTable` and a facet is an int mask over the
+    edges, so a memo key is (facet mask, tree id). The facet's candidates
+    are the set bits of `facet & ~tree`, taken in ascending order. A memo
+    entry (den, exp, dist) holds the expectation exp / den and the
+    probability dist[tree id] / den of each returned tree as integer
     numerators over one denominator. Terms are added over the lcm of their
     denominators, and each entry is reduced by one gcd when it is stored;
     the only `Fraction` is the returned value.
 
-    A facet with no edge improving on its tree is a leaf: it returns its
-    tree after 0 pivots with probability 1. This is exact, not an
-    approximation. The rule pivots only on an improving edge, and every
-    subfacet under the same tree has no improving edge either, so each of
-    its recursive calls returns the same tree unchanged; walking the 2^k
-    subfacets of its k candidates would reach the same entry.
-    """
-    mask = _improving_masks(g)
-    memo: dict[tuple, tuple[int, int, dict]] = {}
+    A facet with no edge improving on its tree (`facet & imp == 0`) is a
+    leaf: it returns its tree after 0 pivots with probability 1. This is
+    exact, not an approximation. The rule pivots only on an improving edge,
+    and every subfacet under the same tree has no improving edge either, so
+    each of its recursive calls returns the same tree unchanged; walking the
+    2^k subfacets of its k candidates would reach the same entry.
 
-    def go(f_set: frozenset, chosen: tuple) -> tuple[int, int, dict]:
-        key = (f_set, chosen)
-        if key in memo:
-            return memo[key]
-        m = mask(chosen)
-        if not any(map(m.__getitem__, f_set)):
-            memo[key] = (1, 0, {chosen: 1})
-            return memo[key]
-        cands = sorted(e for e in f_set if chosen[g.tails[e]] != e)
+    From the zero start of counter graph (n, 1, 1, 1) it gives 4, 3302/315
+    and 3416341/178200 for n = 1, 2, 3; the last takes seconds.
+    """
+    table = _TreeTable(g)
+    imp, tree, switch = table.imp, table.tree, table.switch
+    memo: dict[tuple[int, int], tuple[int, int, dict]] = {}
+
+    def go(f: int, t: int) -> tuple[int, int, dict]:
+        key = (f, t)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if not f & imp[t]:
+            hit = memo[key] = (1, 0, {t: 1})
+            return hit
+        cands = f & ~tree[t]
+        n_cands = cands.bit_count()
         den, exp_total = 1, 0
         dist_total: dict = defaultdict(int)
 
@@ -268,15 +303,16 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
 
         # `over` may rescale the sums, so each call comes before the sum
         # it scales for is read
-        for e in cands:
-            den_left, exp_left, dist_left = go(f_set - {e}, chosen)
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            den_left, exp_left, dist_left = go(f ^ bit, t)
             k = over(den_left)
             exp_total += exp_left * k
             for ret, p in dist_left.items():
-                if mask(ret)[e]:
-                    switched = list(ret)
-                    switched[g.tails[e]] = e
-                    den_right, exp_right, dist_right = go(f_set, tuple(switched))
+                if imp[ret] & bit:
+                    switched, _ = switch(ret, bit.bit_length() - 1)
+                    den_right, exp_right, dist_right = go(f, switched)
                     # p / den_left * (1 + exp_right / den_right)
                     q = p * over(den_left * den_right)
                     exp_total += q * (den_right + exp_right)
@@ -285,16 +321,16 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
                 else:
                     k = over(den_left)
                     dist_total[ret] += p * k
-        den *= len(cands)
+        den *= n_cands
         common = gcd(den, exp_total, *dist_total.values())
-        memo[key] = (
+        hit = memo[key] = (
             den // common,
             exp_total // common,
             {ret: p // common for ret, p in dist_total.items()},
         )
-        return memo[key]
+        return hit
 
-    den, exp, _ = go(frozenset(range(g.n_edges)), tuple(start.chosen))
+    den, exp, _ = go((1 << g.n_edges) - 1, table.intern(tuple(start.chosen)))
     return Fraction(exp, den)
 
 
@@ -305,10 +341,14 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
     blocks followed by a fixed tail. A pivot merges everything scanned
     before the entering edge (plus the leaving edge) into one reshuffled
     block and leaves the unscanned order alone, which is exactly the
-    prefix-reshuffle the rule performs. A memo entry is the expectation as
-    an integer pair (num, den), summed over the lcm of the children's
-    denominators and reduced by one gcd; the only `Fraction` is the
-    returned value.
+    prefix-reshuffle the rule performs. Trees are int ids of a `_TreeTable`
+    and each block is an int mask over the edges, so a memo key is
+    (blocks, tail, tree id); the blocks before the pivot's block, the
+    scanned non-improving edges and the leaving edge are joined by OR. A
+    memo entry is the expectation as an integer pair (num, den), summed
+    over the lcm of the children's denominators and reduced by one gcd,
+    with factorials read from a table; the only `Fraction` is the returned
+    value.
 
     A pivot to an optimal tree is a leaf, added in closed form. The edges
     of a state are always exactly the non-tree edges of its tree, so every
@@ -319,73 +359,80 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
     the 2^k children over the block's k non-improving edges are never
     built. This is exact, not an approximation.
     """
-    mask = _improving_masks(g)
+    table = _TreeTable(g)
+    imp, switch = table.imp, table.switch
+    fact = [1]
+    for k in range(1, g.n_edges + 1):
+        fact.append(fact[-1] * k)
     memo: dict[tuple, tuple[int, int]] = {}
 
-    def pivot(chosen: tuple, e: int) -> tuple[tuple, int]:
-        switched = list(chosen)
-        leaving = switched[g.tails[e]]
-        switched[g.tails[e]] = e
-        return tuple(switched), leaving
-
-    def go(blocks: tuple, tail: tuple, chosen: tuple) -> tuple[int, int]:
-        key = (blocks, tail, chosen)
-        if key in memo:
-            return memo[key]
-        m = mask(chosen)
+    def go(blocks: tuple, tail: tuple, t: int) -> tuple[int, int]:
+        key = (blocks, tail, t)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        m = imp[t]
+        earlier = 0
         for bi, blk in enumerate(blocks):
-            order = sorted(blk)
-            imp = [e for e in order if m[e]]
-            if not imp:
+            imp_blk = blk & m
+            if not imp_blk:
+                earlier |= blk
                 continue
-            non = [e for e in order if not m[e]]
-            earlier: set = set().union(*blocks[:bi]) if bi else set()
-            b_len = len(blk)
+            non = blk ^ imp_blk
+            b_len = blk.bit_count()
+            n_imp = imp_blk.bit_count()
+            later = blocks[bi + 1:]
             # total = sum of a! (b_len - a - 1)! / b_len! * (1 + child) over
             # every entering e and every set of a non-improving edges
             # scanned before it; kept as num / den until the last step
             num, den = 0, 1
-            for e in imp:
-                switched, leaving = pivot(chosen, e)
-                if 1 not in mask(switched):
+            while imp_blk:
+                bit = imp_blk & -imp_blk
+                imp_blk ^= bit
+                switched, leaving = switch(t, bit.bit_length() - 1)
+                if not imp[switched]:
                     # every child is (0, 1); the weights sum to
                     # sum_a C(|non|, a) a! (b_len - a - 1)! = b_len! / |imp|
-                    num += den * (factorial(b_len) // len(imp))
+                    num += den * (fact[b_len] // n_imp)
                     continue
-                for a_sz in range(len(non) + 1):
-                    weight = factorial(a_sz) * factorial(b_len - a_sz - 1)
-                    for a_set in itertools.combinations(non, a_sz):
-                        prefix = earlier | set(a_set) | {leaving}
-                        rest = blk - {e} - set(a_set)
-                        new_blocks = (frozenset(prefix),)
-                        if rest:
-                            new_blocks += (frozenset(rest),)
-                        new_blocks += blocks[bi + 1:]
-                        c_num, c_den = go(new_blocks, tail, switched)
-                        if den % c_den:
-                            k = c_den // gcd(den, c_den)
-                            den *= k
-                            num *= k
-                        num += weight * (c_den + c_num) * (den // c_den)
-            den *= factorial(b_len)
+                scanned = earlier | 1 << leaving
+                unscanned = blk ^ bit
+                a_set = non
+                while True:  # every subset of `non`, `non` itself first
+                    a_sz = a_set.bit_count()
+                    weight = fact[a_sz] * fact[b_len - a_sz - 1]
+                    rest = unscanned ^ a_set
+                    new_blocks = (scanned | a_set,)
+                    if rest:
+                        new_blocks += (rest,)
+                    c_num, c_den = go(new_blocks + later, tail, switched)
+                    if den % c_den:
+                        k = c_den // gcd(den, c_den)
+                        den *= k
+                        num *= k
+                    num += weight * (c_den + c_num) * (den // c_den)
+                    if not a_set:
+                        break
+                    a_set = (a_set - 1) & non
+            den *= fact[b_len]
             common = gcd(num, den)
-            memo[key] = (num // common, den // common)
-            return memo[key]
+            hit = memo[key] = (num // common, den // common)
+            return hit
         for pos, e in enumerate(tail):
-            if m[e]:
-                switched, leaving = pivot(chosen, e)
-                prefix = set().union(*blocks) if blocks else set()
-                prefix |= set(tail[:pos]) | {leaving}
-                c_num, c_den = go((frozenset(prefix),), tail[pos + 1:], switched)
-                memo[key] = (c_den + c_num, c_den)
-                return memo[key]
+            if m >> e & 1:
+                switched, leaving = switch(t, e)
+                prefix = earlier | 1 << leaving
+                for e2 in tail[:pos]:
+                    prefix |= 1 << e2
+                c_num, c_den = go((prefix,), tail[pos + 1:], switched)
+                hit = memo[key] = (c_den + c_num, c_den)
+                return hit
         memo[key] = (0, 1)
         return memo[key]
 
-    nontree = frozenset(
-        e for e in range(g.n_edges) if start.chosen[g.tails[e]] != e
-    )
-    num, den = go((nontree,), (), tuple(start.chosen))
+    t0 = table.intern(tuple(start.chosen))
+    nontree = ((1 << g.n_edges) - 1) & ~table.tree[t0]
+    num, den = go((nontree,), (), t0)
     return Fraction(num, den)
 
 

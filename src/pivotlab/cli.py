@@ -259,7 +259,8 @@ def main(argv=None) -> int:
     except BadConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing input file, or an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

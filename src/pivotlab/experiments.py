@@ -13,9 +13,10 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from random import Random
+from typing import TextIO
 
 from . import comptrees, counter_graph, rules
 from .graphs import (
@@ -220,6 +221,10 @@ def run_trials(
     jobs = [(rule, g, start, t, master_seed) for t in range(trials)]
     if threads <= 1:
         return [_one_trial(j) for j in jobs]
+    # imported here: the pool pulls in multiprocessing, logging and socket,
+    # which a sequential run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_one_trial, jobs, chunksize=max(1, trials // (4 * threads))))
 
@@ -227,12 +232,12 @@ def run_trials(
 CSV_FIELDS = ("trial", "seed", "rule", "pivots", "wall_ns")
 
 
-def write_csv(records: list[ResultRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for r in records:
-            writer.writerow([r.trial, r.seed, r.rule, r.pivots, r.wall_ns])
+def write_csv(records: list[ResultRecord], fh: TextIO) -> None:
+    """The per-trial CSV, written to a file opened with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(CSV_FIELDS)
+    for r in records:
+        writer.writerow([r.trial, r.seed, r.rule, r.pivots, r.wall_ns])
 
 
 @dataclass
@@ -259,9 +264,11 @@ def summarize(pivot_counts: list[int]) -> Summary:
     )
 
 
-def write_trace(config: ExperimentConfig, g: Digraph, start: Policy) -> None:
+def write_trace(
+    config: ExperimentConfig, g: Digraph, start: Policy, fh: TextIO
+) -> None:
     """Dump trial 0's pivot log (plus the recursion tree for the facet rule)
-    as JSON at config.trace_path."""
+    as JSON to fh."""
     trial_seed = derive_seed(config.seed, 0)
     doc: dict = {"rule": config.rule, "seed": trial_seed}
     if config.rule == "random-facet":
@@ -277,20 +284,26 @@ def write_trace(config: ExperimentConfig, g: Digraph, start: Policy) -> None:
         # only the facet recursion defines a computation tree
         run = run_rule(config.rule, g, start, trial_seed)
     doc["pivot_log"] = run.pivot_log
-    with open(config.trace_path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    json.dump(doc, fh)
+    fh.write("\n")
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRecord], Summary]:
     """Execute the configured trials, optionally writing CSV and trace files."""
     config.validate()
     g, _idx, start = load_instance(config)
-    records = run_trials(
-        g, start, config.rule, config.trials, config.seed, config.threads
-    )
-    if config.out_path:
-        write_csv(records, config.out_path)
-    if config.trace_path:
-        write_trace(config, g, start)
+    with ExitStack() as stack:
+        # both outputs are opened before the first trial, so that a path
+        # that cannot be written fails before any work is done
+        out, trace = (
+            stack.enter_context(open(path, "w", newline="")) if path else None
+            for path in (config.out_path, config.trace_path)
+        )
+        records = run_trials(
+            g, start, config.rule, config.trials, config.seed, config.threads
+        )
+        if out:
+            write_csv(records, out)
+        if trace:
+            write_trace(config, g, start, trace)
     return records, summarize([r.pivots for r in records])

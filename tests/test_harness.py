@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 import pivotlab
-from pivotlab import checks, cli, counter_graph, rules
+from pivotlab import checks, cli, counter_graph, experiments, rules
 from pivotlab.checks import UnknownCheckError, run_check
 from pivotlab.experiments import (
     RULES,
@@ -188,6 +188,20 @@ def test_cli_import_does_not_load_numpy():
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    capture_output=True)
+
+
+def test_import_does_not_load_the_process_pool():
+    # a fresh interpreter, so that no other test's imports count; only
+    # run_trials with threads > 1 needs the pool
+    src = str(Path(pivotlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("import sys, pivotlab, pivotlab.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("nrst", [(1, 1, 1, 1), (1, 2, 2, 3), (2, 2, 3, 3),
@@ -386,6 +400,11 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
         ["gen", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
         ["counter", "--n", "-3", "--exact"],
         ["counter", "--n", "5", "--trials", "0"],
+        ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
+         "--out", "DIR"],
+        ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
+         "--trace", "DIR"],
+        ["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1", "--out", "DIR"],
     ],
     ids=["params-json", "params-list", "params-key", "params-type",
          "params-bool", "params-negative", "params-zero-trials",
@@ -394,14 +413,28 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
          "levels-range", "zero-trials", "counter-params", "run-graph-and-params",
          "run-partial-params", "run-zero-threads", "run-negative-threads",
          "gen-params", "counter-negative-n",
-         "counter-zero-trials"],
+         "counter-zero-trials", "run-out-dir", "run-trace-dir", "gen-out-dir"],
 )
 def test_cli_bad_flag_is_a_usage_error(tmp_path, capsys, argv):
     graph = tmp_path / "g.json"
     assert cli.main(["gen", "--n", "2", "--r", "1", "--s", "1", "--t", "1",
                      "--out", str(graph)]) == 0
     capsys.readouterr()
-    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    places = {"GRAPH": str(graph), "DIR": str(tmp_path)}
+    argv = [places.get(a, a) for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_run_opens_its_outputs_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the outputs were opened")
+
+    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    for flag in ("--out", "--trace"):
+        argv = ["run", "--rule", "random-facet", "--n", "2", "--r", "1", "--s", "1",
+                "--t", "1", flag, str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

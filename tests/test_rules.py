@@ -587,6 +587,38 @@ def test_facet_rule_expectations_agree(seed, vertices, extra, max_cost, random_s
             == checks.expected_pivots_nonrec(g, b0))
 
 
+# E[pivots] of both facet rules from the zero start of counter graph
+# (n, 1, 1, 1); the value at n = 3 is in expected_pivots_recursive's docstring
+COUNTER_EXPECTATIONS = {(1, 1, 1, 1): Fraction(4), (2, 1, 1, 1): Fraction(3302, 315)}
+
+
+@pytest.mark.parametrize("params", sorted(COUNTER_EXPECTATIONS))
+def test_counter_graph_expectations_pinned(params):
+    g, idx = cg.build_counter_graph(*params)
+    b0 = cg.initial_tree(idx)
+    assert checks.expected_pivots_recursive(g, b0) == COUNTER_EXPECTATIONS[params]
+    assert checks.expected_pivots_nonrec(g, b0) == COUNTER_EXPECTATIONS[params]
+
+
+def test_facet_engines_agree_in_distribution_on_a_counter_graph():
+    # the Monte Carlo rule of test_facet_engines_agree_in_distribution,
+    # n (mean - exact)^2 <= 16 s^2, against the pinned (2,1,1,1) value
+    g, idx = cg.build_counter_graph(2, 1, 1, 1)
+    b0 = cg.initial_tree(idx)
+    exact = COUNTER_EXPECTATIONS[(2, 1, 1, 1)]
+    trials = 2000
+    runners = (
+        lambda s: random_facet(g, b0, Random(s)).pivots,
+        lambda s: random_facet_nonrec(g, b0, Random(s)).pivots,
+        lambda s: experiments.run_rule("random-facet", g, b0, s).pivots,
+    )
+    for r, runner in enumerate(runners):
+        xs = [runner(10_000 * r + i) for i in range(trials)]
+        mean = Fraction(sum(xs), trials)
+        var = (sum(x * x for x in xs) - trials * mean * mean) / (trials - 1)
+        assert trials * (mean - exact) ** 2 <= 16 * var, (r, float(mean))
+
+
 def test_bland_formulations_identical_logs():
     rng = Random(77)
     for _ in range(40):
