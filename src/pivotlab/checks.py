@@ -338,17 +338,16 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
     """Exact expected pivot count of the permutation-maintaining facet rule.
 
     States carry the scan structure: an ordered run of uniformly shuffled
-    blocks followed by a fixed tail. A pivot merges everything scanned
-    before the entering edge (plus the leaving edge) into one reshuffled
-    block and leaves the unscanned order alone, which is exactly the
-    prefix-reshuffle the rule performs. Trees are int ids of a `_TreeTable`
-    and each block is an int mask over the edges, so a memo key is
-    (blocks, tail, tree id); the blocks before the pivot's block, the
-    scanned non-improving edges and the leaving edge are joined by OR. A
-    memo entry is the expectation as an integer pair (num, den), summed
-    over the lcm of the children's denominators and reduced by one gcd,
-    with factorials read from a table; the only `Fraction` is the returned
-    value.
+    blocks. A pivot merges everything scanned before the entering edge
+    (plus the leaving edge) into one reshuffled block and leaves the
+    unscanned order alone, which is exactly the prefix-reshuffle the rule
+    performs. Trees are int ids of a `_TreeTable` and each block is an int
+    mask over the edges, so a memo key is (blocks, tree id); the blocks
+    before the pivot's block, the scanned non-improving edges and the
+    leaving edge are joined by OR. A memo entry is the expectation as an
+    integer pair (num, den), summed over the lcm of the children's
+    denominators and reduced by one gcd, with factorials read from a table;
+    the only `Fraction` is the returned value.
 
     A pivot to an optimal tree is a leaf, added in closed form. The edges
     of a state are always exactly the non-tree edges of its tree, so every
@@ -366,8 +365,8 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
         fact.append(fact[-1] * k)
     memo: dict[tuple, tuple[int, int]] = {}
 
-    def go(blocks: tuple, tail: tuple, t: int) -> tuple[int, int]:
-        key = (blocks, tail, t)
+    def go(blocks: tuple, t: int) -> tuple[int, int]:
+        key = (blocks, t)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -405,7 +404,7 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
                     new_blocks = (scanned | a_set,)
                     if rest:
                         new_blocks += (rest,)
-                    c_num, c_den = go(new_blocks + later, tail, switched)
+                    c_num, c_den = go(new_blocks + later, switched)
                     if den % c_den:
                         k = c_den // gcd(den, c_den)
                         den *= k
@@ -418,21 +417,12 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
             common = gcd(num, den)
             hit = memo[key] = (num // common, den // common)
             return hit
-        for pos, e in enumerate(tail):
-            if m >> e & 1:
-                switched, leaving = switch(t, e)
-                prefix = earlier | 1 << leaving
-                for e2 in tail[:pos]:
-                    prefix |= 1 << e2
-                c_num, c_den = go((prefix,), tail[pos + 1:], switched)
-                hit = memo[key] = (c_den + c_num, c_den)
-                return hit
         memo[key] = (0, 1)
         return memo[key]
 
     t0 = table.intern(tuple(start.chosen))
     nontree = ((1 << g.n_edges) - 1) & ~table.tree[t0]
-    num, den = go((nontree,), (), t0)
+    num, den = go((nontree,), t0)
     return Fraction(num, den)
 
 

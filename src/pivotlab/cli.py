@@ -6,9 +6,11 @@ Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
 import json
 import sys
+from contextlib import nullcontext
 from random import Random
 
 from . import checks, comptrees, counter_graph, counters
@@ -169,17 +171,17 @@ def cmd_analyze(args) -> int:
         raise BadConfigError(f"--S levels must lie in 1..{idx.n}")
     rows = []
     counts: dict[str, int] = {}
-    for trial in range(args.trials):
-        rng = Random(derive_seed(args.seed, trial))
-        out = comptrees.follow_canonical(g, idx, levels, rng)
-        counts[out.kind] = counts.get(out.kind, 0) + 1
-        rows.append((trial, derive_seed(args.seed, trial), out.kind,
-                     "" if out.detail is None else str(out.detail),
-                     len(out.path)))
-    if args.out:
-        import csv
-
-        with open(args.out, "w", newline="") as fh:
+    # the output is opened before the first trial, so that a path that
+    # cannot be written fails before any work is done
+    with open(args.out, "w", newline="") if args.out else nullcontext() as fh:
+        for trial in range(args.trials):
+            rng = Random(derive_seed(args.seed, trial))
+            out = comptrees.follow_canonical(g, idx, levels, rng)
+            counts[out.kind] = counts.get(out.kind, 0) + 1
+            rows.append((trial, derive_seed(args.seed, trial), out.kind,
+                         "" if out.detail is None else str(out.detail),
+                         len(out.path)))
+        if fh:
             w = csv.writer(fh)
             w.writerow(["trial", "seed", "outcome", "detail", "path_len"])
             w.writerows(rows)
@@ -235,10 +237,13 @@ def cmd_verify(args) -> int:
         raise BadConfigError(f"--params is not valid JSON: {exc}") from exc
     if not isinstance(params, dict):
         raise BadConfigError("--params must be a JSON object")
-    report = checks.run_check(args.check, **_check_params(args.check, params))
-    text = json.dumps(report, indent=1, default=str)
-    if args.out:
-        with open(args.out, "w") as fh:
+    params = _check_params(args.check, params)
+    # opened before the check runs, so that a path that cannot be written
+    # fails before any work is done
+    with open(args.out, "w") if args.out else nullcontext() as fh:
+        report = checks.run_check(args.check, **params)
+        text = json.dumps(report, indent=1, default=str)
+        if fh:
             fh.write(text + "\n")
     print(text)
     return 0 if report["passed"] else 1

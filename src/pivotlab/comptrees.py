@@ -13,6 +13,11 @@ according to the counting schedule for S and stops when the path either
 completes the schedule ("canonical") or first becomes impossible to extend
 (one of three failure events). Only the followed path is kept in memory;
 subtrees hanging off it run to completion through the ordinary solver.
+
+The path indices of edges and edge groups (`sigma_p`, and the post-hoc
+`classify_path`) turn a path into one key list, each edge's first position
+on it, and read the group statistics of `rules` (`sigma_b1`, `sigma_a1`)
+on that list, so a permutation and a path share one definition of each.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ from dataclasses import dataclass, field
 
 from .counter_graph import CounterGraphIndex, initial_tree
 from .graphs import Digraph, Policy
-from .rules import RunResult, _facet_collapsed, _PivotTracker, shuffled_order
+from .rules import (
+    RunResult,
+    _facet_collapsed,
+    _PivotTracker,
+    shuffled_order,
+    sigma_a1,
+    sigma_b1,
+)
 
 
 class ComputationTree:
@@ -86,7 +98,7 @@ class ComputationTree:
             raise ValueError("trace ended with unbalanced calls")
         return tree
 
-    def validate(self, g: Digraph, start: Policy, subset=None) -> None:
+    def validate(self, g: Digraph, start: Policy) -> None:
         """Recompute every node's edge set and entry tree and check the
         child rules; intended for small traced runs.
 
@@ -97,8 +109,7 @@ class ComputationTree:
         """
         from .graphs import improving_switches
 
-        full = frozenset(range(g.n_edges)) if subset is None else frozenset(subset)
-        f_of: dict[int, frozenset[int]] = {0: full}
+        f_of: dict[int, frozenset[int]] = {0: frozenset(range(g.n_edges))}
         b_of: dict[int, Policy] = {0: start}
         returned: dict[int, Policy] = {}
         stack: list[tuple[int, int]] = [(0, 0)]
@@ -161,35 +172,13 @@ R = "R"
 ComputationPath = list[tuple[int, str]]
 
 
-def path_index(path: ComputationPath, e: int) -> int | None:
-    """Position of edge e along the path, None when absent."""
-    for ell, (edge, _) in enumerate(path):
-        if edge == e:
-            return ell
-    return None
-
-
-def group_first_index(path: ComputationPath, edges) -> int | None:
-    """Smallest path position of any edge in the group."""
-    members = set(edges)
-    for ell, (edge, _) in enumerate(path):
-        if edge in members:
-            return ell
-    return None
-
-
-def level_cover_index(
-    idx: CounterGraphIndex, path: ComputationPath, i: int
-) -> int | None:
-    """Position at which every a chain of level i has been touched, i.e. the
-    max over chains of the chain's first position; None if some chain never
-    appears."""
-    firsts = [
-        group_first_index(path, idx.a1(i, j)) for j in range(1, idx.r + 1)
-    ]
-    if any(f is None for f in firsts):
-        return None
-    return max(firsts)  # type: ignore[arg-type]
+def _path_keys(idx: CounterGraphIndex, path: ComputationPath) -> list[int]:
+    """Each edge's first position on the path; len(path) for an edge that is
+    not on it."""
+    keys = [len(path)] * idx.n_edges
+    for ell in range(len(path) - 1, -1, -1):
+        keys[path[ell][0]] = ell
+    return keys
 
 
 def sigma_p(idx: CounterGraphIndex, path: ComputationPath, target) -> int | None:
@@ -199,16 +188,20 @@ def sigma_p(idx: CounterGraphIndex, path: ComputationPath, target) -> int | None
     ("a1", i) for the full-level cover index (max over chains of the chain
     minimum). Absent means None.
     """
+    keys = _path_keys(idx, path)
+    absent = len(path)
     if isinstance(target, int):
-        return path_index(path, target)
-    kind = target[0]
-    if kind == "b1":
-        return group_first_index(path, idx.b1(target[1]))
-    if kind == "a1" and len(target) == 3:
-        return group_first_index(path, idx.a1(target[1], target[2]))
-    if kind == "a1":
-        return level_cover_index(idx, path, target[1])
-    raise ValueError(f"unknown sigma_p target {target!r}")
+        # an id outside the graph names no edge of the path
+        pos = keys[target] if 0 <= target < idx.n_edges else absent
+    elif target[0] == "b1":
+        pos = sigma_b1(idx, keys, target[1])
+    elif target[0] == "a1" and len(target) == 3:
+        pos = min(keys[e] for e in idx.a1(target[1], target[2]))
+    elif target[0] == "a1":
+        pos = sigma_a1(idx, keys, target[1])
+    else:
+        raise ValueError(f"unknown sigma_p target {target!r}")
+    return None if pos == absent else pos
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +373,9 @@ def classify_path(
         return NOT_APPLICABLE, None
     if not path:
         return EXHAUSTED, None
-    k = len(path) - 1
+    keys = _path_keys(idx, path)
+    absent = len(path)
+    k = absent - 1
     _, last_dir = path[k]
     # remaining copies after all L-removals
     removed = {e for e, d in path if d == L}
@@ -388,30 +383,27 @@ def classify_path(
         if all(e in removed for e in ids):
             return BAD3, gix
     for pos, lvl in enumerate(s_sorted):
-        first_here = group_first_index(path, idx.b1(lvl))
-        if first_here is None:
-            later = [
-                group_first_index(path, idx.b1(l2))
-                for l2 in s_sorted[pos + 1:]
-            ]
-            if any(f == k for f in later):
-                return BAD1, pos + 1
+        if sigma_b1(idx, keys, lvl) == absent and any(
+            sigma_b1(idx, keys, l2) == k for l2 in s_sorted[pos + 1:]
+        ):
+            return BAD1, pos + 1
     for i in idx.levels():
-        if group_first_index(path, idx.b1(i)) is None:
-            if level_cover_index(idx, path, i) == k:
-                return BAD2, i
-    if (
-        level_cover_index(idx, path, s_sorted[-1]) == k
-        and last_dir == R
-    ):
+        if sigma_b1(idx, keys, i) == absent and sigma_a1(idx, keys, i) == k:
+            return BAD2, i
+    if sigma_a1(idx, keys, s_sorted[-1]) == k and last_dir == R:
         return CANONICAL, s_sorted[-1]
     return MISSING_CHILD, None
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+# the standard normal quantile of a two-sided 95% interval
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int):
+    """Wilson score 95% interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = _Z95
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -75,8 +75,7 @@ def rand_count(indices: Sequence[int], rng, state: CounterState | None = None,
     return go(order)
 
 
-def rand_count_one_perm(indices: Sequence[int], priority: Sequence[int],
-                        state: CounterState | None = None) -> int:
+def rand_count_one_perm(indices: Sequence[int], priority: Sequence[int]) -> int:
     """Deterministic variant: always picks the index of minimum priority.
 
     `priority` maps index i to its rank (1-indexed list; entry 0 unused, or
@@ -90,14 +89,7 @@ def rand_count_one_perm(indices: Sequence[int], priority: Sequence[int],
         i = min(ns, key=priority.__getitem__)
         idx = ns.index(i)
         total = go(ns[:idx] + ns[idx + 1:])
-        total += 1
-        if state is not None:
-            state.set_bit(i)
-        lower = ns[:idx]
-        if state is not None:
-            for j in lower:
-                state.clear_bit(j)
-        return total + go(lower)
+        return total + 1 + go(ns[:idx])
 
     return go(order)
 

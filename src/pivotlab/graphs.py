@@ -345,7 +345,6 @@ def random_dag(
     n_vertices: int,
     extra_edges: int = 0,
     max_cost: int = 20,
-    parallel_ok: bool = True,
 ) -> Digraph:
     """Random acyclic instance: a chain backbone into the target plus random
     forward edges with non-negative integer costs.
@@ -363,22 +362,13 @@ def random_dag(
         heads.append(later[rng.randrange(len(later))])
         tails.append(v)
         costs.append(rng.randrange(max_cost + 1))
-    seen = {(tails[i], heads[i]) for i in range(len(tails))}
-    attempts = 0
-    added = 0
-    while added < extra_edges and attempts < 50 * (extra_edges + 1):
-        attempts += 1
+    for _ in range(extra_edges):
         pos = rng.randrange(n)
         v = order[pos]
         later = order[pos + 1:] + [target]
-        h = later[rng.randrange(len(later))]
-        if not parallel_ok and (v, h) in seen:
-            continue
-        seen.add((v, h))
         tails.append(v)
-        heads.append(h)
+        heads.append(later[rng.randrange(len(later))])
         costs.append(rng.randrange(max_cost + 1))
-        added += 1
     return Digraph(n + 1, target, tails, heads, costs)
 
 

@@ -24,7 +24,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .graphs import Digraph, Policy
-from .rules import _facet_collapsed, shuffled_order
+from .rules import _facet_collapsed, _nonbasic, shuffled_order
 
 
 class SingularBasisError(Exception):
@@ -328,10 +328,7 @@ class _LPTracker:
 
     def nonbasic(self, in_f: list) -> list[int]:
         """The columns with in_f set that are not basic, in id order."""
-        mask = bytearray(in_f)
-        for j in self.basis:
-            mask[j] = 0
-        return list(itertools.compress(range(self.lp.n_cols), mask))
+        return _nonbasic(in_f, self.basis)
 
     def pivot(self, entering: int) -> int:
         (xb, direction), _ = _primal(self.lp, self.basis, entering)

@@ -30,6 +30,13 @@ columns, so a pivot costs per shifted vertex, like `bland_nonrec`'s heap,
 not per candidate. The tests keep the sorted `_facet_collapsed` run as its
 oracle. Both rank-ordered recursions, it and `bland_rec`, reject a sigma
 that is not a permutation of 1..m.
+
+The counter graph's edge-group statistics have one home: `sigma_b1` (a
+level's first b-chain edge), `sigma_a1` (the point at which every a chain of
+a level has been touched) and `sigma_multi` (a multi-edge's last copy). Each
+takes any list of keys over the edges: ranks, the sampler's float keys, or
+the path positions `comptrees` builds. The well-behaved test, the induced
+bit order, the sampler and the computation-path indices all read them.
 """
 
 from __future__ import annotations
@@ -80,6 +87,16 @@ def _start(g: Digraph, policy: Policy, subset) -> tuple[list, set]:
     return chosen, allowed
 
 
+def _nonbasic(in_f: list, basic) -> list[int]:
+    """The columns with in_f set that are not in `basic`, in id order; a
+    None entry of `basic` (the target's choice) is skipped."""
+    mask = bytearray(in_f)
+    for e in basic:
+        if e is not None:
+            mask[e] = 0
+    return list(compress(range(len(mask)), mask))
+
+
 class _PivotTracker:
     """The pivot kernel: the policy tree, its distances, every edge's reduced
     cost and the pivot log.
@@ -121,11 +138,7 @@ class _PivotTracker:
 
     def nonbasic(self, in_f: list) -> list[int]:
         """The edges with in_f set that are not chosen, in id order."""
-        mask = bytearray(in_f)
-        for e in self.chosen:
-            if e is not None:  # the target chooses no edge
-                mask[e] = 0
-        return list(compress(range(self.g.n_edges), mask))
+        return _nonbasic(in_f, self.chosen)
 
     def pivot(self, e: int) -> int:
         g = self.g
@@ -540,23 +553,20 @@ def random_permutation_fn(m: int, rng) -> list[int]:
     return ranks
 
 
-def sigma_b1(idx: CounterGraphIndex, sigma, i: int) -> int:
-    """First (minimum) rank among level i's b-chain one-edges."""
-    return min(sigma[e] for e in idx.b1(i))
+def sigma_b1(idx: CounterGraphIndex, keys, i: int):
+    """First (minimum) key among level i's b-chain one-edges."""
+    return min(keys[e] for e in idx.b1(i))
 
 
-def sigma_a1_chunk(idx: CounterGraphIndex, sigma, i: int, j: int) -> int:
-    return min(sigma[e] for e in idx.a1(i, j))
+def sigma_a1(idx: CounterGraphIndex, keys, i: int):
+    """Key at which every a chain of level i has been touched: the maximum
+    over its chains of each chain's first (minimum) key."""
+    return max(min(keys[e] for e in idx.a1(i, j)) for j in range(1, idx.r + 1))
 
 
-def sigma_a1(idx: CounterGraphIndex, sigma, i: int) -> int:
-    """Rank at which the last a chain of level i is first touched."""
-    return max(sigma_a1_chunk(idx, sigma, i, j) for j in range(1, idx.r + 1))
-
-
-def sigma_multi(sigma, group) -> int:
-    """Rank of the last copy of a multi-edge."""
-    return max(sigma[e] for e in group)
+def sigma_multi(keys, group):
+    """Key of the last copy of a multi-edge."""
+    return max(keys[e] for e in group)
 
 
 def is_well_behaved(idx: CounterGraphIndex, sigma) -> bool:
@@ -566,18 +576,10 @@ def is_well_behaved(idx: CounterGraphIndex, sigma) -> bool:
     a chain, and every a chain's first edge ahead of every multi-edge's
     last copy.
     """
-    a_chunk_min = [
-        sigma_a1_chunk(idx, sigma, i, j)
-        for i in idx.levels()
-        for j in range(1, idx.r + 1)
-    ]
-    pos = 0
-    for i in idx.levels():
-        level_a = max(a_chunk_min[pos: pos + idx.r])
-        pos += idx.r
-        if sigma_b1(idx, sigma, i) >= level_a:
-            return False
-    threshold = max(a_chunk_min)
+    level_a = [sigma_a1(idx, sigma, i) for i in idx.levels()]
+    if any(sigma_b1(idx, sigma, i) >= a for i, a in zip(idx.levels(), level_a)):
+        return False
+    threshold = max(level_a)
     return all(sigma_multi(sigma, grp) > threshold for grp in idx.multi_edges)
 
 
@@ -600,24 +602,20 @@ def sample_well_behaved(idx: CounterGraphIndex, rng) -> list[int]:
     any level whose b chain sorts after its last a chain, redraw one random
     b-chain key below that threshold, and (b) for any multi-edge whose last
     copy sorts before some a chain's first key, redraw one random copy above
-    the largest such key. Neither repair disturbs the other constraint. The
-    rank order of the keys is the permutation.
+    the largest such key. Neither repair disturbs the other constraint, and
+    no repair touches an a-chain key, so the level thresholds read before
+    the repairs stay valid. The rank order of the keys is the permutation.
     """
     while True:
         keys = [rng.random() for _ in range(idx.n_edges)]
-        chunk_min = {
-            (i, j): min(keys[e] for e in idx.a1(i, j))
-            for i in idx.levels()
-            for j in range(1, idx.r + 1)
-        }
-        for i in idx.levels():
-            level_a = max(chunk_min[(i, j)] for j in range(1, idx.r + 1))
-            b_edges = idx.b1(i)
-            if min(keys[e] for e in b_edges) >= level_a:
-                keys[b_edges[rng.randrange(len(b_edges))]] = rng.random() * level_a
-        threshold = max(chunk_min.values())
+        level_a = [sigma_a1(idx, keys, i) for i in idx.levels()]
+        for i, a in zip(idx.levels(), level_a):
+            if sigma_b1(idx, keys, i) >= a:
+                b_edges = idx.b1(i)
+                keys[b_edges[rng.randrange(len(b_edges))]] = rng.random() * a
+        threshold = max(level_a)
         for grp in idx.multi_edges:
-            if max(keys[e] for e in grp) <= threshold:
+            if sigma_multi(keys, grp) <= threshold:
                 pick = grp[rng.randrange(len(grp))]
                 keys[pick] = threshold + rng.random() * (1.0 - threshold)
         order = sorted(range(idx.n_edges), key=keys.__getitem__)

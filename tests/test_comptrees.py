@@ -95,23 +95,27 @@ def test_sigma_p_matches_double_loop_oracle():
     rng = Random(3)
     _, idx = cg.build_counter_graph(2, 2, 3, 2)
     edges = list(range(idx.n_edges))
-    for _ in range(20):
+
+    def first(path, group):
+        vals = [pos for pos, (e, _) in enumerate(path) if e in set(group)]
+        return min(vals) if vals else None
+
+    for trial in range(40):
         rng.shuffle(edges)
         path = [(e, "L") for e in edges[: rng.randrange(5, 30)]]
+        if trial % 2:
+            # repeat some edges later on the path: the first position counts
+            path += [(e, "R") for e, _ in rng.sample(path, rng.randrange(1, 5))]
+        for e in range(idx.n_edges):
+            assert sigma_p(idx, path, e) == first(path, [e])
         for i in idx.levels():
+            assert sigma_p(idx, path, ("b1", i)) == first(path, idx.b1(i))
             firsts = []
-            complete = True
             for j in range(1, idx.r + 1):
-                vals = [
-                    pos
-                    for pos, (e, _) in enumerate(path)
-                    if e in set(idx.a1(i, j))
-                ]
-                if not vals:
-                    complete = False
-                    break
-                firsts.append(min(vals))
-            oracle = max(firsts) if complete else None
+                chain = first(path, idx.a1(i, j))
+                assert sigma_p(idx, path, ("a1", i, j)) == chain
+                firsts.append(chain)
+            oracle = None if None in firsts else max(firsts)
             assert sigma_p(idx, path, ("a1", i)) == oracle
 
 

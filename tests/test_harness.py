@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 import pivotlab
-from pivotlab import checks, cli, counter_graph, experiments, rules
+from pivotlab import checks, cli, comptrees, counter_graph, experiments, rules
 from pivotlab.checks import UnknownCheckError, run_check
 from pivotlab.experiments import (
     RULES,
@@ -405,6 +405,8 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
         ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
          "--trace", "DIR"],
         ["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1", "--out", "DIR"],
+        ["analyze", "--S", "1", "--trials", "2", "--graph", "GRAPH", "--out", "DIR"],
+        ["verify", "recurrence", "--params", '{"n_max": 5}', "--out", "DIR"],
     ],
     ids=["params-json", "params-list", "params-key", "params-type",
          "params-bool", "params-negative", "params-zero-trials",
@@ -413,7 +415,8 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
          "levels-range", "zero-trials", "counter-params", "run-graph-and-params",
          "run-partial-params", "run-zero-threads", "run-negative-threads",
          "gen-params", "counter-negative-n",
-         "counter-zero-trials", "run-out-dir", "run-trace-dir", "gen-out-dir"],
+         "counter-zero-trials", "run-out-dir", "run-trace-dir", "gen-out-dir",
+         "analyze-out-dir", "verify-out-dir"],
 )
 def test_cli_bad_flag_is_a_usage_error(tmp_path, capsys, argv):
     graph = tmp_path / "g.json"
@@ -436,5 +439,27 @@ def test_cli_run_opens_its_outputs_before_the_first_trial(tmp_path, capsys, monk
         argv = ["run", "--rule", "random-facet", "--n", "2", "--r", "1", "--s", "1",
                 "--t", "1", flag, str(tmp_path)]
         assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_analyze_and_verify_open_their_outputs_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    graph = tmp_path / "g.json"
+    assert cli.main(["gen", "--n", "2", "--r", "1", "--s", "1", "--t", "1",
+                     "--out", str(graph)]) == 0
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output was opened")
+
+    monkeypatch.setattr(comptrees, "follow_canonical", no_work)
+    monkeypatch.setattr(checks, "run_check", no_work)
+    for argv in (
+        ["analyze", "--graph", str(graph), "--S", "2,1", "--trials", "3"],
+        ["verify", "recurrence", "--params", '{"n_max": 5}'],
+    ):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

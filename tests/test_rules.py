@@ -985,10 +985,38 @@ def test_drop_containment_on_traced_runs():
     assert qualified > 10
 
 
+def test_group_statistics_read_float_keys_like_their_ranks():
+    # sigma_b1, sigma_a1 and sigma_multi take any distinct keys over the
+    # edges, so the well-behaved test and the induced order see the same
+    # comparisons on a sampler's float keys as on their ranks
+    rng = Random(17)
+    seen = set()
+    for params in ((3, 2, 2, 2), (4, 1, 2, 3), (2, 3, 3, 3)):
+        _, idx = cg.build_counter_graph(*params)
+        m = idx.n_edges
+        for trial in range(30):
+            if trial % 2:
+                keys = [rng.random() for _ in range(m)]
+            else:
+                # float keys in the order of a well-behaved sample
+                sigma = sample_well_behaved(idx, rng)
+                keys = [(rank - rng.random()) / m for rank in sigma]
+            ranks = [0] * m
+            for rank, e in enumerate(sorted(range(m), key=keys.__getitem__), start=1):
+                ranks[e] = rank
+            wb = is_well_behaved(idx, keys)
+            assert wb == is_well_behaved(idx, ranks)
+            assert induced_permutation(idx, keys) == induced_permutation(idx, ranks)
+            seen.add(wb)
+    assert seen == {True, False}
+
+
 # SHA-256 of the repr of each group's seeded results (see _pinned_logs),
 # recorded when every shuffle was `Random.shuffle`; a change of a
 # random-number discipline or of the facet engine's pivot choice shows up
-# here as a changed digest
+# here as a changed digest; "sample-well-behaved" pins the sampler's draws and
+# the bit order they induce, recorded before the group statistics moved to
+# one set of helpers
 PINNED_LOG_DIGESTS = {
     "random-facet": "1b44b58ac162630ab0b4b0b8806dfbbbe55567d21ca09120a4f5ae2d16db6ebf",
     "random-facet-traced": "4a00e10e3f826618e59b2d8101616213cac954641f6385a00e9a2588861f9ff9",
@@ -997,6 +1025,7 @@ PINNED_LOG_DIGESTS = {
     "random-facet-nonrec": "57cbbc25dfecc9eae49365ac2d7c4a6949b2be2877f2d86187b4b032ca9157c5",
     "follow-canonical": "c69780a0c7674be8aa60be9e471dba445e5698b05ee091ef1be1d3d46aad7218",
     "lp-facet": "a4506dad4e722647ae309b82bfcfe678582e54dda9ef0f260c026996f0c8c12c",
+    "sample-well-behaved": "7829db026c4ba3f26038e3ed339bc2f8d13ba57bbfc2659f5ee7481a57e6db1b",
 }
 
 
@@ -1011,6 +1040,7 @@ def _pinned_logs():
     groups = {name: [] for name in (
         "random-facet", "random-facet-traced", "random-facet-1p",
         "random-bland", "random-facet-nonrec", "follow-canonical", "lp-facet",
+        "sample-well-behaved",
     )}
     for k, (g, b0) in enumerate(instances):
         for seed in range(3):
@@ -1030,6 +1060,12 @@ def _pinned_logs():
         groups["lp-facet"].append(
             lp.random_facet_lp(prob, range(g.n_edges), lp.tree_basis(g, b0), Random(k))
         )
+    rng = Random(4242)
+    for params in ((3, 2, 2, 2), (4, 3, 3, 3)):
+        _, idx = cg.build_counter_graph(*params)
+        for _ in range(8):
+            sigma = sample_well_behaved(idx, rng)
+            groups["sample-well-behaved"].append((sigma, induced_permutation(idx, sigma)))
     return groups
 
 
