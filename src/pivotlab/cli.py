@@ -171,12 +171,13 @@ def cmd_analyze(args) -> int:
         raise BadConfigError(f"--S levels must lie in 1..{idx.n}")
     rows = []
     counts: dict[str, int] = {}
+    start = counter_graph.initial_tree(idx)
     # the output is opened before the first trial, so that a path that
     # cannot be written fails before any work is done
     with open(args.out, "w", newline="") if args.out else nullcontext() as fh:
         for trial in range(args.trials):
             rng = Random(derive_seed(args.seed, trial))
-            out = comptrees.follow_canonical(g, idx, levels, rng)
+            out = comptrees.follow_canonical(g, idx, levels, rng, start)
             counts[out.kind] = counts.get(out.kind, 0) + 1
             rows.append((trial, derive_seed(args.seed, trial), out.kind,
                          "" if out.detail is None else str(out.detail),

@@ -26,10 +26,11 @@ import math
 from dataclasses import dataclass, field
 
 from .counter_graph import CounterGraphIndex, initial_tree
-from .graphs import Digraph, Policy
+from .graphs import Digraph, Policy, tree_distances_list
 from .rules import (
     RunResult,
     _facet_collapsed,
+    _nonbasic,
     _PivotTracker,
     shuffled_order,
     sigma_a1,
@@ -242,7 +243,7 @@ class _FollowState:
             (i, j): idx.s for i in idx.levels() for j in range(1, idx.r + 1)
         }
         self.full_chunks = {i: idx.r for i in idx.levels()}
-        self.multi_in_f = [len(ids) for ids in idx.multi_edges]
+        self.multi_in_f = list(map(len, idx.multi_edges))
 
     def decide(self, e: int) -> tuple[str, str | None, object]:
         """Direction for the pick plus a terminal classification, if any.
@@ -321,6 +322,11 @@ def follow_canonical(
     drops the picked edge, so the list is kept across left steps and
     rebuilt only after a right step, whose sub-solve and switch change the
     tree.
+
+    Left steps never pivot, and most paths stop before their first right
+    step, so the pivot kernel is built only at that step; up front, the
+    start is only checked to be a tree (PolicyCycleError otherwise). A path
+    that stops earlier reports `pivots_done = 0`.
     """
     s_sorted = sorted(set(s_levels), reverse=True)
     if not s_sorted:
@@ -331,19 +337,21 @@ def follow_canonical(
         start = initial_tree(idx)
     state = _FollowState(idx, s_sorted)
     chosen = list(start.chosen)
-    tracker = _PivotTracker(g, chosen)
+    tree_distances_list(g, chosen)  # raises unless the start is a tree
+    tracker = None
+    log: list = []  # the kernel's pivot log, once a right step builds it
     in_f = [True] * g.n_edges
-    cands = tracker.nonbasic(in_f)
+    cands = _nonbasic(in_f, chosen)
     path: ComputationPath = []
     while True:
         if not cands:
-            return CanonicalOutcome(EXHAUSTED, None, path, len(tracker.log))
+            return CanonicalOutcome(EXHAUSTED, None, path, len(log))
         k = rng.randrange(len(cands))
         e = cands[k]
         direction, stop, detail = state.decide(e)
         path.append((e, direction))
         if stop is not None and stop != CANONICAL:
-            return CanonicalOutcome(stop, detail, path, len(tracker.log))
+            return CanonicalOutcome(stop, detail, path, len(log))
         if direction == L:
             state.removed(e)
             in_f[e] = False
@@ -352,14 +360,17 @@ def follow_canonical(
         # right step: complete the first recursive call, then switch; a
         # canonical stop (always an R step) ends on this switch, and a
         # missing child keeps its level as detail (None on a plain step)
+        if tracker is None:
+            tracker = _PivotTracker(g, chosen)
+            log = tracker.log
         in_f[e] = False
         _facet_collapsed(tracker, in_f, shuffled_order(rng))
         in_f[e] = True
         if not tracker.improving(e):
-            return CanonicalOutcome(MISSING_CHILD, detail, path, len(tracker.log))
+            return CanonicalOutcome(MISSING_CHILD, detail, path, len(log))
         tracker.pivot(e)
         if stop == CANONICAL:
-            return CanonicalOutcome(CANONICAL, detail, path, len(tracker.log))
+            return CanonicalOutcome(CANONICAL, detail, path, len(log))
         cands = tracker.nonbasic(in_f)
 
 
@@ -436,11 +447,13 @@ def estimate_canonical_probability(
     trials: int,
     rng,
 ) -> CanonicalEstimate:
-    """Frequency of canonical completions over independent runs, with a
-    Wilson interval and the conditional failure frequencies."""
+    """Frequency of canonical completions over independent runs from the
+    initial tree, built once, with a Wilson interval and the conditional
+    failure frequencies."""
     counts: dict[str, int] = {}
+    start = initial_tree(idx)
     for _ in range(trials):
-        out = follow_canonical(g, idx, s_levels, rng)
+        out = follow_canonical(g, idx, s_levels, rng, start)
         counts[out.kind] = counts.get(out.kind, 0) + 1
     canon = counts.get(CANONICAL, 0)
     bad1 = counts.get(BAD1, 0)

@@ -149,40 +149,59 @@ class Policy:
         return frozenset(e for e in self.chosen if e is not None)
 
 
+def _tree_walk(
+    g: Digraph, chosen: Sequence[int | None]
+) -> tuple[list[int], list[list[int]]]:
+    """Tree distances and child lists of the policy tree, from one walk down
+    from the target.
+
+    `children[v]` lists, in increasing id order, the vertices whose chosen
+    edge points at v. The target's own entry of `chosen` is ignored. Raises
+    PolicyCycleError naming the lowest vertex whose chosen edge is None or
+    leaves another vertex; otherwise, when some vertex is never reached, it
+    hangs below a cycle, and the error names the first vertex met twice on
+    the walk up from the lowest such vertex.
+    """
+    n = g.n_vertices
+    target = g.target
+    tails, heads, costs = g.tails, g.heads, g.costs
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, e in enumerate(chosen):
+        if e is None or tails[e] != v:
+            if v == target:  # no edge leaves the target: any entry lands here
+                continue
+            raise PolicyCycleError(f"vertex {v} has no valid chosen edge")
+        children[heads[e]].append(v)
+    dist: list = [None] * n
+    dist[target] = 0
+    order = [target]
+    for v in order:  # the walk appends to the list it iterates over
+        kids = children[v]
+        if kids:
+            d = dist[v]
+            for w in kids:
+                dist[w] = costs[chosen[w]] + d  # type: ignore[index]
+            order += kids
+    if len(order) < n:
+        v = dist.index(None)
+        seen = set()
+        while v not in seen:
+            seen.add(v)
+            v = heads[chosen[v]]  # type: ignore[index]
+        raise PolicyCycleError(f"chosen edges cycle through vertex {v}")
+    return dist, children
+
+
 def tree_distances_list(
     g: Digraph, chosen: Sequence[int | None]
 ) -> list[int]:
     """Distance to the target along the chosen edges, as a list over vertices.
 
-    Raises PolicyCycleError if the chosen edges loop.
+    One walk down the policy tree from the target (`_tree_walk`). Raises
+    PolicyCycleError if some chosen edge is missing or leaves another
+    vertex, or if the chosen edges loop.
     """
-    n = g.n_vertices
-    dist: list[int | None] = [None] * n
-    dist[g.target] = 0
-    state = bytearray(n)  # 0 unvisited, 1 on current walk, 2 done
-    state[g.target] = 2
-    heads = g.heads
-    costs = g.costs
-    for v0 in range(n):
-        if state[v0]:
-            continue
-        path = []
-        v = v0
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            e = chosen[v]
-            if e is None or g.tails[e] != v:
-                raise PolicyCycleError(f"vertex {v} has no valid chosen edge")
-            v = heads[e]
-        if state[v] == 1:
-            raise PolicyCycleError(f"chosen edges cycle through vertex {v}")
-        acc = dist[v]
-        for u in reversed(path):
-            acc = costs[chosen[u]] + acc  # type: ignore[index]
-            dist[u] = acc
-            state[u] = 2
-    return dist  # type: ignore[return-value]
+    return _tree_walk(g, chosen)[0]
 
 
 def policy_objective(g: Digraph, policy: Policy) -> int:

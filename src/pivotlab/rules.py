@@ -51,6 +51,7 @@ from .graphs import (
     Digraph,
     Policy,
     PolicyCycleError,
+    _tree_walk,
     optimal_distances_list,
     tree_distances_list,
 )
@@ -104,8 +105,10 @@ class _PivotTracker:
     `dist` is one list of exact integer distances and `red` one list of
     exact integer reduced costs red[x] = c(x) + y(head x) - y(tail x); both
     are mutated in place, never rebound, so callers may hold them across
-    pivots. `children[v]` lists the vertices whose chosen edge points at v.
-    A pivot on e = (u, v) walks u's subtree through the child lists, shifts
+    pivots. `children[v]` lists the vertices whose chosen edge points at v;
+    the kernel takes it and `dist` from the one walk down the start tree,
+    `graphs._tree_walk`, which also rejects a start that is not a tree. A
+    pivot on e = (u, v) walks u's subtree through the child lists, shifts
     each of its distances by delta = c(e) + y(v) - y(u), and moves u from
     its old parent's child list to v's; the objective `obj` (summed tree
     distance) moves by delta * |subtree|. For each shifted vertex w the
@@ -121,15 +124,12 @@ class _PivotTracker:
     def __init__(self, g: Digraph, chosen: list):
         self.g = g
         self.chosen = chosen
-        self.dist = dist = tree_distances_list(g, chosen)
+        dist, self.children = _tree_walk(g, chosen)
+        self.dist = dist
         self.red = [
             c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
         ]
         self.obj = sum(dist)
-        self.children: list[list[int]] = [[] for _ in range(g.n_vertices)]
-        for u, e in enumerate(chosen):
-            if e is not None:
-                self.children[g.heads[e]].append(u)
         self.shifted: list[int] = []
         self.log: list[tuple[int, int]] = []
 

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from pivotlab import counter_graph as cg
+from pivotlab import comptrees, counter_graph as cg
 from pivotlab.comptrees import (
     BAD1,
     BAD2,
@@ -24,7 +24,7 @@ from pivotlab.comptrees import (
     sigma_p,
     wilson_interval,
 )
-from pivotlab.graphs import Digraph, Policy, random_dag, random_policy
+from pivotlab.graphs import Digraph, Policy, PolicyCycleError, random_dag, random_policy
 from pivotlab.rules import _facet_collapsed, _PivotTracker, random_facet, shuffled_order
 
 
@@ -197,6 +197,43 @@ def test_follower_matches_per_step_rebuild():
             assert got == _follow_canonical_rebuild(g, idx, levels, Random(seed), start)
             kinds.add(got.kind)
     assert {CANONICAL, BAD1, BAD2, BAD3} <= kinds
+
+
+def test_follower_checks_the_start_before_its_first_right_step(monkeypatch):
+    # the kernel is built at the first right step, so a path that stops
+    # earlier never builds it; the start is still checked up front, and
+    # such a path reports no pivots
+    g, idx = cg.build_counter_graph(4, 2, 2, 2)
+    b0 = cg.initial_tree(idx)
+    early = []
+    for seed in range(60):
+        out = follow_canonical(g, idx, [3, 1], Random(seed), b0)
+        if all(d == L for _, d in out.path[:-1]) and out.kind in (BAD1, BAD2, BAD3):
+            assert out.pivots_done == 0
+            early.append(seed)
+    assert len(early) >= 10
+    chosen = list(b0.chosen)
+    u = next(v for v, e in enumerate(chosen) if e is not None)
+    w = next(v for v, e in enumerate(chosen) if e is not None and v != u)
+    broken = [chosen[:u] + [None] + chosen[u + 1:],  # no edge at u
+              chosen[:u] + [chosen[w]] + chosen[u + 1:]]  # u takes w's edge
+    # without the up-front check, some of these seeds would stop before
+    # the kernel could reject the start
+    monkeypatch.setattr(comptrees, "tree_distances_list", lambda g, chosen: None)
+    unchecked = 0
+    for chosen in broken:
+        for seed in early:
+            try:
+                follow_canonical(g, idx, [3, 1], Random(seed), Policy(tuple(chosen)))
+                unchecked += 1
+            except PolicyCycleError:
+                pass
+    assert unchecked > 0
+    monkeypatch.undo()
+    for chosen in broken:
+        for seed in early:
+            with pytest.raises(PolicyCycleError, match="no valid chosen edge"):
+                follow_canonical(g, idx, [3, 1], Random(seed), Policy(tuple(chosen)))
 
 
 def test_follower_finds_bad2_and_matches_hand_reading():

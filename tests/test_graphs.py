@@ -21,6 +21,7 @@ from pivotlab.graphs import (
     random_dag,
     random_policy,
     save_graph_json,
+    _tree_walk,
     tree_distances_list,
 )
 
@@ -252,3 +253,122 @@ def test_random_policy_gives_up_on_cycle_traps():
     with pytest.raises(ValueError, match="no random policy") as info:
         random_policy(g, Random(3))
     assert "\n" not in str(info.value)
+
+
+def _upward_tree_distances(g, chosen):
+    """The upward walk `tree_distances_list` used before the one walk down
+    from the target; kept verbatim as the oracle for `_tree_walk`."""
+    n = g.n_vertices
+    dist: list[int | None] = [None] * n
+    dist[g.target] = 0
+    state = bytearray(n)  # 0 unvisited, 1 on current walk, 2 done
+    state[g.target] = 2
+    heads = g.heads
+    costs = g.costs
+    for v0 in range(n):
+        if state[v0]:
+            continue
+        path = []
+        v = v0
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            e = chosen[v]
+            if e is None or g.tails[e] != v:
+                raise PolicyCycleError(f"vertex {v} has no valid chosen edge")
+            v = heads[e]
+        if state[v] == 1:
+            raise PolicyCycleError(f"chosen edges cycle through vertex {v}")
+        acc = dist[v]
+        for u in reversed(path):
+            acc = costs[chosen[u]] + acc  # type: ignore[index]
+            dist[u] = acc
+            state[u] = 2
+    return dist  # type: ignore[return-value]
+
+
+def _faults(g, chosen) -> tuple[int, int]:
+    """(vertices without a valid chosen edge, cycles of the chosen edges)."""
+    bad = {
+        v for v, e in enumerate(chosen)
+        if v != g.target and (e is None or g.tails[e] != v)
+    }
+    cycles = set()
+    for v0 in range(g.n_vertices):
+        walk = []
+        v = v0
+        while v != g.target and v not in bad and v not in walk:
+            walk.append(v)
+            v = g.heads[chosen[v]]
+        if v in walk:
+            cycles.add(min(walk[walk.index(v):]))
+    return len(bad), len(cycles)
+
+
+def _walk_cases(rng, count):
+    """Random DAGs, and DAGs with random back edges (cycles, negative costs),
+    each with a uniform draw of one out-edge per vertex; some draws then get
+    a None or a foreign edge (one leaving another vertex) at one or two
+    vertices, or an edge at the target's own entry."""
+    for _ in range(count):
+        g = random_dag(rng, rng.randrange(1, 10), extra_edges=rng.randrange(0, 10))
+        if rng.random() < 0.5:
+            back = rng.randrange(1, 6)
+            tails, heads, costs = list(g.tails), list(g.heads), list(g.costs)
+            for _ in range(back):
+                tails.append(rng.randrange(g.n_vertices - 1))  # the target is last
+                heads.append(rng.randrange(g.n_vertices))
+                costs.append(rng.randrange(-20, 21))
+            g = Digraph(g.n_vertices, g.target, tails, heads, costs)
+        chosen = list(_first_draw(g, rng))
+        roll = rng.random()
+        if roll < 0.3:
+            for _ in range(rng.randrange(1, 3)):
+                v = rng.randrange(g.n_vertices - 1)
+                foreign = [e for e in range(g.n_edges) if g.tails[e] != v]
+                chosen[v] = rng.choice(foreign) if foreign and rng.random() < 0.5 else None
+        elif roll < 0.4:
+            chosen[g.target] = rng.randrange(g.n_edges)
+        yield g, chosen
+
+
+def test_tree_walk_matches_upward_walk():
+    # identical distances on every valid policy; PolicyCycleError on exactly
+    # the same policies, with the same message unless the policy has two or
+    # more faults, at least one of them a vertex without a valid edge (then
+    # the two walks may meet different faults first)
+    valid = invalid = renamed = 0
+    for g, chosen in _walk_cases(Random(61), 3000):
+        try:
+            want = _upward_tree_distances(g, chosen)
+        except PolicyCycleError as exc:
+            invalid += 1
+            with pytest.raises(PolicyCycleError) as info:
+                _tree_walk(g, chosen)
+            if str(info.value) != str(exc):
+                bad, cycles = _faults(g, chosen)
+                assert bad >= 1 and bad + cycles >= 2, (chosen, exc, info.value)
+                renamed += 1
+            continue
+        valid += 1
+        dist, children = _tree_walk(g, chosen)
+        assert dist == want
+        assert tree_distances_list(g, chosen) == want
+        assert children == [
+            [u for u in range(g.n_vertices)
+             if u != g.target and g.heads[chosen[u]] == v]
+            for v in range(g.n_vertices)
+        ]
+    assert valid > 1000 and invalid > 500 and renamed > 0
+
+
+def test_tree_walk_names_the_cycle_and_the_missing_edge():
+    # 0 -> 1 -> 2 -> 1 cycles through 1; vertex 3 reaches the target
+    g = Digraph(5, 4, tails=[0, 1, 2, 3, 0, 1, 2], heads=[1, 2, 1, 4, 4, 4, 4],
+                costs=[1, 1, 1, 1, 1, 1, 1])
+    with pytest.raises(PolicyCycleError, match="cycle through vertex 1"):
+        _tree_walk(g, (0, 1, 2, 3, None))
+    with pytest.raises(PolicyCycleError, match="vertex 2 has no valid chosen edge"):
+        _tree_walk(g, (4, 5, None, 3, None))
+    with pytest.raises(PolicyCycleError, match="vertex 0 has no valid chosen edge"):
+        _tree_walk(g, (1, 5, 6, 3, None))

@@ -100,21 +100,44 @@ def test_parallel_pair_single_pivot(name, runner):
     assert res.pivot_log == [(1, 0)]
 
 
+def _children_rebuild(g, chosen):
+    """The policy tree's child lists, rebuilt from the chosen edges in id
+    order."""
+    children = [[] for _ in range(g.n_vertices)]
+    for u, e in enumerate(chosen):
+        if e is not None:
+            children[g.heads[e]].append(u)
+    return children
+
+
+def _assert_kernel_is_full_recompute(tracker):
+    g = tracker.g
+    dist = tree_distances_list(g, tracker.chosen)
+    assert tracker.dist == dist
+    assert tracker.obj == sum(dist)
+    assert tracker.red == [
+        c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
+    ]
+    # a pivot moves its vertex to the end of its new parent's list
+    assert [sorted(c) for c in tracker.children] == _children_rebuild(g, tracker.chosen)
+
+
 class _CheckedTracker(rules._PivotTracker):
-    """The pivot kernel, checked against a full recompute after every pivot."""
+    """The pivot kernel, checked against a full recompute at construction
+    and after every pivot."""
 
     pivots_checked = 0
+
+    def __init__(self, g, chosen):
+        super().__init__(g, chosen)
+        assert self.children == _children_rebuild(g, chosen)
 
     def pivot(self, e: int) -> int:
         before = list(self.dist)
         red = self.red
         leaving = super().pivot(e)
-        g = self.g
-        dist = tree_distances_list(g, self.chosen)
-        assert self.dist == dist
-        assert self.obj == sum(self.dist)
         assert self.red is red
-        assert red == [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
+        _assert_kernel_is_full_recompute(self)
         moved = {v for v in range(self.g.n_vertices) if before[v] != self.dist[v]}
         assert sorted(self.shifted) == sorted(moved)
         _CheckedTracker.pivots_checked += 1
@@ -280,6 +303,30 @@ def test_bland_heap_matches_linear_scan():
         assert bland_nonrec(g, b0, sigma, start=start).pivot_log == _bland_linear_scan(
             g, b0, sigma, start
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vertices=st.integers(min_value=2, max_value=12),
+    extra=st.integers(min_value=0, max_value=20),
+    data=st.data(),
+)
+def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra, data):
+    # any improving pivot, not just the ones a rule picks, keeps dist, red,
+    # obj and the child lists equal to a full recompute
+    rng = Random(seed)
+    g = random_dag(rng, vertices, extra_edges=extra)
+    tracker = rules._PivotTracker(g, list(random_policy(g, rng).chosen))
+    assert tracker.children == _children_rebuild(g, tracker.chosen)
+    _assert_kernel_is_full_recompute(tracker)
+    while True:
+        improving = [e for e in range(g.n_edges) if tracker.red[e] < 0]
+        if not improving:
+            break
+        tracker.pivot(data.draw(st.sampled_from(improving)))
+        _assert_kernel_is_full_recompute(tracker)
+    assert tracker.dist == optimal_distances_list(g)
 
 
 def _kernel_state(tracker):
