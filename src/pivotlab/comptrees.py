@@ -227,81 +227,6 @@ class CanonicalOutcome:
     pivots_done: int = 0  # pivots the run performed up to the stop
 
 
-class _FollowState:
-    """Incremental bookkeeping for the canonical follower."""
-
-    def __init__(self, idx: CounterGraphIndex, s_levels: list[int]):
-        self.idx = idx
-        self.s_levels = s_levels  # descending
-        self.s_set = set(s_levels)
-        self.b_seen = {i: False for i in idx.levels()}
-        self.chunk_covered = {
-            (i, j): False for i in idx.levels() for j in range(1, idx.r + 1)
-        }
-        self.cover_remaining = {i: idx.r for i in idx.levels()}
-        self.chunk_in_f = {
-            (i, j): idx.s for i in idx.levels() for j in range(1, idx.r + 1)
-        }
-        self.full_chunks = {i: idx.r for i in idx.levels()}
-        self.multi_in_f = list(map(len, idx.multi_edges))
-
-    def decide(self, e: int) -> tuple[str, str | None, object]:
-        """Direction for the pick plus a terminal classification, if any.
-
-        Returns (direction, stop_kind, detail); direction is meaningful even
-        when the path stops here. Mutates the coverage bookkeeping, but not
-        the in-subset counters (the caller removes only on L steps).
-        """
-        idx = self.idx
-        grp = idx.edge_group[e]
-        kind = grp[0]
-        if kind == "b1":
-            i = grp[1]
-            first = not self.b_seen[i]
-            self.b_seen[i] = True
-            direction = R if i in self.s_set else L
-            if first and i in self.s_set:
-                for pos, lvl in enumerate(self.s_levels):
-                    if lvl == i:
-                        break
-                    if not self.b_seen[lvl]:
-                        return direction, BAD1, pos + 1  # schedule position q
-            return direction, None, None
-        if kind == "a1":
-            i, j = grp[1], grp[2]
-            chunk_full = self.chunk_in_f[(i, j)] == idx.s
-            remaining_full = self.full_chunks[i] - (1 if chunk_full else 0)
-            direction = R if (i in self.s_set and remaining_full == 0) else L
-            if not self.chunk_covered[(i, j)]:
-                self.chunk_covered[(i, j)] = True
-                self.cover_remaining[i] -= 1
-                if self.cover_remaining[i] == 0:
-                    if not self.b_seen[i]:
-                        return direction, BAD2, i
-                    if self.s_levels and i == self.s_levels[-1]:
-                        # schedule complete; the final step must be a switch
-                        stop = CANONICAL if direction == R else MISSING_CHILD
-                        return direction, stop, i
-            return direction, None, None
-        # multi-edge copy
-        gix = grp[1]
-        if self.multi_in_f[gix] == 1:
-            return L, BAD3, gix  # removing the last copy breaks the subgraph
-        return L, None, None
-
-    def removed(self, e: int) -> None:
-        """Account an L-step removal."""
-        idx = self.idx
-        grp = idx.edge_group[e]
-        if grp[0] == "a1":
-            i, j = grp[1], grp[2]
-            if self.chunk_in_f[(i, j)] == idx.s:
-                self.full_chunks[i] -= 1
-            self.chunk_in_f[(i, j)] -= 1
-        elif grp[0] == "multi":
-            self.multi_in_f[grp[1]] -= 1
-
-
 def follow_canonical(
     g: Digraph,
     idx: CounterGraphIndex,
@@ -327,17 +252,33 @@ def follow_canonical(
     step, so the pivot kernel is built only at that step; up front, the
     start is only checked to be a tree (PolicyCycleError otherwise). A path
     that stops earlier reports `pivots_done = 0`.
+
+    The bookkeeping is flat: lists indexed by level i (entry 0 unused) and
+    by a chain c = (i-1)*r + j-1, and each multi-edge's copies left in the
+    edge set. Each pick reads its edge's group once, which gives both the
+    direction and any stop, and a left step books its removal there.
     """
     s_sorted = sorted(set(s_levels), reverse=True)
     if not s_sorted:
         return CanonicalOutcome(NOT_APPLICABLE)
-    if any(i < 1 or i > idx.n for i in s_sorted):
+    n, r = idx.n, idx.r
+    if any(i < 1 or i > n for i in s_sorted):
         raise ValueError("schedule levels must lie in 1..n")
     if start is None:
         start = initial_tree(idx)
-    state = _FollowState(idx, s_sorted)
     chosen = list(start.chosen)
     tree_distances_list(g, chosen)  # raises unless the start is a tree
+    last = s_sorted[-1]
+    in_s = [False] * (n + 1)
+    for i in s_sorted:
+        in_s[i] = True
+    b_picked = [False] * (n + 1)  # some edge of level i's b chain picked
+    picked = [False] * (n * r)  # some edge of chain c picked
+    unpicked = [r] * (n + 1)  # chains of level i not yet picked
+    whole = [True] * (n * r)  # no edge of chain c dropped yet
+    n_whole = [r] * (n + 1)  # whole chains of level i
+    copies = list(map(len, idx.multi_edges))
+    group = idx.edge_group
     tracker = None
     log: list = []  # the kernel's pivot log, once a right step builds it
     in_f = [True] * g.n_edges
@@ -348,12 +289,53 @@ def follow_canonical(
             return CanonicalOutcome(EXHAUSTED, None, path, len(log))
         k = rng.randrange(len(cands))
         e = cands[k]
-        direction, stop, detail = state.decide(e)
-        path.append((e, direction))
+        grp = group[e]
+        stop = detail = None
+        if grp[0] == "b1":
+            # a scheduled level's b chain switches; its first pick misorders
+            # the schedule while a higher scheduled b chain is unpicked
+            i = grp[1]
+            right = in_s[i]
+            if right and not b_picked[i]:
+                for q, lvl in enumerate(s_sorted, 1):
+                    if lvl == i:
+                        break
+                    if not b_picked[lvl]:
+                        stop, detail = BAD1, q
+                        break
+            b_picked[i] = True
+        elif grp[0] == "a1":
+            # a scheduled level's chain switches once no other chain of the
+            # level is whole; picking the level's last unpicked chain ends
+            # the path unless its b chain was picked first and the level is
+            # not the schedule's last
+            i = grp[1]
+            c = (i - 1) * r + grp[2] - 1
+            right = in_s[i] and n_whole[i] == whole[c]
+            if not picked[c]:
+                picked[c] = True
+                unpicked[i] -= 1
+                if not unpicked[i]:
+                    if not b_picked[i]:
+                        stop, detail = BAD2, i
+                    elif i == last:
+                        # the final step of the schedule must be a switch
+                        stop, detail = CANONICAL if right else MISSING_CHILD, i
+            if not right and whole[c]:
+                whole[c] = False
+                n_whole[i] -= 1
+        else:
+            # a multi-edge copy is always dropped; the last one breaks the
+            # subgraph
+            right = False
+            gix = grp[1]
+            copies[gix] -= 1
+            if not copies[gix]:
+                stop, detail = BAD3, gix
+        path.append((e, R if right else L))
         if stop is not None and stop != CANONICAL:
             return CanonicalOutcome(stop, detail, path, len(log))
-        if direction == L:
-            state.removed(e)
+        if not right:
             in_f[e] = False
             del cands[k]
             continue

@@ -10,69 +10,26 @@ The quantity of interest is the number of 0-to-1 bit sets performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 
-@dataclass
-class CounterState:
-    """Bit array 1..n plus a tally of 0-to-1 transitions."""
-
-    n: int
-    bits: list[int] = field(default_factory=list)
-    increments: int = 0
-
-    def __post_init__(self):
-        if not self.bits:
-            self.bits = [0] * (self.n + 1)  # index 0 unused
-
-    def set_bit(self, i: int) -> None:
-        if self.bits[i] == 0:
-            self.increments += 1
-        self.bits[i] = 1
-
-    def clear_bit(self, i: int) -> None:
-        self.bits[i] = 0
-
-
-def rand_count(indices: Sequence[int], rng, state: CounterState | None = None,
-               trace: list | None = None) -> int:
+def rand_count(indices: Sequence[int], rng) -> int:
     """Randomized count over `indices`; returns the number of bits set.
 
-    `indices` must be distinct positive integers whose bits are currently 0
-    when `state` is supplied. Recursion: pick i uniformly from N, count on
-    N minus i, set bit i, clear N below i, count on the cleared part.
+    `indices` must be distinct positive integers. Recursion: pick i
+    uniformly from N, count on N minus i, set bit i, clear N below i, count
+    on the cleared part.
     """
-    order = sorted(indices)
-    if state is not None:
-        for i in order:
-            if state.bits[i] != 0:
-                raise ValueError(f"bit {i} is already set")
 
     def go(ns: list[int]) -> int:
         if not ns:
             return 0
         idx = rng.randrange(len(ns))
-        i = ns[idx]
-        if trace is not None:
-            trace.append(("choose", i, tuple(ns)))
-        total = go(ns[:idx] + ns[idx + 1:])
-        total += 1
-        if trace is not None:
-            trace.append(("set", i))
-        if state is not None:
-            state.set_bit(i)
-        lower = ns[:idx]
-        for j in lower:
-            if trace is not None:
-                trace.append(("clear", j))
-            if state is not None:
-                state.clear_bit(j)
-        return total + go(lower)
+        return go(ns[:idx] + ns[idx + 1:]) + 1 + go(ns[:idx])
 
-    return go(order)
+    return go(sorted(indices))
 
 
 def rand_count_one_perm(indices: Sequence[int], priority: Sequence[int]) -> int:

@@ -80,12 +80,19 @@ class RunResult:
         return len(self.pivot_log)
 
 
-def _start(g: Digraph, policy: Policy, subset) -> tuple[list, set]:
-    chosen = list(policy.chosen)
-    allowed = set(range(g.n_edges)) if subset is None else set(subset)
-    if not policy.edge_set() <= allowed:
+def _start(g: Digraph, policy: Policy, subset) -> tuple[list, bytearray]:
+    """The start's chosen edges as a list, and the edge-set flags `in_f`:
+    every edge, or the edges of `subset`."""
+    m = g.n_edges
+    if subset is None:
+        in_f = bytearray(b"\x01") * m
+    else:
+        in_f = bytearray(m)
+        for e in subset:
+            in_f[e] = 1
+    if not all(0 <= e < m and in_f[e] for e in policy.edge_set()):
         raise InvalidStartError("start policy uses edges outside the edge set")
-    return chosen, allowed
+    return list(policy.chosen), in_f
 
 
 def _nonbasic(in_f: list, basic) -> list[int]:
@@ -284,10 +291,7 @@ def random_facet(
     the run also records the event stream of its computation tree; the
     pivots are the same either way.
     """
-    chosen, allowed = _start(g, policy, subset)
-    in_f = [False] * g.n_edges
-    for e in allowed:
-        in_f[e] = True
+    chosen, in_f = _start(g, policy, subset)
     tracker = _PivotTracker(g, chosen)
     events: list | None = [] if trace else None
     _facet_collapsed(tracker, in_f, shuffled_order(rng), events)
@@ -344,10 +348,7 @@ def random_facet_one_perm(
     """
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
-    chosen, allowed = _start(g, policy, subset)
-    in_f = bytearray(m)
-    for e in allowed:
-        in_f[e] = 1
+    chosen, in_f = _start(g, policy, subset)
     tracker = _PivotTracker(g, chosen)
     red = tracker.red
     pivot = tracker.pivot

@@ -14,9 +14,9 @@ from pivotlab.comptrees import (
     L,
     MISSING_CHILD,
     NOT_APPLICABLE,
+    R,
     CanonicalOutcome,
     ComputationTree,
-    _FollowState,
     classify_path,
     estimate_canonical_probability,
     follow_canonical,
@@ -24,6 +24,7 @@ from pivotlab.comptrees import (
     sigma_p,
     wilson_interval,
 )
+from pivotlab.counter_graph import CounterGraphIndex
 from pivotlab.graphs import Digraph, Policy, PolicyCycleError, random_dag, random_policy
 from pivotlab.rules import _facet_collapsed, _PivotTracker, random_facet, shuffled_order
 
@@ -131,17 +132,81 @@ def test_follow_rejects_bad_levels():
         follow_canonical(g, idx, [5], Random(0))
 
 
-def test_follower_matches_posthoc_classification():
-    rng = Random(12)
-    g, idx = cg.build_counter_graph(2, 1, 1, 1)
-    seen = set()
-    for _ in range(300):
-        out = follow_canonical(g, idx, [2, 1], rng)
-        if out.kind in (CANONICAL, BAD1, BAD2, BAD3):
-            kind, _detail = classify_path(idx, [2, 1], out.path)
-            assert kind == out.kind
-            seen.add(out.kind)
-    assert {BAD2, BAD3} <= seen  # tiny chains make failures common
+# The follower's per-pick bookkeeping before it became flat lists, kept
+# verbatim as the rebuild oracle's.
+class _FollowState:
+    """Incremental bookkeeping for the canonical follower."""
+
+    def __init__(self, idx: CounterGraphIndex, s_levels: list[int]):
+        self.idx = idx
+        self.s_levels = s_levels  # descending
+        self.s_set = set(s_levels)
+        self.b_seen = {i: False for i in idx.levels()}
+        self.chunk_covered = {
+            (i, j): False for i in idx.levels() for j in range(1, idx.r + 1)
+        }
+        self.cover_remaining = {i: idx.r for i in idx.levels()}
+        self.chunk_in_f = {
+            (i, j): idx.s for i in idx.levels() for j in range(1, idx.r + 1)
+        }
+        self.full_chunks = {i: idx.r for i in idx.levels()}
+        self.multi_in_f = list(map(len, idx.multi_edges))
+
+    def decide(self, e: int) -> tuple[str, str | None, object]:
+        """Direction for the pick plus a terminal classification, if any.
+
+        Returns (direction, stop_kind, detail); direction is meaningful even
+        when the path stops here. Mutates the coverage bookkeeping, but not
+        the in-subset counters (the caller removes only on L steps).
+        """
+        idx = self.idx
+        grp = idx.edge_group[e]
+        kind = grp[0]
+        if kind == "b1":
+            i = grp[1]
+            first = not self.b_seen[i]
+            self.b_seen[i] = True
+            direction = R if i in self.s_set else L
+            if first and i in self.s_set:
+                for pos, lvl in enumerate(self.s_levels):
+                    if lvl == i:
+                        break
+                    if not self.b_seen[lvl]:
+                        return direction, BAD1, pos + 1  # schedule position q
+            return direction, None, None
+        if kind == "a1":
+            i, j = grp[1], grp[2]
+            chunk_full = self.chunk_in_f[(i, j)] == idx.s
+            remaining_full = self.full_chunks[i] - (1 if chunk_full else 0)
+            direction = R if (i in self.s_set and remaining_full == 0) else L
+            if not self.chunk_covered[(i, j)]:
+                self.chunk_covered[(i, j)] = True
+                self.cover_remaining[i] -= 1
+                if self.cover_remaining[i] == 0:
+                    if not self.b_seen[i]:
+                        return direction, BAD2, i
+                    if self.s_levels and i == self.s_levels[-1]:
+                        # schedule complete; the final step must be a switch
+                        stop = CANONICAL if direction == R else MISSING_CHILD
+                        return direction, stop, i
+            return direction, None, None
+        # multi-edge copy
+        gix = grp[1]
+        if self.multi_in_f[gix] == 1:
+            return L, BAD3, gix  # removing the last copy breaks the subgraph
+        return L, None, None
+
+    def removed(self, e: int) -> None:
+        """Account an L-step removal."""
+        idx = self.idx
+        grp = idx.edge_group[e]
+        if grp[0] == "a1":
+            i, j = grp[1], grp[2]
+            if self.chunk_in_f[(i, j)] == idx.s:
+                self.full_chunks[i] -= 1
+            self.chunk_in_f[(i, j)] -= 1
+        elif grp[0] == "multi":
+            self.multi_in_f[grp[1]] -= 1
 
 
 def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
@@ -183,19 +248,44 @@ def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
         tracker.pivot(e)
 
 
-def test_follower_matches_per_step_rebuild():
-    # same outcomes, paths and pivot counts from the same seed, from the
-    # initial tree and from random start trees
-    kinds = set()
-    for params, levels in (((4, 2, 2, 2), [3, 1]), ((6, 2, 2, 2), [4, 2]),
-                           ((3, 3, 3, 3), [2])):
+# counter graphs and schedules the follower's checks run on, with the paths
+# each check follows; the tiny chains of (2,1,1,1) make failures common, and
+# (2,3,12,4) with [2, 1] reaches many canonical stops, at about 9 ms a path
+FOLLOW_CONFIGS = (((2, 1, 1, 1), [2, 1], 300), ((4, 2, 2, 2), [3, 1], 100),
+                  ((6, 2, 2, 2), [4, 2], 100), ((3, 3, 3, 3), [2], 100),
+                  ((2, 3, 12, 4), [2, 1], 40))
+
+
+def _follows(first_seed):
+    """(g, idx, levels, seed, start) per path: each config from the initial
+    tree and from random start trees."""
+    for params, levels, paths in FOLLOW_CONFIGS:
         g, idx = cg.build_counter_graph(*params)
         starts = [None] + [random_policy(g, Random(k)) for k in range(4)]
-        for seed in range(100):
-            start = starts[seed % len(starts)]
-            got = follow_canonical(g, idx, levels, Random(seed), start)
-            assert got == _follow_canonical_rebuild(g, idx, levels, Random(seed), start)
-            kinds.add(got.kind)
+        for seed in range(first_seed, first_seed + paths):
+            yield g, idx, levels, seed, starts[seed % len(starts)]
+
+
+def test_follower_matches_per_step_rebuild():
+    # same outcomes, paths and pivot counts from the same seed
+    kinds = set()
+    for g, idx, levels, seed, start in _follows(0):
+        got = follow_canonical(g, idx, levels, Random(seed), start)
+        assert got == _follow_canonical_rebuild(g, idx, levels, Random(seed), start)
+        kinds.add(got.kind)
+    assert {CANONICAL, BAD1, BAD2, BAD3} <= kinds
+
+
+def test_follower_matches_posthoc_classification():
+    # the post-hoc reading of each path gives the follower's kind, and its
+    # detail too unless the path misses its last child
+    kinds = set()
+    for g, idx, levels, seed, start in _follows(1000):
+        out = follow_canonical(g, idx, levels, Random(seed), start)
+        kind, detail = classify_path(idx, levels, out.path)
+        assert kind == out.kind
+        assert kind == MISSING_CHILD or detail == out.detail
+        kinds.add(kind)
     assert {CANONICAL, BAD1, BAD2, BAD3} <= kinds
 
 

@@ -35,25 +35,6 @@ def test_one_perm_hand_traces():
     assert counters.rand_count_one_perm([1, 2], [0, 2, 1]) == 3
 
 
-def test_state_invariants():
-    state = counters.CounterState(6)
-    total = counters.rand_count(range(1, 7), Random(3), state=state)
-    assert state.bits[1:] == [1] * 6
-    assert state.increments == total
-
-
-def test_trace_follows_recursion():
-    trace = []
-    rng = Random(9)
-    total = counters.rand_count([1, 2, 3], rng, trace=trace)
-    sets = [ev for ev in trace if ev[0] == "set"]
-    assert len(sets) == total
-    # replay the choices: each choose event picks a member of its shown set
-    for ev in trace:
-        if ev[0] == "choose":
-            assert ev[1] in ev[2]
-
-
 def test_exact_values():
     assert counters.expected_increments(0) == 0
     assert counters.expected_increments(2) == Fraction(5, 2)

@@ -397,6 +397,8 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
          "--threads", "0"],
         ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
          "--threads", "-3"],
+        ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
+         "--trials", "0"],
         ["gen", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
         ["counter", "--n", "-3", "--exact"],
         ["counter", "--n", "5", "--trials", "0"],
@@ -414,6 +416,7 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
          "params-zero-chain", "levels-text",
          "levels-range", "zero-trials", "counter-params", "run-graph-and-params",
          "run-partial-params", "run-zero-threads", "run-negative-threads",
+         "run-zero-trials",
          "gen-params", "counter-negative-n",
          "counter-zero-trials", "run-out-dir", "run-trace-dir", "gen-out-dir",
          "analyze-out-dir", "verify-out-dir"],

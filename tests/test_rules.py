@@ -722,8 +722,7 @@ def _one_perm_oracle(g, b0, sigma, subset=None):
     """The one-permutation rule by definition: the general facet engine with
     every candidate list sorted by sigma. Returns the pivot log and the final
     policy."""
-    chosen, allowed = rules._start(g, b0, subset)
-    in_f = [e in allowed for e in range(g.n_edges)]
+    chosen, in_f = rules._start(g, b0, subset)
     tracker = rules._PivotTracker(g, chosen)
     rules._facet_collapsed(
         tracker, in_f, lambda avail: sorted(avail, key=sigma.__getitem__)
