@@ -26,12 +26,13 @@ import math
 from dataclasses import dataclass, field
 
 from .counter_graph import CounterGraphIndex, initial_tree
-from .graphs import Digraph, Policy, tree_distances_list
+from .graphs import Digraph, Policy
 from .rules import (
     RunResult,
     _facet_collapsed,
-    _nonbasic,
     _PivotTracker,
+    _start_tree,
+    randbelow_exact,
     shuffled_order,
     sigma_a1,
     sigma_b1,
@@ -243,15 +244,22 @@ def follow_canonical(
     switch. Levels must be distinct; they are followed in descending order.
 
     Each pick is uniform over the pick list: the id-ordered nonbasic edges
-    of the current edge set, as `nonbasic` returns them. A left step only
-    drops the picked edge, so the list is kept across left steps and
+    of the current edge set, as `nonbasic` returns them, drawn by
+    `randbelow_exact`, which draws what `rng.randrange` draws. A left step
+    only drops the picked edge, so the list is kept across left steps and
     rebuilt only after a right step, whose sub-solve and switch change the
     tree.
 
     Left steps never pivot, and most paths stop before their first right
-    step, so the pivot kernel is built only at that step; up front, the
-    start is only checked to be a tree (PolicyCycleError otherwise). A path
-    that stops earlier reports `pivots_done = 0`.
+    step, so the pivot kernel is built only at that step. Up front, the
+    follower reads the start's snapshot, `rules._start_tree`: its check
+    that the start is a tree (PolicyCycleError otherwise) and its pick list
+    over all edges. The snapshot is keyed by the start's chosen edges, and
+    the graph keeps one, its last start's, so the trials of an estimate
+    walk and price their common start once, and the kernel copies the same
+    snapshot. A start that is not a tree is never stored, so it raises on
+    every call. A path that stops before its first right step reports
+    `pivots_done = 0`.
 
     The bookkeeping is flat: lists indexed by level i (entry 0 unused) and
     by a chain c = (i-1)*r + j-1, and each multi-edge's copies left in the
@@ -266,8 +274,8 @@ def follow_canonical(
         raise ValueError("schedule levels must lie in 1..n")
     if start is None:
         start = initial_tree(idx)
+    snap = _start_tree(g, start.chosen)  # raises unless the start is a tree
     chosen = list(start.chosen)
-    tree_distances_list(g, chosen)  # raises unless the start is a tree
     last = s_sorted[-1]
     in_s = [False] * (n + 1)
     for i in s_sorted:
@@ -281,13 +289,13 @@ def follow_canonical(
     group = idx.edge_group
     tracker = None
     log: list = []  # the kernel's pivot log, once a right step builds it
-    in_f = [True] * g.n_edges
-    cands = _nonbasic(in_f, chosen)
+    in_f = bytearray(b"\x01") * g.n_edges
+    cands = list(snap.picks)
     path: ComputationPath = []
     while True:
         if not cands:
             return CanonicalOutcome(EXHAUSTED, None, path, len(log))
-        k = rng.randrange(len(cands))
+        k = randbelow_exact(len(cands), rng)
         e = cands[k]
         grp = group[e]
         stop = detail = None
@@ -336,7 +344,7 @@ def follow_canonical(
         if stop is not None and stop != CANONICAL:
             return CanonicalOutcome(stop, detail, path, len(log))
         if not right:
-            in_f[e] = False
+            in_f[e] = 0
             del cands[k]
             continue
         # right step: complete the first recursive call, then switch; a
@@ -345,9 +353,9 @@ def follow_canonical(
         if tracker is None:
             tracker = _PivotTracker(g, chosen)
             log = tracker.log
-        in_f[e] = False
+        in_f[e] = 0
         _facet_collapsed(tracker, in_f, shuffled_order(rng))
-        in_f[e] = True
+        in_f[e] = 1
         if not tracker.improving(e):
             return CanonicalOutcome(MISSING_CHILD, detail, path, len(log))
         tracker.pivot(e)

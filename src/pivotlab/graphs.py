@@ -95,6 +95,9 @@ class Digraph:
                 f"vertices {sorted(unreachable)} cannot reach the target"
             )
         self._topo: tuple[int, ...] | None | bool = False  # False = not computed
+        # the snapshot of the last start tree a pivot kernel or a canonical
+        # follower began from (`rules._start_tree`), built on first use
+        self._start_tree = None
 
     def _unreachable(self, subset: set[int] | None) -> set[int]:
         """Vertices that cannot reach the target using edges in `subset`."""

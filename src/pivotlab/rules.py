@@ -8,7 +8,9 @@ nothing else moves. The kernel shifts just that subtree, and the summed
 tree distance changes by delta * |subtree|; the strict-decrease invariant is
 therefore delta < 0, checked before any state changes. The kernel also keeps
 every edge's reduced cost in the list `red`, so an improving test is a list
-read.
+read. It starts from copies of its start's snapshot, `_start_tree`, which
+the graph keeps for its last start, so trials from one start walk and
+price it once.
 
 The fresh-randomness facet-removal recursion has one engine,
 `_facet_collapsed`, behind `random_facet`, `comptrees.follow_canonical` and
@@ -45,6 +47,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .counter_graph import CounterGraphIndex
 from .graphs import (
@@ -105,6 +108,45 @@ def _nonbasic(in_f: list, basic) -> list[int]:
     return list(compress(range(len(mask)), mask))
 
 
+class _StartTree(NamedTuple):
+    """The derived state of one start tree, which no pivot touches: the
+    kernel copies it, and `comptrees.follow_canonical` reads it."""
+
+    key: tuple  # the start's chosen edges
+    dist: tuple
+    children: tuple  # of tuples
+    red: tuple
+    obj: int
+    picks: tuple  # the non-chosen edges in id order: `_nonbasic`, all flags set
+
+
+def _start_tree(g: Digraph, chosen) -> _StartTree:
+    """The snapshot of the start `chosen`, built on first use.
+
+    The key is `tuple(chosen)`. The graph keeps one entry, its last start,
+    in `g._start_tree`; a different start replaces it. A start that is not
+    a tree fails `graphs._tree_walk`, raises PolicyCycleError and is never
+    stored, so every call from it raises: the check is memoised, not
+    skipped.
+    """
+    key = tuple(chosen)
+    snap = g._start_tree
+    if snap is not None and snap.key == key:
+        return snap
+    dist, children = _tree_walk(g, key)
+    red = [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
+    snap = _StartTree(
+        key,
+        tuple(dist),
+        tuple(map(tuple, children)),
+        tuple(red),
+        sum(dist),
+        tuple(_nonbasic(bytearray(b"\x01") * g.n_edges, key)),
+    )
+    g._start_tree = snap
+    return snap
+
+
 class _PivotTracker:
     """The pivot kernel: the policy tree, its distances, every edge's reduced
     cost and the pivot log.
@@ -112,31 +154,34 @@ class _PivotTracker:
     `dist` is one list of exact integer distances and `red` one list of
     exact integer reduced costs red[x] = c(x) + y(head x) - y(tail x); both
     are mutated in place, never rebound, so callers may hold them across
-    pivots. `children[v]` lists the vertices whose chosen edge points at v;
-    the kernel takes it and `dist` from the one walk down the start tree,
-    `graphs._tree_walk`, which also rejects a start that is not a tree. A
-    pivot on e = (u, v) walks u's subtree through the child lists, shifts
-    each of its distances by delta = c(e) + y(v) - y(u), and moves u from
-    its old parent's child list to v's; the objective `obj` (summed tree
-    distance) moves by delta * |subtree|. For each shifted vertex w the
-    reduced cost of every edge into w rises by delta and of every edge out
-    of w falls by delta, so an edge with both ends in the subtree keeps its
-    reduced cost. A pivot with delta >= 0 raises PivotInvariantError, and
-    one whose head lies in u's own subtree (possible only when the switch
-    closes a negative cycle) raises PolicyCycleError; both leave every field
+    pivots. `children[v]` lists the vertices whose chosen edge points at v.
+    The kernel copies `dist`, the child lists, `red` and `obj` from the
+    start's snapshot, `_start_tree(g, chosen)`: keyed by `tuple(chosen)`,
+    one entry per graph (a different start replaces it), built by one walk
+    down the start tree, `graphs._tree_walk`, which also rejects a start
+    that is not a tree. A rejected start is never stored, so it raises
+    PolicyCycleError on every construction. A pivot on e = (u, v) walks u's
+    subtree through the child lists, shifts each of its distances by
+    delta = c(e) + y(v) - y(u), and moves u from its old parent's child
+    list to v's; the objective `obj` (summed tree distance) moves by
+    delta * |subtree|. For each shifted vertex w the reduced cost of every
+    edge into w rises by delta and of every edge out of w falls by delta,
+    so an edge with both ends in the subtree keeps its reduced cost. A
+    pivot with delta >= 0 raises PivotInvariantError, and one whose head
+    lies in u's own subtree (possible only when the switch closes a
+    negative cycle) raises PolicyCycleError; both leave every field
     unchanged. `shifted` holds the vertices the last pivot moved, so callers
     can re-test only the edges at those vertices.
     """
 
     def __init__(self, g: Digraph, chosen: list):
+        snap = _start_tree(g, chosen)
         self.g = g
         self.chosen = chosen
-        dist, self.children = _tree_walk(g, chosen)
-        self.dist = dist
-        self.red = [
-            c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
-        ]
-        self.obj = sum(dist)
+        self.dist = list(snap.dist)
+        self.children = list(map(list, snap.children))
+        self.red = list(snap.red)
+        self.obj = snap.obj
         self.shifted: list[int] = []
         self.log: list[tuple[int, int]] = []
 
@@ -545,6 +590,23 @@ def shuffle_exact(x: list, rng) -> None:
         while j > i:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
+
+
+def randbelow_exact(n: int, rng) -> int:
+    """A draw of `rng.randrange(n)`, n >= 1, without its `_randbelow` call.
+
+    `Random.randrange(n)` returns getrandbits(k) for k = n.bit_length(),
+    redrawn while it is at least n; so does this, and a seeded rng gives
+    the same value and leaves the same generator state (see the
+    differential test against `Random.randrange`).
+    """
+    if n <= 0:
+        raise ValueError("empty range for randbelow_exact")
+    k = n.bit_length()
+    j = rng.getrandbits(k)
+    while j >= n:
+        j = rng.getrandbits(k)
+    return j
 
 
 def random_permutation_fn(m: int, rng) -> list[int]:

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from pivotlab import comptrees, counter_graph as cg
+from pivotlab import comptrees, counter_graph as cg, rules
 from pivotlab.comptrees import (
     BAD1,
     BAD2,
@@ -307,23 +307,31 @@ def test_follower_checks_the_start_before_its_first_right_step(monkeypatch):
     w = next(v for v, e in enumerate(chosen) if e is not None and v != u)
     broken = [chosen[:u] + [None] + chosen[u + 1:],  # no edge at u
               chosen[:u] + [chosen[w]] + chosen[u + 1:]]  # u takes w's edge
-    # without the up-front check, some of these seeds would stop before
-    # the kernel could reject the start
-    monkeypatch.setattr(comptrees, "tree_distances_list", lambda g, chosen: None)
-    unchecked = 0
+    # the start's snapshot is the follower's one check: with its tree walk
+    # patched out, every one of these paths runs from a broken start (on a
+    # fresh graph, since the walk's unchecked result is stored)
+    g_unchecked, _ = cg.build_counter_graph(4, 2, 2, 2)
+    monkeypatch.setattr(rules, "_tree_walk", lambda g, chosen: (
+        [0] * g.n_vertices, [[] for _ in range(g.n_vertices)]))
     for chosen in broken:
         for seed in early:
-            try:
-                follow_canonical(g, idx, [3, 1], Random(seed), Policy(tuple(chosen)))
-                unchecked += 1
-            except PolicyCycleError:
-                pass
-    assert unchecked > 0
+            follow_canonical(g_unchecked, idx, [3, 1], Random(seed),
+                             Policy(tuple(chosen)))
     monkeypatch.undo()
+    good = {seed: follow_canonical(g, idx, [3, 1], Random(seed), b0)
+            for seed in range(60)}
     for chosen in broken:
-        for seed in early:
-            with pytest.raises(PolicyCycleError, match="no valid chosen edge"):
-                follow_canonical(g, idx, [3, 1], Random(seed), Policy(tuple(chosen)))
+        for seed in range(60):
+            # a broken start raises on every call, also right after the good
+            # start was stored, and it leaves the good start's snapshot
+            assert g._start_tree.key == b0.chosen
+            for _ in range(2):
+                with pytest.raises(PolicyCycleError, match="no valid chosen edge"):
+                    follow_canonical(g, idx, [3, 1], Random(seed),
+                                     Policy(tuple(chosen)))
+            assert g._start_tree.key == b0.chosen
+            # and the good start still runs after it
+            assert follow_canonical(g, idx, [3, 1], Random(seed), b0) == good[seed]
 
 
 def test_follower_finds_bad2_and_matches_hand_reading():

@@ -18,6 +18,7 @@ from pivotlab.graphs import (
     Digraph,
     Policy,
     PolicyCycleError,
+    _tree_walk,
     apply_switch,
     improving_switches,
     optimal_distances_list,
@@ -256,6 +257,19 @@ def test_shuffle_exact_is_random_shuffle():
             assert rng.getstate() == ref.getstate(), (n, seed)
 
 
+def test_randbelow_exact_is_random_randrange():
+    # same value and same generator state as the stdlib draw, at every n up
+    # to 600, so on both sides of each change of the bit count up to 2 ** 9
+    for seed in range(30):
+        ref, rng = Random(seed), Random(seed)
+        for n in range(1, 601):
+            assert rules.randbelow_exact(n, rng) == ref.randrange(n), (n, seed)
+            assert rng.getstate() == ref.getstate(), (n, seed)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rules.randbelow_exact(n, Random(0))
+
+
 def test_traced_run_is_the_untraced_run():
     rng = Random(53)
     instances = []
@@ -327,6 +341,58 @@ def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra,
         tracker.pivot(data.draw(st.sampled_from(improving)))
         _assert_kernel_is_full_recompute(tracker)
     assert tracker.dist == optimal_distances_list(g)
+
+
+def _assert_tracker_is_fresh_build(tracker, start):
+    # a fresh build: one tree walk and a reduced-cost recompute from the
+    # start, and the first pick list that `_nonbasic` gives with every flag
+    g = tracker.g
+    dist, children = _tree_walk(g, start)
+    assert tracker.chosen == list(start)
+    assert tracker.dist == dist
+    assert tracker.children == children
+    assert tracker.red == [
+        c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
+    ]
+    assert tracker.obj == sum(dist)
+    picks = rules._nonbasic(bytearray(b"\x01") * g.n_edges, start)
+    assert list(rules._start_tree(g, start).picks) == picks
+
+
+def _check_snapshot_alternating_starts(g, starts, rng):
+    # each tracker from a repeated start reads the stored snapshot; a run
+    # from it pivots its own copies, so a later tracker from the same start
+    # is still the fresh build
+    for k in range(3 * len(starts)):
+        start = starts[k % len(starts)]
+        tracker = rules._PivotTracker(g, list(start))
+        assert g._start_tree.key == tuple(start)
+        _assert_tracker_is_fresh_build(tracker, start)
+        random_facet(g, Policy(tuple(start)), rng)
+        _assert_tracker_is_fresh_build(rules._PivotTracker(g, list(start)), start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vertices=st.integers(min_value=2, max_value=12),
+    extra=st.integers(min_value=0, max_value=20),
+    n_starts=st.integers(min_value=2, max_value=3),
+)
+def test_start_snapshot_is_a_fresh_build(seed, vertices, extra, n_starts):
+    rng = Random(seed)
+    g = random_dag(rng, vertices, extra_edges=extra)
+    starts = [random_policy(g, rng).chosen for _ in range(n_starts)]
+    _check_snapshot_alternating_starts(g, starts, rng)
+
+
+def test_start_snapshot_is_a_fresh_build_on_counter_graphs():
+    rng = Random(61)
+    for params in ((2, 1, 1, 1), (3, 2, 2, 2), (4, 2, 2, 2)):
+        g, idx = cg.build_counter_graph(*params)
+        starts = [cg.initial_tree(idx).chosen, cg.one_edge_tree(idx).chosen,
+                  random_policy(g, rng).chosen]
+        _check_snapshot_alternating_starts(g, starts, rng)
 
 
 def _kernel_state(tracker):
