@@ -3,11 +3,14 @@
 
 Tabulates the exact expectation (closed form and recurrence), the
 asymptotic approximation, and a seeded Monte Carlo estimate side by side.
+Then gives the exact expected pivot count of the recursive facet rule on
+small counter graphs from the zero start, by exhaustive enumeration.
 """
 
+import time
 from random import Random
 
-from pivotlab import counters
+from pivotlab import checks, counter_graph, counters
 
 
 def main():
@@ -42,6 +45,17 @@ def main():
         mean = counters.one_perm_mean_over_permutations(n)
         print(f"  n={n}: mean over {n}! orders = {mean} "
               f"(exact {counters.expected_increments(n)})")
+
+    print()
+    print("Exact E[RF pivots] of the recursive facet rule from the zero start")
+    print("of counter graph (n, r, s, t), by exhaustive enumeration:")
+    for params in ((1, 1, 1, 1), (2, 1, 1, 1), (2, 1, 2, 1), (3, 1, 1, 1)):
+        g, idx = counter_graph.build_counter_graph(*params)
+        clock = time.perf_counter()
+        exact = checks.expected_pivots_recursive(g, counter_graph.initial_tree(idx))
+        wall = time.perf_counter() - clock
+        print(f"  {str(params):>12} m={g.n_edges:>2}: {str(exact):>15} "
+              f"= {float(exact):8.4f}  ({wall:.2f} s)")
 
 
 if __name__ == "__main__":

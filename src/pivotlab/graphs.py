@@ -160,12 +160,16 @@ def _tree_walk(
 
     `children[v]` lists, in increasing id order, the vertices whose chosen
     edge points at v. The target's own entry of `chosen` is ignored. Raises
-    PolicyCycleError naming the lowest vertex whose chosen edge is None or
+    PolicyCycleError naming both lengths when `chosen` has not one entry
+    per vertex; else naming the lowest vertex whose chosen edge is None or
     leaves another vertex; otherwise, when some vertex is never reached, it
     hangs below a cycle, and the error names the first vertex met twice on
     the walk up from the lowest such vertex.
     """
     n = g.n_vertices
+    if len(chosen) != n:
+        raise PolicyCycleError(
+            f"chosen has {len(chosen)} entries for {n} vertices")
     target = g.target
     tails, heads, costs = g.tails, g.heads, g.costs
     children: list[list[int]] = [[] for _ in range(n)]

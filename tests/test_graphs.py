@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from pivotlab import counter_graph
 from pivotlab.graphs import (
     Digraph,
     DisconnectedVertexError,
@@ -332,11 +333,21 @@ def _walk_cases(rng, count):
         yield g, chosen
 
 
+def _assert_wrong_lengths_rejected(g, chosen):
+    # one entry short and one entry long, each named by both lengths
+    n = g.n_vertices
+    for wrong in (chosen[:-1], [*chosen, None]):
+        with pytest.raises(PolicyCycleError,
+                           match=f"^chosen has {len(wrong)} entries for {n} vertices$"):
+            _tree_walk(g, wrong)
+
+
 def test_tree_walk_matches_upward_walk():
     # identical distances on every valid policy; PolicyCycleError on exactly
     # the same policies, with the same message unless the policy has two or
     # more faults, at least one of them a vertex without a valid edge (then
-    # the two walks may meet different faults first)
+    # the two walks may meet different faults first); a valid policy one
+    # entry short or long is rejected by its length
     valid = invalid = renamed = 0
     for g, chosen in _walk_cases(Random(61), 3000):
         try:
@@ -359,7 +370,12 @@ def test_tree_walk_matches_upward_walk():
              if u != g.target and g.heads[chosen[u]] == v]
             for v in range(g.n_vertices)
         ]
+        _assert_wrong_lengths_rejected(g, chosen)
     assert valid > 1000 and invalid > 500 and renamed > 0
+    # a random DAG's target is its last vertex; a counter graph's is vertex
+    # 0, so there the short start drops a vertex with an edge to choose
+    g, idx = counter_graph.build_counter_graph(2, 1, 1, 1)
+    _assert_wrong_lengths_rejected(g, counter_graph.initial_tree(idx).chosen)
 
 
 def test_tree_walk_names_the_cycle_and_the_missing_edge():

@@ -680,6 +680,16 @@ def test_pruned_enumerators_match_unpruned_oracles():
             non = checks.expected_pivots_nonrec(g, b0)
             assert rec == _expected_pivots_recursive_unpruned(g, b0), (k, b0)
             assert non == _expected_pivots_nonrec_unpruned(g, b0), (k, b0)
+    # the recursive enumerator's facet cut on counter graphs too: the zero
+    # start and two uniform trees
+    for params in ((1, 1, 1, 1), (2, 1, 1, 1)):
+        g, idx = cg.build_counter_graph(*params)
+        every_edge = range(g.n_edges)
+        starts = [cg.initial_tree(idx)]
+        starts += [cg.random_tree_within(g, every_edge, rng) for _ in range(2)]
+        for b0 in starts:
+            assert (checks.expected_pivots_recursive(g, b0)
+                    == _expected_pivots_recursive_unpruned(g, b0)), (params, b0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -700,9 +710,16 @@ def test_facet_rule_expectations_agree(seed, vertices, extra, max_cost, random_s
             == checks.expected_pivots_nonrec(g, b0))
 
 
-# E[pivots] of both facet rules from the zero start of counter graph
-# (n, 1, 1, 1); the value at n = 3 is in expected_pivots_recursive's docstring
-COUNTER_EXPECTATIONS = {(1, 1, 1, 1): Fraction(4), (2, 1, 1, 1): Fraction(3302, 315)}
+# E[pivots] of both facet rules from the zero start of counter graphs, as
+# in expected_pivots_recursive's docstring; expected_pivots_nonrec has no
+# facet cut, so it is checked only at the two smallest sets
+COUNTER_EXPECTATIONS = {
+    (1, 1, 1, 1): Fraction(4),
+    (2, 1, 1, 1): Fraction(3302, 315),
+    (2, 1, 2, 1): Fraction(380449, 23100),
+    (3, 1, 1, 1): Fraction(3416341, 178200),
+}
+NONREC_AFFORDABLE = {(1, 1, 1, 1), (2, 1, 1, 1)}
 
 
 @pytest.mark.parametrize("params", sorted(COUNTER_EXPECTATIONS))
@@ -710,7 +727,8 @@ def test_counter_graph_expectations_pinned(params):
     g, idx = cg.build_counter_graph(*params)
     b0 = cg.initial_tree(idx)
     assert checks.expected_pivots_recursive(g, b0) == COUNTER_EXPECTATIONS[params]
-    assert checks.expected_pivots_nonrec(g, b0) == COUNTER_EXPECTATIONS[params]
+    if params in NONREC_AFFORDABLE:
+        assert checks.expected_pivots_nonrec(g, b0) == COUNTER_EXPECTATIONS[params]
 
 
 def test_facet_engines_agree_in_distribution_on_a_counter_graph():
