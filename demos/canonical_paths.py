@@ -8,6 +8,7 @@ follows that path over many runs and tallies how it ends: the schedule
 completes ("canonical") or one of three failure events cuts it short.
 """
 
+from itertools import repeat
 from random import Random
 
 from pivotlab import counter_graph as cg
@@ -23,7 +24,7 @@ def main():
           f"{g.n_vertices} vertices, {g.n_edges} edges")
 
     rng = Random(1)
-    est = estimate_canonical_probability(g, idx, [2], trials=120, rng=rng)
+    est = estimate_canonical_probability(g, idx, [2], repeat(rng, 120))
     print(f"schedule [2]: outcomes over {est.trials} runs: {est.counts}")
     print(f"  canonical frequency {est.canonical_freq:.3f} "
           f"(wilson [{est.wilson_low:.3f}, {est.wilson_high:.3f}])")
@@ -34,12 +35,9 @@ def main():
 
     # with single-copy multi-edges the failure events dominate
     g2, idx2 = cg.build_counter_graph(2, 1, 1, 1)
-    counts: dict[str, int] = {}
     rng = Random(5)
-    for _ in range(400):
-        out = follow_canonical(g2, idx2, [2, 1], rng)
-        counts[out.kind] = counts.get(out.kind, 0) + 1
-    print(f"fragile instance (r=s=t=1), schedule [2,1]: {counts}")
+    est = estimate_canonical_probability(g2, idx2, [2, 1], repeat(rng, 400))
+    print(f"fragile instance (r=s=t=1), schedule [2,1]: {est.counts}")
     print()
 
     out = None

@@ -172,31 +172,25 @@ def check_bland_equiv(
     """Recursive and scanning fixed-permutation runs produce element-wise
     identical pivot logs."""
     rng = Random(seed)
-    mismatches = 0
-    total = 0
+    instances = []
     for _ in range(dag_instances):
         g = random_dag(rng, rng.randrange(4, 12), extra_edges=rng.randrange(2, 12))
         start = random_policy(g, rng)
-        sigma = rules.random_permutation_fn(g.n_edges, rng)
-        total += 1
-        rec = rules.bland_rec(g, start, sigma)
-        non = rules.bland_nonrec(g, start, sigma)
-        if rec.pivot_log != non.pivot_log:
-            mismatches += 1
+        instances.append((g, start, rules.random_permutation_fn(g.n_edges, rng)))
     g, idx = counter_graph.build_counter_graph(2, 2, 2, 2)
     start = counter_graph.initial_tree(idx)
     for _ in range(counter_sigmas):
-        sigma = rules.random_permutation_fn(g.n_edges, rng)
-        total += 1
-        rec = rules.bland_rec(g, start, sigma)
-        non = rules.bland_nonrec(g, start, sigma)
-        if rec.pivot_log != non.pivot_log:
-            mismatches += 1
+        instances.append((g, start, rules.random_permutation_fn(g.n_edges, rng)))
+    mismatches = sum(
+        rules.bland_rec(g, start, sigma).pivot_log
+        != rules.bland_nonrec(g, start, sigma).pivot_log
+        for g, start, sigma in instances
+    )
     return _report(
         "bland-equiv",
         {"dag_instances": dag_instances, "counter_sigmas": counter_sigmas, "seed": seed},
         mismatches == 0,
-        {"compared": total, "mismatches": mismatches},
+        {"compared": len(instances), "mismatches": mismatches},
     )
 
 
@@ -504,7 +498,7 @@ def check_lp_correspondence(instances: int = 20, seed: int = 20244) -> dict:
         run_seed = rng.randrange(2**32)
         g = random_dag(rng, rng.randrange(3, 9), extra_edges=rng.randrange(2, 10))
         start = random_policy(g, rng)
-        graph_run = rules.random_facet(g, start, Random(run_seed), trace=True)
+        graph_run = rules.random_facet(g, start, Random(run_seed))
         the_lp, row_of, _ = lp.sp_to_lp(g)
         basis, log = lp.random_facet_lp(
             the_lp, range(g.n_edges), lp.tree_basis(g, start), Random(run_seed)
@@ -658,27 +652,21 @@ def check_switch_identity(
     rng = Random(seed)
     g, idx = counter_graph.build_counter_graph(2, 2, 2, 2)
     start = counter_graph.initial_tree(idx)
-    failures = 0
-    total = 0
-    for _ in range(counter_runs):
-        run = rules.random_facet(g, start, Random(rng.randrange(2**32)), trace=True)
-        tree = comptrees.ComputationTree.from_events(run.trace_events)
-        total += 1
-        if tree.switch_count() != run.pivots:
-            failures += 1
+    runs = [(g, start, rng.randrange(2**32)) for _ in range(counter_runs)]
     for _ in range(dag_runs):
         gd = random_dag(rng, rng.randrange(3, 9), extra_edges=rng.randrange(2, 10))
         sd = random_policy(gd, rng)
-        run = rules.random_facet(gd, sd, Random(rng.randrange(2**32)), trace=True)
+        runs.append((gd, sd, rng.randrange(2**32)))
+    failures = 0
+    for gr, sr, run_seed in runs:
+        run = rules.random_facet(gr, sr, Random(run_seed), trace=True)
         tree = comptrees.ComputationTree.from_events(run.trace_events)
-        total += 1
-        if tree.switch_count() != run.pivots:
-            failures += 1
+        failures += tree.switch_count() != run.pivots
     return _report(
         "switch-identity",
         {"counter_runs": counter_runs, "dag_runs": dag_runs, "seed": seed},
         failures == 0,
-        {"runs": total, "failures": failures},
+        {"runs": len(runs), "failures": failures},
     )
 
 

@@ -13,17 +13,19 @@ import sys
 from contextlib import nullcontext
 from random import Random
 
-from . import checks, comptrees, counter_graph, counters
+from . import checks, comptrees, counter_graph, counters, experiments
 from .experiments import (
     RULES,
     BadConfigError,
-    ExperimentConfig,
     derive_seed,
     load_graph,
     load_index,
-    run_experiment,
+    load_instance,
     save_index,
     sidecar_index_path,
+    summarize,
+    write_csv,
+    write_trace,
 )
 from .graphs import save_graph_json
 
@@ -108,18 +110,25 @@ def cmd_run(args) -> int:
         raise BadConfigError("--graph excludes --n/--r/--s/--t")
     if args.graph is None and None in params:
         raise BadConfigError("run needs --graph or all of --n/--r/--s/--t")
-    config = ExperimentConfig(
-        rule=args.rule,
-        trials=args.trials,
-        seed=args.seed,
-        graph_path=args.graph,
-        gen_params=params if args.graph is None else None,
-        start=args.start,
-        out_path=args.out,
-        threads=args.threads,
-        trace_path=args.trace,
-    )
-    records, summary = run_experiment(config)
+    if args.trials < 1:
+        raise BadConfigError("trials must be at least 1")
+    if args.threads < 1:
+        raise BadConfigError("threads must be at least 1")
+    g, _idx, start = load_instance(args.graph, params, args.start)
+    # both outputs are opened before the first trial, so that a path that
+    # cannot be written fails before any work is done
+    with (
+        open(args.out, "w", newline="") if args.out else nullcontext() as out,
+        open(args.trace, "w", newline="") if args.trace else nullcontext() as trace,
+    ):
+        records = experiments.run_trials(
+            g, start, args.rule, args.trials, args.seed, args.threads
+        )
+        if out:
+            write_csv(records, out)
+        if trace:
+            write_trace(args.rule, args.seed, g, start, trace)
+    summary = summarize([r.pivots for r in records])
     print(
         f"rule={args.rule} trials={summary.trials} mean={summary.mean:.3f} "
         f"stderr={summary.stderr:.3f} min={summary.minimum} max={summary.maximum}"
@@ -169,28 +178,22 @@ def cmd_analyze(args) -> int:
         raise BadConfigError(f"--S {args.S!r} is not a list of integers") from exc
     if any(i < 1 or i > idx.n for i in levels):
         raise BadConfigError(f"--S levels must lie in 1..{idx.n}")
-    rows = []
-    counts: dict[str, int] = {}
-    start = counter_graph.initial_tree(idx)
+    seeds = [derive_seed(args.seed, trial) for trial in range(args.trials)]
     # the output is opened before the first trial, so that a path that
     # cannot be written fails before any work is done
     with open(args.out, "w", newline="") if args.out else nullcontext() as fh:
-        for trial in range(args.trials):
-            rng = Random(derive_seed(args.seed, trial))
-            out = comptrees.follow_canonical(g, idx, levels, rng, start)
-            counts[out.kind] = counts.get(out.kind, 0) + 1
-            rows.append((trial, derive_seed(args.seed, trial), out.kind,
-                         "" if out.detail is None else str(out.detail),
-                         len(out.path)))
+        est = comptrees.estimate_canonical_probability(
+            g, idx, levels, map(Random, seeds)
+        )
         if fh:
             w = csv.writer(fh)
             w.writerow(["trial", "seed", "outcome", "detail", "path_len"])
-            w.writerows(rows)
-    canon = counts.get(comptrees.CANONICAL, 0)
-    low, high = comptrees.wilson_interval(canon, args.trials)
-    print(f"S={levels} trials={args.trials} counts={counts}")
-    print(f"canonical frequency {canon / args.trials:.4f} "
-          f"(wilson [{low:.4f}, {high:.4f}])")
+            # csv writes a None detail as an empty field
+            for trial, outcome in enumerate(est.outcomes):
+                w.writerow((trial, seeds[trial], *outcome))
+    print(f"S={levels} trials={args.trials} counts={est.counts}")
+    print(f"canonical frequency {est.canonical_freq:.4f} "
+          f"(wilson [{est.wilson_low:.4f}, {est.wilson_high:.4f}])")
     return 0
 
 

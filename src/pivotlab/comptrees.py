@@ -428,23 +428,28 @@ class CanonicalEstimate:
     good1_freq: float
     bad2_given_good1: float
     bad3_given_good1: float
+    # each trial's (kind, detail, path length), in trial order
+    outcomes: list[tuple[str, object, int]]
 
 
 def estimate_canonical_probability(
     g: Digraph,
     idx: CounterGraphIndex,
     s_levels,
-    trials: int,
-    rng,
+    rngs,
 ) -> CanonicalEstimate:
-    """Frequency of canonical completions over independent runs from the
-    initial tree, built once, with a Wilson interval and the conditional
-    failure frequencies."""
+    """Frequency of canonical completions over one run per generator in
+    rngs, each from the initial tree, built once, with a Wilson interval and
+    the conditional failure frequencies. `itertools.repeat(rng, n)` runs n
+    trials on one stream."""
     counts: dict[str, int] = {}
+    outcomes = []
     start = initial_tree(idx)
-    for _ in range(trials):
+    for rng in rngs:
         out = follow_canonical(g, idx, s_levels, rng, start)
         counts[out.kind] = counts.get(out.kind, 0) + 1
+        outcomes.append((out.kind, out.detail, len(out.path)))
+    trials = len(outcomes)
     canon = counts.get(CANONICAL, 0)
     bad1 = counts.get(BAD1, 0)
     bad2 = counts.get(BAD2, 0)
@@ -460,4 +465,5 @@ def estimate_canonical_probability(
         good1_freq=good1 / trials if trials else 0.0,
         bad2_given_good1=bad2 / good1 if good1 else 0.0,
         bad3_given_good1=bad3 / good1 if good1 else 0.0,
+        outcomes=outcomes,
     )

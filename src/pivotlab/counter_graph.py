@@ -103,6 +103,13 @@ class CounterGraphIndex:
         return frozenset(out)
 
 
+def counter_graph_size(n: int, r: int, s: int, t: int) -> tuple[int, int]:
+    """The vertex and edge counts of `build_counter_graph(n, r, s, t)`, in
+    closed form, without building it."""
+    rs = r * s
+    return 1 + 2 * n + 2 * n * rs, n * (2 * rs + t * (2 * rs + r + 3))
+
+
 def build_counter_graph(
     n: int, r: int, s: int, t: int
 ) -> tuple[Digraph, CounterGraphIndex]:

@@ -2,8 +2,8 @@
 
 Per-trial seeds are derived from the master seed through a counter-based
 mixing function, so scheduling (sequential or a worker pool) can never
-change a trial's stream. Given one config, every column of the result CSV
-except the wall-clock timing is reproducible byte for byte.
+change a trial's stream. Given the same inputs, every column of the result
+CSV except the wall-clock timing is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import os
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass
 from random import Random
 from typing import TextIO
@@ -79,31 +78,6 @@ def run_rule(
 
 
 @dataclass
-class ExperimentConfig:
-    rule: str
-    trials: int
-    seed: int
-    graph_path: str | None = None
-    gen_params: tuple[int, int, int, int] | None = None  # (n, r, s, t)
-    start: str = "auto"  # auto | zero | bfs
-    out_path: str | None = None
-    threads: int = 1
-    trace_path: str | None = None
-
-    def validate(self) -> None:
-        if self.rule not in RULES:
-            raise BadConfigError(f"unknown rule {self.rule!r}")
-        if self.trials < 1:
-            raise BadConfigError("trials must be at least 1")
-        if self.threads < 1:
-            raise BadConfigError("threads must be at least 1")
-        if (self.graph_path is None) == (self.gen_params is None):
-            raise BadConfigError("need exactly one of graph_path or gen_params")
-        if self.start not in ("auto", "zero", "bfs"):
-            raise BadConfigError(f"unknown start policy {self.start!r}")
-
-
-@dataclass
 class ResultRecord:
     trial: int
     seed: int
@@ -146,16 +120,20 @@ def load_index(path: str, g: Digraph) -> counter_graph.CounterGraphIndex:
     try:
         with open(path) as fh:
             p = json.load(fh)["params"]
-        _, idx = counter_graph.build_counter_graph(p["n"], p["r"], p["s"], p["t"])
+        params = p["n"], p["r"], p["s"], p["t"]
+        # compared before the build, whose cost grows with the size the
+        # sidecar claims, not with g
+        _, n_edges = counter_graph.counter_graph_size(*params)
+        if n_edges != g.n_edges:
+            raise BadConfigError(
+                f"index {path} does not match the graph: "
+                f"{n_edges} edges, the graph has {g.n_edges}"
+            )
+        _, idx = counter_graph.build_counter_graph(*params)
     except _DOCUMENT_ERRORS as exc:
         raise BadConfigError(
             f"cannot load index {path}: {type(exc).__name__}: {exc}"
         ) from exc
-    if idx.n_edges != g.n_edges:
-        raise BadConfigError(
-            f"index {path} does not match the graph: "
-            f"{idx.n_edges} edges, the graph has {g.n_edges}"
-        )
     return idx
 
 
@@ -167,35 +145,40 @@ def save_index(path: str, idx: counter_graph.CounterGraphIndex) -> None:
         fh.write("\n")
 
 
-def load_instance(config: ExperimentConfig):
+def load_instance(
+    graph_path: str | None,
+    gen_params: tuple[int, int, int, int] | None,
+    start: str,
+) -> tuple[Digraph, counter_graph.CounterGraphIndex | None, Policy]:
     """The graph, its counter-graph index when available, and the start
-    policy. Graph files written by `gen` carry a sidecar index, which makes
-    the zero-edge start available for them too."""
+    policy (auto, zero or bfs). The graph is the file at graph_path, or
+    else the counter graph of gen_params = (n, r, s, t). Graph files
+    written by `gen` carry a sidecar index, which makes the zero-edge start
+    available for them too."""
+    if start not in ("auto", "zero", "bfs"):
+        raise BadConfigError(f"unknown start policy {start!r}")
     idx = None
-    if config.gen_params is not None:
+    if graph_path is None:
         try:
-            g, idx = counter_graph.build_counter_graph(*config.gen_params)
+            g, idx = counter_graph.build_counter_graph(*gen_params)
         except ValueError as exc:
             raise BadConfigError(
-                f"cannot build counter graph {config.gen_params}: {exc}"
+                f"cannot build counter graph {gen_params}: {exc}"
             ) from exc
     else:
-        g = load_graph(config.graph_path)
-        sidecar = sidecar_index_path(config.graph_path)
+        g = load_graph(graph_path)
+        sidecar = sidecar_index_path(graph_path)
         if os.path.exists(sidecar):
             idx = load_index(sidecar, g)
-    start_mode = config.start
-    if start_mode == "auto":
-        start_mode = "zero" if idx is not None else "bfs"
-    if start_mode == "zero":
+    if start == "auto":
+        start = "zero" if idx is not None else "bfs"
+    if start == "zero":
         if idx is None:
             raise BadConfigError(
                 "zero start needs counter-graph parameters or a sidecar index"
             )
-        start = counter_graph.initial_tree(idx)
-    else:
-        start = bfs_tree_policy(g)
-    return g, idx, start
+        return g, idx, counter_graph.initial_tree(idx)
+    return g, idx, bfs_tree_policy(g)
 
 
 def _one_trial(args) -> ResultRecord:
@@ -265,13 +248,13 @@ def summarize(pivot_counts: list[int]) -> Summary:
 
 
 def write_trace(
-    config: ExperimentConfig, g: Digraph, start: Policy, fh: TextIO
+    rule: str, master_seed: int, g: Digraph, start: Policy, fh: TextIO
 ) -> None:
     """Dump trial 0's pivot log (plus the recursion tree for the facet rule)
     as JSON to fh."""
-    trial_seed = derive_seed(config.seed, 0)
-    doc: dict = {"rule": config.rule, "seed": trial_seed}
-    if config.rule == "random-facet":
+    trial_seed = derive_seed(master_seed, 0)
+    doc: dict = {"rule": rule, "seed": trial_seed}
+    if rule == "random-facet":
         run = rules.random_facet(g, start, Random(trial_seed), trace=True)
         tree = comptrees.record_tree(run)
         doc["tree"] = {
@@ -282,28 +265,7 @@ def write_trace(
         }
     else:
         # only the facet recursion defines a computation tree
-        run = run_rule(config.rule, g, start, trial_seed)
+        run = run_rule(rule, g, start, trial_seed)
     doc["pivot_log"] = run.pivot_log
     json.dump(doc, fh)
     fh.write("\n")
-
-
-def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRecord], Summary]:
-    """Execute the configured trials, optionally writing CSV and trace files."""
-    config.validate()
-    g, _idx, start = load_instance(config)
-    with ExitStack() as stack:
-        # both outputs are opened before the first trial, so that a path
-        # that cannot be written fails before any work is done
-        out, trace = (
-            stack.enter_context(open(path, "w", newline="")) if path else None
-            for path in (config.out_path, config.trace_path)
-        )
-        records = run_trials(
-            g, start, config.rule, config.trials, config.seed, config.threads
-        )
-        if out:
-            write_csv(records, out)
-        if trace:
-            write_trace(config, g, start, trace)
-    return records, summarize([r.pivots for r in records])

@@ -1,5 +1,6 @@
 """Computation trees, path indices, the canonical follower, Monte Carlo."""
 
+from itertools import repeat
 from random import Random
 
 import pytest
@@ -388,7 +389,7 @@ def test_canonical_probability_p1_bound():
     n, r, t = 2, 3, 4
     s = 2 * 1 * (r + 1) + t
     g, idx = cg.build_counter_graph(n, r, s, t)
-    est = estimate_canonical_probability(g, idx, [2], trials=80, rng=Random(7))
+    est = estimate_canonical_probability(g, idx, [2], repeat(Random(7), 80))
     se = (est.canonical_freq * (1 - est.canonical_freq) / est.trials) ** 0.5
     assert est.canonical_freq >= 0.5 - 3 * se
     assert est.good1_freq == 1.0  # single-level schedules cannot misorder
@@ -400,8 +401,7 @@ def test_good1_bound_two_level_schedule():
     # 1/p! = 1/2, up to Monte Carlo noise
     g, idx = cg.build_counter_graph(2, 2, 8, 3)
     trials = 200
-    est = estimate_canonical_probability(g, idx, [2, 1], trials=trials,
-                                         rng=Random(5))
+    est = estimate_canonical_probability(g, idx, [2, 1], repeat(Random(5), trials))
     se = (est.good1_freq * (1 - est.good1_freq) / trials) ** 0.5
     assert est.good1_freq >= 0.5 - 3 * se
 

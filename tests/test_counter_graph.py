@@ -46,6 +46,7 @@ def test_size_formulas(params):
     v, e = counts(*params)
     assert g.n_vertices == v
     assert g.n_edges == e
+    assert cg.counter_graph_size(*params) == (v, e)
     n, r, s, t = params
     assert len(idx.multi_edges) == n * (2 * r * s + r + 3)
     assert all(len(ids) == t for ids in idx.multi_edges)

@@ -16,9 +16,7 @@ from pivotlab.checks import UnknownCheckError, run_check
 from pivotlab.experiments import (
     RULES,
     BadConfigError,
-    ExperimentConfig,
     derive_seed,
-    run_experiment,
     run_rule,
     run_trials,
     splitmix64,
@@ -64,42 +62,29 @@ def test_run_rule_names():
     assert list(rule_flag.choices) == list(RULES)
 
 
-def test_config_validation():
-    with pytest.raises(BadConfigError):
-        ExperimentConfig(rule="random-facet", trials=0, seed=1,
-                         gen_params=(1, 1, 1, 1)).validate()
-    with pytest.raises(BadConfigError):
-        ExperimentConfig(rule="random-facet", trials=1, seed=1).validate()
-    with pytest.raises(BadConfigError):
-        ExperimentConfig(
-            rule="random-facet", trials=1, seed=1,
-            graph_path="x.json", gen_params=(1, 1, 1, 1),
-        ).validate()
-
-
-def test_single_trial_parallel_pair(tmp_path):
+def test_single_trial_parallel_pair(tmp_path, capsys):
     gpath = tmp_path / "pair.json"
     save_graph_json(parallel_pair(), str(gpath))
-    cfg = ExperimentConfig(
-        rule="dantzig", trials=1, seed=5, graph_path=str(gpath), start="bfs",
-    )
-    records, summary = run_experiment(cfg)
+    assert cli.main(["run", "--rule", "dantzig", "--graph", str(gpath),
+                     "--start", "bfs", "--seed", "5"]) == 0
     # the breadth-first start picks the lowest edge id, the cost-5 edge
-    assert [r.pivots for r in records] == [1]
-    assert summary.minimum == summary.maximum == 1
+    assert "trials=1 mean=1.000 stderr=0.000 min=1 max=1" in capsys.readouterr().out
+    # argparse's choices guard the CLI; the library guards its own callers
+    with pytest.raises(BadConfigError):
+        experiments.load_instance(str(gpath), None, "greedy")
 
 
-def test_determinism_modulo_wall_clock(tmp_path):
+def test_determinism_modulo_wall_clock(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     for out in (out1, out2):
-        cfg = ExperimentConfig(
-            rule="random-facet", trials=12, seed=99,
-            gen_params=(2, 1, 2, 1), out_path=str(out),
-        )
-        run_experiment(cfg)
+        assert cli.main(["run", "--rule", "random-facet", "--trials", "12",
+                         "--seed", "99", "--n", "2", "--r", "1", "--s", "2",
+                         "--t", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
     rows1 = list(csv.DictReader(open(out1)))
     rows2 = list(csv.DictReader(open(out2)))
+    assert len(rows1) == len(rows2) == 12
     for a, b in zip(rows1, rows2):
         for k in ("trial", "seed", "rule", "pivots"):
             assert a[k] == b[k]
@@ -266,7 +251,13 @@ def test_cli_analyze(tmp_path, capsys):
     rows = list(csv.DictReader(open(events)))
     assert len(rows) == 20
     assert set(rows[0]) == {"trial", "seed", "outcome", "detail", "path_len"}
-    assert "canonical frequency" in capsys.readouterr().out
+    assert [int(r["seed"]) for r in rows] == [derive_seed(5, k) for k in range(20)]
+    counts: dict[str, int] = {}
+    for r in rows:
+        counts[r["outcome"]] = counts.get(r["outcome"], 0) + 1
+    printed = capsys.readouterr().out
+    assert f"counts={counts}" in printed
+    assert "canonical frequency" in printed
 
 
 @pytest.mark.parametrize(
@@ -312,7 +303,7 @@ def test_cli_bad_sidecar_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: cannot load index") and err.count("\n") == 1
 
 
-def test_cli_sidecar_of_another_graph_is_a_usage_error(tmp_path, capsys):
+def test_cli_sidecar_of_another_graph_is_a_usage_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "g.json"
     assert cli.main(["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
                      "--out", str(out)]) == 0
@@ -320,6 +311,13 @@ def test_cli_sidecar_of_another_graph_is_a_usage_error(tmp_path, capsys):
         '{"params": {"n": 2, "r": 1, "s": 1, "t": 1}}'
     )
     capsys.readouterr()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the sidecar's graph was built before its size was checked")
+
+    # the edge count is compared from the closed form, so that a sidecar
+    # claiming a huge graph costs no more than a small one
+    monkeypatch.setattr(counter_graph, "build_counter_graph", no_build)
     for argv in (
         ["run", "--rule", "dantzig", "--graph", str(out)],
         ["analyze", "--graph", str(out), "--S", "1"],
@@ -393,6 +391,7 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
         ["run", "--rule", "dantzig", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
         ["run", "--rule", "dantzig", "--graph", "GRAPH", "--n", "5"],
         ["run", "--rule", "dantzig", "--n", "2", "--r", "1"],
+        ["run", "--rule", "dantzig"],
         ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
          "--threads", "0"],
         ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
@@ -415,7 +414,7 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
          "params-not-a-list", "params-negative-entry", "params-empty-list",
          "params-zero-chain", "levels-text",
          "levels-range", "zero-trials", "counter-params", "run-graph-and-params",
-         "run-partial-params", "run-zero-threads", "run-negative-threads",
+         "run-partial-params", "run-no-graph", "run-zero-threads", "run-negative-threads",
          "run-zero-trials",
          "gen-params", "counter-negative-n",
          "counter-zero-trials", "run-out-dir", "run-trace-dir", "gen-out-dir",
