@@ -17,6 +17,7 @@ from . import comptrees, counter_graph, counters, lp, rules
 from .graphs import (
     Digraph,
     Policy,
+    apply_switch,
     improving_switches,
     optimal_edge_set,
     random_dag,
@@ -130,19 +131,13 @@ def check_make_switch(samples: int = 500, seed: int = 20241) -> dict:
         part_b = k % 2 == 0
         i = rng.randrange(idx.n) + 1
         sub = set(counter_graph.random_functional_subset(idx, rng, drop=0.3))
-        if part_b:
-            chain = idx.b1(i)
-            j = rng.randrange(len(chain)) + 1
-            e = chain[j - 1]
-            sub.discard(e)
-            sub.update(chain[j:])
-        else:
-            j = rng.randrange(idx.r) + 1
-            chain = idx.a1(i, j)
-            kk = rng.randrange(len(chain)) + 1
-            e = chain[kk - 1]
-            sub.discard(e)
-            sub.update(chain[kk:])
+        # drop one chain edge and keep the chain's suffix after it
+        chain = idx.b1(i) if part_b else idx.a1(i, rng.randrange(idx.r) + 1)
+        j = rng.randrange(len(chain))
+        e = chain[j]
+        sub.discard(e)
+        sub.update(chain[j + 1:])
+        if not part_b:
             sub.update(idx.b1(i))  # the second case needs the b chain intact
         _force_reset_at_most(idx, sub, i)
         assert counter_graph.reset_level(idx, sub) <= i
@@ -509,29 +504,20 @@ def check_lp_correspondence(instances: int = 20, seed: int = 20244) -> dict:
         # replay and verify duals plus reduced costs after every pivot
         pol = start
         cur = list(lp.tree_basis(g, start))
-        steps = [(None, None)] + log
-        for entering, _leaving in steps:
+        for entering, _leaving in [(None, None)] + log:
             if entering is not None:
-                u = g.tails[entering]
-                old = pol.chosen[u]
-                pol = Policy(
-                    tuple(entering if v == u else c for v, c in enumerate(pol.chosen))
-                )
-                cur[cur.index(old)] = entering
+                cur[cur.index(pol.chosen[g.tails[entering]])] = entering
+                pol = apply_switch(g, pol, entering)
             cbar, y = lp.reduced_costs(the_lp, cur)
-            dist = tree_distances_list(g, pol.chosen)
-            for v in range(g.n_vertices):
-                if v != g.target and y[row_of[v]] != dist[v]:
-                    problems.append({"instance": k, "kind": "dual"})
-                    break
+            duals = [0 if v == g.target else y[row_of[v]] for v in range(g.n_vertices)]
+            if duals != tree_distances_list(g, pol.chosen):
+                kind = "dual"
+            elif any(r != c + duals[h] - duals[t]
+                     for r, c, h, t in zip(cbar, g.costs, g.heads, g.tails)):
+                kind = "reduced-cost"
             else:
-                for e in range(g.n_edges):
-                    yh = 0 if g.heads[e] == g.target else y[row_of[g.heads[e]]]
-                    if cbar[e] != g.costs[e] + yh - y[row_of[g.tails[e]]]:
-                        problems.append({"instance": k, "kind": "reduced-cost"})
-                        break
-                else:
-                    continue
+                continue
+            problems.append({"instance": k, "kind": kind})
             break
     return _report(
         "lp-correspondence",
@@ -558,7 +544,9 @@ def check_technical_star(
 ) -> dict:
     """One-permutation facet runs from the zero start perform at least the
     one-permutation counter's increments, per well-behaved permutation."""
-    return _lower_bound_check("technical-star", ns, rst, samples, seed, star=True)
+    return _lower_bound_check(
+        "technical-star", ns, rst, samples, seed, rules.random_facet_one_perm
+    )
 
 
 def check_technical_bland(
@@ -568,10 +556,12 @@ def check_technical_bland(
     seed: int = 20246,
 ) -> dict:
     """Fixed-permutation scanning runs obey the same counter lower bound."""
-    return _lower_bound_check("technical-bland", ns, rst, samples, seed, star=False)
+    return _lower_bound_check(
+        "technical-bland", ns, rst, samples, seed, rules.bland_nonrec
+    )
 
 
-def _lower_bound_check(name, ns, rst, samples, seed, star: bool) -> dict:
+def _lower_bound_check(name, ns, rst, samples, seed, rule) -> dict:
     rng = Random(seed)
     violations = []
     checked = 0
@@ -582,10 +572,7 @@ def _lower_bound_check(name, ns, rst, samples, seed, star: bool) -> dict:
             for k in range(samples):
                 sigma = rules.sample_well_behaved(idx, rng)
                 bound = _counter_bound(idx, sigma)
-                if star:
-                    run = rules.random_facet_one_perm(g, start, sigma)
-                else:
-                    run = rules.bland_nonrec(g, start, sigma)
+                run = rule(g, start, sigma)
                 checked += 1
                 if run.pivots < bound:
                     violations.append(
@@ -612,8 +599,7 @@ def well_behaved_frequency(
     a-chain minimum, and B, the b-chain minimum. It is well-behaved when
     every B < A < Y.
     """
-    _, idx = counter_graph.build_counter_graph(n, r, s, t)
-    inv_m, inv_t = 1 / len(idx.multi_edges), 1 / t
+    inv_m, inv_t = 1 / counter_graph.multi_edge_count(n, r, s), 1 / t
     inv_r, inv_s, inv_rs = 1 / r, 1 / s, 1 / (r * s)
     rng = Random(seed)
     good = 0

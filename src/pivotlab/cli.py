@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 from random import Random
 
-from . import checks, comptrees, counter_graph, counters, experiments
+from . import checks, comptrees, counters, experiments, rules
 from .experiments import (
     RULES,
     BadConfigError,
@@ -92,10 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    try:
-        g, idx = counter_graph.build_counter_graph(args.n, args.r, args.s, args.t)
-    except ValueError as exc:
-        raise BadConfigError(f"cannot build counter graph: {exc}") from exc
+    g, idx, _ = load_instance(None, (args.n, args.r, args.s, args.t), "zero")
     out = args.out or f"counter_{args.n}_{args.r}_{args.s}_{args.t}.json"
     save_graph_json(g, out)
     sidecar = sidecar_index_path(out)
@@ -153,11 +150,8 @@ def cmd_counter(args) -> int:
         if args.variant == "fresh":
             values.append(counters.rand_count(range(1, args.n + 1), trng))
         else:
-            prio = list(range(1, args.n + 1))
-            trng.shuffle(prio)
-            values.append(
-                counters.rand_count_one_perm(range(1, args.n + 1), [0] + prio)
-            )
+            prio = [0] + rules.random_permutation_fn(args.n, trng)
+            values.append(counters.rand_count_one_perm(range(1, args.n + 1), prio))
     mean = sum(values) / len(values)
     exact = counters.expected_increments(args.n)
     print(

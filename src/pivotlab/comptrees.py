@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .counter_graph import CounterGraphIndex, initial_tree
-from .graphs import Digraph, Policy
+from .graphs import Digraph, Policy, apply_switch, improving_switches
 from .rules import (
     RunResult,
     _facet_collapsed,
@@ -109,8 +109,6 @@ class ComputationTree:
         left subtree, so evaluation interleaves a top-down fill with a
         bottom-up return pass.
         """
-        from .graphs import improving_switches
-
         f_of: dict[int, frozenset[int]] = {0: frozenset(range(g.n_edges))}
         b_of: dict[int, Policy] = {0: start}
         returned: dict[int, Policy] = {}
@@ -140,12 +138,10 @@ class ComputationTree:
                 if ru is None:
                     returned[u] = sub_ret
                     continue
-                switched = list(sub_ret.chosen)
-                if switched[g.tails[e]] != self.leaving[u]:
+                if sub_ret.chosen[g.tails[e]] != self.leaving[u]:
                     raise AssertionError(f"leaving edge mismatch at node {u}")
-                switched[g.tails[e]] = e
                 f_of[ru] = f_of[u]
-                b_of[ru] = Policy(tuple(switched))
+                b_of[ru] = apply_switch(g, sub_ret, e)
                 stack.append((u, 2))
                 stack.append((ru, 0))
             else:

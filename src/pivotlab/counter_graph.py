@@ -103,11 +103,18 @@ class CounterGraphIndex:
         return frozenset(out)
 
 
+def multi_edge_count(n: int, r: int, s: int) -> int:
+    """|M|, the number of multi-edges of `build_counter_graph(n, r, s, t)`:
+    per level rs b^0, rs a^0, r w, and u^1, u^0, w^0."""
+    return n * (2 * r * s + r + 3)
+
+
 def counter_graph_size(n: int, r: int, s: int, t: int) -> tuple[int, int]:
     """The vertex and edge counts of `build_counter_graph(n, r, s, t)`, in
-    closed form, without building it."""
+    closed form, without building it: 2rs one-edges per level and t copies
+    of each multi-edge."""
     rs = r * s
-    return 1 + 2 * n + 2 * n * rs, n * (2 * rs + t * (2 * rs + r + 3))
+    return 1 + 2 * n + 2 * n * rs, 2 * n * rs + t * multi_edge_count(n, r, s)
 
 
 def build_counter_graph(

@@ -115,8 +115,8 @@ def load_graph(path: str) -> Digraph:
 
 def load_index(path: str, g: Digraph) -> counter_graph.CounterGraphIndex:
     """The counter-graph index of graph g's sidecar file, rebuilt from its
-    parameters. A malformed sidecar, or one whose edge count is not g's,
-    raises BadConfigError."""
+    parameters. A malformed sidecar, or one whose parameters do not rebuild
+    g (its target, edges and costs), raises BadConfigError."""
     try:
         with open(path) as fh:
             p = json.load(fh)["params"]
@@ -129,7 +129,12 @@ def load_index(path: str, g: Digraph) -> counter_graph.CounterGraphIndex:
                 f"index {path} does not match the graph: "
                 f"{n_edges} edges, the graph has {g.n_edges}"
             )
-        _, idx = counter_graph.build_counter_graph(*params)
+        h, idx = counter_graph.build_counter_graph(*params)
+        if (h.target, h.tails, h.heads, h.costs) != (g.target, g.tails, g.heads, g.costs):
+            raise BadConfigError(
+                f"index {path} does not match the graph: "
+                f"its parameters {params} build another graph"
+            )
     except _DOCUMENT_ERRORS as exc:
         raise BadConfigError(
             f"cannot load index {path}: {type(exc).__name__}: {exc}"

@@ -315,9 +315,9 @@ class _LPTracker:
 
     `red` holds every column's reduced cost for the current basis as an
     integer numerator over a positive denominator, which keeps its sign.
-    The engine pivots only on a column with red < 0, so a pivot runs the
-    ratio test without pricing, then prices the new basis once and refreshes
-    `red` in place.
+    A pivot is `pivot_lp`, so a non-improving column raises ValueError and
+    leaves the state as it was; then the new basis is priced once and `red`
+    refreshed in place.
     """
 
     def __init__(self, lp: StdFormLP, basis: Sequence[int]):
@@ -331,8 +331,7 @@ class _LPTracker:
         return _nonbasic(in_f, self.basis)
 
     def pivot(self, entering: int) -> int:
-        (xb, direction), _ = _primal(self.lp, self.basis, entering)
-        self.basis, leaving = _ratio_test(self.basis, entering, xb, direction)
+        self.basis, leaving = pivot_lp(self.lp, self.basis, entering)
         self.red[:] = _price(self.lp, self.basis)[0]
         self.log.append((entering, leaving))
         return leaving

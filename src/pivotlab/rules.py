@@ -116,7 +116,6 @@ class _StartTree(NamedTuple):
     dist: tuple
     children: tuple  # of tuples
     red: tuple
-    obj: int
     picks: tuple  # the non-chosen edges in id order: `_nonbasic`, all flags set
 
 
@@ -140,7 +139,6 @@ def _start_tree(g: Digraph, chosen) -> _StartTree:
         tuple(dist),
         tuple(map(tuple, children)),
         tuple(red),
-        sum(dist),
         tuple(_nonbasic(bytearray(b"\x01") * g.n_edges, key)),
     )
     g._start_tree = snap
@@ -155,7 +153,7 @@ class _PivotTracker:
     exact integer reduced costs red[x] = c(x) + y(head x) - y(tail x); both
     are mutated in place, never rebound, so callers may hold them across
     pivots. `children[v]` lists the vertices whose chosen edge points at v.
-    The kernel copies `dist`, the child lists, `red` and `obj` from the
+    The kernel copies `dist`, the child lists and `red` from the
     start's snapshot, `_start_tree(g, chosen)`: keyed by `tuple(chosen)`,
     one entry per graph (a different start replaces it), built by one walk
     down the start tree, `graphs._tree_walk`, which also rejects a start
@@ -163,8 +161,7 @@ class _PivotTracker:
     PolicyCycleError on every construction. A pivot on e = (u, v) walks u's
     subtree through the child lists, shifts each of its distances by
     delta = c(e) + y(v) - y(u), and moves u from its old parent's child
-    list to v's; the objective `obj` (summed tree distance) moves by
-    delta * |subtree|. For each shifted vertex w the reduced cost of every
+    list to v's. For each shifted vertex w the reduced cost of every
     edge into w rises by delta and of every edge out of w falls by delta,
     so an edge with both ends in the subtree keeps its reduced cost. A
     pivot with delta >= 0 raises PivotInvariantError, and one whose head
@@ -181,7 +178,6 @@ class _PivotTracker:
         self.dist = list(snap.dist)
         self.children = list(map(list, snap.children))
         self.red = list(snap.red)
-        self.obj = snap.obj
         self.shifted: list[int] = []
         self.log: list[tuple[int, int]] = []
 
@@ -219,7 +215,6 @@ class _PivotTracker:
                 red[x] += delta
             for x in out_edges[w]:
                 red[x] -= delta
-        self.obj += delta * len(sub)
         leaving = self.chosen[u]
         children[g.heads[leaving]].remove(u)
         children[v].append(u)

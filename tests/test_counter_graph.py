@@ -49,6 +49,7 @@ def test_size_formulas(params):
     assert cg.counter_graph_size(*params) == (v, e)
     n, r, s, t = params
     assert len(idx.multi_edges) == n * (2 * r * s + r + 3)
+    assert cg.multi_edge_count(n, r, s) == len(idx.multi_edges)
     assert all(len(ids) == t for ids in idx.multi_edges)
     for i in idx.levels():
         assert len(idx.b1(i)) == r * s

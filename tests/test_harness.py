@@ -303,14 +303,35 @@ def test_cli_bad_sidecar_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: cannot load index") and err.count("\n") == 1
 
 
+def _assert_sidecar_rejected(capsys, graph: str) -> None:
+    for argv in (
+        ["run", "--rule", "dantzig", "--graph", graph],
+        ["analyze", "--graph", graph, "--S", "1"],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index") and err.count("\n") == 1
+
+
 def test_cli_sidecar_of_another_graph_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "g.json"
-    assert cli.main(["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
-                     "--out", str(out)]) == 0
-    (tmp_path / "g.index.json").write_text(
-        '{"params": {"n": 2, "r": 1, "s": 1, "t": 1}}'
-    )
+    # each graph gets another's parameters: (1,1,1,1) has fewer edges than
+    # (2,1,1,1), while (2,1,1,1) and (1,1,3,1) both have 9 vertices and 16
+    # edges, so only their builds tell them apart
+    for name, params, other in (("g", (1, 1, 1, 1), (2, 1, 1, 1)),
+                                ("h", (2, 1, 1, 1), (1, 1, 3, 1))):
+        flags = [f for k, v in zip("nrst", params) for f in (f"--{k}", str(v))]
+        assert cli.main(["gen", *flags, "--out", str(tmp_path / f"{name}.json")]) == 0
+        (tmp_path / f"{name}.index.json").write_text(
+            json.dumps({"params": dict(zip("nrst", other))})
+        )
     capsys.readouterr()
+    _assert_sidecar_rejected(capsys, str(tmp_path / "h.json"))
+    # its own parameters, under a graph with one cost edited
+    doc = json.loads((tmp_path / "h.json").read_text())
+    doc["edges"][0]["scaled_cost"] = str(int(doc["edges"][0]["scaled_cost"]) + 1)
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    (tmp_path / "c.index.json").write_text((tmp_path / "g.index.json").read_text())
+    _assert_sidecar_rejected(capsys, str(tmp_path / "c.json"))
 
     def no_build(*args, **kwargs):
         raise AssertionError("the sidecar's graph was built before its size was checked")
@@ -318,13 +339,7 @@ def test_cli_sidecar_of_another_graph_is_a_usage_error(tmp_path, capsys, monkeyp
     # the edge count is compared from the closed form, so that a sidecar
     # claiming a huge graph costs no more than a small one
     monkeypatch.setattr(counter_graph, "build_counter_graph", no_build)
-    for argv in (
-        ["run", "--rule", "dantzig", "--graph", str(out)],
-        ["analyze", "--graph", str(out), "--S", "1"],
-    ):
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: index") and err.count("\n") == 1
+    _assert_sidecar_rejected(capsys, str(tmp_path / "g.json"))
 
 
 @pytest.mark.parametrize(

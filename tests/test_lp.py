@@ -98,6 +98,12 @@ def test_pivot_requires_negative_reduced_cost():
     prob, _, _ = sp_to_lp(g)
     with pytest.raises(ValueError):
         pivot_lp(prob, (1,), 0)
+    # so does the facet engine's LP oracle, which then changes nothing
+    tracker = lp._LPTracker(prob, (1,))
+    before = (tracker.basis, list(tracker.red), list(tracker.log))
+    with pytest.raises(ValueError):
+        tracker.pivot(0)
+    assert (tracker.basis, tracker.red, tracker.log) == before
 
 
 def test_pivot_strictly_decreases_objective():

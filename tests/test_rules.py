@@ -115,7 +115,6 @@ def _assert_kernel_is_full_recompute(tracker):
     g = tracker.g
     dist = tree_distances_list(g, tracker.chosen)
     assert tracker.dist == dist
-    assert tracker.obj == sum(dist)
     assert tracker.red == [
         c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
     ]
@@ -327,8 +326,8 @@ def test_bland_heap_matches_linear_scan():
     data=st.data(),
 )
 def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra, data):
-    # any improving pivot, not just the ones a rule picks, keeps dist, red,
-    # obj and the child lists equal to a full recompute
+    # any improving pivot, not just the ones a rule picks, keeps dist, red
+    # and the child lists equal to a full recompute
     rng = Random(seed)
     g = random_dag(rng, vertices, extra_edges=extra)
     tracker = rules._PivotTracker(g, list(random_policy(g, rng).chosen))
@@ -354,7 +353,6 @@ def _assert_tracker_is_fresh_build(tracker, start):
     assert tracker.red == [
         c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
     ]
-    assert tracker.obj == sum(dist)
     picks = rules._nonbasic(bytearray(b"\x01") * g.n_edges, start)
     assert list(rules._start_tree(g, start).picks) == picks
 
@@ -396,7 +394,7 @@ def test_start_snapshot_is_a_fresh_build_on_counter_graphs():
 
 
 def _kernel_state(tracker):
-    return (list(tracker.chosen), list(tracker.dist), tracker.obj,
+    return (list(tracker.chosen), list(tracker.dist), list(tracker.red),
             [list(c) for c in tracker.children], list(tracker.log))
 
 
