@@ -55,8 +55,8 @@ class CounterGraphIndex:
     _w: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     _w0: dict[int, tuple[int, ...]] = field(default_factory=dict)
     multi_edges: tuple[tuple[int, ...], ...] = ()
-    edge_by_name: dict[str, int] = field(default_factory=dict)
-    # per-edge reverse map: ("b1", i, j) | ("a1", i, j, k) | ("multi", group_idx)
+    # per-edge reverse map, tagged as each edge is added:
+    # ("b1", i, j) | ("a1", i, j, k) | ("multi", group_idx)
     edge_group: tuple = ()
 
     def levels(self) -> range:
@@ -150,18 +150,22 @@ def build_counter_graph(
     heads: list[int] = []
     costs: list[int] = []
     names: list[str] = []
+    groups: list[tuple] = []
     multi: list[tuple[int, ...]] = []
 
-    def add_edge(tail: int, head: int, cost: int, name: str) -> int:
+    def add_edge(tail: int, head: int, cost: int, name: str, group: tuple) -> int:
         tails.append(tail)
         heads.append(head)
         costs.append(cost)
         names.append(name)
+        groups.append(group)
         return len(tails) - 1
 
     def add_multi(tail: int, head: int, cost: int, name_of) -> tuple[int, ...]:
+        group = ("multi", len(multi))
         ids = tuple(
-            add_edge(tail, head, cost, name_of(ell)) for ell in range(1, t + 1)
+            add_edge(tail, head, cost, name_of(ell), group)
+            for ell in range(1, t + 1)
         )
         multi.append(ids)
         return ids
@@ -173,7 +177,7 @@ def build_counter_graph(
         b1_ids = []
         for j in range(1, rs + 1):
             head = idx.b_vertex[(i, j + 1)] if j < rs else idx.w_vertex[i + 1]
-            e = add_edge(idx.b_vertex[(i, j)], head, 0, f"b^1_{{{i},{j}}}")
+            e = add_edge(idx.b_vertex[(i, j)], head, 0, f"b^1_{{{i},{j}}}", ("b1", i, j))
             b1_ids.append(e)
         idx._b1[i] = tuple(b1_ids)
         for j in range(1, rs + 1):
@@ -188,7 +192,10 @@ def build_counter_graph(
                 head = (
                     idx.a_vertex[(i, j, k + 1)] if k < s else idx.b_vertex[(i, 1)]
                 )
-                e = add_edge(idx.a_vertex[(i, j, k)], head, 0, f"a^1_{{{i},{j},{k}}}")
+                e = add_edge(
+                    idx.a_vertex[(i, j, k)], head, 0, f"a^1_{{{i},{j},{k}}}",
+                    ("a1", i, j, k),
+                )
                 a1_ids.append(e)
             idx._a1[(i, j)] = tuple(a1_ids)
             for k in range(1, s + 1):
@@ -217,19 +224,7 @@ def build_counter_graph(
     idx.multi_edges = tuple(multi)
     idx.n_vertices = len(vertex_names)
     idx.n_edges = len(tails)
-    idx.edge_by_name = {nm: e for e, nm in enumerate(names)}
-
-    grp: list[tuple] = [None] * len(tails)  # type: ignore[list-item]
-    for i in range(1, n + 1):
-        for pos, e in enumerate(idx._b1[i], start=1):
-            grp[e] = ("b1", i, pos)
-        for j in range(1, r + 1):
-            for pos, e in enumerate(idx._a1[(i, j)], start=1):
-                grp[e] = ("a1", i, j, pos)
-    for gix, ids in enumerate(multi):
-        for e in ids:
-            grp[e] = ("multi", gix)
-    idx.edge_group = tuple(grp)
+    idx.edge_group = tuple(groups)
 
     g = Digraph(
         n_vertices=idx.n_vertices,

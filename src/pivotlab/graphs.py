@@ -89,7 +89,7 @@ class Digraph:
         for v in range(n_vertices):
             if v != target and not self.out_edges[v]:
                 raise DisconnectedVertexError(f"vertex {v} has no outgoing edge")
-        unreachable = self._unreachable(None)
+        unreachable = self._unreachable()
         if unreachable:
             raise DisconnectedVertexError(
                 f"vertices {sorted(unreachable)} cannot reach the target"
@@ -99,17 +99,16 @@ class Digraph:
         # follower began from (`rules._start_tree`), built on first use
         self._start_tree = None
 
-    def _unreachable(self, subset: set[int] | None) -> set[int]:
-        """Vertices that cannot reach the target using edges in `subset`."""
-        into: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for e in range(self.n_edges) if subset is None else subset:
-            into[self.heads[e]].append(self.tails[e])
+    def _unreachable(self) -> set[int]:
+        """Vertices that cannot reach the target."""
+        tails = self.tails
         seen = [False] * self.n_vertices
         seen[self.target] = True
         stack = [self.target]
         while stack:
             v = stack.pop()
-            for u in into[v]:
+            for e in self.in_edges[v]:
+                u = tails[e]
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)
@@ -223,29 +222,28 @@ def optimal_distances_list(
 
     Uses topological-order relaxation when the graph is acyclic, Bellman-Ford
     otherwise; None marks a vertex not yet reached, so every comparison is
-    between integers. Raises DisconnectedVertexError if some vertex cannot
-    reach the target within the subset, NegativeCycleError on a negative
-    cycle.
+    between integers. A subset that is not a set is copied into one. The
+    relaxation leaves None exactly at the vertices that cannot reach the
+    target within the subset (every reachable vertex has a simple path of at
+    most n-1 edges), and DisconnectedVertexError names them; otherwise
+    NegativeCycleError is raised on a negative cycle.
     """
-    sub = None if subset is None else set(subset)
-    if sub is not None:
-        bad = g._unreachable(sub)
-        if bad:
-            raise DisconnectedVertexError(
-                f"vertices {sorted(bad)} cannot reach the target in the subgraph"
-            )
+    if subset is not None and not isinstance(subset, (set, frozenset)):
+        subset = set(subset)
     n = g.n_vertices
     tails, heads, costs = g.tails, g.heads, g.costs
+    dist: list = [None] * n
+    dist[g.target] = 0
     topo = g.topological_order()
-    if topo is not None:
-        dist: list = [None] * n
-        dist[g.target] = 0
+    converged = topo is not None
+    edges = range(g.n_edges) if subset is None else subset
+    if converged:
         for v in reversed(topo):
             if v == g.target:
                 continue
             best = None
             for e in g.out_edges[v]:
-                if sub is not None and e not in sub:
+                if subset is not None and e not in subset:
                     continue
                 d = dist[heads[e]]
                 if d is not None:
@@ -253,28 +251,30 @@ def optimal_distances_list(
                     if best is None or cand < best:
                         best = cand
             dist[v] = best
-        return dist
-    # Bellman-Ford toward the target.
-    dist = [None] * n
-    dist[g.target] = 0
-    edges = range(g.n_edges) if sub is None else sub
-    for _ in range(n - 1):
-        changed = False
-        for e in edges:
-            dh = dist[heads[e]]
-            if dh is not None:
-                cand = costs[e] + dh
-                dt = dist[tails[e]]
-                if dt is None or cand < dt:
-                    dist[tails[e]] = cand
-                    changed = True
-        if not changed:
-            break
     else:
+        # Bellman-Ford toward the target: n-1 rounds give every reachable
+        # vertex a value, even past a negative cycle.
+        for _ in range(n - 1):
+            changed = False
+            for e in edges:
+                dh = dist[heads[e]]
+                if dh is not None:
+                    cand = costs[e] + dh
+                    dt = dist[tails[e]]
+                    if dt is None or cand < dt:
+                        dist[tails[e]] = cand
+                        changed = True
+            if not changed:
+                converged = True
+                break
+    if None in dist:
+        bad = [v for v, d in enumerate(dist) if d is None]
+        raise DisconnectedVertexError(
+            f"vertices {bad} cannot reach the target in the subgraph"
+        )
+    if not converged:
         for e in edges:
-            dh = dist[heads[e]]
-            # n-1 rounds reach every vertex, so no tail is None here
-            if dh is not None and costs[e] + dh < dist[tails[e]]:
+            if costs[e] + dist[heads[e]] < dist[tails[e]]:
                 raise NegativeCycleError("relaxation still improves after n-1 rounds")
     return dist
 
@@ -319,10 +319,10 @@ def optimal_edge_set(g: Digraph, subset: Iterable[int] | None = None) -> set[int
     """Edges e=(u,v) in the subset with y(u) = cost(e) + y(v) under the
     optimal distances of the subgraph; exactly the edges lying on shortest
     paths."""
-    sub = set(range(g.n_edges)) if subset is None else set(subset)
+    sub = None if subset is None else set(subset)
     dist = optimal_distances_list(g, sub)
     return {
-        e for e in sub
+        e for e in (range(g.n_edges) if sub is None else sub)
         if dist[g.tails[e]] == g.costs[e] + dist[g.heads[e]]
     }
 

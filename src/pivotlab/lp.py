@@ -1,9 +1,10 @@
 """Exact standard-form LP kernel and the shortest-path encoding.
 
-Each LP keeps its rational data and, built once on first use, an integer
-copy: every row of [A | b] scaled by the lcm of its denominators, c scaled
-by the lcm of its denominators, and the nonzeros of every column. Solves,
-pricing and ratio tests run on that copy in Python integers. One
+Each LP is held as its integer system, scaled once when it is made: every
+row of [A | b] times the lcm of its denominators, c times the lcm of its
+denominators, and the nonzeros of every column. `sp_to_lp` writes the flow
+LP in that form directly, with every scale 1. Solves, pricing and ratio
+tests run on it in Python integers. One
 fraction-free (Bareiss) elimination solves a basis for several right-hand
 sides at once and returns integer numerators over the determinant; reduced
 costs are integer numerators over one positive denominator, computed from
@@ -19,9 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .graphs import Digraph, Policy
 from .rules import _facet_collapsed, _nonbasic, shuffled_order
@@ -39,60 +39,56 @@ class DegenerateError(Exception):
     """Tie or zero step in the ratio test; the instance is degenerate."""
 
 
-class _ScaledLP(NamedTuple):
-    """The integer copy of an LP: row r of [A | b] times row_scale[r], c
-    times c_den, and cols[j] the (row, entry) nonzeros of scaled column j.
-    Row scaling leaves every primal solution and every reduced cost as it
-    is; dual r is row_scale[r] times the scaled system's dual."""
-
-    cols: list[tuple[tuple[int, int], ...]]
-    b: list[int]
-    c: list[int]
-    c_den: int
-    row_scale: list[int]
-
-
 @dataclass(frozen=True)
 class StdFormLP:
-    """min c'x subject to Ax = b, x >= 0, with exact rational data."""
+    """min c'x subject to Ax = b, x >= 0, held as its integer system: row r
+    of [A | b] times row_scale[r], c times c_den, and cols[j] the (row,
+    entry) nonzeros of scaled column j. Row scaling leaves every primal
+    solution and every reduced cost as it is; dual r is row_scale[r] times
+    the scaled system's dual."""
 
-    A: tuple[tuple[Fraction, ...], ...]  # m rows, n columns
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
+    cols: tuple[tuple[tuple[int, int], ...], ...]
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+    c_den: int
+    row_scale: tuple[int, ...]
 
     @property
     def n_rows(self) -> int:
-        return len(self.A)
+        return len(self.b)
 
     @property
     def n_cols(self) -> int:
         return len(self.c)
 
-    @cached_property
-    def _scaled(self) -> _ScaledLP:
-        """The integer copy, built on first use and kept with the LP."""
-        rows, b, row_scale = [], [], []
-        for row, rhs in zip(self.A, self.b):
-            d = lcm(*(x.denominator for x in row), rhs.denominator)
-            rows.append([x.numerator * (d // x.denominator) for x in row])
-            b.append(rhs.numerator * (d // rhs.denominator))
-            row_scale.append(d)
-        c_den = lcm(*(x.denominator for x in self.c))
-        return _ScaledLP(
-            [tuple((r, row[j]) for r, row in enumerate(rows) if row[j])
-             for j in range(self.n_cols)],
-            b,
-            [x.numerator * (c_den // x.denominator) for x in self.c],
-            c_den,
-            row_scale,
-        )
-
 
 def make_lp(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StdFormLP:
+    """The LP min c'x, Ax = b, x >= 0 from rational data (any value
+    `Fraction` accepts), scaled to its integer system. Raises ValueError
+    unless A has len(b) rows of len(c) entries each."""
+    if len(A) != len(b) or any(len(row) != len(c) for row in A):
+        raise ValueError(
+            f"A has {len(A)} rows of lengths {sorted({len(row) for row in A})}; "
+            f"b has {len(b)} entries and c {len(c)}")
+    cols: list[list[tuple[int, int]]] = [[] for _ in c]
+    rhs, row_scale = [], []
+    for r, (row, b_r) in enumerate(zip(A, b)):
+        row = [Fraction(x) for x in row]
+        b_r = Fraction(b_r)
+        d = lcm(*(x.denominator for x in row), b_r.denominator)
+        for j, x in enumerate(row):
+            if x:
+                cols[j].append((r, x.numerator * (d // x.denominator)))
+        rhs.append(b_r.numerator * (d // b_r.denominator))
+        row_scale.append(d)
+    c = [Fraction(x) for x in c]
+    c_den = lcm(*(x.denominator for x in c))
     return StdFormLP(
-        tuple(tuple(Fraction(x) for x in row) for row in A),
-        tuple(Fraction(x) for x in b),
-        tuple(Fraction(x) for x in c),
+        tuple(map(tuple, cols)),
+        tuple(rhs),
+        tuple(x.numerator * (c_den // x.denominator) for x in c),
+        c_den,
+        tuple(row_scale),
     )
 
 
@@ -165,16 +161,15 @@ def _primal(lp: StdFormLP, basis: Sequence[int], *entering: int):
     """One elimination of B for x_B and each entering column's direction
     B^-1 A_e: returns ([X, Dir_e ...], D), numerators over D > 0."""
     _check_size(lp, basis)
-    sc = lp._scaled
     m = lp.n_rows
     aug = [[0] * (m + 1 + len(entering)) for _ in range(m)]
     for k, j in enumerate(basis):
-        for r, a in sc.cols[j]:
+        for r, a in lp.cols[j]:
             aug[r][k] = a
-    for r, rhs in enumerate(sc.b):
+    for r, rhs in enumerate(lp.b):
         aug[r][m] = rhs
     for t, e in enumerate(entering, m + 1):
-        for r, a in sc.cols[e]:
+        for r, a in lp.cols[e]:
             aug[r][t] = a
     return _bareiss(aug, 1 + len(entering))
 
@@ -184,21 +179,20 @@ def _price(lp: StdFormLP, basis: Sequence[int]) -> tuple[list[int], int, list[in
     reduced cost j = N[j] / den, den > 0, and dual r = row_scale[r] * Y[r]
     / den."""
     _check_size(lp, basis)
-    sc = lp._scaled
     m = lp.n_rows
     aug = []
     for j in basis:
         row = [0] * (m + 1)
-        for r, a in sc.cols[j]:
+        for r, a in lp.cols[j]:
             row[r] = a
-        row[m] = sc.c[j]
+        row[m] = lp.c[j]
         aug.append(row)
     (y,), d = _bareiss(aug, 1)
     red = [
         d * cj - sum([a * y[r] for r, a in col])
-        for cj, col in zip(sc.c, sc.cols)
+        for cj, col in zip(lp.c, lp.cols)
     ]
-    return red, d * sc.c_den, y
+    return red, d * lp.c_den, y
 
 
 def basic_solution(lp: StdFormLP, basis: Sequence[int]) -> tuple[list[Fraction], bool]:
@@ -217,13 +211,12 @@ def reduced_costs(
     red, den, y = _price(lp, basis)
     return (
         [Fraction(v, den) for v in red],
-        [Fraction(s * v, den) for s, v in zip(lp._scaled.row_scale, y)],
+        [Fraction(s * v, den) for s, v in zip(lp.row_scale, y)],
     )
 
 
 def _value(lp: StdFormLP, basis: Sequence[int], xb: list[int], d: int) -> Fraction:
-    sc = lp._scaled
-    return Fraction(sum(sc.c[j] * v for j, v in zip(basis, xb)), d * sc.c_den)
+    return Fraction(sum(lp.c[j] * v for j, v in zip(basis, xb)), d * lp.c_den)
 
 
 def objective_value(lp: StdFormLP, basis: Sequence[int]) -> Fraction:
@@ -271,11 +264,10 @@ def pivot_lp(lp: StdFormLP, basis: Sequence[int], entering: int) -> tuple[tuple[
     DegenerateError on a tie or a zero-length step.
     """
     (xb, direction), d = _primal(lp, basis, entering)
-    sc = lp._scaled
-    red = d * sc.c[entering] - sum(sc.c[j] * v for j, v in zip(basis, direction))
+    red = d * lp.c[entering] - sum(lp.c[j] * v for j, v in zip(basis, direction))
     if red >= 0:
         raise ValueError(
-            f"column {entering} has reduced cost {Fraction(red, d * sc.c_den)} >= 0"
+            f"column {entering} has reduced cost {Fraction(red, d * lp.c_den)} >= 0"
         )
     return _ratio_test(basis, entering, xb, direction)
 
@@ -286,22 +278,19 @@ def sp_to_lp(g: Digraph) -> tuple[StdFormLP, dict[int, int], list[int]]:
 
     Rows are the non-target vertices (in id order); columns are the edges by
     id. Column e has +1 at its tail row and -1 at its head row; the head
-    entry is absent when the head is the target. Returns the LP, the
+    entry is absent when the head is the target. The data are integers
+    already, so every scale is 1. Returns the LP, the
     vertex-to-row map, and the row-to-vertex list.
     """
     vertex_of_row = [v for v in range(g.n_vertices) if v != g.target]
     row_of_vertex = {v: r for r, v in enumerate(vertex_of_row)}
     n_rows = len(vertex_of_row)
-    A = [[Fraction(0)] * g.n_edges for _ in range(n_rows)]
-    for e in range(g.n_edges):
-        A[row_of_vertex[g.tails[e]]][e] = Fraction(1)
-        if g.heads[e] != g.target:
-            A[row_of_vertex[g.heads[e]]][e] = Fraction(-1)
-    lp = StdFormLP(
-        tuple(tuple(row) for row in A),
-        tuple(Fraction(1) for _ in range(n_rows)),
-        tuple(Fraction(c) for c in g.costs),
+    cols = tuple(
+        ((row_of_vertex[t], 1),) if h == g.target
+        else ((row_of_vertex[t], 1), (row_of_vertex[h], -1))
+        for t, h in zip(g.tails, g.heads)
     )
+    lp = StdFormLP(cols, (1,) * n_rows, g.costs, 1, (1,) * n_rows)
     return lp, row_of_vertex, vertex_of_row
 
 

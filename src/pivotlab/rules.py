@@ -446,7 +446,7 @@ def random_facet_nonrec(g: Digraph, policy: Policy, rng) -> RunResult:
     chosen = list(policy.chosen)
     tracker = _PivotTracker(g, chosen)
     red = tracker.red
-    perm = [e for e in range(g.n_edges) if chosen[g.tails[e]] != e]
+    perm = list(_start_tree(g, chosen).picks)
     shuffle_exact(perm, rng)
     while True:
         j = next((i for i, e in enumerate(perm) if red[e] < 0), None)

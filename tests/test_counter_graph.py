@@ -99,12 +99,38 @@ def test_table_costs():
 
 
 def test_edge_names_follow_table():
-    _, idx = build_counter_graph(2, 2, 2, 2)
-    assert idx.edge_by_name["b^1_{1,3}"] == idx.b1(1)[2]
-    assert idx.edge_by_name["a^1_{2,1,2}"] == idx.a1(2, 1)[1]
-    assert idx.edge_by_name["a^{0,2}_{2,1,1}"] == idx.a0(2, 1, 1)[1]
-    assert idx.edge_by_name["u^{1,1}_1"] == idx.u1(1)[0]
-    assert idx.edge_by_name["w^{2,1}_2"] == idx.w_group(2, 2)[0]
+    g, idx = build_counter_graph(2, 2, 2, 2)
+    by_name = {name: e for e, name in enumerate(g.edge_names)}
+    assert len(by_name) == g.n_edges
+    assert by_name["b^1_{1,3}"] == idx.b1(1)[2]
+    assert by_name["a^1_{2,1,2}"] == idx.a1(2, 1)[1]
+    assert by_name["a^{0,2}_{2,1,1}"] == idx.a0(2, 1, 1)[1]
+    assert by_name["u^{1,1}_1"] == idx.u1(1)[0]
+    assert by_name["w^{2,1}_2"] == idx.w_group(2, 2)[0]
+
+
+def _edge_group_rebuild(idx):
+    # the second pass over the groups that once filled `edge_group` after
+    # every edge was added, kept verbatim as the oracle for tagging edges
+    # as they are added
+    grp: list[tuple] = [None] * idx.n_edges  # type: ignore[list-item]
+    for i in range(1, idx.n + 1):
+        for pos, e in enumerate(idx._b1[i], start=1):
+            grp[e] = ("b1", i, pos)
+        for j in range(1, idx.r + 1):
+            for pos, e in enumerate(idx._a1[(i, j)], start=1):
+                grp[e] = ("a1", i, j, pos)
+    for gix, ids in enumerate(idx.multi_edges):
+        for e in ids:
+            grp[e] = ("multi", gix)
+    return tuple(grp)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (2, 3, 2, 2), (3, 2, 3, 1), (4, 3, 3, 3)])
+def test_edge_group_tagged_at_build_matches_rebuild(params):
+    g, idx = build_counter_graph(*params)
+    assert len(idx.edge_group) == g.n_edges
+    assert idx.edge_group == _edge_group_rebuild(idx)
 
 
 def test_initial_tree_reads_all_zero():

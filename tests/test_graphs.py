@@ -161,6 +161,93 @@ def test_optimal_edge_set_disconnected_subset():
         optimal_edge_set(g, {0})  # u loses its only edge
 
 
+def _unreachable_oracle(g: Digraph, subset) -> set[int]:
+    # the reverse search that once ran before every subset relaxation, kept
+    # verbatim (with `self` as `g`) as the oracle for reading reachability
+    # off the relaxation itself
+    into: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for e in range(g.n_edges) if subset is None else subset:
+        into[g.heads[e]].append(g.tails[e])
+    seen = [False] * g.n_vertices
+    seen[g.target] = True
+    stack = [g.target]
+    while stack:
+        v = stack.pop()
+        for u in into[v]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
+    return {v for v in range(g.n_vertices) if not seen[v]}
+
+
+def _random_cyclic(rng, n: int) -> Digraph:
+    # a random DAG plus edges between non-target vertices in any direction,
+    # some of negative cost, so cycles and negative cycles both occur
+    dag = random_dag(rng, n, extra_edges=rng.randrange(0, 2 * n))
+    tails, heads, costs = list(dag.tails), list(dag.heads), list(dag.costs)
+    for _ in range(rng.randrange(1, n + 1)):
+        u, v = rng.sample(range(n), 2)
+        tails.append(u)
+        heads.append(v)
+        costs.append(rng.randrange(-15, 11))
+    return Digraph(n + 1, n, tails, heads, costs)
+
+
+def test_relaxation_reports_exactly_the_unreachable_vertices():
+    rng = Random(23)
+    seen = {"dag": 0, "cyclic": 0, "both": 0}
+    for case in range(400):
+        n = rng.randrange(2, 8)
+        if case % 2:
+            g = _random_cyclic(rng, n)
+        else:
+            g = random_dag(rng, n, extra_edges=rng.randrange(0, 2 * n))
+        p = rng.choice((0.3, 0.6, 0.9))
+        sub = [e for e in range(g.n_edges) if rng.random() < p]
+        bad = sorted(_unreachable_oracle(g, set(sub)))
+        if bad:
+            seen["cyclic" if case % 2 else "dag"] += 1
+        for given in (sub, set(sub), frozenset(sub)):
+            if bad:
+                with pytest.raises(DisconnectedVertexError) as err:
+                    optimal_distances_list(g, given)
+                assert str(err.value) == (
+                    f"vertices {bad} cannot reach the target in the subgraph")
+                with pytest.raises(DisconnectedVertexError):
+                    optimal_edge_set(g, given)
+                continue
+            try:
+                dist = optimal_distances_list(g, given)
+            except NegativeCycleError:
+                pass
+            else:
+                assert None not in dist
+                continue
+            # the same subgraph plus a vertex whose only edge is left out:
+            # the unreachable vertex is reported, not the negative cycle
+            both = Digraph(
+                n + 2, n, g.tails + (n + 1,), g.heads + (n,), g.costs + (0,))
+            assert _unreachable_oracle(both, set(given)) == {n + 1}
+            with pytest.raises(DisconnectedVertexError, match=rf"vertices \[{n + 1}\]"):
+                optimal_distances_list(both, given)
+            seen["both"] += 1
+    assert min(seen.values()) > 10, seen
+
+
+def test_unreachable_vertex_reported_before_negative_cycle():
+    # 0 <-> 1 is a negative cycle; without edge 3 vertex 2 cannot leave
+    g = Digraph(
+        4, 3,
+        tails=[0, 1, 0, 2],
+        heads=[1, 0, 3, 3],
+        costs=[-2, 1, 10, 1],
+    )
+    with pytest.raises(NegativeCycleError):
+        optimal_distances_list(g)
+    with pytest.raises(DisconnectedVertexError, match=r"vertices \[2\] cannot"):
+        optimal_distances_list(g, {0, 1, 2})
+
+
 def test_improving_empty_iff_optimal():
     rng = Random(19)
     for _ in range(30):

@@ -82,8 +82,8 @@ def test_determinism_modulo_wall_clock(tmp_path, capsys):
                          "--seed", "99", "--n", "2", "--r", "1", "--s", "2",
                          "--t", "1", "--out", str(out)]) == 0
     capsys.readouterr()
-    rows1 = list(csv.DictReader(open(out1)))
-    rows2 = list(csv.DictReader(open(out2)))
+    rows1 = list(csv.DictReader(out1.read_text().splitlines()))
+    rows2 = list(csv.DictReader(out2.read_text().splitlines()))
     assert len(rows1) == len(rows2) == 12
     for a, b in zip(rows1, rows2):
         for k in ("trial", "seed", "rule", "pivots"):
@@ -133,7 +133,7 @@ def test_cli_gen_and_run(tmp_path, capsys):
     assert rc == 0
     g = load_graph_json(str(out))
     assert g.n_edges == 1 * (2 * 2 + 1 * (2 * 2 + 1 + 3))
-    sidecar = json.load(open(str(out)[:-5] + ".index.json"))
+    sidecar = json.loads(out.with_suffix(".index.json").read_text())
     assert sidecar["params"] == {"n": 1, "r": 1, "s": 2, "t": 1}
     assert "b1[1]" in sidecar["groups"]
 
@@ -149,7 +149,7 @@ def test_cli_gen_and_run(tmp_path, capsys):
         "--t", "1", "--trials", "4", "--seed", "11", "--out", str(res_csv),
     ])
     assert rc == 0
-    rows = list(csv.DictReader(open(res_csv)))
+    rows = list(csv.DictReader(res_csv.read_text().splitlines()))
     assert len(rows) == 4
     assert set(rows[0]) == {"trial", "seed", "rule", "pivots", "wall_ns"}
     capsys.readouterr()
@@ -248,7 +248,7 @@ def test_cli_analyze(tmp_path, capsys):
     rc = cli.main(["analyze", "--graph", str(out), "--S", "2,1",
                    "--trials", "20", "--seed", "5", "--out", str(events)])
     assert rc == 0
-    rows = list(csv.DictReader(open(events)))
+    rows = list(csv.DictReader(events.read_text().splitlines()))
     assert len(rows) == 20
     assert set(rows[0]) == {"trial", "seed", "outcome", "detail", "path_len"}
     assert [int(r["seed"]) for r in rows] == [derive_seed(5, k) for k in range(20)]
@@ -379,8 +379,8 @@ def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
                      "--s", "2", "--t", "2", "--trace", str(trace),
                      "--out", str(out)]) == 0
     capsys.readouterr()
-    doc = json.load(open(trace))
-    rows = list(csv.DictReader(open(out)))
+    doc = json.loads(trace.read_text())
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert doc["seed"] == int(rows[0]["seed"])
     assert len(doc["pivot_log"]) == int(rows[0]["pivots"])
     assert sum(r is not None for r in doc["tree"]["right"]) == int(rows[0]["pivots"])

@@ -49,12 +49,35 @@ def test_sp_lp_shapes_and_signs():
     assert prob.n_cols == g.n_edges
     assert prob.n_rows == g.n_vertices - 1
     # edge 0 = (0,1): +1 at row of 0, -1 at row of 1
-    assert prob.A[row_of[0]][0] == 1
-    assert prob.A[row_of[1]][0] == -1
-    # edge 1 = (1, target): single +1
-    col1 = [prob.A[r][1] for r in range(prob.n_rows)]
-    assert col1.count(1) == 1 and col1.count(0) == prob.n_rows - 1
+    assert dict(prob.cols[0]) == {row_of[0]: 1, row_of[1]: -1}
+    # edges 1 = (1, target) and 2 = (0, target): a single +1
+    assert dict(prob.cols[1]) == {row_of[1]: 1}
+    assert dict(prob.cols[2]) == {row_of[0]: 1}
+    # integer data already: unit supplies, the costs as they are, no scaling
+    assert (prob.b, prob.c, prob.c_den, prob.row_scale) == ((1, 1), (2, 3, 9), 1, (1, 1))
     assert vertex_of_row[row_of[0]] == 0
+
+
+def test_make_lp_scales_each_row_and_the_costs_once():
+    prob = make_lp(
+        [[Fraction(1, 2), 0, Fraction(1, 3)], [2, Fraction(-3, 4), 0]],
+        [1, Fraction(5, 2)],
+        [Fraction(1, 4), 1, Fraction(-1, 6)],
+    )
+    # row 0 times 6, row 1 times 4, c times 12; zero entries are not stored
+    assert prob.cols == (((0, 3), (1, 8)), ((1, -3),), ((0, 2),))
+    assert (prob.b, prob.row_scale) == ((6, 10), (6, 4))
+    assert (prob.c, prob.c_den) == ((3, 12, -2), 12)
+
+
+@pytest.mark.parametrize("A, b, c", [
+    ([[1, 2, 3]], [1], [0, 0]),  # a row longer than c
+    ([[1, 0], [0, 1]], [1], [0, 0]),  # more rows than b
+    ([[1, 0]], [1, 2], [0, 0]),  # more of b than rows
+])
+def test_make_lp_rejects_mismatched_shapes(A, b, c):
+    with pytest.raises(ValueError, match=r"A has \d+ rows of lengths"):
+        make_lp(A, b, c)
 
 
 def test_sp_lp_flows_are_descendant_counts():
@@ -206,11 +229,23 @@ def test_reduced_costs_nonnegative_exactly_at_termination():
             assert any(c < 0 for c in mid_cbar)
 
 
+def _flow_statement(g, row_of):
+    # the flow LP's rational A, b, c written from the graph, not read back
+    # from the kernel's stored integer system
+    A = [[Fraction(0)] * g.n_edges for _ in row_of]
+    for e, (t, h) in enumerate(zip(g.tails, g.heads)):
+        A[row_of[t]][e] = Fraction(1)
+        if h != g.target:
+            A[row_of[h]][e] = Fraction(-1)
+    return A, [Fraction(1)] * len(row_of), [Fraction(c) for c in g.costs]
+
+
 def test_flow_conservation_and_feasibility_after_every_pivot():
     rng = Random(73)
     g = random_dag(rng, 6, extra_edges=8)
     pol = random_policy(g, rng)
-    prob, _, _ = sp_to_lp(g)
+    prob, row_of, _ = sp_to_lp(g)
+    A, b, _ = _flow_statement(g, row_of)
     basis = list(lp.tree_basis(g, pol))
     _final, log = random_facet_lp(prob, range(g.n_edges), tuple(basis), rng)
     for entering, leaving in log:
@@ -218,21 +253,20 @@ def test_flow_conservation_and_feasibility_after_every_pivot():
         x, feasible = basic_solution(prob, basis)
         assert feasible
         for r in range(prob.n_rows):
-            lhs = sum(prob.A[r][j] * x[j] for j in range(prob.n_cols))
-            assert lhs == prob.b[r]
+            lhs = sum(A[r][j] * x[j] for j in range(prob.n_cols))
+            assert lhs == b[r]
 
 
 # A fractional LP in no way a flow: column 5 is twice column 0, so every
 # basis holding both is singular.
-FRACTIONAL = make_lp(
-    [
-        [Fraction(1, 2), Fraction(-2, 3), 1, 0, Fraction(3, 4), 1],
-        [Fraction(5, 3), 0, Fraction(-1, 4), 1, 1, Fraction(10, 3)],
-        [0, 1, Fraction(2, 5), Fraction(-3, 2), Fraction(1, 3), 0],
-    ],
-    [Fraction(7, 2), Fraction(-1, 3), 2],
-    [Fraction(3, 4), Fraction(-5, 6), 2, Fraction(1, 7), -1, Fraction(9, 5)],
-)
+FRACTIONAL_A = [
+    [Fraction(1, 2), Fraction(-2, 3), 1, 0, Fraction(3, 4), 1],
+    [Fraction(5, 3), 0, Fraction(-1, 4), 1, 1, Fraction(10, 3)],
+    [0, 1, Fraction(2, 5), Fraction(-3, 2), Fraction(1, 3), 0],
+]
+FRACTIONAL_B = [Fraction(7, 2), Fraction(-1, 3), 2]
+FRACTIONAL_C = [Fraction(3, 4), Fraction(-5, 6), 2, Fraction(1, 7), -1, Fraction(9, 5)]
+FRACTIONAL = make_lp(FRACTIONAL_A, FRACTIONAL_B, FRACTIONAL_C)
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
@@ -253,16 +287,17 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _assert_residuals_vanish(prob, basis):
-    # B x_B = b, x_N = 0, B'y = c_B, and reduced costs c - A'y, zero on B
+def _assert_residuals_vanish(prob, basis, A, b, c):
+    # B x_B = b, x_N = 0, B'y = c_B, and reduced costs c - A'y, zero on B,
+    # against the test's own rational statement A, b, c of the LP
     x, _ = basic_solution(prob, basis)
     cbar, y = reduced_costs(prob, basis)
     rows = range(prob.n_rows)
     for r in rows:
-        assert sum(prob.A[r][j] * x[j] for j in basis) == prob.b[r]
+        assert sum(A[r][j] * x[j] for j in basis) == b[r]
     assert all(x[j] == 0 for j in range(prob.n_cols) if j not in basis)
     for j in range(prob.n_cols):
-        priced = prob.c[j] - sum(prob.A[r][j] * y[r] for r in rows)
+        priced = c[j] - sum(A[r][j] * y[r] for r in rows)
         assert cbar[j] == priced
         if j in basis:
             assert priced == 0
@@ -273,19 +308,20 @@ def test_residual_oracle_on_flow_bases():
     rng = Random(41)
     for _ in range(25):
         g = random_dag(rng, rng.randrange(2, 9), extra_edges=rng.randrange(1, 10))
-        prob, _, _ = sp_to_lp(g)
+        prob, row_of, _ = sp_to_lp(g)
+        statement = _flow_statement(g, row_of)
         basis = list(tree_basis(g, random_policy(g, rng)))
-        _assert_residuals_vanish(prob, basis)
+        _assert_residuals_vanish(prob, basis, *statement)
         _, log = random_facet_lp(prob, range(g.n_edges), tuple(basis), rng)
         for entering, leaving in log:
             basis[basis.index(leaving)] = entering
-            _assert_residuals_vanish(prob, basis)
+            _assert_residuals_vanish(prob, basis, *statement)
 
 
 def test_residual_oracle_on_fractional_lp():
     singular = 0
     for basis in itertools.combinations(range(FRACTIONAL.n_cols), FRACTIONAL.n_rows):
-        cols = [[FRACTIONAL.A[r][j] for j in basis] for r in range(FRACTIONAL.n_rows)]
+        cols = [[FRACTIONAL_A[r][j] for j in basis] for r in range(FRACTIONAL.n_rows)]
         if _det(cols) == 0:
             singular += 1
             with pytest.raises(SingularBasisError):
@@ -293,7 +329,8 @@ def test_residual_oracle_on_fractional_lp():
             with pytest.raises(SingularBasisError):
                 reduced_costs(FRACTIONAL, basis)
             continue
-        _assert_residuals_vanish(FRACTIONAL, basis)
+        _assert_residuals_vanish(
+            FRACTIONAL, basis, FRACTIONAL_A, FRACTIONAL_B, FRACTIONAL_C)
         # reduced costs read from the entering direction agree with pricing
         cbar, _ = reduced_costs(FRACTIONAL, basis)
         for j in set(range(FRACTIONAL.n_cols)) - set(basis):
