@@ -18,16 +18,12 @@ from .experiments import (
     RULES,
     BadConfigError,
     derive_seed,
-    load_graph,
-    load_index,
     load_instance,
-    save_index,
-    sidecar_index_path,
+    save_instance,
     summarize,
     write_csv,
     write_trace,
 )
-from .graphs import save_graph_json
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -75,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="canonical-path event frequencies")
     p_analyze.add_argument("--graph", type=str, required=True)
-    p_analyze.add_argument("--index", type=str, default=None,
-                           help="sidecar index JSON (default: <graph>.index.json)")
     p_analyze.add_argument("--S", type=str, required=True,
                            help="comma-separated bit levels, e.g. 3,1")
     p_analyze.add_argument("--trials", type=int, default=100)
@@ -94,9 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_gen(args) -> int:
     g, idx, _ = load_instance(None, (args.n, args.r, args.s, args.t), "zero")
     out = args.out or f"counter_{args.n}_{args.r}_{args.s}_{args.t}.json"
-    save_graph_json(g, out)
-    sidecar = sidecar_index_path(out)
-    save_index(sidecar, idx)
+    sidecar = save_instance(out, g, idx)
     print(f"wrote {out} ({g.n_vertices} vertices, {g.n_edges} edges) and {sidecar}")
     return 0
 
@@ -162,14 +154,13 @@ def cmd_counter(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = load_graph(args.graph)
-    idx = load_index(args.index or sidecar_index_path(args.graph), g)
     if args.trials < 1:
         raise BadConfigError("--trials must be at least 1")
     try:
         levels = [int(x) for x in args.S.split(",") if x]
     except ValueError as exc:
         raise BadConfigError(f"--S {args.S!r} is not a list of integers") from exc
+    g, idx, _ = load_instance(args.graph, None, "zero")
     if any(i < 1 or i > idx.n for i in levels):
         raise BadConfigError(f"--S levels must lie in 1..{idx.n}")
     seeds = [derive_seed(args.seed, trial) for trial in range(args.trials)]

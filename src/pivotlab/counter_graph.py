@@ -273,24 +273,19 @@ def one_edge_tree(idx: CounterGraphIndex, rng=None) -> Policy:
     return Policy(tuple(chosen))
 
 
-def last_b(idx: CounterGraphIndex, i: int, subset: Iterable[int]) -> int:
-    """Largest chain position j whose b one-edge is missing from the subset,
-    or 0 when the whole chain is present."""
+def _last_missing(chain: Sequence[int], subset: Iterable[int]) -> int:
+    """The last 1-based position of `chain` missing from the subset, else 0."""
     sub = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    out = 0
-    for j, e in enumerate(idx.b1(i), start=1):
-        if e not in sub:
-            out = j
-    return out
+    return next((p for p in range(len(chain), 0, -1) if chain[p - 1] not in sub), 0)
+
+
+def last_b(idx: CounterGraphIndex, i: int, subset: Iterable[int]) -> int:
+    """`_last_missing` of level i's b chain."""
+    return _last_missing(idx.b1(i), subset)
 
 
 def last_a(idx: CounterGraphIndex, i: int, j: int, subset: Iterable[int]) -> int:
-    sub = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    out = 0
-    for k, e in enumerate(idx.a1(i, j), start=1):
-        if e not in sub:
-            out = k
-    return out
+    return _last_missing(idx.a1(i, j), subset)
 
 
 def is_functional(idx: CounterGraphIndex, subset: Iterable[int]) -> bool:

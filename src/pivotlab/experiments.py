@@ -26,6 +26,7 @@ from .graphs import (
     bfs_tree_policy,
     load_graph_json,
     optimal_distances_list,
+    save_graph_json,
 )
 
 
@@ -142,12 +143,15 @@ def load_index(path: str, g: Digraph) -> counter_graph.CounterGraphIndex:
     return idx
 
 
-def save_index(path: str, idx: counter_graph.CounterGraphIndex) -> None:
-    """Write idx's sidecar file: its parameters, which `load_index` reads
-    back, and its named edge groups."""
-    with open(path, "w") as fh:
+def save_instance(path: str, g: Digraph, idx: counter_graph.CounterGraphIndex) -> str:
+    """Write g to path and idx's sidecar beside it (its parameters, which
+    `load_index` reads back, and its named edge groups); returns its path."""
+    save_graph_json(g, path)
+    sidecar = sidecar_index_path(path)
+    with open(sidecar, "w") as fh:
         json.dump(counter_graph.index_to_json_dict(idx), fh, indent=1)
         fh.write("\n")
+    return sidecar
 
 
 def load_instance(
@@ -157,9 +161,9 @@ def load_instance(
 ) -> tuple[Digraph, counter_graph.CounterGraphIndex | None, Policy]:
     """The graph, its counter-graph index when available, and the start
     policy (auto, zero or bfs). The graph is the file at graph_path, or
-    else the counter graph of gen_params = (n, r, s, t). Graph files
-    written by `gen` carry a sidecar index, which makes the zero-edge start
-    available for them too."""
+    else the counter graph of gen_params = (n, r, s, t). A graph file's
+    index is its sidecar `<name>.index.json` (see `save_instance`); a zero
+    start from a file without one raises BadConfigError naming it."""
     if start not in ("auto", "zero", "bfs"):
         raise BadConfigError(f"unknown start policy {start!r}")
     idx = None
@@ -175,13 +179,9 @@ def load_instance(
         sidecar = sidecar_index_path(graph_path)
         if os.path.exists(sidecar):
             idx = load_index(sidecar, g)
-    if start == "auto":
-        start = "zero" if idx is not None else "bfs"
-    if start == "zero":
-        if idx is None:
-            raise BadConfigError(
-                "zero start needs counter-graph parameters or a sidecar index"
-            )
+        elif start == "zero":
+            raise BadConfigError(f"zero start needs the sidecar index {sidecar}")
+    if start == "zero" or (start == "auto" and idx is not None):
         return g, idx, counter_graph.initial_tree(idx)
     return g, idx, bfs_tree_policy(g)
 

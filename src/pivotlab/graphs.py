@@ -53,17 +53,17 @@ class Digraph:
         edge_names: Sequence[str] | None = None,
         vertex_names: Sequence[str] | None = None,
     ):
-        if not (0 <= target < n_vertices):
-            raise ValueError("target out of range")
+        if type(target) is not int or not (0 <= target < n_vertices):
+            raise ValueError(f"target {target!r} is not a vertex id")
         if not (len(tails) == len(heads) == len(costs)):
             raise ValueError("edge arrays must have equal length")
-        if scale <= 0:
+        if type(scale) is not int or scale <= 0:
             raise ValueError("scale must be a positive integer")
         self.n_vertices = n_vertices
         self.target = target
         self.tails = tuple(tails)
         self.heads = tuple(heads)
-        self.costs = tuple(int(c) for c in costs)
+        self.costs = tuple(costs)
         self.scale = scale
         self.n_edges = len(self.tails)
         self.edge_names = (
@@ -76,7 +76,9 @@ class Digraph:
         )
         out: list[list[int]] = [[] for _ in range(n_vertices)]
         into: list[list[int]] = [[] for _ in range(n_vertices)]
-        for e, (u, v) in enumerate(zip(self.tails, self.heads)):
+        for e, (u, v, c) in enumerate(zip(self.tails, self.heads, self.costs)):
+            if not (type(u) is type(v) is type(c) is int):  # no bool, float, Fraction
+                raise ValueError(f"edge {e} ({u!r} -> {v!r}, cost {c!r}) needs ints")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge {e} endpoint out of range")
             if u == target:
@@ -95,6 +97,9 @@ class Digraph:
                 f"vertices {sorted(unreachable)} cannot reach the target"
             )
         self._topo: tuple[int, ...] | None | bool = False  # False = not computed
+        # frozenset(range(n_edges)), built by `_edge_subset`'s first call; not a
+        # cached_property, whose __dict__ write slows attribute reads on 3.11
+        self._edge_ids: frozenset[int] | None = None
         # the snapshot of the last start tree a pivot kernel or a canonical
         # follower began from (`rules._start_tree`), built on first use
         self._start_tree = None
@@ -136,6 +141,19 @@ class Digraph:
     @property
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
+
+
+def _edge_subset(g: Digraph, subset: Iterable[int] | None) -> frozenset[int] | None:
+    """The caller's edge ids, read once into a frozenset; None (every edge)
+    stays None. Raises NotAnEdgeError naming the ids that are not edges."""
+    if subset is None:
+        return None
+    if g._edge_ids is None:
+        g._edge_ids = frozenset(range(g.n_edges))
+    sub = frozenset(subset)
+    if not sub <= g._edge_ids:
+        raise NotAnEdgeError(f"no edges with ids {sorted(sub - g._edge_ids)}")
+    return sub
 
 
 @dataclass(frozen=True)
@@ -222,14 +240,17 @@ def optimal_distances_list(
 
     Uses topological-order relaxation when the graph is acyclic, Bellman-Ford
     otherwise; None marks a vertex not yet reached, so every comparison is
-    between integers. A subset that is not a set is copied into one. The
-    relaxation leaves None exactly at the vertices that cannot reach the
-    target within the subset (every reachable vertex has a simple path of at
-    most n-1 edges), and DisconnectedVertexError names them; otherwise
+    between integers. `_edge_subset` reads the subset and rejects a non-edge
+    id. The relaxation leaves None exactly at the vertices that cannot reach
+    the target within the subset (every reachable vertex has a simple path
+    of at most n-1 edges), and DisconnectedVertexError names them; otherwise
     NegativeCycleError is raised on a negative cycle.
     """
-    if subset is not None and not isinstance(subset, (set, frozenset)):
-        subset = set(subset)
+    return _optimal_distances(g, _edge_subset(g, subset))
+
+
+def _optimal_distances(g: Digraph, subset: frozenset[int] | None) -> list[int]:
+    """`optimal_distances_list` of a subset `_edge_subset` has read."""
     n = g.n_vertices
     tails, heads, costs = g.tails, g.heads, g.costs
     dist: list = [None] * n
@@ -283,10 +304,10 @@ def improving_switches(
     g: Digraph, policy: Policy, subset: Iterable[int] | None = None
 ) -> set[int]:
     """Edges e=(u,v) with cost(e) + y_B(v) < y_B(u), strict and exact."""
+    sub = _edge_subset(g, subset)
     dist = tree_distances_list(g, policy.chosen)
-    edges = range(g.n_edges) if subset is None else subset
     out = set()
-    for e in edges:
+    for e in range(g.n_edges) if sub is None else sub:
         if g.costs[e] + dist[g.heads[e]] < dist[g.tails[e]]:
             out.add(e)
     return out
@@ -319,8 +340,8 @@ def optimal_edge_set(g: Digraph, subset: Iterable[int] | None = None) -> set[int
     """Edges e=(u,v) in the subset with y(u) = cost(e) + y(v) under the
     optimal distances of the subgraph; exactly the edges lying on shortest
     paths."""
-    sub = None if subset is None else set(subset)
-    dist = optimal_distances_list(g, sub)
+    sub = _edge_subset(g, subset)
+    dist = _optimal_distances(g, sub)
     return {
         e for e in (range(g.n_edges) if sub is None else sub)
         if dist[g.tails[e]] == g.costs[e] + dist[g.heads[e]]
@@ -436,7 +457,8 @@ def load_graph_json(path: str) -> Digraph:
         target=doc["target"],
         tails=[d["tail"] for d in edges],
         heads=[d["head"] for d in edges],
-        costs=[int(d["scaled_cost"]) for d in edges],
+        costs=[int(c) if isinstance(c, str) else c
+               for c in (d["scaled_cost"] for d in edges)],
         scale=doc.get("scale", 1),
         edge_names=[d["name"] for d in edges],
         vertex_names=[d["name"] for d in vertices],

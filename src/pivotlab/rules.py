@@ -54,6 +54,7 @@ from .graphs import (
     Digraph,
     Policy,
     PolicyCycleError,
+    _edge_subset,
     _tree_walk,
     optimal_distances_list,
     tree_distances_list,
@@ -85,13 +86,13 @@ class RunResult:
 
 def _start(g: Digraph, policy: Policy, subset) -> tuple[list, bytearray]:
     """The start's chosen edges as a list, and the edge-set flags `in_f`:
-    every edge, or the edges of `subset`."""
+    every edge, or the edges of `subset`, read by `graphs._edge_subset`."""
     m = g.n_edges
     if subset is None:
         in_f = bytearray(b"\x01") * m
     else:
         in_f = bytearray(m)
-        for e in subset:
+        for e in _edge_subset(g, subset):
             in_f[e] = 1
     if not all(0 <= e < m and in_f[e] for e in policy.edge_set()):
         raise InvalidStartError("start policy uses edges outside the edge set")

@@ -1,10 +1,11 @@
 """Graph core: distances, switches, oracles, serialization."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from pivotlab import counter_graph
+from pivotlab import counter_graph, rules
 from pivotlab.graphs import (
     Digraph,
     DisconnectedVertexError,
@@ -14,6 +15,7 @@ from pivotlab.graphs import (
     PolicyCycleError,
     SelfReplaceWarning,
     apply_switch,
+    bfs_tree_policy,
     improving_switches,
     load_graph_json,
     optimal_distances_list,
@@ -246,6 +248,75 @@ def test_unreachable_vertex_reported_before_negative_cycle():
         optimal_distances_list(g)
     with pytest.raises(DisconnectedVertexError, match=r"vertices \[2\] cannot"):
         optimal_distances_list(g, {0, 1, 2})
+
+
+# every function that takes an edge subset, as (g, start, subset) -> result
+SUBSET_READERS = {
+    "optimal_distances_list": lambda g, start, sub: optimal_distances_list(g, sub),
+    "optimal_edge_set": lambda g, start, sub: optimal_edge_set(g, sub),
+    "improving_switches": lambda g, start, sub: improving_switches(g, start, sub),
+    "random_facet": lambda g, start, sub: rules.random_facet(
+        g, start, Random(5), subset=sub).pivot_log,
+    "random_facet_one_perm": lambda g, start, sub: rules.random_facet_one_perm(
+        g, start, rules.random_permutation_fn(g.n_edges, Random(5)), subset=sub
+    ).pivot_log,
+}
+
+# the results on the even edge ids plus the start's, pinned from the
+# per-function subset reads that `_edge_subset` replaced
+SUBSET_RESULTS = {
+    "dag": {
+        "optimal_distances_list": [16, 7, 6, 7, 14, 0],
+        "optimal_edge_set": {1, 2, 4, 5, 10},
+        "improving_switches": {10},
+        "random_facet": [(10, 7)],
+        "random_facet_one_perm": [(10, 7)],
+    },
+    "cyclic": {
+        "optimal_distances_list": [4, 3, 2, 0],
+        "optimal_edge_set": {0, 2, 6},
+        "improving_switches": {0, 2},
+        "random_facet": [(2, 5), (0, 4)],
+        "random_facet_one_perm": [(0, 4), (2, 5)],
+    },
+}
+
+
+def _subset_graph(kind: str) -> Digraph:
+    if kind == "dag":
+        return random_dag(Random(8), 5, extra_edges=6, max_cost=9)
+    # 0 <-> 1 <-> 2, 2 -> 0 and an exit from each into the target 3
+    return Digraph(4, 3, tails=[0, 1, 1, 2, 0, 1, 2, 2], heads=[1, 0, 2, 1, 3, 3, 3, 0],
+                   costs=[1, 2, 1, 1, 9, 6, 2, 4])
+
+
+@pytest.mark.parametrize("kind", ["dag", "cyclic"])
+@pytest.mark.parametrize("name", list(SUBSET_READERS))
+def test_every_subset_reader_rejects_non_edges(name, kind):
+    g = _subset_graph(kind)
+    assert g.is_acyclic == (kind == "dag")
+    start = bfs_tree_policy(g)
+    m = g.n_edges
+    valid = sorted(start.edge_set() | set(range(0, m, 2)))
+    read = SUBSET_READERS[name]
+    for bad in (-1, m, m + 3):
+        with pytest.raises(NotAnEdgeError, match=rf"ids \[{bad}\]"):
+            read(g, start, valid + [bad])
+    for given in (valid, (e for e in valid), set(valid)):
+        assert read(g, start, given) == SUBSET_RESULTS[kind][name]
+
+
+@pytest.mark.parametrize(
+    "target, tails, cost",
+    [(1, [0], 2.9), (1, [0], Fraction(7, 2)), (1, [0], True), (1, [True], 2),
+     (True, [0], 2)],
+    ids=["float-cost", "fraction-cost", "bool-cost", "bool-tail", "bool-target"],
+)
+def test_digraph_takes_only_int_ids_and_costs(target, tails, cost):
+    # int() would truncate 2.9 and 7/2 to 2 and 3, and a bool reads as 0 or 1
+    with pytest.raises(ValueError, match="edge 0|target True"):
+        Digraph(2, target, tails, [1], [cost])
+    assert Digraph(2, 1, [0], [1], [2]).costs == (2,)
 
 
 def test_improving_empty_iff_optimal():

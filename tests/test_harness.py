@@ -260,6 +260,14 @@ def test_cli_analyze(tmp_path, capsys):
     assert "canonical frequency" in printed
 
 
+def _one_edge_graph(target=1, cost="2") -> str:
+    return json.dumps({
+        "target": target,
+        "vertices": [{"id": 0, "name": "v0"}, {"id": 1, "name": "v1"}],
+        "edges": [{"id": 0, "name": "e0", "tail": 0, "head": 1, "scaled_cost": cost}],
+    })
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -273,8 +281,11 @@ def test_cli_analyze(tmp_path, capsys):
                 for e, (t, h, c) in enumerate([(0, 1, "-2"), (1, 0, "1"), (0, 2, "0")])
             ],
         }),
+        # int() would truncate 2.7 to 2, and true would read as vertex 1
+        _one_edge_graph(cost=2.7),
+        _one_edge_graph(target=True),
     ],
-    ids=["malformed-json", "missing-key", "negative-cycle"],
+    ids=["malformed-json", "missing-key", "negative-cycle", "float-cost", "bool-target"],
 )
 def test_cli_bad_graph_file_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
@@ -301,6 +312,23 @@ def test_cli_bad_sidecar_is_a_usage_error(tmp_path, capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load index") and err.count("\n") == 1
+
+
+def test_cli_analyze_reads_its_sidecar_like_run(tmp_path, capsys):
+    # --trials is checked before any file is read
+    missing = str(tmp_path / "nowhere.json")
+    assert cli.main(["analyze", "--graph", missing, "--S", "1", "--trials", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trials") and err.count("\n") == 1
+    # a graph copied without its sidecar: one line naming the sidecar sought
+    assert cli.main(["gen", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
+                     "--out", str(tmp_path / "g.json")]) == 0
+    (tmp_path / "lone.json").write_text((tmp_path / "g.json").read_text())
+    capsys.readouterr()
+    assert cli.main(["analyze", "--graph", str(tmp_path / "lone.json"), "--S", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "lone.index.json") in err
 
 
 def _assert_sidecar_rejected(capsys, graph: str) -> None:
@@ -350,11 +378,12 @@ def test_cli_sidecar_of_another_graph_is_a_usage_error(tmp_path, capsys, monkeyp
         ["counter", "--n", "3", "--threads", "2"],
         ["counter", "--n", "3", "--out", "x"],
         ["analyze", "--graph", "g.json", "--S", "1", "--threads", "2"],
+        ["analyze", "--graph", "g.json", "--S", "1", "--index", "g.index.json"],
         ["verify", "recurrence", "--seed", "3"],
         ["verify", "recurrence", "--threads", "2"],
     ],
     ids=["gen-seed", "gen-threads", "counter-threads", "counter-out",
-         "analyze-threads", "verify-seed", "verify-threads"],
+         "analyze-threads", "analyze-index", "verify-seed", "verify-threads"],
 )
 def test_cli_unread_flag_is_rejected(tmp_path, monkeypatch, capsys, argv):
     # a flag the subcommand would ignore is an argparse usage error
