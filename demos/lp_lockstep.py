@@ -11,7 +11,7 @@ cost(e) + y(head) - y(tail).
 from random import Random
 
 from pivotlab import lp, rules
-from pivotlab.graphs import Policy, random_dag, random_policy, tree_distances_list
+from pivotlab.graphs import apply_switch, random_dag, random_policy, tree_distances_list
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
           f"target {g.vertex_names[g.target]}")
 
     seed = 12345
-    graph_run = rules.random_facet(g, start, Random(seed), trace=True)
+    graph_run = rules.random_facet(g, start, Random(seed))
     prob, row_of, _ = lp.sp_to_lp(g)
     basis, log = lp.random_facet_lp(
         prob, range(g.n_edges), lp.tree_basis(g, start), Random(seed)
@@ -36,8 +36,7 @@ def main():
     cur = list(lp.tree_basis(g, start))
     print(f"{'step':>4} {'entering':>9} {'leaving':>8} {'dual == tree distances':>24}")
     for step, (entering, leaving) in enumerate(log, start=1):
-        u = g.tails[entering]
-        pol = Policy(tuple(entering if v == u else c for v, c in enumerate(pol.chosen)))
+        pol = apply_switch(g, pol, entering)
         cur[cur.index(leaving)] = entering
         _, y = lp.reduced_costs(prob, cur)
         dist = tree_distances_list(g, pol.chosen)

@@ -188,14 +188,15 @@ def sigma_p(idx: CounterGraphIndex, path: ComputationPath, target) -> int | None
     """
     keys = _path_keys(idx, path)
     absent = len(path)
-    if isinstance(target, int):
+    kind = target[0] if type(target) is tuple and target else None
+    if type(target) is int:  # a bool is no edge id
         # an id outside the graph names no edge of the path
         pos = keys[target] if 0 <= target < idx.n_edges else absent
-    elif target[0] == "b1":
+    elif kind == "b1":
         pos = sigma_b1(idx, keys, target[1])
-    elif target[0] == "a1" and len(target) == 3:
+    elif kind == "a1" and len(target) == 3:
         pos = min(keys[e] for e in idx.a1(target[1], target[2]))
-    elif target[0] == "a1":
+    elif kind == "a1":
         pos = sigma_a1(idx, keys, target[1])
     else:
         raise ValueError(f"unknown sigma_p target {target!r}")

@@ -178,12 +178,13 @@ def _tree_walk(
     `children[v]` lists, in increasing id order, the vertices whose chosen
     edge points at v. The target's own entry of `chosen` is ignored. Raises
     PolicyCycleError naming both lengths when `chosen` has not one entry
-    per vertex; else naming the lowest vertex whose chosen edge is None or
-    leaves another vertex; otherwise, when some vertex is never reached, it
-    hangs below a cycle, and the error names the first vertex met twice on
-    the walk up from the lowest such vertex.
+    per vertex; else naming the lowest vertex whose entry is not the id (an
+    int in 0..m-1, so no None, -1, m, True or 1.0) of an edge leaving it;
+    otherwise, when some vertex is never reached, it hangs below a cycle,
+    and the error names the first vertex met twice on the walk up from the
+    lowest such vertex.
     """
-    n = g.n_vertices
+    n, m = g.n_vertices, g.n_edges
     if len(chosen) != n:
         raise PolicyCycleError(
             f"chosen has {len(chosen)} entries for {n} vertices")
@@ -191,7 +192,7 @@ def _tree_walk(
     tails, heads, costs = g.tails, g.heads, g.costs
     children: list[list[int]] = [[] for _ in range(n)]
     for v, e in enumerate(chosen):
-        if e is None or tails[e] != v:
+        if type(e) is not int or not 0 <= e < m or tails[e] != v:
             if v == target:  # no edge leaves the target: any entry lands here
                 continue
             raise PolicyCycleError(f"vertex {v} has no valid chosen edge")
@@ -315,8 +316,8 @@ def improving_switches(
 
 def apply_switch(g: Digraph, policy: Policy, e: int) -> Policy:
     """Replace the chosen edge at tail(e) with e."""
-    if not (0 <= e < g.n_edges):
-        raise NotAnEdgeError(f"no edge with id {e}")
+    if type(e) is not int or not 0 <= e < g.n_edges:
+        raise NotAnEdgeError(f"no edge with id {e!r}")
     u = g.tails[e]
     if policy.chosen[u] == e:
         warnings.warn(f"edge {e} is already chosen at vertex {u}", SelfReplaceWarning)
@@ -447,11 +448,11 @@ def load_graph_json(path: str) -> Digraph:
     with open(path) as fh:
         doc = json.load(fh)
     vertices = sorted(doc["vertices"], key=lambda d: d["id"])
-    if [d["id"] for d in vertices] != list(range(len(vertices))):
-        raise ValueError("vertex ids must be dense integers starting at 0")
     edges = sorted(doc["edges"], key=lambda d: d["id"])
-    if [d["id"] for d in edges] != list(range(len(edges))):
-        raise ValueError("edge ids must be dense integers starting at 0")
+    for what, recs in (("vertex", vertices), ("edge", edges)):
+        ids = [d["id"] for d in recs]  # ints, as `Digraph` takes: no bool, no float
+        if list(map(type, ids)) != [int] * len(ids) or ids != list(range(len(ids))):
+            raise ValueError(f"{what} ids must be dense integers starting at 0")
     return Digraph(
         n_vertices=len(vertices),
         target=doc["target"],

@@ -152,7 +152,11 @@ def _bareiss(aug: list[list[int]], n_rhs: int) -> tuple[list[list[int]], int]:
     return sols, prev
 
 
-def _check_size(lp: StdFormLP, basis: Sequence[int]) -> None:
+def _check_size(lp: StdFormLP, basis: Sequence[int], *cols: int) -> None:
+    ids = (*basis, *cols)
+    if ids and ({*map(type, ids)} != {int} or min(ids) < 0 or max(ids) >= lp.n_cols):
+        bad = {j: None for j in ids if type(j) is not int or not 0 <= j < lp.n_cols}
+        raise ValueError(f"no columns with ids {list(bad)}")
     if len(basis) != lp.n_rows:
         raise ValueError("basis size must equal the number of rows")
 
@@ -160,7 +164,7 @@ def _check_size(lp: StdFormLP, basis: Sequence[int]) -> None:
 def _primal(lp: StdFormLP, basis: Sequence[int], *entering: int):
     """One elimination of B for x_B and each entering column's direction
     B^-1 A_e: returns ([X, Dir_e ...], D), numerators over D > 0."""
-    _check_size(lp, basis)
+    _check_size(lp, basis, *entering)
     m = lp.n_rows
     aug = [[0] * (m + 1 + len(entering)) for _ in range(m)]
     for k, j in enumerate(basis):
@@ -177,8 +181,7 @@ def _primal(lp: StdFormLP, basis: Sequence[int], *entering: int):
 def _price(lp: StdFormLP, basis: Sequence[int]) -> tuple[list[int], int, list[int]]:
     """Reduced costs by one elimination of B': returns (N, den, Y) with
     reduced cost j = N[j] / den, den > 0, and dual r = row_scale[r] * Y[r]
-    / den."""
-    _check_size(lp, basis)
+    / den. The caller has checked the basis (`_check_size`)."""
     m = lp.n_rows
     aug = []
     for j in basis:
@@ -208,6 +211,7 @@ def reduced_costs(
     lp: StdFormLP, basis: Sequence[int]
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Reduced cost vector and the dual vector y solving B'y = c_B."""
+    _check_size(lp, basis)
     red, den, y = _price(lp, basis)
     return (
         [Fraction(v, den) for v in red],
@@ -339,6 +343,7 @@ def random_facet_lp(
     LP encodes.
     Returns the optimal basis and the pivot log.
     """
+    _check_size(lp, basis, *allowed)
     allowed_set = frozenset(allowed)
     if not set(basis) <= allowed_set:
         raise ValueError("basis must lie inside the allowed column set")

@@ -30,8 +30,8 @@ The one-permutation rule, `random_facet_one_perm`, makes the pivots of
 own engine: a stack of frames, each a rank cursor and a heap of improving
 columns, so a pivot costs per shifted vertex, like `bland_nonrec`'s heap,
 not per candidate. The tests keep the sorted `_facet_collapsed` run as its
-oracle. Both rank-ordered recursions, it and `bland_rec`, reject a sigma
-that is not a permutation of 1..m.
+oracle. The three rank-ordered rules (it, `bland_rec`, `bland_nonrec`) read
+sigma through `_edge_of_rank`, which rejects a non-permutation of 1..m.
 
 The counter graph's edge-group statistics have one home: `sigma_b1` (a
 level's first b-chain edge), `sigma_a1` (the point at which every a chain of
@@ -85,18 +85,20 @@ class RunResult:
 
 
 def _start(g: Digraph, policy: Policy, subset) -> tuple[list, bytearray]:
-    """The start's chosen edges as a list, and the edge-set flags `in_f`:
-    every edge, or the edges of `subset`, read by `graphs._edge_subset`."""
+    """The start's chosen edges as a list, checked by `_start_tree`, and the
+    edge-set flags `in_f`: every edge, or the edges of `subset` (read by
+    `graphs._edge_subset`), which must hold every start entry but the target's."""
+    chosen = list(policy.chosen)
+    _start_tree(g, chosen)
     m = g.n_edges
     if subset is None:
-        in_f = bytearray(b"\x01") * m
-    else:
-        in_f = bytearray(m)
-        for e in _edge_subset(g, subset):
-            in_f[e] = 1
-    if not all(0 <= e < m and in_f[e] for e in policy.edge_set()):
+        return chosen, bytearray(b"\x01") * m
+    in_f = bytearray(m)
+    for e in _edge_subset(g, subset):
+        in_f[e] = 1
+    if not all(in_f[e] for v, e in enumerate(chosen) if v != g.target):
         raise InvalidStartError("start policy uses edges outside the edge set")
-    return list(policy.chosen), in_f
+    return chosen, in_f
 
 
 def _nonbasic(in_f: list, basic) -> list[int]:
@@ -140,7 +142,8 @@ def _start_tree(g: Digraph, chosen) -> _StartTree:
         tuple(dist),
         tuple(map(tuple, children)),
         tuple(red),
-        tuple(_nonbasic(bytearray(b"\x01") * g.n_edges, key)),
+        tuple(_nonbasic(bytearray(b"\x01") * g.n_edges,
+                        (key[w] for kids in children for w in kids))),
     )
     g._start_tree = snap
     return snap
@@ -161,7 +164,7 @@ class _PivotTracker:
     that is not a tree. A rejected start is never stored, so it raises
     PolicyCycleError on every construction. A pivot on e = (u, v) walks u's
     subtree through the child lists, shifts each of its distances by
-    delta = c(e) + y(v) - y(u), and moves u from its old parent's child
+    delta = red[e] = c(e) + y(v) - y(u), and moves u from its old parent's child
     list to v's. For each shifted vertex w the reduced cost of every
     edge into w rises by delta and of every edge out of w falls by delta,
     so an edge with both ends in the subtree keeps its reduced cost. A
@@ -174,6 +177,7 @@ class _PivotTracker:
 
     def __init__(self, g: Digraph, chosen: list):
         snap = _start_tree(g, chosen)
+        chosen[g.target] = None  # the walk ignored whatever the target held
         self.g = g
         self.chosen = chosen
         self.dist = list(snap.dist)
@@ -191,10 +195,10 @@ class _PivotTracker:
 
     def pivot(self, e: int) -> int:
         g = self.g
-        dist = self.dist
+        red = self.red
         u = g.tails[e]
         v = g.heads[e]
-        delta = g.costs[e] + dist[v] - dist[u]
+        delta = red[e]
         if delta >= 0:
             raise PivotInvariantError(
                 f"pivot on edge {e} would move the objective by {delta} per "
@@ -208,7 +212,7 @@ class _PivotTracker:
             raise PolicyCycleError(
                 f"edge {e} closes a cycle through vertex {u} and its subtree"
             )
-        red = self.red
+        dist = self.dist
         in_edges, out_edges = g.in_edges, g.out_edges
         for w in sub:
             dist[w] += delta
@@ -507,39 +511,32 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
     """Scanning form of the fixed-permutation rule: repeatedly pivot on the
     improving edge of largest permutation index >= start.
 
-    Improving edges wait in a heap ordered by rank, largest first (ties to
-    the lower edge id); an entry that stopped improving is dropped when it
-    reaches the top. A pivot with step delta < 0 lowers the reduced cost
-    only of edges into the shifted subtree from outside it (edges out of
-    it rise, the leaving edge among them), so only edges into shifted
-    vertices are re-tested and queued.
+    Improving edges wait in a heap of -rank, as in `random_facet_one_perm`.
+    A pivot with step delta < 0 lowers the reduced cost only of edges into
+    the shifted subtree from outside it (edges out of it rise, the leaving
+    edge among them), so only an edge into a shifted vertex that crossed
+    to red < 0 is queued. Every improving edge of rank >= start has an
+    entry, so the top one that still improves is the pick; any other, such
+    as an edge's second copy after a pivot on the first, is dropped.
     """
-    m = g.n_edges
+    edge_of_rank = _edge_of_rank(sigma, g.n_edges)
     tracker = _PivotTracker(g, list(policy.chosen))
     red = tracker.red
     in_edges = g.in_edges
-    # edges below start count as queued for good, so they never enter
-    queued = bytearray(sigma[e] < start for e in range(m))
-    # key e - m * sigma[e]: the smallest key has the largest rank, and
-    # key % m gives the edge back
-    heap = []
-    for e in range(m):
-        if not queued[e] and red[e] < 0:
-            queued[e] = 1
-            heap.append(e - m * sigma[e])
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap = [-r for e, r in enumerate(sigma) if red[e] < 0 and r >= start]
     heapq.heapify(heap)
     while heap:
-        e = heap[0] % m
-        if red[e] >= 0:
-            heapq.heappop(heap)
-            queued[e] = 0
+        e = edge_of_rank[-heappop(heap)]
+        delta = red[e]
+        if delta >= 0:
             continue
         tracker.pivot(e)
         for w in tracker.shifted:
             for x in in_edges[w]:
-                if not queued[x] and red[x] < 0:
-                    queued[x] = 1
-                    heapq.heappush(heap, x - m * sigma[x])
+                r = red[x]
+                if r < 0 <= r - delta and sigma[x] >= start:
+                    heappush(heap, -sigma[x])
     return tracker.result("bland-nonrec", sigma)
 
 

@@ -91,6 +91,10 @@ def test_sigma_p_edges_and_groups():
     assert sigma_p(idx, path, ("a1", 1, 1)) == 1
     assert sigma_p(idx, path, ("a1", 1)) == 2  # max over chains of first touch
     assert sigma_p(idx, path, ("a1", 2)) is None
+    # True would index edge 1; a bool is no edge id, and no group either
+    for target in (True, ("b2", 1), ()):
+        with pytest.raises(ValueError, match="unknown sigma_p target"):
+            sigma_p(idx, path, target)
 
 
 def test_sigma_p_matches_double_loop_oracle():

@@ -78,6 +78,9 @@ def test_apply_switch():
     assert tree_distances_list(g, pol.chosen)[0] == 2
     with pytest.raises(NotAnEdgeError):
         apply_switch(g, pol, 7)
+    # True would index edge 1 and put a bool into the policy
+    with pytest.raises(NotAnEdgeError, match="no edge with id True"):
+        apply_switch(g, Policy((0, None)), True)
     with pytest.warns(SelfReplaceWarning):
         assert apply_switch(g, pol, 1) == pol
 

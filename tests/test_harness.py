@@ -1,14 +1,20 @@
 """Experiment harness: seeding, determinism, CSV, CLI subcommands."""
 
+import contextlib
 import csv
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pivotlab
 from pivotlab import checks, cli, comptrees, counter_graph, experiments, rules
@@ -260,10 +266,10 @@ def test_cli_analyze(tmp_path, capsys):
     assert "canonical frequency" in printed
 
 
-def _one_edge_graph(target=1, cost="2") -> str:
+def _one_edge_graph(target=1, cost="2", vertex_id=1) -> str:
     return json.dumps({
         "target": target,
-        "vertices": [{"id": 0, "name": "v0"}, {"id": 1, "name": "v1"}],
+        "vertices": [{"id": 0, "name": "v0"}, {"id": vertex_id, "name": "v1"}],
         "edges": [{"id": 0, "name": "e0", "tail": 0, "head": 1, "scaled_cost": cost}],
     })
 
@@ -284,8 +290,12 @@ def _one_edge_graph(target=1, cost="2") -> str:
         # int() would truncate 2.7 to 2, and true would read as vertex 1
         _one_edge_graph(cost=2.7),
         _one_edge_graph(target=True),
+        # == would take true and 1.0 for the id 1
+        _one_edge_graph(vertex_id=True),
+        _one_edge_graph(vertex_id=1.0),
     ],
-    ids=["malformed-json", "missing-key", "negative-cycle", "float-cost", "bool-target"],
+    ids=["malformed-json", "missing-key", "negative-cycle", "float-cost", "bool-target",
+         "bool-id", "float-id"],
 )
 def test_cli_bad_graph_file_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
@@ -297,6 +307,48 @@ def test_cli_bad_graph_file_is_a_usage_error(tmp_path, capsys, text):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load graph") and err.count("\n") == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _gen_document() -> str:
+    """The graph file `pivotlab gen` writes for (2,1,1,1)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gen", "--n", "2", "--r", "1", "--s", "1", "--t", "1",
+                             "--out", path]) == 0
+        return Path(path).read_text()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_graph_with_one_bad_field_is_a_usage_error(data):
+    # one id, tail, head or target that is a float, a bool, -1 or past its
+    # range, or one cost that is a float or a bool (a negative cost makes a
+    # valid graph), and `run --graph` exits 2 on one error line
+    doc = json.loads(_gen_document())
+    n, m = len(doc["vertices"]), len(doc["edges"])
+    field = data.draw(st.sampled_from(
+        ["vertex id", "edge id", "tail", "head", "target", "scaled_cost"]))
+    junk = st.one_of(st.floats(), st.booleans())
+    if field == "target":
+        rec = doc
+    elif field == "vertex id":
+        rec = doc["vertices"][data.draw(st.integers(0, n - 1))]
+    else:
+        rec = doc["edges"][data.draw(st.integers(0, m - 1))]
+    if field != "scaled_cost":
+        junk |= st.just(-1) | st.integers(min_value=m if field == "edge id" else n)
+    rec[field.split()[-1]] = data.draw(junk)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        Path(path).write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["run", "--rule", "dantzig", "--graph", path])
+    assert rc == 2
+    assert err.getvalue().startswith("error: cannot load graph")
+    assert err.getvalue().count("\n") == 1
 
 
 def test_cli_bad_sidecar_is_a_usage_error(tmp_path, capsys):

@@ -369,3 +369,16 @@ def test_non_improving_and_misplaced_columns_rejected():
         random_facet_lp(prob, [0], (1,), Random(0))
     with pytest.raises(ValueError, match="basis size"):
         random_facet_lp(prob, range(2), (0, 1), Random(0))
+    # one check reads every column id: -1 and n_cols name no column, though
+    # indexing would read -1 as the last one; True is no id either
+    for bad in (-1, 2, True):
+        with pytest.raises(ValueError, match=rf"no columns with ids \[{bad}\]"):
+            pivot_lp(prob, (1,), bad)
+        with pytest.raises(ValueError, match=rf"no columns with ids \[{bad}\]"):
+            pivot_lp(prob, (bad,), 0)
+        with pytest.raises(ValueError, match=rf"no columns with ids \[{bad}\]"):
+            reduced_costs(prob, (bad,))
+        with pytest.raises(ValueError, match=rf"no columns with ids \[{bad}\]"):
+            random_facet_lp(prob, [0, 1, bad], (1,), Random(0))
+    with pytest.raises(ValueError, match=r"no columns with ids \[-1\]"):
+        random_facet_lp(prob, [-1, 0], (-1,), Random(0))

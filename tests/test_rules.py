@@ -455,6 +455,48 @@ def test_invalid_start_rejected():
         random_facet(g, b0, Random(0), subset=subset)
 
 
+# every function that reads a start tree, as (g, idx, start) -> result: the
+# rules of `experiments.RULES`, `bland_rec`, the canonical follower and the
+# tree distances, each run from the start alone
+START_READERS = {
+    **{name: lambda g, idx, start, run=run: run(g, start, Random(5))
+       for name, run in experiments.RULES.items()},
+    "bland_rec": lambda g, idx, start: bland_rec(
+        g, start, random_permutation_fn(g.n_edges, Random(5))),
+    "follow_canonical": lambda g, idx, start: comptrees.follow_canonical(
+        g, idx, [2, 1], Random(5), start=start),
+    "tree_distances_list": lambda g, idx, start: tree_distances_list(g, start.chosen),
+}
+
+
+@pytest.mark.parametrize("name", list(START_READERS))
+def test_every_start_reader_checks_each_entry(name):
+    # -1, m, True and 1.0 are no edge ids: a start holding one at a vertex
+    # fails the one start check, `_tree_walk`, which names that vertex. The
+    # vertex is the tail of the edge that indexing would read (edge m - 1
+    # for -1, edge 0 for m, edge 1 for True and 1.0), so the entry would
+    # pass for a choice there. Edges 0 and 1 leave one vertex, and the start
+    # holds edge 0 there, so the start with True differs from it even under
+    # ==. The target's own entry is ignored.
+    g, idx = cg.build_counter_graph(2, 1, 1, 1)
+    assert g.out_edges[g.tails[1]] == (0, 1)
+    start = apply_switch(g, cg.initial_tree(idx), 0)
+    read = START_READERS[name]
+    want = read(g, idx, start)
+    m = g.n_edges
+    for bad in (-1, m, True, 1.0):
+        v = g.tails[int(bad) % m]
+        chosen = list(start.chosen)
+        chosen[v] = bad
+        with pytest.raises(PolicyCycleError,
+                           match=f"^vertex {v} has no valid chosen edge$"):
+            read(g, idx, Policy(tuple(chosen)))
+    for junk in (-1, m, True, 1.0, 0):
+        chosen = list(start.chosen)
+        chosen[g.target] = junk
+        assert read(g, idx, Policy(tuple(chosen))) == want
+
+
 def _costliest_start(g) -> Policy:
     # the start of check_rf_equiv: every vertex on its costliest out-edge
     return Policy(tuple(
@@ -855,7 +897,7 @@ def test_one_perm_engine_matches_general_engine_on_counter_graphs():
     assert _assert_one_perm_matches_oracle(g, cg.initial_tree(idx), sigma) > 1000
 
 
-@pytest.mark.parametrize("rule", [random_facet_one_perm, bland_rec])
+@pytest.mark.parametrize("rule", [random_facet_one_perm, bland_rec, bland_nonrec])
 @pytest.mark.parametrize(
     "sigma", [[1, 1], [2, 2], [0, 1], [1, 3], [1], [1, 2, 3]],
     ids=["tie-low", "tie-high", "zero", "gap", "short", "long"],
