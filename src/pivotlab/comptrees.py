@@ -100,16 +100,18 @@ class ComputationTree:
             raise ValueError("trace ended with unbalanced calls")
         return tree
 
-    def validate(self, g: Digraph, start: Policy) -> None:
+    def validate(self, g: Digraph, start: Policy, edges=None) -> None:
         """Recompute every node's edge set and entry tree and check the
-        child rules; intended for small traced runs.
+        child rules; intended for small traced runs. The root's edge set is
+        `edges`, the `subset` the run was given, or every edge.
 
         The left child's edge set and tree follow from the parent directly,
         but the right child's entry tree is the one returned by the whole
         left subtree, so evaluation interleaves a top-down fill with a
         bottom-up return pass.
         """
-        f_of: dict[int, frozenset[int]] = {0: frozenset(range(g.n_edges))}
+        f_of: dict[int, frozenset[int]] = {
+            0: frozenset(range(g.n_edges) if edges is None else edges)}
         b_of: dict[int, Policy] = {0: start}
         returned: dict[int, Policy] = {}
         stack: list[tuple[int, int]] = [(0, 0)]

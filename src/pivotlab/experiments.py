@@ -256,7 +256,15 @@ def write_trace(
     rule: str, master_seed: int, g: Digraph, start: Policy, fh: TextIO
 ) -> None:
     """Dump trial 0's pivot log (plus the recursion tree for the facet rule)
-    as JSON to fh."""
+    as JSON to fh.
+
+    The trace is the run the CSV reports as trial 0: the same seed, and for
+    `random-facet` the same draws, since a traced run draws what an
+    untraced one does. Its tree is the run's replay in the eager engine
+    (see `rules.random_facet`): the run draws a column's rank in a descent
+    only when the column improves, and the replay puts the columns it never
+    ranked at the untaken ranks in id order, a placement consistent with
+    every test the run made."""
     trial_seed = derive_seed(master_seed, 0)
     doc: dict = {"rule": rule, "seed": trial_seed}
     if rule == "random-facet":

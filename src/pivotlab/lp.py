@@ -24,7 +24,7 @@ from math import lcm
 from typing import Sequence
 
 from .graphs import Digraph, Policy
-from .rules import _facet_collapsed, _nonbasic, shuffled_order
+from .rules import _facet_lazy, _nonbasic
 
 
 class SingularBasisError(Exception):
@@ -309,14 +309,16 @@ class _LPTracker:
     `red` holds every column's reduced cost for the current basis as an
     integer numerator over a positive denominator, which keeps its sign.
     A pivot is `pivot_lp`, so a non-improving column raises ValueError and
-    leaves the state as it was; then the new basis is priced once and `red`
-    refreshed in place.
+    leaves the state as it was; then the new basis is priced once, `red`
+    refreshed in place, and the columns whose reduced cost turned negative
+    kept for `turned_improving`.
     """
 
     def __init__(self, lp: StdFormLP, basis: Sequence[int]):
         self.lp = lp
         self.basis = tuple(basis)
         self.red = _price(lp, self.basis)[0]
+        self.turned: list[int] = []
         self.log: list[tuple[int, int]] = []
 
     def nonbasic(self, in_f: list) -> list[int]:
@@ -325,9 +327,16 @@ class _LPTracker:
 
     def pivot(self, entering: int) -> int:
         self.basis, leaving = pivot_lp(self.lp, self.basis, entering)
-        self.red[:] = _price(self.lp, self.basis)[0]
+        red = _price(self.lp, self.basis)[0]
+        self.turned = [j for j, (old, new) in enumerate(zip(self.red, red))
+                       if new < 0 <= old]
+        self.red[:] = red
         self.log.append((entering, leaving))
         return leaving
+
+    def turned_improving(self) -> list[int]:
+        """The columns the last pivot made improving, in id order."""
+        return self.turned
 
 
 def random_facet_lp(
@@ -335,12 +344,15 @@ def random_facet_lp(
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """Facet-removal recursion on the LP restricted to the `allowed` columns.
 
-    The recursion is the graph rule's own engine, `rules._facet_collapsed`,
-    with an LP basis as its pivot oracle and the same removal order
-    (`rules.shuffled_order`: one `rules.shuffle_exact` of each id-sorted
-    candidate list, which draws the same bits as `rng.shuffle`). So a
-    seeded run pivots in lockstep with `rules.random_facet` on the graph the
-    LP encodes.
+    The recursion is the graph rule's own engine, `rules._facet_lazy`, with
+    an LP basis as its pivot oracle: each column's rank in a descent is drawn
+    when the column first improves, and the columns a pivot made improving
+    are walked in id order. The LP's sign flips are the graph kernel's
+    in-edges of shifted vertices that turned improving, so a seeded run
+    draws the same bits and pivots in lockstep with `rules.random_facet` on
+    the graph the LP encodes, traced or not. (A traced graph run completes
+    each descent's order with its unrevealed columns in id order; this run
+    keeps no trace.)
     Returns the optimal basis and the pivot log.
     """
     _check_size(lp, basis, *allowed)
@@ -349,7 +361,7 @@ def random_facet_lp(
         raise ValueError("basis must lie inside the allowed column set")
     tracker = _LPTracker(lp, basis)
     in_f = [j in allowed_set for j in range(lp.n_cols)]
-    _facet_collapsed(tracker, in_f, shuffled_order(rng))
+    _facet_lazy(tracker, in_f, rng)
     return tracker.basis, tracker.log
 
 

@@ -12,26 +12,38 @@ read. It starts from copies of its start's snapshot, `_start_tree`, which
 the graph keeps for its last start, so trials from one start walk and
 price it once.
 
-The fresh-randomness facet-removal recursion has one engine,
-`_facet_collapsed`, behind `random_facet`, `comptrees.follow_canonical` and
-`lp.random_facet_lp`. It talks to a pivot oracle (a reduced-cost list
-`red`, `pivot(e) -> leaving` and `nonbasic(in_f)`) that both `_PivotTracker`
-and the LP basis tracker implement, and it can emit the event stream from
-which `comptrees.ComputationTree` rebuilds the recursion tree. So the traced
-run, the untraced run and the LP run of one seed are the same run. Each
-descent asks an `arrange(avail) -> list` callable for its removal order,
-`shuffled_order(rng)`: id order, then `shuffle_exact`, which draws exactly
-the bits `Random.shuffle` draws, at about half its cost. The engine reads
-the caller's edge-set flags `in_f` but never writes them; its docstring
-gives the argument that the one read needs no writes.
+The facet-removal recursion runs on three engines. The two with fresh
+randomness, and the rules behind which each runs:
+
+- `_facet_lazy`, behind `random_facet` (traced and untraced) and
+  `lp.random_facet_lp`: a stack of frames, one per descent, each a rank
+  cursor and a heap of improving columns, that draws a column's rank in a
+  frame (`_draw_rank`, `randbelow_exact` steps of a partial Fisher-Yates
+  shuffle) only when the column improves. A pivot costs per shifted vertex,
+  not per candidate. Its pivot oracle (a reduced-cost list `red`,
+  `pivot(e) -> leaving`, `nonbasic(in_f)` and `turned_improving()`, the
+  columns the last pivot made improving) is implemented by `_PivotTracker`
+  and by the LP basis tracker, and the turned columns are walked in id
+  order, so the graph run and the LP run of one seed draw the same bits
+  and pivot in lockstep. A traced run replays itself in `_facet_collapsed`
+  to emit its computation tree's event stream (see `random_facet`).
+- `_facet_collapsed`, behind `comptrees.follow_canonical`'s sub-solves and
+  the trace replay: each descent asks an `arrange(avail) -> list` callable
+  for its whole removal order and tests every candidate in the unwind; it
+  can emit the event stream from which `comptrees.ComputationTree`
+  rebuilds the recursion tree. The follower's `arrange` is
+  `shuffled_order(rng)`: id order, then `shuffle_exact`, which draws
+  exactly the bits `Random.shuffle` draws, at about half its cost. The
+  engine reads the caller's edge-set flags `in_f` but never writes them;
+  its docstring gives the argument that the one read needs no writes.
 
 The one-permutation rule, `random_facet_one_perm`, makes the pivots of
-`_facet_collapsed` with every candidate list sorted by sigma, but from its
-own engine: a stack of frames, each a rank cursor and a heap of improving
-columns, so a pivot costs per shifted vertex, like `bland_nonrec`'s heap,
-not per candidate. The tests keep the sorted `_facet_collapsed` run as its
-oracle. The three rank-ordered rules (it, `bland_rec`, `bland_nonrec`) read
-sigma through `_edge_of_rank`, which rejects a non-permutation of 1..m.
+`_facet_collapsed` with every candidate list sorted by sigma, on the frame
+stack that `_facet_lazy` draws ranks for: there a column's rank is sigma.
+The tests keep the sorted `_facet_collapsed` run as its oracle, and the
+shuffled one as the lazy engine's. The three rank-ordered rules (it,
+`bland_rec`, `bland_nonrec`) read sigma through `_edge_of_rank`, which
+rejects anything but a permutation of 1..m in ints.
 
 The counter graph's edge-group statistics have one home: `sigma_b1` (a
 level's first b-chain edge), `sigma_a1` (the point at which every a chain of
@@ -184,6 +196,7 @@ class _PivotTracker:
         self.children = list(map(list, snap.children))
         self.red = list(snap.red)
         self.shifted: list[int] = []
+        self.step = 0  # the last pivot's delta
         self.log: list[tuple[int, int]] = []
 
     def improving(self, e: int) -> bool:
@@ -192,6 +205,16 @@ class _PivotTracker:
     def nonbasic(self, in_f: list) -> list[int]:
         """The edges with in_f set that are not chosen, in id order."""
         return _nonbasic(in_f, self.chosen)
+
+    def turned_improving(self) -> list[int]:
+        """The edges the last pivot made improving: the in-edges x of the
+        shifted vertices with red[x] < 0 <= red[x] - delta. A pivot lowers
+        only those reduced costs, so no other edge can have turned. An edge
+        with both ends shifted kept its reduced cost, so it is listed only
+        if it was improving already."""
+        red, delta, in_edges = self.red, self.step, self.g.in_edges
+        return [x for w in self.shifted for x in in_edges[w]
+                if red[x] < 0 <= red[x] - delta]
 
     def pivot(self, e: int) -> int:
         g = self.g
@@ -225,6 +248,7 @@ class _PivotTracker:
         children[v].append(u)
         self.chosen[u] = e
         self.shifted = sub
+        self.step = delta
         self.log.append((e, leaving))
         return leaving
 
@@ -250,10 +274,12 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
     and `nonbasic(in_f)`, the list of in_f columns outside the basis, in id
     order. `arrange(avail) -> list` returns the removal order (picked-first
     first) of the candidate list it is handed, and must not depend on the
-    list's order: the engine's callers pass `shuffled_order(rng)`, which
-    sorts by id before it shuffles. (Sorting by a fixed permutation instead
-    gives the one-permutation rule; `random_facet_one_perm` runs that rule
-    on its own engine, and the tests use this one as its oracle.) Each
+    list's order: the follower passes `shuffled_order(rng)`, which sorts by
+    id before it shuffles, and a traced `random_facet` passes
+    `_revealed_order`, which places each column by its rank. (Sorting by a
+    fixed permutation instead gives the one-permutation rule;
+    `random_facet_one_perm` runs that rule on its own engine, and the tests
+    use this one as its oracle.) Each
     descent strips the whole candidate list, which is the chain of left
     children down to a leaf; the unwind tests candidates last-removed
     first against the evolving basis, and every pivot opens the right
@@ -322,6 +348,178 @@ def shuffled_order(rng):
     return arrange
 
 
+def _draw_rank(size: int, revealed: dict, swap: dict, rng) -> int:
+    """A rank drawn uniformly from those of 1..size that no column of
+    `revealed` holds: one step of a partial Fisher-Yates shuffle.
+
+    Position i of 0..size-1 holds rank swap.get(i, i) + 1, and the first
+    size - len(revealed) positions hold the untaken ranks. A draw takes
+    position i = randbelow_exact(untaken) and moves the last untaken
+    position's rank into it. So no float is drawn, and drawing every rank of
+    a frame gives each order of them with probability 1/size!. The caller
+    records the rank in `revealed`.
+    """
+    last = size - len(revealed) - 1
+    i = randbelow_exact(last + 1, rng)
+    rank = swap.get(i, i) + 1
+    swap[i] = swap.get(last, last)
+    return rank
+
+
+def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
+    """The fresh-randomness facet-removal recursion of `_facet_collapsed`
+    under `shuffled_order`, drawing a column's rank only when it improves.
+
+    `tracker` is the pivot oracle of `_facet_collapsed` plus
+    `turned_improving()`, the columns the last pivot made improving. Ranks
+    are removal positions: rank 1 is removed first, so an unwind tests its
+    candidates in descending rank. The recursion is the frame stack of
+    `random_facet_one_perm` with sigma[x] replaced by x's rank in each
+    frame. One descent is one frame: its size N (the candidate count), its
+    rank cursor (the unwind tests the ranks below it next; N + 1 at
+    creation), a max-rank heap of keys -(rank * m + column) for the held
+    columns that improved, a map from column to revealed rank, and the
+    partial Fisher-Yates swaps over its untaken ranks (`_draw_rank`, one
+    `randbelow_exact(N - drawn)` a draw). A frame holds the cursor - 1
+    columns at the ranks below its cursor. The first frame's size is the
+    pool count, the in_f columns outside the basis; a new frame's size is
+    the pool count minus the columns the live frames hold, a running sum of
+    their cursor - 1. A pivot moves the entering column out of the pool and
+    the leaving column into it, so only a leaving column outside in_f
+    shrinks the count.
+
+    The top frame pops its highest-ranked entry with red < 0, sets its
+    cursor to that rank and pivots, which pushes a frame; entries with red
+    >= 0 are dropped, and an empty heap pops the frame. After a pivot, the
+    engine takes the in_f columns of `turned_improving()` in id order. Each
+    column x walks up from the first live frame created at or after the
+    pivot where x last left the basis: it takes x's revealed rank there, or
+    reveals one by a draw. Below the cursor, x is held there, and pushed
+    unless it was revealed there already, in which case its entry stands;
+    otherwise the walk moves one frame up. The frame just pushed has cursor
+    N + 1, so the walk ends there at the latest. A listed column that was
+    improving before the pivot is held already: its walk retraces frames
+    that revealed it and draws nothing. So the draws depend only on the
+    columns that did turn, taken in id order, and oracles that agree on
+    those draw the same bits: a graph run and the LP run of its flow LP
+    pivot in lockstep.
+
+    Why this is the eager recursion, with every descent's removal order
+    uniform:
+
+    - Only turned columns can become improving, and the walk catches every
+      turn at the pivot that makes it. The unwind of `_facet_collapsed`
+      pivots only while every pool column is non-improving: the pool holds
+      columns tested non-improving since the last pivot, and leaving
+      columns, which a pivot leaves non-improving. So a column that no walk
+      has revealed in a frame was non-improving at every test made since it
+      last left the basis, whatever rank it holds there.
+    - Given the run so far, a frame's unrevealed columns therefore sit on
+      its untaken ranks as a uniform random bijection: every test the run
+      made reads the same for every placement of them. Drawing x's rank
+      uniformly from the untaken ones, when x first improves, is that
+      bijection's value at x.
+    - A frame holds its ranks below its cursor. Every unrevealed column at
+      or above the cursor was tested non-improving and restored to the
+      pool, and a popped frame restores every column it held, each
+      non-improving. Either way the column is a candidate of the next
+      frame up, which was created after that test; as in the
+      one-permutation engine, creation times rise up the stack, so a bisect
+      over them finds x's first frame.
+
+    The engine writes no flag, so in_f ends the call as it began. With
+    `frames` given, it appends each frame's (size, revealed) in creation
+    order, the ranks as the run left them; see `random_facet`.
+    """
+    red = tracker.red
+    pivot = tracker.pivot
+    turned = tracker.turned_improving
+    m = len(red)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    left_at = [0] * m  # pivot count at which each column last left the basis
+    pool = len(tracker.nonbasic(in_f))
+    held = 0  # columns the live frames hold: the sum of their cursor - 1
+    created: list[int] = []
+    cursor: list[int] = []
+    sizes: list[int] = []
+    heaps: list[list[int]] = []
+    revealed: list[dict] = []
+    swaps: list[dict] = []
+
+    t = 0
+    size = pool
+    improved = [x for x in compress(range(m), in_f) if red[x] < 0]
+    while True:
+        created.append(t)
+        cursor.append(size + 1)
+        sizes.append(size)
+        heaps.append([])
+        revealed.append({})
+        swaps.append({})
+        if frames is not None:
+            frames.append((size, revealed[-1]))
+        held += size
+        for x in improved:  # walk x up to the frame that holds it
+            k = bisect_left(created, left_at[x])
+            while True:
+                ranks = revealed[k]
+                rank = ranks.get(x)
+                if rank is None:
+                    rank = ranks[x] = _draw_rank(sizes[k], ranks, swaps[k], rng)
+                    if rank < cursor[k]:
+                        heappush(heaps[k], -(rank * m + x))
+                        break
+                elif rank < cursor[k]:
+                    break
+                k += 1
+        while heaps:
+            heap = heaps[-1]
+            while heap:
+                rank, e = divmod(-heappop(heap), m)
+                if red[e] < 0:
+                    break
+            else:
+                held -= cursor.pop() - 1
+                heaps.pop()
+                created.pop()
+                sizes.pop()
+                revealed.pop()
+                swaps.pop()
+                continue
+            break
+        else:
+            return
+        held -= cursor[-1] - rank
+        cursor[-1] = rank
+        leaving = pivot(e)
+        t += 1
+        left_at[leaving] = t
+        if not in_f[leaving]:
+            pool -= 1
+        size = pool - held
+        improved = sorted(x for x in turned() if in_f[x])
+
+
+def _revealed_order(frames: list):
+    """The `arrange` that replays a `_facet_lazy` run in `_facet_collapsed`:
+    descent k places frame k's revealed columns at their ranks and fills the
+    untaken ranks with its other candidates in id order. Raises
+    AssertionError when a descent's candidates cannot be frame k's."""
+    it = iter(frames)
+
+    def arrange(avail) -> list[int]:
+        size, revealed = next(it, (None, None))
+        if size != len(avail) or not revealed.keys() <= set(avail):
+            raise AssertionError("replayed descent differs from the run's frame")
+        order = [None] * size
+        for x, rank in revealed.items():
+            order[rank - 1] = x
+        rest = iter(sorted(set(avail) - revealed.keys()))
+        return [next(rest) if x is None else x for x in order]
+
+    return arrange
+
+
 def random_facet(
     g: Digraph,
     policy: Policy,
@@ -331,28 +529,52 @@ def random_facet(
 ) -> RunResult:
     """Facet-removal rule with a fresh random pick at every call.
 
-    Each descent shuffles its id-sorted candidate list once (see
-    `shuffled_order`), which draws every removal uniformly. With `trace`,
-    the run also records the event stream of its computation tree; the
-    pivots are the same either way.
+    The run is `_facet_lazy`: every descent's removal order is uniform, but
+    a column's rank in it is drawn only when the column improves. With
+    `trace`, the run also records its computation tree's event stream, the
+    stream `comptrees.ComputationTree.from_events` reads: `_facet_collapsed`
+    replays the run on a fresh kernel, each descent's order placing the
+    revealed columns at their ranks and filling the untaken ranks with the
+    unrevealed columns in id order. The run never drew those positions, and
+    any placement of them is consistent with every test it made, so the
+    replay makes the same pivots; if its pivot log differs from the run's,
+    AssertionError is raised. The pivots and the draws are the same with or
+    without `trace`.
     """
     chosen, in_f = _start(g, policy, subset)
+    start = list(chosen)
     tracker = _PivotTracker(g, chosen)
-    events: list | None = [] if trace else None
-    _facet_collapsed(tracker, in_f, shuffled_order(rng), events)
+    frames: list | None = [] if trace else None
+    _facet_lazy(tracker, in_f, rng, frames)
+    events = None
+    if trace:
+        replay = _PivotTracker(g, start)
+        events = []
+        _facet_collapsed(replay, in_f, _revealed_order(frames), events)
+        if replay.log != tracker.log:
+            raise AssertionError("replayed trace pivots differ from the run's")
     return tracker.result("random-facet", trace_events=events)
 
 
 def _edge_of_rank(sigma, m: int) -> list[int]:
     """The inverse of sigma, indexed by rank (entry 0 unused). Raises
     ValueError unless sigma is a permutation of 1..m: with a tied rank, a
-    rank-ordered rule would skip an edge."""
-    if sorted(sigma) != list(range(1, m + 1)):
-        raise ValueError(f"sigma is not a permutation of 1..{m}")
-    edge_of_rank = [0] * (m + 1)
-    for e, rank in enumerate(sigma):
-        edge_of_rank[rank] = e
-    return edge_of_rank
+    rank-ordered rule would skip an edge, and a float or bool is no rank.
+
+    The check rides on the inverse's construction: m int ranks, none below
+    1, fill the m slots 1..m exactly when no rank repeats or exceeds m (a
+    rank above m stops the fill), so one -1 left, at entry 0, means a
+    permutation."""
+    edge_of_rank = [-1] * (m + 1)
+    if len(sigma) == m and not {*map(type, sigma)} - {int} and min(sigma, default=1) > 0:
+        try:
+            for e, rank in enumerate(sigma):
+                edge_of_rank[rank] = e
+        except IndexError:
+            pass
+        if edge_of_rank.count(-1) == 1:
+            return edge_of_rank
+    raise ValueError(f"sigma is not a permutation of 1..{m}")
 
 
 def random_facet_one_perm(

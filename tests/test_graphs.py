@@ -279,7 +279,7 @@ SUBSET_RESULTS = {
         "optimal_distances_list": [4, 3, 2, 0],
         "optimal_edge_set": {0, 2, 6},
         "improving_switches": {0, 2},
-        "random_facet": [(2, 5), (0, 4)],
+        "random_facet": [(0, 4), (2, 5)],
         "random_facet_one_perm": [(0, 4), (2, 5)],
     },
 }

@@ -4,7 +4,7 @@ permutation machinery, counter lower bounds."""
 import hashlib
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import factorial, gcd
 from random import Random
@@ -790,6 +790,202 @@ def test_facet_engines_agree_in_distribution_on_a_counter_graph():
         assert trials * (mean - exact) ** 2 <= 16 * var, (r, float(mean))
 
 
+# the lazily ranked engine (`rules._facet_lazy`, behind `random_facet` and
+# `lp.random_facet_lp`) against the slow oracles: the exact expectations
+# above, the eager engine `_facet_collapsed` under `shuffled_order`, and
+# `expected_pivots_recursive` on random DAGs, which
+# test_facet_engines_agree_in_distribution compares it with
+
+
+@pytest.mark.parametrize("params, seed", [((2, 1, 1, 1), 7101), ((3, 1, 1, 1), 7102)])
+def test_lazy_engine_mean_matches_the_exact_expectation(params, seed):
+    g, idx = cg.build_counter_graph(*params)
+    b0 = cg.initial_tree(idx)
+    exact = COUNTER_EXPECTATIONS[params]
+    rng = Random(seed)
+    trials = 3000
+    xs = [random_facet(g, b0, rng).pivots for _ in range(trials)]
+    mean = Fraction(sum(xs), trials)
+    var = (sum(x * x for x in xs) - trials * mean * mean) / (trials - 1)
+    z = float(mean - exact) / math.sqrt(var / trials)
+    assert abs(z) < 3, (params, z)
+
+
+def _eager_facet_pivots(g, b0, rng) -> int:
+    """Pivot count of the eager engine: every descent shuffled in full."""
+    chosen, in_f = rules._start(g, b0, None)
+    tracker = rules._PivotTracker(g, chosen)
+    rules._facet_collapsed(tracker, in_f, rules.shuffled_order(rng))
+    return len(tracker.log)
+
+
+def test_lazy_and_eager_engines_agree_in_law():
+    # two-sample chi-square of the pivot counts at (2,2,2,1): adjacent counts
+    # are pooled until a bin holds at least 40 runs of the two samples, the
+    # last bin takes what remains, and equal sample sizes make the statistic
+    # the sum over bins of (a - b)^2 / (a + b) on bins - 1 degrees of freedom
+    g, idx = cg.build_counter_graph(2, 2, 2, 1)
+    b0 = cg.initial_tree(idx)
+    trials = 2000
+    rng = Random(7103)
+    lazy = Counter(random_facet(g, b0, rng).pivots for _ in range(trials))
+    eager = Counter(_eager_facet_pivots(g, b0, rng) for _ in range(trials))
+    bins, a, b = [], 0, 0
+    for x in sorted(lazy.keys() | eager.keys()):
+        a, b = a + lazy[x], b + eager[x]
+        if a + b >= 40:
+            bins.append((a, b))
+            a = b = 0
+    if a + b:
+        last_a, last_b = bins.pop()
+        bins.append((last_a + a, last_b + b))
+    assert len(bins) >= 5
+    stat = sum((a - b) ** 2 / (a + b) for a, b in bins)
+    assert stat < _chi2_quantile(0.999, len(bins) - 1), (stat, len(bins))
+
+
+@pytest.mark.parametrize("size, seed", [(3, 7104), (4, 7105)])
+def test_rank_draws_give_every_order_uniformly(size, seed):
+    # a frame of `size` columns drawing every rank, column 0 first: each of
+    # the size! orders of the ranks is equally likely
+    rng = Random(seed)
+    orders = list(itertools.permutations(range(1, size + 1)))
+    trials = 200 * len(orders)
+    counts = Counter()
+    for _ in range(trials):
+        revealed, swap = {}, {}
+        for x in range(size):
+            revealed[x] = rules._draw_rank(size, revealed, swap, rng)
+        counts[tuple(revealed.values())] += 1
+    assert counts.keys() <= set(orders)
+    expected = trials / len(orders)
+    stat = sum((counts[o] - expected) ** 2 / expected for o in orders)
+    assert stat < _chi2_quantile(0.999, len(orders) - 1), stat
+
+
+class _NoFloatRandom(Random):
+    """A generator whose float draw fails."""
+
+    def random(self):
+        raise AssertionError("drew a float")
+
+
+def test_lazy_engine_draws_no_float():
+    rng = Random(7106)
+    instances = [(g, cg.initial_tree(idx))
+                 for g, idx in (cg.build_counter_graph(2, 2, 2, 1),)]
+    for _ in range(10):
+        g = random_dag(rng, rng.randrange(3, 9), extra_edges=rng.randrange(2, 10))
+        instances.append((g, random_policy(g, rng)))
+    for k, (g, b0) in enumerate(instances):
+        run = random_facet(g, b0, _NoFloatRandom(k))
+        assert run.pivot_log == random_facet(g, b0, _NoFloatRandom(k), trace=True).pivot_log
+        prob, _, _ = lp.sp_to_lp(g)
+        _, log = lp.random_facet_lp(prob, range(g.n_edges), lp.tree_basis(g, b0),
+                                    _NoFloatRandom(k))
+        assert log == run.pivot_log
+    with pytest.raises(AssertionError, match="drew a float"):
+        _NoFloatRandom(0).random()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vertices=st.integers(min_value=2, max_value=9),
+    extra=st.integers(min_value=0, max_value=12),
+    keep=st.sampled_from((0.0, 0.4, 0.8, 1.0)),
+)
+def test_lazy_engine_on_subsets(seed, vertices, extra, keep):
+    # from a random start on a random subset S holding the start's edges:
+    # the run ends at the optimum of S, the LP run on the columns of S
+    # pivots in lockstep with it, and the traced run is the same run, whose
+    # computation tree checks out from the root edge set S
+    rng = Random(seed)
+    g = random_dag(rng, vertices, extra_edges=extra, max_cost=rng.choice((2, 9)))
+    b0 = random_policy(g, rng)
+    subset = {e for e in range(g.n_edges) if rng.random() < keep}
+    subset |= b0.edge_set()
+    run_seed = rng.randrange(2**32)
+    run = random_facet(g, b0, Random(run_seed), subset=subset)
+    assert (tree_distances_list(g, run.final_policy.chosen)
+            == optimal_distances_list(g, subset | b0.edge_set()))
+    prob, _, _ = lp.sp_to_lp(g)
+    basis, log = lp.random_facet_lp(prob, sorted(subset), lp.tree_basis(g, b0),
+                                    Random(run_seed))
+    assert log == run.pivot_log
+    assert sorted(basis) == sorted(run.final_policy.edge_set())
+    traced = random_facet(g, b0, Random(run_seed), subset=subset, trace=True)
+    assert traced.pivot_log == run.pivot_log
+    comptrees.record_tree(traced).validate(g, b0, subset)
+
+
+class _FlipsOnlyTracker(rules._PivotTracker):
+    """The graph kernel listing, like the LP, only the edges whose reduced
+    cost turned negative at the last pivot."""
+
+    def pivot(self, e):
+        self.before = list(self.red)
+        return super().pivot(e)
+
+    def turned_improving(self):
+        listed = super().turned_improving()
+        self.held += sum(self.before[x] < 0 for x in listed)
+        return [x for x in listed if self.before[x] >= 0]
+
+
+def test_turned_columns_that_improved_already_draw_nothing():
+    # the kernel also lists improving edges with both ends shifted; their
+    # walks find them held, so dropping them leaves the log and the
+    # generator state as they were, on counter graphs too, where the LP
+    # lockstep checks cannot go
+    rng = Random(7109)
+    cases = []
+    for params in ((3, 2, 2, 2), (4, 3, 3, 3)):
+        g, idx = cg.build_counter_graph(*params)
+        cases += [(g, cg.initial_tree(idx)), (g, random_policy(g, rng))]
+    for _ in range(30):
+        g = random_dag(rng, rng.randrange(3, 12), extra_edges=rng.randrange(2, 20),
+                       max_cost=rng.choice((1, 2, 9)))
+        cases.append((g, random_policy(g, rng)))
+    held = 0
+    for k, (g, b0) in enumerate(cases):
+        runs = []
+        for kernel in (rules._PivotTracker, _FlipsOnlyTracker):
+            chosen, in_f = rules._start(g, b0, None)
+            tracker = kernel(g, chosen)
+            tracker.held = 0
+            run_rng = Random(k)
+            rules._facet_lazy(tracker, in_f, run_rng)
+            runs.append((tracker.log, run_rng.getstate()))
+            held += tracker.held
+        assert runs[0] == runs[1], k
+    assert held > 20
+
+
+def test_traced_run_raises_when_its_replay_diverges(monkeypatch):
+    # a replay whose descents take the revealed order reversed makes other
+    # pivots, and the traced run refuses to report it: a descent or the
+    # pivot log differs from the run's
+    g, idx = cg.build_counter_graph(2, 2, 2, 1)
+    b0 = cg.initial_tree(idx)
+    replay_order = rules._revealed_order
+
+    def reversed_order(frames):
+        arrange = replay_order(frames)
+        return lambda avail: arrange(avail)[::-1]
+
+    monkeypatch.setattr(rules, "_revealed_order", reversed_order)
+    with pytest.raises(AssertionError, match="^replayed "):
+        random_facet(g, b0, Random(7107), trace=True)
+
+
+def test_random_facet_at_m_2040():
+    g, idx = cg.build_counter_graph(6, 5, 5, 5)
+    assert g.n_edges == 2040
+    run = random_facet(g, cg.initial_tree(idx), Random(7108))
+    assert tree_distances_list(g, run.final_policy.chosen) == optimal_distances_list(g)
+
+
 def test_bland_formulations_identical_logs():
     rng = Random(77)
     for _ in range(40):
@@ -908,6 +1104,16 @@ def test_rank_rules_reject_a_sigma_that_is_not_a_permutation(rule, sigma):
         rule(g, Policy((0, None)), sigma)
 
 
+@pytest.mark.parametrize("rule", [random_facet_one_perm, bland_rec, bland_nonrec])
+@pytest.mark.parametrize("sigma", [[1.0, 2, 3, 4], [True, 2, 3, 4]], ids=["float", "bool"])
+def test_rank_rules_reject_a_rank_that_is_not_an_int(rule, sigma):
+    # 1.0 and True both equal the rank 1, so sigma sorts like a permutation
+    g = Digraph(3, 2, tails=[0, 0, 1, 0], heads=[1, 1, 2, 2], costs=[5, 1, 1, 10])
+    assert sorted(sigma) == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="not a permutation"):
+        rule(g, Policy((0, 2, None)), sigma)
+
+
 def test_rf_expected_equality_fixed_six_edge_instance():
     # fixed 6-edge acyclic instance: expected pivots agree exactly between
     # the recursive and non-recursive formulations
@@ -977,24 +1183,41 @@ def test_induced_permutation_orders_levels():
     assert hat[2] == 1 and hat[3] == 2 and hat[1] == 3
 
 
-def _chi2_sf_5_dof(x: float) -> float:
-    # survival function of the chi-square law with 5 degrees of freedom; for
-    # odd k it has the closed form erfc(sqrt(x/2)) + sqrt(2x/pi) e^(-x/2) times
-    # the sum over j < (k-1)/2 of x^j / (1 * 3 * ... * (2j+1))
-    return (math.erfc(math.sqrt(x / 2))
-            + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * (1 + x / 3))
+def _chi2_sf(x: float, k: int) -> float:
+    # survival function of the chi-square law with k degrees of freedom, in
+    # closed form: for odd k, erfc(sqrt(x/2)) + sqrt(2x/pi) e^(-x/2) times
+    # the sum over j < (k-1)/2 of x^j / (1 * 3 * ... * (2j+1)); for even k,
+    # e^(-x/2) times the sum over j < k/2 of (x/2)^j / j!
+    term, total = 1.0, 0.0
+    if k % 2:
+        for j in range((k - 1) // 2):
+            total += term
+            term *= x / (2 * j + 3)
+        return (math.erfc(math.sqrt(x / 2))
+                + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * total)
+    for j in range(k // 2):
+        total += term
+        term *= x / (2 * (j + 1))
+    return math.exp(-x / 2) * total
 
 
-def _chi2_quantile_5_dof(p: float) -> float:
+def _chi2_quantile(p: float, k: int) -> float:
     # bisection on the decreasing survival function, to float resolution
-    lo, hi = 0.0, 200.0
+    lo, hi = 0.0, 1000.0
     for _ in range(200):
         mid = (lo + hi) / 2
-        if _chi2_sf_5_dof(mid) > 1 - p:
+        if _chi2_sf(mid, k) > 1 - p:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def test_chi2_quantile_matches_reference_values():
+    # scipy.stats.chi2.ppf(0.999, k), for even and odd k
+    for k, want in ((4, 18.46682695290317), (5, 20.515005652432873),
+                    (10, 29.58829844507442), (23, 49.7282324664315)):
+        assert abs(_chi2_quantile(0.999, k) - want) < 1e-9, k
 
 
 def test_induced_permutation_uniform_chi_square():
@@ -1013,12 +1236,8 @@ def test_induced_permutation_uniform_chi_square():
         (counts.get(h, 0) - expected) ** 2 / expected
         for h in counts
     ) + (cells - len(counts)) * expected
-    # generous 99.9% cutoff; a uniform induced order should sit well inside.
-    # 20.515005652432873 is scipy.stats.chi2.ppf(0.999, 5)
-    assert cells - 1 == 5
-    cutoff = _chi2_quantile_5_dof(0.999)
-    assert abs(cutoff - 20.515005652432873) < 1e-9
-    assert stat < cutoff
+    # generous 99.9% cutoff; a uniform induced order should sit well inside
+    assert stat < _chi2_quantile(0.999, cells - 1)
 
 
 def test_suffix_set():
@@ -1186,15 +1405,17 @@ def test_group_statistics_read_float_keys_like_their_ranks():
 # random-number discipline or of the facet engine's pivot choice shows up
 # here as a changed digest; "sample-well-behaved" pins the sampler's draws and
 # the bit order they induce, recorded before the group statistics moved to
-# one set of helpers
+# one set of helpers; "random-facet", "random-facet-traced" and "lp-facet"
+# were recorded when those runs moved to the lazily ranked engine, whose
+# draws (one rank per column that improves) differ from a shuffle per descent
 PINNED_LOG_DIGESTS = {
-    "random-facet": "1b44b58ac162630ab0b4b0b8806dfbbbe55567d21ca09120a4f5ae2d16db6ebf",
-    "random-facet-traced": "4a00e10e3f826618e59b2d8101616213cac954641f6385a00e9a2588861f9ff9",
+    "random-facet": "13a5ae85ad16afbab390c3c5aa37ad2a35bd494e5f1026af728c16b812a5d4aa",
+    "random-facet-traced": "6de0ce374e0424aae693f0c84fe62ebaaa06d540d5083d53deab63e0f179abb4",
     "random-facet-1p": "55395177be4b10cb4ec2a1f72d470be4dd3d3acf3327c545f82ac2f3ed19f7ae",
     "random-bland": "dac7146497c74a67d014babf130f7499f9d0c27d420267724c01565507ffa218",
     "random-facet-nonrec": "57cbbc25dfecc9eae49365ac2d7c4a6949b2be2877f2d86187b4b032ca9157c5",
     "follow-canonical": "c69780a0c7674be8aa60be9e471dba445e5698b05ee091ef1be1d3d46aad7218",
-    "lp-facet": "a4506dad4e722647ae309b82bfcfe678582e54dda9ef0f260c026996f0c8c12c",
+    "lp-facet": "e6087e311f1045390d4f2e0444aa3a7bfb81c3f044846003bc45f9e5110bb46c",
     "sample-well-behaved": "7829db026c4ba3f26038e3ed339bc2f8d13ba57bbfc2659f5ee7481a57e6db1b",
 }
 
