@@ -10,33 +10,31 @@ well-behaved permutation at the paper's chain lengths.
 
 from random import Random
 
-from pivotlab import counter_graph as cg, counters, rules
+from pivotlab import counter_graph as cg, counters, experiments, rules
+
+# the rule columns: header, `experiments.RULES` name, trial count and first
+# trial seed; dantzig draws nothing, so one run is its mean, shown as a count
+COLUMNS = (("rf", "random-facet", 60, 100), ("rf-1p", "random-facet-1p", 60, 200),
+           ("r-bland", "random-bland", 60, 300), ("dantzig", "dantzig", 1, 0))
 
 
-def mean_pivots(runner, trials, seed0):
-    return sum(runner(Random(seed0 + k)).pivots for k in range(trials)) / trials
+def mean_pivots(rule, g, b0, trials, seed0):
+    run = experiments.RULES[rule]
+    return sum(run(g, b0, Random(seed0 + k)).pivots for k in range(trials)) / trials
 
 
 def main():
-    trials = 60
-    print(f"{'n':>3} {'edges':>6} {'f(n)':>8} {'rf':>8} {'rf-1p':>8} "
-          f"{'r-bland':>8} {'dantzig':>8}")
+    print(f"{'n':>3} {'edges':>6} {'f(n)':>8}"
+          + "".join(f" {head:>8}" for head, *_ in COLUMNS))
     print("-" * 56)
     for n in (2, 3, 4, 5, 6):
         g, idx = cg.build_counter_graph(n, 2, 2, 2)
         b0 = cg.initial_tree(idx)
-        rf = mean_pivots(lambda r: rules.random_facet(g, b0, r), trials, 100)
-        rf1p = mean_pivots(
-            lambda r: rules.random_facet_one_perm(
-                g, b0, rules.random_permutation_fn(g.n_edges, r)
-            ),
-            trials, 200,
-        )
-        rbl = mean_pivots(lambda r: rules.random_bland(g, b0, r), trials, 300)
-        dz = rules.dantzig(g, b0).pivots
+        cells = "".join(
+            f" {mean_pivots(rule, g, b0, trials, seed0):>8.{int(trials > 1)}f}"
+            for _, rule, trials, seed0 in COLUMNS)
         fn = float(counters.expected_increments(n))
-        print(f"{n:>3} {g.n_edges:>6} {fn:>8.2f} {rf:>8.1f} {rf1p:>8.1f} "
-              f"{rbl:>8.1f} {dz:>8}")
+        print(f"{n:>3} {g.n_edges:>6} {fn:>8.2f}{cells}")
 
     print()
     print("Per well-behaved permutation the one-permutation run provably")

@@ -253,12 +253,12 @@ def follow_canonical(
     step, so the pivot kernel is built only at that step. Up front, the
     follower reads the start's snapshot, `rules._start_tree`: its check
     that the start is a tree (PolicyCycleError otherwise) and its pick list
-    over all edges. The snapshot is keyed by the start's chosen edges, and
-    the graph keeps one, its last start's, so the trials of an estimate
-    walk and price their common start once, and the kernel copies the same
-    snapshot. A start that is not a tree is never stored, so it raises on
-    every call. A path that stops before its first right step reports
-    `pivots_done = 0`.
+    over all edges. The graph keeps the snapshot of the last start `Policy`
+    object it was built from, so the trials of an estimate, which pass one
+    start object, walk and price it once, and the kernel copies the same
+    snapshot; an equal start built afresh is walked and checked again. A
+    start that is not a tree is never stored, so it raises on every call. A
+    path that stops before its first right step reports `pivots_done = 0`.
 
     The bookkeeping is flat: lists indexed by level i (entry 0 unused) and
     by a chain c = (i-1)*r + j-1, and each multi-edge's copies left in the
@@ -273,8 +273,7 @@ def follow_canonical(
         raise ValueError("schedule levels must lie in 1..n")
     if start is None:
         start = initial_tree(idx)
-    snap = _start_tree(g, start.chosen)  # raises unless the start is a tree
-    chosen = list(start.chosen)
+    snap = _start_tree(g, start)  # raises unless the start is a tree
     last = s_sorted[-1]
     in_s = [False] * (n + 1)
     for i in s_sorted:
@@ -350,7 +349,7 @@ def follow_canonical(
         # canonical stop (always an R step) ends on this switch, and a
         # missing child keeps its level as detail (None on a plain step)
         if tracker is None:
-            tracker = _PivotTracker(g, chosen)
+            tracker = _PivotTracker(g, start)
             log = tracker.log
         in_f[e] = 0
         _facet_collapsed(tracker, in_f, shuffled_order(rng))

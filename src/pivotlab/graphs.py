@@ -100,8 +100,9 @@ class Digraph:
         # frozenset(range(n_edges)), built by `_edge_subset`'s first call; not a
         # cached_property, whose __dict__ write slows attribute reads on 3.11
         self._edge_ids: frozenset[int] | None = None
-        # the snapshot of the last start tree a pivot kernel or a canonical
-        # follower began from (`rules._start_tree`), built on first use
+        # the snapshot of the last start Policy object a pivot kernel or a
+        # canonical follower began from (`rules._start_tree`), built on first
+        # use and hit only by that same object
         self._start_tree = None
 
     def _unreachable(self) -> set[int]:

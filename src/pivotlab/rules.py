@@ -8,9 +8,10 @@ nothing else moves. The kernel shifts just that subtree, and the summed
 tree distance changes by delta * |subtree|; the strict-decrease invariant is
 therefore delta < 0, checked before any state changes. The kernel also keeps
 every edge's reduced cost in the list `red`, so an improving test is a list
-read. It starts from copies of its start's snapshot, `_start_tree`, which
-the graph keeps for its last start, so trials from one start walk and
-price it once.
+read. Every engine builds its kernel from the start `Policy` (through
+`_start` when it takes an edge subset), and the kernel copies the snapshot
+that the graph keeps for its last start object, `_start_tree`: trials that
+pass one start walk and price it once, and every other start is checked.
 
 The facet-removal recursion runs on three engines. The two with fresh
 randomness, and the rules behind which each runs:
@@ -44,6 +45,11 @@ The tests keep the sorted `_facet_collapsed` run as its oracle, and the
 shuffled one as the lazy engine's. The three rank-ordered rules (it,
 `bland_rec`, `bland_nonrec`) read sigma through `_edge_of_rank`, which
 rejects anything but a permutation of 1..m in ints.
+
+Each engine stays because its merge was measured to cost more than it
+removes (README, "Facet engines"): one frame engine with a rank source
+slowed the one-permutation rule 1.40-1.65x per pivot, and the follower's
+sub-solves on `_facet_lazy` raised the benchmark's peak RSS past its bound.
 
 The counter graph's edge-group statistics have one home: `sigma_b1` (a
 level's first b-chain edge), `sigma_a1` (the point at which every a chain of
@@ -96,21 +102,20 @@ class RunResult:
         return len(self.pivot_log)
 
 
-def _start(g: Digraph, policy: Policy, subset) -> tuple[list, bytearray]:
-    """The start's chosen edges as a list, checked by `_start_tree`, and the
-    edge-set flags `in_f`: every edge, or the edges of `subset` (read by
+def _start(g: Digraph, policy: Policy, subset) -> tuple[_PivotTracker, bytearray]:
+    """The pivot kernel built from the start `policy`, which checks it, and
+    the edge-set flags `in_f`: every edge, or the edges of `subset` (read by
     `graphs._edge_subset`), which must hold every start entry but the target's."""
-    chosen = list(policy.chosen)
-    _start_tree(g, chosen)
+    tracker = _PivotTracker(g, policy)
     m = g.n_edges
     if subset is None:
-        return chosen, bytearray(b"\x01") * m
+        return tracker, bytearray(b"\x01") * m
     in_f = bytearray(m)
     for e in _edge_subset(g, subset):
         in_f[e] = 1
-    if not all(in_f[e] for v, e in enumerate(chosen) if v != g.target):
+    if not all(in_f[e] for e in tracker.chosen if e is not None):
         raise InvalidStartError("start policy uses edges outside the edge set")
-    return chosen, in_f
+    return tracker, in_f
 
 
 def _nonbasic(in_f: list, basic) -> list[int]:
@@ -127,37 +132,38 @@ class _StartTree(NamedTuple):
     """The derived state of one start tree, which no pivot touches: the
     kernel copies it, and `comptrees.follow_canonical` reads it."""
 
-    key: tuple  # the start's chosen edges
+    start: Policy  # the object it was built from
     dist: tuple
     children: tuple  # of tuples
     red: tuple
     picks: tuple  # the non-chosen edges in id order: `_nonbasic`, all flags set
 
 
-def _start_tree(g: Digraph, chosen) -> _StartTree:
-    """The snapshot of the start `chosen`, built on first use.
+def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
+    """The snapshot of the start `policy`, built on first use.
 
-    The key is `tuple(chosen)`. The graph keeps one entry, its last start,
-    in `g._start_tree`; a different start replaces it. A start that is not
-    a tree fails `graphs._tree_walk`, raises PolicyCycleError and is never
-    stored, so every call from it raises: the check is memoised, not
-    skipped.
+    The graph keeps one entry, `g._start_tree`, hit only by the very object
+    it was built from. It stores only a policy whose `chosen` is a tuple,
+    which cannot change, so a hit is exact; an equal start built afresh is
+    walked, and checked, again. A start that is not a tree fails
+    `graphs._tree_walk`, raises PolicyCycleError and is never stored.
     """
-    key = tuple(chosen)
     snap = g._start_tree
-    if snap is not None and snap.key == key:
+    if snap is not None and snap.start is policy:
         return snap
-    dist, children = _tree_walk(g, key)
+    chosen = policy.chosen
+    dist, children = _tree_walk(g, chosen)
     red = [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
     snap = _StartTree(
-        key,
+        policy,
         tuple(dist),
         tuple(map(tuple, children)),
         tuple(red),
         tuple(_nonbasic(bytearray(b"\x01") * g.n_edges,
-                        (key[w] for kids in children for w in kids))),
+                        (chosen[w] for kids in children for w in kids))),
     )
-    g._start_tree = snap
+    if type(chosen) is tuple:
+        g._start_tree = snap
     return snap
 
 
@@ -165,33 +171,31 @@ class _PivotTracker:
     """The pivot kernel: the policy tree, its distances, every edge's reduced
     cost and the pivot log.
 
-    `dist` is one list of exact integer distances and `red` one list of
-    exact integer reduced costs red[x] = c(x) + y(head x) - y(tail x); both
+    `chosen` is the kernel's own copy of the start's chosen edges (None at
+    the target), `dist` a list of exact integer distances and `red` of
+    exact integer reduced costs red[x] = c(x) + y(head x) - y(tail x); all
     are mutated in place, never rebound, so callers may hold them across
     pivots. `children[v]` lists the vertices whose chosen edge points at v.
-    The kernel copies `dist`, the child lists and `red` from the
-    start's snapshot, `_start_tree(g, chosen)`: keyed by `tuple(chosen)`,
-    one entry per graph (a different start replaces it), built by one walk
-    down the start tree, `graphs._tree_walk`, which also rejects a start
-    that is not a tree. A rejected start is never stored, so it raises
-    PolicyCycleError on every construction. A pivot on e = (u, v) walks u's
-    subtree through the child lists, shifts each of its distances by
-    delta = red[e] = c(e) + y(v) - y(u), and moves u from its old parent's child
-    list to v's. For each shifted vertex w the reduced cost of every
-    edge into w rises by delta and of every edge out of w falls by delta,
-    so an edge with both ends in the subtree keeps its reduced cost. A
-    pivot with delta >= 0 raises PivotInvariantError, and one whose head
-    lies in u's own subtree (possible only when the switch closes a
-    negative cycle) raises PolicyCycleError; both leave every field
-    unchanged. `shifted` holds the vertices the last pivot moved, so callers
-    can re-test only the edges at those vertices.
+    The kernel copies `dist`, the child lists and `red` from the snapshot
+    `_start_tree(g, policy)`, which raises PolicyCycleError unless the
+    start is a tree. A pivot on e = (u, v) walks u's subtree through the
+    child lists, shifts each of its distances by delta = red[e] = c(e) +
+    y(v) - y(u), and moves u from its old parent's child list to v's. For
+    each shifted vertex w the reduced cost of every edge into w rises by
+    delta and of every edge out of w falls by delta, so an edge with both
+    ends in the subtree keeps its reduced cost. A pivot with delta >= 0
+    raises PivotInvariantError, and one whose head lies in u's own subtree
+    (possible only when the switch closes a negative cycle) raises
+    PolicyCycleError; both leave every field unchanged. `shifted` holds the
+    vertices the last pivot moved, so callers can re-test only the edges at
+    those vertices.
     """
 
-    def __init__(self, g: Digraph, chosen: list):
-        snap = _start_tree(g, chosen)
-        chosen[g.target] = None  # the walk ignored whatever the target held
+    def __init__(self, g: Digraph, policy: Policy):
+        snap = _start_tree(g, policy)
         self.g = g
-        self.chosen = chosen
+        self.chosen = list(policy.chosen)
+        self.chosen[g.target] = None  # the walk ignored whatever the target held
         self.dist = list(snap.dist)
         self.children = list(map(list, snap.children))
         self.red = list(snap.red)
@@ -541,14 +545,12 @@ def random_facet(
     AssertionError is raised. The pivots and the draws are the same with or
     without `trace`.
     """
-    chosen, in_f = _start(g, policy, subset)
-    start = list(chosen)
-    tracker = _PivotTracker(g, chosen)
+    tracker, in_f = _start(g, policy, subset)
     frames: list | None = [] if trace else None
     _facet_lazy(tracker, in_f, rng, frames)
     events = None
     if trace:
-        replay = _PivotTracker(g, start)
+        replay = _PivotTracker(g, policy)
         events = []
         _facet_collapsed(replay, in_f, _revealed_order(frames), events)
         if replay.log != tracker.log:
@@ -615,8 +617,7 @@ def random_facet_one_perm(
     """
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
-    chosen, in_f = _start(g, policy, subset)
-    tracker = _PivotTracker(g, chosen)
+    tracker, in_f = _start(g, policy, subset)
     red = tracker.red
     pivot = tracker.pivot
     log = tracker.log
@@ -670,10 +671,9 @@ def random_facet_nonrec(g: Digraph, policy: Policy, rng) -> RunResult:
     together with the edge that left the tree, keeping the suffix order.
     Both shuffles are `shuffle_exact`.
     """
-    chosen = list(policy.chosen)
-    tracker = _PivotTracker(g, chosen)
+    tracker = _PivotTracker(g, policy)
     red = tracker.red
-    perm = list(_start_tree(g, chosen).picks)
+    perm = list(_start_tree(g, policy).picks)
     shuffle_exact(perm, rng)
     while True:
         j = next((i for i, e in enumerate(perm) if red[e] < 0), None)
@@ -703,8 +703,7 @@ def bland_rec(
     """
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
-    chosen = list(policy.chosen)
-    tracker = _PivotTracker(g, chosen)
+    tracker = _PivotTracker(g, policy)
     # frame: [rank, stage]; global policy threads through the recursion
     stack = [[ell, 0]]
     while stack:
@@ -719,10 +718,10 @@ def bland_rec(
             continue
         e = edge_of_rank[rank]
         if tracker.improving(e):
-            before = Policy(tuple(chosen)) if frame_hook else None
+            before = Policy(tuple(tracker.chosen)) if frame_hook else None
             tracker.pivot(e)
             if frame_hook:
-                frame_hook(rank, before, e, Policy(tuple(chosen)))
+                frame_hook(rank, before, e, Policy(tuple(tracker.chosen)))
             frame[1] = 0  # tail call: rerun this suffix with the new tree
             continue
         stack.pop()
@@ -742,7 +741,7 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
     as an edge's second copy after a pivot on the first, is dropped.
     """
     edge_of_rank = _edge_of_rank(sigma, g.n_edges)
-    tracker = _PivotTracker(g, list(policy.chosen))
+    tracker = _PivotTracker(g, policy)
     red = tracker.red
     in_edges = g.in_edges
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -773,7 +772,7 @@ def random_bland(g: Digraph, policy: Policy, rng) -> RunResult:
 def dantzig(g: Digraph, policy: Policy) -> RunResult:
     """Baseline rule: pivot on the edge of smallest reduced cost
     cost(e) + y(head) - y(tail); ties break to the lowest edge id."""
-    tracker = _PivotTracker(g, list(policy.chosen))
+    tracker = _PivotTracker(g, policy)
     red = tracker.red
     edges = range(g.n_edges)
     while True:

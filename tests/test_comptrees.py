@@ -221,7 +221,7 @@ def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
     if start is None:
         start = cg.initial_tree(idx)
     state = _FollowState(idx, s_sorted)
-    tracker = _PivotTracker(g, list(start.chosen))
+    tracker = _PivotTracker(g, start)
     in_f = [True] * g.n_edges
     path = []
     while True:
@@ -329,12 +329,12 @@ def test_follower_checks_the_start_before_its_first_right_step(monkeypatch):
         for seed in range(60):
             # a broken start raises on every call, also right after the good
             # start was stored, and it leaves the good start's snapshot
-            assert g._start_tree.key == b0.chosen
+            assert g._start_tree.start is b0
             for _ in range(2):
                 with pytest.raises(PolicyCycleError, match="no valid chosen edge"):
                     follow_canonical(g, idx, [3, 1], Random(seed),
                                      Policy(tuple(chosen)))
-            assert g._start_tree.key == b0.chosen
+            assert g._start_tree.start is b0
             # and the good start still runs after it
             assert follow_canonical(g, idx, [3, 1], Random(seed), b0) == good[seed]
 

@@ -128,9 +128,9 @@ class _CheckedTracker(rules._PivotTracker):
 
     pivots_checked = 0
 
-    def __init__(self, g, chosen):
-        super().__init__(g, chosen)
-        assert self.children == _children_rebuild(g, chosen)
+    def __init__(self, g, policy):
+        super().__init__(g, policy)
+        assert self.children == _children_rebuild(g, self.chosen)
 
     def pivot(self, e: int) -> int:
         before = list(self.dist)
@@ -186,7 +186,8 @@ def _check_pool_against_rebuild(rng, order):
     # edge set, so it ends the call as it began.
     # order(g) gives the instance's removal order of a checked pool.
     for g, b0 in _kernel_instances(rng):
-        chosen = list(b0.chosen)
+        tracker = rules._PivotTracker(g, b0)
+        chosen = tracker.chosen
         in_f = [rng.random() < 0.8 or e in b0.edge_set() for e in range(g.n_edges)]
         entry = list(in_f)
         events = []
@@ -211,7 +212,7 @@ def _check_pool_against_rebuild(rng, order):
             assert in_f == entry
             return arrange_checked(avail)
 
-        rules._facet_collapsed(rules._PivotTracker(g, chosen), in_f, arrange, events)
+        rules._facet_collapsed(tracker, in_f, arrange, events)
         assert in_f == entry
 
 
@@ -330,7 +331,7 @@ def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra,
     # and the child lists equal to a full recompute
     rng = Random(seed)
     g = random_dag(rng, vertices, extra_edges=extra)
-    tracker = rules._PivotTracker(g, list(random_policy(g, rng).chosen))
+    tracker = rules._PivotTracker(g, random_policy(g, rng))
     assert tracker.children == _children_rebuild(g, tracker.chosen)
     _assert_kernel_is_full_recompute(tracker)
     while True:
@@ -346,14 +347,14 @@ def _assert_tracker_is_fresh_build(tracker, start):
     # a fresh build: one tree walk and a reduced-cost recompute from the
     # start, and the first pick list that `_nonbasic` gives with every flag
     g = tracker.g
-    dist, children = _tree_walk(g, start)
-    assert tracker.chosen == list(start)
+    dist, children = _tree_walk(g, start.chosen)
+    assert tracker.chosen == list(start.chosen)
     assert tracker.dist == dist
     assert tracker.children == children
     assert tracker.red == [
         c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
     ]
-    picks = rules._nonbasic(bytearray(b"\x01") * g.n_edges, start)
+    picks = rules._nonbasic(bytearray(b"\x01") * g.n_edges, start.chosen)
     assert list(rules._start_tree(g, start).picks) == picks
 
 
@@ -363,11 +364,11 @@ def _check_snapshot_alternating_starts(g, starts, rng):
     # is still the fresh build
     for k in range(3 * len(starts)):
         start = starts[k % len(starts)]
-        tracker = rules._PivotTracker(g, list(start))
-        assert g._start_tree.key == tuple(start)
+        tracker = rules._PivotTracker(g, start)
+        assert g._start_tree.start is start
         _assert_tracker_is_fresh_build(tracker, start)
-        random_facet(g, Policy(tuple(start)), rng)
-        _assert_tracker_is_fresh_build(rules._PivotTracker(g, list(start)), start)
+        random_facet(g, start, rng)
+        _assert_tracker_is_fresh_build(rules._PivotTracker(g, start), start)
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,7 +381,7 @@ def _check_snapshot_alternating_starts(g, starts, rng):
 def test_start_snapshot_is_a_fresh_build(seed, vertices, extra, n_starts):
     rng = Random(seed)
     g = random_dag(rng, vertices, extra_edges=extra)
-    starts = [random_policy(g, rng).chosen for _ in range(n_starts)]
+    starts = [random_policy(g, rng) for _ in range(n_starts)]
     _check_snapshot_alternating_starts(g, starts, rng)
 
 
@@ -388,8 +389,7 @@ def test_start_snapshot_is_a_fresh_build_on_counter_graphs():
     rng = Random(61)
     for params in ((2, 1, 1, 1), (3, 2, 2, 2), (4, 2, 2, 2)):
         g, idx = cg.build_counter_graph(*params)
-        starts = [cg.initial_tree(idx).chosen, cg.one_edge_tree(idx).chosen,
-                  random_policy(g, rng).chosen]
+        starts = [cg.initial_tree(idx), cg.one_edge_tree(idx), random_policy(g, rng)]
         _check_snapshot_alternating_starts(g, starts, rng)
 
 
@@ -400,7 +400,7 @@ def _kernel_state(tracker):
 
 def test_pivot_on_non_improving_edge_changes_nothing():
     g = parallel_pair()
-    tracker = rules._PivotTracker(g, [1, None])
+    tracker = rules._PivotTracker(g, Policy((1, None)))
     before = _kernel_state(tracker)
     for e in (0, 1):  # a costlier edge, and the chosen edge itself
         with pytest.raises(PivotInvariantError):
@@ -413,7 +413,7 @@ def test_switch_closing_a_negative_cycle_raises():
     # 0 -> 1 -> target, the edge 1 -> 0 improves but points into 1's subtree.
     g = Digraph(3, 2, tails=[0, 1, 0, 1], heads=[1, 0, 2, 2], costs=[-5, 1, 0, 0])
     start = Policy((0, 3, None))
-    tracker = rules._PivotTracker(g, list(start.chosen))
+    tracker = rules._PivotTracker(g, start)
     assert tracker.improving(1)
     before = _kernel_state(tracker)
     with pytest.raises(PolicyCycleError):
@@ -495,6 +495,81 @@ def test_every_start_reader_checks_each_entry(name):
         chosen = list(start.chosen)
         chosen[g.target] = junk
         assert read(g, idx, Policy(tuple(chosen))) == want
+
+
+# the start readers, and a traced run, each checked after a run from an
+# equal start (see the test below)
+MEMO_READERS = {
+    **START_READERS,
+    "random_facet_traced": lambda g, idx, start: random_facet(
+        g, start, Random(5), trace=True),
+}
+
+
+@pytest.mark.parametrize("name", list(MEMO_READERS))
+def test_every_start_reader_checks_a_start_equal_to_the_last(name):
+    # a graph keeps the snapshot of its last start object, not of its last
+    # start's value: after a run from a start, a start equal to it under ==
+    # but holding 1.0 or True, which are no edge ids, is refused as on a
+    # fresh graph, and the good start still runs as before. The follower
+    # needs a counter graph, so it gets a float copy of the zero start's
+    # entry at (2,1,1,1).
+    if name == "follow_canonical":
+        g, idx = cg.build_counter_graph(2, 1, 1, 1)
+        start = cg.initial_tree(idx)
+        v = next(u for u, e in enumerate(start.chosen) if e is not None)
+        chosen = list(start.chosen)
+        chosen[v] = float(chosen[v])
+        equal = [Policy(tuple(chosen))]
+    else:
+        g = Digraph(3, 2, tails=[0, 0, 1, 0], heads=[1, 1, 2, 2], costs=[5, 1, 1, 10])
+        idx, v = None, 0
+        start = Policy((1, 2, None))
+        equal = [Policy((1.0, 2, None)), Policy((True, 2, None))]
+    read = MEMO_READERS[name]
+    want = read(g, idx, start)
+    for bad in equal:
+        assert bad == start
+        with pytest.raises(PolicyCycleError,
+                           match=f"^vertex {v} has no valid chosen edge$"):
+            read(g, idx, bad)
+        assert read(g, idx, start) == want
+
+
+def test_start_tree_walks_once_per_start_object(monkeypatch):
+    # one start object is walked once, whatever reads it; an equal start
+    # built afresh is walked again; a start whose chosen is a list is walked
+    # on every call and never stored; and a start whose target entry is not
+    # None is walked once over many runs of the rule that reads its pick list
+    walks = []
+
+    def counting_walk(g, chosen):
+        walks.append(tuple(chosen))
+        return _tree_walk(g, chosen)
+
+    monkeypatch.setattr(rules, "_tree_walk", counting_walk)
+    g, idx = cg.build_counter_graph(2, 1, 1, 1)
+    start = cg.initial_tree(idx)
+    for name in MEMO_READERS:
+        MEMO_READERS[name](g, idx, start)
+        MEMO_READERS[name](g, idx, start)
+    assert len(walks) == 1
+    equal = Policy(tuple(start.chosen))
+    random_facet(g, equal, Random(0))
+    random_facet(g, equal, Random(1))
+    assert len(walks) == 2
+    listed = Policy(list(start.chosen))
+    random_facet(g, listed, Random(0))
+    random_facet(g, listed, Random(1))
+    assert len(walks) == 4
+    assert g._start_tree.start is equal
+    chosen = list(start.chosen)
+    chosen[g.target] = 0
+    odd_target = Policy(tuple(chosen))
+    walks.clear()
+    for seed in range(10):
+        random_facet_nonrec(g, odd_target, Random(seed))
+    assert len(walks) == 1
 
 
 def _costliest_start(g) -> Policy:
@@ -813,8 +888,7 @@ def test_lazy_engine_mean_matches_the_exact_expectation(params, seed):
 
 def _eager_facet_pivots(g, b0, rng) -> int:
     """Pivot count of the eager engine: every descent shuffled in full."""
-    chosen, in_f = rules._start(g, b0, None)
-    tracker = rules._PivotTracker(g, chosen)
+    tracker, in_f = rules._start(g, b0, None)
     rules._facet_collapsed(tracker, in_f, rules.shuffled_order(rng))
     return len(tracker.log)
 
@@ -951,8 +1025,8 @@ def test_turned_columns_that_improved_already_draw_nothing():
     for k, (g, b0) in enumerate(cases):
         runs = []
         for kernel in (rules._PivotTracker, _FlipsOnlyTracker):
-            chosen, in_f = rules._start(g, b0, None)
-            tracker = kernel(g, chosen)
+            in_f = rules._start(g, b0, None)[1]
+            tracker = kernel(g, b0)
             tracker.held = 0
             run_rng = Random(k)
             rules._facet_lazy(tracker, in_f, run_rng)
@@ -1042,12 +1116,11 @@ def _one_perm_oracle(g, b0, sigma, subset=None):
     """The one-permutation rule by definition: the general facet engine with
     every candidate list sorted by sigma. Returns the pivot log and the final
     policy."""
-    chosen, in_f = rules._start(g, b0, subset)
-    tracker = rules._PivotTracker(g, chosen)
+    tracker, in_f = rules._start(g, b0, subset)
     rules._facet_collapsed(
         tracker, in_f, lambda avail: sorted(avail, key=sigma.__getitem__)
     )
-    return tracker.log, Policy(tuple(chosen))
+    return tracker.log, Policy(tuple(tracker.chosen))
 
 
 def _assert_one_perm_matches_oracle(g, b0, sigma, subset=None):
