@@ -251,14 +251,14 @@ def follow_canonical(
 
     Left steps never pivot, and most paths stop before their first right
     step, so the pivot kernel is built only at that step. Up front, the
-    follower reads the start's snapshot, `rules._start_tree`: its check
-    that the start is a tree (PolicyCycleError otherwise) and its pick list
-    over all edges. The graph keeps the snapshot of the last start `Policy`
-    object it was built from, so the trials of an estimate, which pass one
-    start object, walk and price it once, and the kernel copies the same
-    snapshot; an equal start built afresh is walked and checked again. A
-    start that is not a tree is never stored, so it raises on every call. A
-    path that stops before its first right step reports `pivots_done = 0`.
+    follower reads the start's snapshot, `rules._start_tree`: the one start
+    check, `graphs._tree_walk` (a tree with None at the target, else
+    PolicyCycleError), and the pick list over all edges. The graph keeps
+    the snapshot of the last start `Policy` object it was built from, so the
+    trials of an estimate, which pass one start object, walk and price it
+    once, and the kernel copies it; an equal start built afresh is walked
+    again, and a refused one on every call. A path that stops before its
+    first right step reports `pivots_done = 0`.
 
     The bookkeeping is flat: lists indexed by level i (entry 0 unused) and
     by a chain c = (i-1)*r + j-1, and each multi-edge's copies left in the

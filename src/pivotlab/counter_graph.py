@@ -250,7 +250,7 @@ def initial_tree(idx: CounterGraphIndex) -> Policy:
         for j in range(1, idx.r + 1):
             for k in range(1, idx.s + 1):
                 chosen[idx.a_vertex[(i, j, k)]] = idx.a0(i, j, k)[0]
-    return Policy(tuple(chosen))
+    return Policy(chosen)
 
 
 def one_edge_tree(idx: CounterGraphIndex, rng=None) -> Policy:
@@ -270,7 +270,7 @@ def one_edge_tree(idx: CounterGraphIndex, rng=None) -> Policy:
         for j in range(1, idx.r + 1):
             for k, e in enumerate(idx.a1(i, j), start=1):
                 chosen[idx.a_vertex[(i, j, k)]] = e
-    return Policy(tuple(chosen))
+    return Policy(chosen)
 
 
 def _last_missing(chain: Sequence[int], subset: Iterable[int]) -> int:
@@ -439,7 +439,7 @@ def random_tree_within(
         if not opts:
             raise ValueError(f"vertex {v} has no allowed outgoing edge")
         chosen[v] = opts[rng.randrange(len(opts))]
-    return Policy(tuple(chosen))
+    return Policy(chosen)
 
 
 def vertices_behind_b(idx: CounterGraphIndex, i: int, j: int) -> set[int]:

@@ -117,11 +117,14 @@ def load_graph(path: str) -> Digraph:
 def load_index(path: str, g: Digraph) -> counter_graph.CounterGraphIndex:
     """The counter-graph index of graph g's sidecar file, rebuilt from its
     parameters. A malformed sidecar, or one whose parameters do not rebuild
-    g (its target, edges and costs), raises BadConfigError."""
+    g (its target, edges and costs), or a parameter that is not a positive
+    JSON integer (a bool or a float), raises BadConfigError."""
     try:
         with open(path) as fh:
             p = json.load(fh)["params"]
         params = p["n"], p["r"], p["s"], p["t"]
+        if any(type(v) is not int or v < 1 for v in params):
+            raise ValueError(f"n, r, s, t must be positive integers, not {params}")
         # compared before the build, whose cost grows with the size the
         # sidecar claims, not with g
         _, n_edges = counter_graph.counter_graph_size(*params)

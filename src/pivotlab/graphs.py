@@ -161,10 +161,14 @@ def _edge_subset(g: Digraph, subset: Iterable[int] | None) -> frozenset[int] | N
 class Policy:
     """One chosen outgoing edge per non-target vertex; ``None`` at the target.
 
-    A valid policy's chosen edges form a tree of paths into the target.
+    `chosen` is kept as a tuple, so a policy never changes. A valid policy's
+    chosen edges form a tree of paths into the target (`_tree_walk`).
     """
 
     chosen: tuple[int | None, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "chosen", tuple(self.chosen))
 
     def edge_set(self) -> frozenset[int]:
         return frozenset(e for e in self.chosen if e is not None)
@@ -177,13 +181,13 @@ def _tree_walk(
     from the target.
 
     `children[v]` lists, in increasing id order, the vertices whose chosen
-    edge points at v. The target's own entry of `chosen` is ignored. Raises
+    edge points at v. This is the one check of a start: raises
     PolicyCycleError naming both lengths when `chosen` has not one entry
-    per vertex; else naming the lowest vertex whose entry is not the id (an
-    int in 0..m-1, so no None, -1, m, True or 1.0) of an edge leaving it;
-    otherwise, when some vertex is never reached, it hangs below a cycle,
-    and the error names the first vertex met twice on the walk up from the
-    lowest such vertex.
+    per vertex; else naming the lowest vertex whose entry is not what it
+    must be: None at the target, and elsewhere the id (an int in 0..m-1, so
+    no None, -1, m, True or 1.0) of an edge leaving it; otherwise, when some
+    vertex is never reached, it hangs below a cycle, and the error names the
+    first vertex met twice on the walk up from the lowest such vertex.
     """
     n, m = g.n_vertices, g.n_edges
     if len(chosen) != n:
@@ -194,9 +198,11 @@ def _tree_walk(
     children: list[list[int]] = [[] for _ in range(n)]
     for v, e in enumerate(chosen):
         if type(e) is not int or not 0 <= e < m or tails[e] != v:
-            if v == target:  # no edge leaves the target: any entry lands here
-                continue
-            raise PolicyCycleError(f"vertex {v} has no valid chosen edge")
+            if v != target:
+                raise PolicyCycleError(f"vertex {v} has no valid chosen edge")
+            if e is not None:  # no edge leaves the target, so it holds None
+                raise PolicyCycleError(f"target vertex {v} holds {e!r}, not None")
+            continue
         children[heads[e]].append(v)
     dist: list = [None] * n
     dist[target] = 0
@@ -221,12 +227,8 @@ def _tree_walk(
 def tree_distances_list(
     g: Digraph, chosen: Sequence[int | None]
 ) -> list[int]:
-    """Distance to the target along the chosen edges, as a list over vertices.
-
-    One walk down the policy tree from the target (`_tree_walk`). Raises
-    PolicyCycleError if some chosen edge is missing or leaves another
-    vertex, or if the chosen edges loop.
-    """
+    """Distance to the target along the chosen edges, as a list over vertices,
+    from one walk down the policy tree, `_tree_walk`, which checks the start."""
     return _tree_walk(g, chosen)[0]
 
 
@@ -315,24 +317,26 @@ def improving_switches(
     return out
 
 
-def apply_switch(g: Digraph, policy: Policy, e: int) -> Policy:
-    """Replace the chosen edge at tail(e) with e."""
+def _edge_tail(g: Digraph, e: int) -> int:
+    """The tail of edge e; NotAnEdgeError unless e is an int in 0..m-1."""
     if type(e) is not int or not 0 <= e < g.n_edges:
         raise NotAnEdgeError(f"no edge with id {e!r}")
-    u = g.tails[e]
+    return g.tails[e]
+
+
+def apply_switch(g: Digraph, policy: Policy, e: int) -> Policy:
+    """Replace the chosen edge at tail(e) with e."""
+    u = _edge_tail(g, e)
     if policy.chosen[u] == e:
         warnings.warn(f"edge {e} is already chosen at vertex {u}", SelfReplaceWarning)
         return policy
-    chosen = list(policy.chosen)
-    chosen[u] = e
-    return Policy(tuple(chosen))
+    return Policy(policy.chosen[:u] + (e,) + policy.chosen[u + 1:])
 
 
 def is_valid_policy(g: Digraph, policy: Policy) -> bool:
-    if len(policy.chosen) != g.n_vertices or policy.chosen[g.target] is not None:
-        return False
+    """Whether the policy passes `_tree_walk`, the one check of a start."""
     try:
-        tree_distances_list(g, policy.chosen)
+        _tree_walk(g, policy.chosen)
     except PolicyCycleError:
         return False
     return True
@@ -366,7 +370,7 @@ def bfs_tree_policy(g: Digraph) -> Policy:
                     chosen[u] = e
                     nxt.append(u)
         frontier = nxt
-    return Policy(tuple(chosen))
+    return Policy(chosen)
 
 
 _RANDOM_POLICY_DRAWS = 1000
@@ -377,11 +381,8 @@ def random_policy(g: Digraph, rng) -> Policy:
     resampled until the chosen edges form a tree. Raises ValueError when
     _RANDOM_POLICY_DRAWS draws in a row all close a cycle."""
     for _ in range(_RANDOM_POLICY_DRAWS):
-        chosen: list[int | None] = [None] * g.n_vertices
-        for v in range(g.n_vertices):
-            if v != g.target:
-                chosen[v] = g.out_edges[v][rng.randrange(len(g.out_edges[v]))]
-        pol = Policy(tuple(chosen))
+        # every vertex but the target has an out-edge
+        pol = Policy([es[rng.randrange(len(es))] if es else None for es in g.out_edges])
         if g.is_acyclic or is_valid_policy(g, pol):
             return pol
     raise ValueError(

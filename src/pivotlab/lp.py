@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .graphs import Digraph, Policy
+from .graphs import Digraph, Policy, _tree_walk
 from .rules import _facet_lazy, _nonbasic
 
 
@@ -299,7 +299,9 @@ def sp_to_lp(g: Digraph) -> tuple[StdFormLP, dict[int, int], list[int]]:
 
 
 def tree_basis(g: Digraph, policy: Policy) -> tuple[int, ...]:
-    """The policy's chosen edges as an ordered basis of the shortest-path LP."""
+    """The policy's chosen edges as an ordered basis of the shortest-path LP,
+    once `graphs._tree_walk` has checked the start as every engine does."""
+    _tree_walk(g, policy.chosen)
     return tuple(sorted(policy.edge_set()))
 
 

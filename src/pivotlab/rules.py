@@ -9,9 +9,10 @@ tree distance changes by delta * |subtree|; the strict-decrease invariant is
 therefore delta < 0, checked before any state changes. The kernel also keeps
 every edge's reduced cost in the list `red`, so an improving test is a list
 read. Every engine builds its kernel from the start `Policy` (through
-`_start` when it takes an edge subset), and the kernel copies the snapshot
-that the graph keeps for its last start object, `_start_tree`: trials that
-pass one start walk and price it once, and every other start is checked.
+`_start` when it takes an edge subset), which `graphs._tree_walk` alone
+checks, and the kernel copies the snapshot that the graph keeps for its
+last start object, `_start_tree`: trials that pass one start walk and
+price it once, and every other start is checked.
 
 The facet-removal recursion runs on three engines. The two with fresh
 randomness, and the rules behind which each runs:
@@ -73,6 +74,7 @@ from .graphs import (
     Policy,
     PolicyCycleError,
     _edge_subset,
+    _edge_tail,
     _tree_walk,
     optimal_distances_list,
     tree_distances_list,
@@ -105,7 +107,7 @@ class RunResult:
 def _start(g: Digraph, policy: Policy, subset) -> tuple[_PivotTracker, bytearray]:
     """The pivot kernel built from the start `policy`, which checks it, and
     the edge-set flags `in_f`: every edge, or the edges of `subset` (read by
-    `graphs._edge_subset`), which must hold every start entry but the target's."""
+    `graphs._edge_subset`), which must hold every chosen edge of the start."""
     tracker = _PivotTracker(g, policy)
     m = g.n_edges
     if subset is None:
@@ -143,27 +145,18 @@ def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
     """The snapshot of the start `policy`, built on first use.
 
     The graph keeps one entry, `g._start_tree`, hit only by the very object
-    it was built from. It stores only a policy whose `chosen` is a tuple,
-    which cannot change, so a hit is exact; an equal start built afresh is
-    walked, and checked, again. A start that is not a tree fails
-    `graphs._tree_walk`, raises PolicyCycleError and is never stored.
+    it was built from. A Policy never changes, so a hit is exact; an equal
+    start built afresh is walked, and checked, again. A start that fails
+    `graphs._tree_walk` raises PolicyCycleError and is never stored.
     """
     snap = g._start_tree
     if snap is not None and snap.start is policy:
         return snap
-    chosen = policy.chosen
-    dist, children = _tree_walk(g, chosen)
+    dist, children = _tree_walk(g, policy.chosen)
     red = [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
-    snap = _StartTree(
-        policy,
-        tuple(dist),
-        tuple(map(tuple, children)),
-        tuple(red),
-        tuple(_nonbasic(bytearray(b"\x01") * g.n_edges,
-                        (chosen[w] for kids in children for w in kids))),
-    )
-    if type(chosen) is tuple:
-        g._start_tree = snap
+    snap = g._start_tree = _StartTree(
+        policy, tuple(dist), tuple(map(tuple, children)), tuple(red),
+        tuple(_nonbasic(bytearray(b"\x01") * g.n_edges, policy.chosen)))
     return snap
 
 
@@ -171,7 +164,7 @@ class _PivotTracker:
     """The pivot kernel: the policy tree, its distances, every edge's reduced
     cost and the pivot log.
 
-    `chosen` is the kernel's own copy of the start's chosen edges (None at
+    `chosen` is the kernel's own list of the start's chosen edges (None at
     the target), `dist` a list of exact integer distances and `red` of
     exact integer reduced costs red[x] = c(x) + y(head x) - y(tail x); all
     are mutated in place, never rebound, so callers may hold them across
@@ -195,7 +188,6 @@ class _PivotTracker:
         snap = _start_tree(g, policy)
         self.g = g
         self.chosen = list(policy.chosen)
-        self.chosen[g.target] = None  # the walk ignored whatever the target held
         self.dist = list(snap.dist)
         self.children = list(map(list, snap.children))
         self.red = list(snap.red)
@@ -264,7 +256,7 @@ class _PivotTracker:
         return RunResult(
             rule=rule,
             pivot_log=self.log,
-            final_policy=Policy(tuple(self.chosen)),
+            final_policy=Policy(self.chosen),
             sigma=None if sigma is None else list(sigma),
             trace_events=trace_events,
         )
@@ -718,10 +710,10 @@ def bland_rec(
             continue
         e = edge_of_rank[rank]
         if tracker.improving(e):
-            before = Policy(tuple(tracker.chosen)) if frame_hook else None
+            before = Policy(tracker.chosen) if frame_hook else None
             tracker.pivot(e)
             if frame_hook:
-                frame_hook(rank, before, e, Policy(tuple(tracker.chosen)))
+                frame_hook(rank, before, e, Policy(tracker.chosen))
             frame[1] = 0  # tail call: rerun this suffix with the new tree
             continue
         stack.pop()
@@ -925,7 +917,7 @@ def is_fixed_edge(g: Digraph, e: int, policy: Policy, subset) -> bool:
     """Whether the policy edge e keeps its tail at the optimal distance of
     the subgraph spanned by subset plus the policy edges; such edges survive
     every later improving switch."""
-    u = g.tails[e]
+    u = _edge_tail(g, e)
     if policy.chosen[u] != e:
         raise ValueError(f"edge {e} is not the policy's choice at vertex {u}")
     return u in fixed_vertices(g, policy, subset)

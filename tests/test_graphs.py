@@ -17,6 +17,7 @@ from pivotlab.graphs import (
     apply_switch,
     bfs_tree_policy,
     improving_switches,
+    is_valid_policy,
     load_graph_json,
     optimal_distances_list,
     optimal_edge_set,
@@ -419,8 +420,12 @@ def test_random_policy_gives_up_on_cycle_traps():
 
 def _upward_tree_distances(g, chosen):
     """The upward walk `tree_distances_list` used before the one walk down
-    from the target; kept verbatim as the oracle for `_tree_walk`."""
+    from the target; kept verbatim as the oracle for `_tree_walk`, but for
+    the first check, which refuses any target entry but None."""
     n = g.n_vertices
+    if chosen[g.target] is not None:
+        raise PolicyCycleError(
+            f"target vertex {g.target} holds {chosen[g.target]!r}, not None")
     dist: list[int | None] = [None] * n
     dist[g.target] = 0
     state = bytearray(n)  # 0 unvisited, 1 on current walk, 2 done
@@ -450,10 +455,11 @@ def _upward_tree_distances(g, chosen):
 
 
 def _faults(g, chosen) -> tuple[int, int]:
-    """(vertices without a valid chosen edge, cycles of the chosen edges)."""
+    """(vertices without a valid chosen edge or, at the target, without
+    None; cycles of the chosen edges)."""
     bad = {
         v for v, e in enumerate(chosen)
-        if v != g.target and (e is None or g.tails[e] != v)
+        if ((e is not None) if v == g.target else (e is None or g.tails[e] != v))
     }
     cycles = set()
     for v0 in range(g.n_vertices):
@@ -537,6 +543,23 @@ def test_tree_walk_matches_upward_walk():
     # 0, so there the short start drops a vertex with an edge to choose
     g, idx = counter_graph.build_counter_graph(2, 1, 1, 1)
     _assert_wrong_lengths_rejected(g, counter_graph.initial_tree(idx).chosen)
+
+
+def test_policy_is_a_tuple_with_none_at_the_target():
+    # a Policy keeps its entries as a tuple, and the one start check,
+    # `_tree_walk`, refuses any target entry but None and names the target;
+    # `is_valid_policy` reads that check. Edge 3 leaves vertex 0, and 0 would
+    # index a real edge, so neither is a choice at the target either
+    g = Digraph(3, 2, tails=[0, 0, 1, 0], heads=[1, 1, 2, 2], costs=[5, 1, 1, 10])
+    good = Policy([1, 2, None])
+    assert type(good.chosen) is tuple and good == Policy((1, 2, None))
+    assert is_valid_policy(g, good)
+    for junk in (-1, 4, True, 1.0, 0, 3):
+        bad = Policy((1, 2, junk))
+        with pytest.raises(PolicyCycleError,
+                           match=f"^target vertex 2 holds {junk!r}, not None$"):
+            _tree_walk(g, bad.chosen)
+        assert not is_valid_policy(g, bad)
 
 
 def test_tree_walk_names_the_cycle_and_the_missing_edge():

@@ -132,6 +132,18 @@ def test_check_registry_small_params():
     assert run_check("switch-identity", counter_runs=4, dag_runs=4)["passed"]
 
 
+def test_switch_identity_reads_each_run_through_record_tree(monkeypatch):
+    # the check and the trace reader share one switch-count test: each run
+    # whose `comptrees.record_tree` raises AssertionError is a failure
+    def refuse(result):
+        raise AssertionError("tree has 0 switch nodes")
+
+    monkeypatch.setattr(comptrees, "record_tree", refuse)
+    report = run_check("switch-identity", counter_runs=2, dag_runs=3)
+    assert not report["passed"]
+    assert report["details"] == {"runs": 5, "failures": 5}
+
+
 def test_cli_gen_and_run(tmp_path, capsys):
     out = tmp_path / "g.json"
     rc = cli.main(["gen", "--n", "1", "--r", "1", "--s", "2", "--t", "1",
@@ -310,14 +322,14 @@ def test_cli_bad_graph_file_is_a_usage_error(tmp_path, capsys, text):
 
 
 @functools.lru_cache(maxsize=None)
-def _gen_document() -> str:
-    """The graph file `pivotlab gen` writes for (2,1,1,1)."""
+def _gen_files(params=(2, 1, 1, 1)) -> tuple[str, str]:
+    """The graph file and the sidecar `pivotlab gen` writes for params."""
+    flags = [f for k, v in zip("nrst", params) for f in (f"--{k}", str(v))]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.json")
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["gen", "--n", "2", "--r", "1", "--s", "1", "--t", "1",
-                             "--out", path]) == 0
-        return Path(path).read_text()
+            assert cli.main(["gen", *flags, "--out", path]) == 0
+        return Path(path).read_text(), Path(tmp, "g.index.json").read_text()
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,7 +338,7 @@ def test_cli_graph_with_one_bad_field_is_a_usage_error(data):
     # one id, tail, head or target that is a float, a bool, -1 or past its
     # range, or one cost that is a float or a bool (a negative cost makes a
     # valid graph), and `run --graph` exits 2 on one error line
-    doc = json.loads(_gen_document())
+    doc = json.loads(_gen_files()[0])
     n, m = len(doc["vertices"]), len(doc["edges"])
     field = data.draw(st.sampled_from(
         ["vertex id", "edge id", "tail", "head", "target", "scaled_cost"]))
@@ -348,6 +360,29 @@ def test_cli_graph_with_one_bad_field_is_a_usage_error(data):
             rc = cli.main(["run", "--rule", "dantzig", "--graph", path])
     assert rc == 2
     assert err.getvalue().startswith("error: cannot load graph")
+    assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_sidecar_with_one_bad_param_is_a_usage_error(data):
+    # one of n, r, s, t of a (1,1,1,1) sidecar is a float, a bool, 0 or -1:
+    # true would read as 1 and build the graph, and 1.5 would count
+    # fractional edges; `run --graph` exits 2 on one error line
+    graph, sidecar = _gen_files((1, 1, 1, 1))
+    doc = json.loads(sidecar)
+    key = data.draw(st.sampled_from("nrst"))
+    doc["params"][key] = data.draw(
+        st.floats() | st.booleans() | st.sampled_from([0, -1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        Path(path).write_text(graph)
+        Path(tmp, "g.index.json").write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["run", "--rule", "dantzig", "--graph", path])
+    assert rc == 2
+    assert err.getvalue().startswith("error: ")
     assert err.getvalue().count("\n") == 1
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from pivotlab import checks, comptrees, counter_graph as cg, counters, experiments, lp, rules
 from pivotlab.graphs import (
     Digraph,
+    NotAnEdgeError,
     Policy,
     PolicyCycleError,
     _tree_walk,
@@ -456,16 +457,21 @@ def test_invalid_start_rejected():
 
 
 # every function that reads a start tree, as (g, idx, start) -> result: the
-# rules of `experiments.RULES`, `bland_rec`, the canonical follower and the
-# tree distances, each run from the start alone
+# rules of `experiments.RULES`, `bland_rec`, a traced `random_facet`, the
+# canonical follower, the tree distances, the LP basis and the fixed
+# vertices, each run from the start alone
 START_READERS = {
     **{name: lambda g, idx, start, run=run: run(g, start, Random(5))
        for name, run in experiments.RULES.items()},
     "bland_rec": lambda g, idx, start: bland_rec(
         g, start, random_permutation_fn(g.n_edges, Random(5))),
+    "random_facet_traced": lambda g, idx, start: random_facet(
+        g, start, Random(5), trace=True),
     "follow_canonical": lambda g, idx, start: comptrees.follow_canonical(
         g, idx, [2, 1], Random(5), start=start),
     "tree_distances_list": lambda g, idx, start: tree_distances_list(g, start.chosen),
+    "tree_basis": lambda g, idx, start: lp.tree_basis(g, start),
+    "fixed_vertices": lambda g, idx, start: fixed_vertices(g, start, range(g.n_edges)),
 }
 
 
@@ -477,12 +483,13 @@ def test_every_start_reader_checks_each_entry(name):
     # for -1, edge 0 for m, edge 1 for True and 1.0), so the entry would
     # pass for a choice there. Edges 0 and 1 leave one vertex, and the start
     # holds edge 0 there, so the start with True differs from it even under
-    # ==. The target's own entry is ignored.
+    # ==. The target's own entry must be None: any other is refused by the
+    # same check, which names the target.
     g, idx = cg.build_counter_graph(2, 1, 1, 1)
     assert g.out_edges[g.tails[1]] == (0, 1)
     start = apply_switch(g, cg.initial_tree(idx), 0)
     read = START_READERS[name]
-    want = read(g, idx, start)
+    read(g, idx, start)  # the start itself is a tree
     m = g.n_edges
     for bad in (-1, m, True, 1.0):
         v = g.tails[int(bad) % m]
@@ -490,23 +497,16 @@ def test_every_start_reader_checks_each_entry(name):
         chosen[v] = bad
         with pytest.raises(PolicyCycleError,
                            match=f"^vertex {v} has no valid chosen edge$"):
-            read(g, idx, Policy(tuple(chosen)))
+            read(g, idx, Policy(chosen))
     for junk in (-1, m, True, 1.0, 0):
         chosen = list(start.chosen)
         chosen[g.target] = junk
-        assert read(g, idx, Policy(tuple(chosen))) == want
+        with pytest.raises(PolicyCycleError,
+                           match=f"^target vertex {g.target} holds {junk!r}, not None$"):
+            read(g, idx, Policy(chosen))
 
 
-# the start readers, and a traced run, each checked after a run from an
-# equal start (see the test below)
-MEMO_READERS = {
-    **START_READERS,
-    "random_facet_traced": lambda g, idx, start: random_facet(
-        g, start, Random(5), trace=True),
-}
-
-
-@pytest.mark.parametrize("name", list(MEMO_READERS))
+@pytest.mark.parametrize("name", list(START_READERS))
 def test_every_start_reader_checks_a_start_equal_to_the_last(name):
     # a graph keeps the snapshot of its last start object, not of its last
     # start's value: after a run from a start, a start equal to it under ==
@@ -526,7 +526,7 @@ def test_every_start_reader_checks_a_start_equal_to_the_last(name):
         idx, v = None, 0
         start = Policy((1, 2, None))
         equal = [Policy((1.0, 2, None)), Policy((True, 2, None))]
-    read = MEMO_READERS[name]
+    read = START_READERS[name]
     want = read(g, idx, start)
     for bad in equal:
         assert bad == start
@@ -538,9 +538,9 @@ def test_every_start_reader_checks_a_start_equal_to_the_last(name):
 
 def test_start_tree_walks_once_per_start_object(monkeypatch):
     # one start object is walked once, whatever reads it; an equal start
-    # built afresh is walked again; a start whose chosen is a list is walked
-    # on every call and never stored; and a start whose target entry is not
-    # None is walked once over many runs of the rule that reads its pick list
+    # built afresh is walked again; a start built from a list holds a tuple,
+    # so it is walked once too; and a start whose target entry is not None
+    # is refused on every run and never stored
     walks = []
 
     def counting_walk(g, chosen):
@@ -550,26 +550,29 @@ def test_start_tree_walks_once_per_start_object(monkeypatch):
     monkeypatch.setattr(rules, "_tree_walk", counting_walk)
     g, idx = cg.build_counter_graph(2, 1, 1, 1)
     start = cg.initial_tree(idx)
-    for name in MEMO_READERS:
-        MEMO_READERS[name](g, idx, start)
-        MEMO_READERS[name](g, idx, start)
+    for name in START_READERS:
+        START_READERS[name](g, idx, start)
+        START_READERS[name](g, idx, start)
     assert len(walks) == 1
     equal = Policy(tuple(start.chosen))
     random_facet(g, equal, Random(0))
     random_facet(g, equal, Random(1))
     assert len(walks) == 2
     listed = Policy(list(start.chosen))
+    assert type(listed.chosen) is tuple
     random_facet(g, listed, Random(0))
     random_facet(g, listed, Random(1))
-    assert len(walks) == 4
-    assert g._start_tree.start is equal
+    assert len(walks) == 3
+    assert g._start_tree.start is listed
     chosen = list(start.chosen)
     chosen[g.target] = 0
-    odd_target = Policy(tuple(chosen))
+    odd_target = Policy(chosen)
     walks.clear()
     for seed in range(10):
-        random_facet_nonrec(g, odd_target, Random(seed))
-    assert len(walks) == 1
+        with pytest.raises(PolicyCycleError, match=f"^target vertex {g.target} holds 0"):
+            random_facet_nonrec(g, odd_target, Random(seed))
+    assert len(walks) == 10
+    assert g._start_tree.start is listed
 
 
 def _costliest_start(g) -> Policy:
@@ -1331,6 +1334,18 @@ def test_fixed_edges_optimal_policy_all_fixed():
         assert fixed == set(range(g.n_vertices)) - {g.target}
         for e in pol.edge_set():
             assert is_fixed_edge(g, e, pol, full)
+
+
+def test_is_fixed_edge_takes_only_edge_ids():
+    # True, 1.0, -1 and m are no edge ids, and each is refused as
+    # `apply_switch` refuses it, where indexing would read an edge (edge 1
+    # for True, the last for -1) or fail with another error
+    g = Digraph(3, 2, tails=[0, 0, 1, 0], heads=[1, 1, 2, 2], costs=[5, 1, 1, 10])
+    pol = Policy((1, 2, None))
+    assert is_fixed_edge(g, 1, pol, [0])
+    for bad in (True, 1.0, -1, g.n_edges):
+        with pytest.raises(NotAnEdgeError, match=f"^no edge with id {bad!r}$"):
+            is_fixed_edge(g, bad, pol, [0])
 
 
 def test_fixed_edges_after_chain_switch():
