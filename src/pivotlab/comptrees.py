@@ -354,7 +354,7 @@ def follow_canonical(
         in_f[e] = 0
         _facet_collapsed(tracker, in_f, shuffled_order(rng))
         in_f[e] = 1
-        if not tracker.improving(e):
+        if tracker.red[e] >= 0:
             return CanonicalOutcome(MISSING_CHILD, detail, path, len(log))
         tracker.pivot(e)
         if stop == CANONICAL:

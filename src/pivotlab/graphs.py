@@ -232,11 +232,6 @@ def tree_distances_list(
     return _tree_walk(g, chosen)[0]
 
 
-def policy_objective(g: Digraph, policy: Policy) -> int:
-    """Sum of all tree distances; strictly decreases on improving switches."""
-    return sum(tree_distances_list(g, policy.chosen))
-
-
 def optimal_distances_list(
     g: Digraph, subset: Iterable[int] | None = None
 ) -> list[int]:

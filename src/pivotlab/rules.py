@@ -1,18 +1,20 @@
 """Pivoting rules on the graph engine, plus edge-permutation machinery.
 
-Every engine works on exact integer distances and performs only strictly
-improving switches, through one pivot kernel, `_PivotTracker`. A switch to
-edge e = (u, v) re-hangs u's subtree of the policy tree under v, so every
-vertex of that subtree moves by the same delta = c(e) + y(v) - y(u) and
-nothing else moves. The kernel shifts just that subtree, and the summed
-tree distance changes by delta * |subtree|; the strict-decrease invariant is
-therefore delta < 0, checked before any state changes. The kernel also keeps
-every edge's reduced cost in the list `red`, so an improving test is a list
-read. Every engine builds its kernel from the start `Policy` (through
-`_start` when it takes an edge subset), which `graphs._tree_walk` alone
-checks, and the kernel copies the snapshot that the graph keeps for its
-last start object, `_start_tree`: trials that pass one start walk and
-price it once, and every other start is checked.
+Every engine decides by exact integer reduced costs and performs only
+strictly improving switches, through one pivot kernel, `_PivotTracker`,
+which keeps every edge's reduced cost in the list `red`, so an improving
+test is a list read. A switch to edge e = (u, v) re-hangs u's subtree of
+the policy tree under v, so every vertex of that subtree moves by the same
+delta = red[e] = c(e) + y(v) - y(u) and nothing else moves; the summed tree
+distance changes by delta * |subtree|, and the strict-decrease invariant is
+therefore delta < 0, checked before any state changes. The kernel keeps no
+distances: a pivot updates the reduced costs of the edges at the subtree.
+Every engine builds its kernel from the start `Policy` (through `_start`
+when it takes an edge subset), and the kernel copies the snapshot that the
+graph keeps for its last start object, `_start_tree`, which prices the
+start from the distances of its one walk, `graphs._tree_walk`: the one
+check of a start and the one computation of tree distances. Trials that
+pass one start walk and price it once, and every other start is checked.
 
 The facet-removal recursion runs on three engines. The two with fresh
 randomness, and the rules behind which each runs:
@@ -132,17 +134,19 @@ def _nonbasic(in_f: list, basic) -> list[int]:
 
 class _StartTree(NamedTuple):
     """The derived state of one start tree, which no pivot touches: the
-    kernel copies it, and `comptrees.follow_canonical` reads it."""
+    kernel copies its child lists and reduced costs, and
+    `comptrees.follow_canonical` reads its pick list."""
 
     start: Policy  # the object it was built from
-    dist: tuple
     children: tuple  # of tuples
     red: tuple
     picks: tuple  # the non-chosen edges in id order: `_nonbasic`, all flags set
 
 
 def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
-    """The snapshot of the start `policy`, built on first use.
+    """The snapshot of the start `policy`, built on first use: its child
+    lists and every edge's reduced cost, priced from the distances of the
+    start's one walk, `graphs._tree_walk`, which are then dropped.
 
     The graph keeps one entry, `g._start_tree`, hit only by the very object
     it was built from. A Policy never changes, so a hit is exact; an equal
@@ -155,48 +159,43 @@ def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
     dist, children = _tree_walk(g, policy.chosen)
     red = [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
     snap = g._start_tree = _StartTree(
-        policy, tuple(dist), tuple(map(tuple, children)), tuple(red),
+        policy, tuple(map(tuple, children)), tuple(red),
         tuple(_nonbasic(bytearray(b"\x01") * g.n_edges, policy.chosen)))
     return snap
 
 
 class _PivotTracker:
-    """The pivot kernel: the policy tree, its distances, every edge's reduced
-    cost and the pivot log.
+    """The pivot kernel: the policy tree, every edge's reduced cost and the
+    pivot log. It keeps no distances; every rule decides by reduced costs.
 
     `chosen` is the kernel's own list of the start's chosen edges (None at
-    the target), `dist` a list of exact integer distances and `red` of
-    exact integer reduced costs red[x] = c(x) + y(head x) - y(tail x); all
-    are mutated in place, never rebound, so callers may hold them across
-    pivots. `children[v]` lists the vertices whose chosen edge points at v.
-    The kernel copies `dist`, the child lists and `red` from the snapshot
-    `_start_tree(g, policy)`, which raises PolicyCycleError unless the
-    start is a tree. A pivot on e = (u, v) walks u's subtree through the
-    child lists, shifts each of its distances by delta = red[e] = c(e) +
-    y(v) - y(u), and moves u from its old parent's child list to v's. For
-    each shifted vertex w the reduced cost of every edge into w rises by
-    delta and of every edge out of w falls by delta, so an edge with both
-    ends in the subtree keeps its reduced cost. A pivot with delta >= 0
-    raises PivotInvariantError, and one whose head lies in u's own subtree
-    (possible only when the switch closes a negative cycle) raises
-    PolicyCycleError; both leave every field unchanged. `shifted` holds the
-    vertices the last pivot moved, so callers can re-test only the edges at
-    those vertices.
+    the target) and `red` a list of exact integer reduced costs red[x] =
+    c(x) + y(head x) - y(tail x); both are mutated in place, never rebound,
+    so callers may hold them across pivots. `children[v]` lists the
+    vertices whose chosen edge points at v. The kernel copies the child
+    lists and `red` from the snapshot `_start_tree(g, policy)`, which raises
+    PolicyCycleError unless the start is a tree. A pivot on e = (u, v) walks
+    u's subtree through the child lists; every distance in it moves by
+    delta = red[e] = c(e) + y(v) - y(u), so for each of its vertices w the
+    reduced cost of every edge into w rises by delta and of every edge out
+    of w falls by delta, and an edge with both ends in the subtree keeps its
+    reduced cost. Then u moves from its old parent's child list to v's. A
+    pivot with delta >= 0 raises PivotInvariantError, and one whose head
+    lies in u's own subtree (possible only when the switch closes a
+    negative cycle) raises PolicyCycleError; both leave every field
+    unchanged. `shifted` holds the vertices the last pivot moved and `step`
+    its delta, so callers can re-test only the edges at those vertices.
     """
 
     def __init__(self, g: Digraph, policy: Policy):
         snap = _start_tree(g, policy)
         self.g = g
         self.chosen = list(policy.chosen)
-        self.dist = list(snap.dist)
         self.children = list(map(list, snap.children))
         self.red = list(snap.red)
         self.shifted: list[int] = []
         self.step = 0  # the last pivot's delta
         self.log: list[tuple[int, int]] = []
-
-    def improving(self, e: int) -> bool:
-        return self.red[e] < 0
 
     def nonbasic(self, in_f: list) -> list[int]:
         """The edges with in_f set that are not chosen, in id order."""
@@ -231,10 +230,8 @@ class _PivotTracker:
             raise PolicyCycleError(
                 f"edge {e} closes a cycle through vertex {u} and its subtree"
             )
-        dist = self.dist
         in_edges, out_edges = g.in_edges, g.out_edges
         for w in sub:
-            dist[w] += delta
             for x in in_edges[w]:
                 red[x] += delta
             for x in out_edges[w]:
@@ -696,6 +693,7 @@ def bland_rec(
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
     tracker = _PivotTracker(g, policy)
+    red = tracker.red
     # frame: [rank, stage]; global policy threads through the recursion
     stack = [[ell, 0]]
     while stack:
@@ -709,7 +707,7 @@ def bland_rec(
             stack.append([rank + 1, 0])
             continue
         e = edge_of_rank[rank]
-        if tracker.improving(e):
+        if red[e] < 0:
             before = Policy(tracker.chosen) if frame_hook else None
             tracker.pivot(e)
             if frame_hook:

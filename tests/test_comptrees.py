@@ -26,7 +26,14 @@ from pivotlab.comptrees import (
     wilson_interval,
 )
 from pivotlab.counter_graph import CounterGraphIndex
-from pivotlab.graphs import Digraph, Policy, PolicyCycleError, random_dag, random_policy
+from pivotlab.graphs import (
+    Digraph,
+    Policy,
+    PolicyCycleError,
+    random_dag,
+    random_policy,
+    tree_distances_list,
+)
 from pivotlab.rules import _facet_collapsed, _PivotTracker, random_facet, shuffled_order
 
 
@@ -214,9 +221,17 @@ class _FollowState:
             self.multi_in_f[grp[1]] -= 1
 
 
+def _improves(g, tracker, e):
+    """Whether e improves the kernel's tree, from a full recompute of its
+    distances rather than the kernel's reduced costs."""
+    d = tree_distances_list(g, tracker.chosen)
+    return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
+
+
 def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
     """The follower with its pick list rebuilt from every edge at each path
-    step; the oracle for the kept list."""
+    step, and each switch tested on recomputed distances; the oracle for the
+    kept list and the kernel's reduced costs."""
     s_sorted = sorted(set(s_levels), reverse=True)
     if start is None:
         start = cg.initial_tree(idx)
@@ -235,7 +250,7 @@ def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
             in_f[e] = False
             _facet_collapsed(tracker, in_f, shuffled_order(rng))
             in_f[e] = True
-            if not tracker.improving(e):
+            if not _improves(g, tracker, e):
                 return CanonicalOutcome(MISSING_CHILD, detail, path, len(tracker.log))
             tracker.pivot(e)
             return CanonicalOutcome(CANONICAL, detail, path, len(tracker.log))
@@ -248,7 +263,7 @@ def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
         in_f[e] = False
         _facet_collapsed(tracker, in_f, shuffled_order(rng))
         in_f[e] = True
-        if not tracker.improving(e):
+        if not _improves(g, tracker, e):
             return CanonicalOutcome(MISSING_CHILD, None, path, len(tracker.log))
         tracker.pivot(e)
 

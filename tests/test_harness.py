@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 from random import Random
 
@@ -205,6 +206,33 @@ def test_import_does_not_load_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_failing_property_is_reported_under_the_repo_config(tmp_path):
+    # with warnings as errors, Hypothesis's failure report must not end the
+    # session in INTERNALERROR: the failing property is reported FAILED with
+    # its example, and the other test still runs
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 10
+
+        def test_passes():
+            pass
+        """))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(pyproject), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert proc.returncode == 1, out
+    assert "1 failed, 1 passed" in out
+    assert "Falsifying example" in out
 
 
 @pytest.mark.parametrize("nrst", [(1, 1, 1, 1), (1, 2, 2, 3), (2, 2, 3, 3),
@@ -488,18 +516,27 @@ def test_cli_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_cli_trace_is_csv_trial_zero(tmp_path, capsys):
+@pytest.mark.parametrize("rule", RULES)
+def test_cli_trace_is_csv_trial_zero(rule, tmp_path, capsys):
+    # the trace is the run the CSV reports as trial 0: its seed, the pivot
+    # log of that seeded run, and as many pivots as the CSV counts
     trace = tmp_path / "t.json"
     out = tmp_path / "c.csv"
-    assert cli.main(["run", "--rule", "random-facet", "--n", "3", "--r", "2",
+    assert cli.main(["run", "--rule", rule, "--n", "3", "--r", "2",
                      "--s", "2", "--t", "2", "--trace", str(trace),
                      "--out", str(out)]) == 0
     capsys.readouterr()
     doc = json.loads(trace.read_text())
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert doc["seed"] == int(rows[0]["seed"])
+    g, _idx, start = experiments.load_instance(None, (3, 2, 2, 2), "auto")
+    run = run_rule(rule, g, start, doc["seed"])
+    assert [tuple(p) for p in doc["pivot_log"]] == run.pivot_log
     assert len(doc["pivot_log"]) == int(rows[0]["pivots"])
-    assert sum(r is not None for r in doc["tree"]["right"]) == int(rows[0]["pivots"])
+    if rule == "random-facet":
+        assert sum(r is not None for r in doc["tree"]["right"]) == int(rows[0]["pivots"])
+    else:  # only the facet recursion defines a computation tree
+        assert "tree" not in doc
 
 
 @pytest.mark.parametrize(

@@ -112,15 +112,25 @@ def _children_rebuild(g, chosen):
     return children
 
 
-def _assert_kernel_is_full_recompute(tracker):
+def _assert_kernel_is_full_recompute(tracker, before=None):
+    """Check what the engines read against a full recompute from the
+    kernel's chosen edges, d = tree_distances_list (which also checks that
+    they form a tree): every reduced cost is c + d[head] - d[tail], and the
+    child lists are the rebuild. Given the distances `before` the last
+    pivot, `shifted` is the set of vertices whose distance changed, each by
+    `step`. Returns d."""
     g = tracker.g
     dist = tree_distances_list(g, tracker.chosen)
-    assert tracker.dist == dist
     assert tracker.red == [
         c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
     ]
     # a pivot moves its vertex to the end of its new parent's list
     assert [sorted(c) for c in tracker.children] == _children_rebuild(g, tracker.chosen)
+    if before is not None:
+        moved = {v for v in range(g.n_vertices) if before[v] != dist[v]}
+        assert sorted(tracker.shifted) == sorted(moved)
+        assert {dist[v] - before[v] for v in moved} == {tracker.step}
+    return dist
 
 
 class _CheckedTracker(rules._PivotTracker):
@@ -132,15 +142,14 @@ class _CheckedTracker(rules._PivotTracker):
     def __init__(self, g, policy):
         super().__init__(g, policy)
         assert self.children == _children_rebuild(g, self.chosen)
+        _assert_kernel_is_full_recompute(self)
 
     def pivot(self, e: int) -> int:
-        before = list(self.dist)
+        before = tree_distances_list(self.g, self.chosen)
         red = self.red
         leaving = super().pivot(e)
         assert self.red is red
-        _assert_kernel_is_full_recompute(self)
-        moved = {v for v in range(self.g.n_vertices) if before[v] != self.dist[v]}
-        assert sorted(self.shifted) == sorted(moved)
+        _assert_kernel_is_full_recompute(self, before)
         _CheckedTracker.pivots_checked += 1
         return leaving
 
@@ -328,20 +337,17 @@ def test_bland_heap_matches_linear_scan():
     data=st.data(),
 )
 def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra, data):
-    # any improving pivot, not just the ones a rule picks, keeps dist, red
-    # and the child lists equal to a full recompute
+    # any improving pivot, not just the ones a rule picks, keeps red, the
+    # child lists, shifted and step equal to a full recompute
     rng = Random(seed)
     g = random_dag(rng, vertices, extra_edges=extra)
-    tracker = rules._PivotTracker(g, random_policy(g, rng))
-    assert tracker.children == _children_rebuild(g, tracker.chosen)
-    _assert_kernel_is_full_recompute(tracker)
+    tracker = _CheckedTracker(g, random_policy(g, rng))
     while True:
         improving = [e for e in range(g.n_edges) if tracker.red[e] < 0]
         if not improving:
             break
         tracker.pivot(data.draw(st.sampled_from(improving)))
-        _assert_kernel_is_full_recompute(tracker)
-    assert tracker.dist == optimal_distances_list(g)
+    assert tree_distances_list(g, tracker.chosen) == optimal_distances_list(g)
 
 
 def _assert_tracker_is_fresh_build(tracker, start):
@@ -350,7 +356,6 @@ def _assert_tracker_is_fresh_build(tracker, start):
     g = tracker.g
     dist, children = _tree_walk(g, start.chosen)
     assert tracker.chosen == list(start.chosen)
-    assert tracker.dist == dist
     assert tracker.children == children
     assert tracker.red == [
         c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
@@ -395,8 +400,9 @@ def test_start_snapshot_is_a_fresh_build_on_counter_graphs():
 
 
 def _kernel_state(tracker):
-    return (list(tracker.chosen), list(tracker.dist), list(tracker.red),
-            [list(c) for c in tracker.children], list(tracker.log))
+    return (list(tracker.chosen), list(tracker.red),
+            [list(c) for c in tracker.children], list(tracker.shifted),
+            tracker.step, list(tracker.log))
 
 
 def test_pivot_on_non_improving_edge_changes_nothing():
@@ -415,7 +421,7 @@ def test_switch_closing_a_negative_cycle_raises():
     g = Digraph(3, 2, tails=[0, 1, 0, 1], heads=[1, 0, 2, 2], costs=[-5, 1, 0, 0])
     start = Policy((0, 3, None))
     tracker = rules._PivotTracker(g, start)
-    assert tracker.improving(1)
+    assert tracker.red[1] < 0
     before = _kernel_state(tracker)
     with pytest.raises(PolicyCycleError):
         tracker.pivot(1)
