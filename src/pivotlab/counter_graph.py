@@ -16,6 +16,7 @@ identifiers, also used in the JSON sidecar index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import Digraph, Policy
@@ -28,6 +29,29 @@ class NotFunctionalError(Exception):
 BIT_ONE = "one"
 BIT_ZERO = "zero"
 BIT_UNDEFINED = "undefined"
+
+
+def _getter(ids: Sequence[int]) -> itemgetter:
+    """The keys of ids as a tuple. An `itemgetter` of one item returns the
+    bare key, so a one-edge group repeats its edge."""
+    return itemgetter(*ids) if len(ids) > 1 else itemgetter(ids[0], ids[0])
+
+
+@dataclass(frozen=True)
+class GroupLayout:
+    """The edge groups that the group statistics read, as C-level getters
+    over any key list, built once per index by `build_counter_graph`.
+
+    `b1[i - 1](keys)` gives the keys of level i's b chain and `a1[i - 1]`
+    holds one getter per a chain of level i. `multi[ell](keys)` gives the
+    keys of copy ell of every multi-edge, in group order, so folding the t
+    columns gives every group's maximum; at t = 1 the one column is the
+    maxima.
+    """
+
+    b1: tuple[itemgetter, ...]
+    a1: tuple[tuple[itemgetter, ...], ...]
+    multi: tuple[itemgetter, ...]
 
 
 @dataclass
@@ -58,6 +82,8 @@ class CounterGraphIndex:
     # per-edge reverse map, tagged as each edge is added:
     # ("b1", i, j) | ("a1", i, j, k) | ("multi", group_idx)
     edge_group: tuple = ()
+    # derived from the groups above, so kept out of ==, repr and the sidecar
+    layout: GroupLayout | None = field(default=None, compare=False, repr=False)
 
     def levels(self) -> range:
         return range(1, self.n + 1)
@@ -225,6 +251,15 @@ def build_counter_graph(
     idx.n_vertices = len(vertex_names)
     idx.n_edges = len(tails)
     idx.edge_group = tuple(groups)
+    idx.layout = GroupLayout(
+        b1=tuple(_getter(idx._b1[i]) for i in idx.levels()),
+        a1=tuple(
+            tuple(_getter(idx._a1[(i, j)]) for j in range(1, r + 1))
+            for i in idx.levels()
+        ),
+        # every level has at least six multi-edges, so a column is a tuple
+        multi=tuple(itemgetter(*(ids[ell] for ids in multi)) for ell in range(t)),
+    )
 
     g = Digraph(
         n_vertices=idx.n_vertices,

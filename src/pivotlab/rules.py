@@ -56,10 +56,18 @@ sub-solves on `_facet_lazy` raised the benchmark's peak RSS past its bound.
 
 The counter graph's edge-group statistics have one home: `sigma_b1` (a
 level's first b-chain edge), `sigma_a1` (the point at which every a chain of
-a level has been touched) and `sigma_multi` (a multi-edge's last copy). Each
-takes any list of keys over the edges: ranks, the sampler's float keys, or
-the path positions `comptrees` builds. The well-behaved test, the induced
-bit order, the sampler and the computation-path indices all read them.
+a level has been touched) and `sigma_multi` (a multi-edge's last copy), and
+their vector forms `sigma_b1_all`, `sigma_a1_all` (every level at once) and
+`sigma_multi_all` (every multi-edge at once). They read the index's
+`GroupLayout`, built once per index: one `itemgetter` per b chain and per a
+chain, and the multi-edges as t copy columns, so a statistic gathers its
+keys in one C-level call per chain or column, not a generator per group.
+Each takes any list of keys over the edges: ranks, the sampler's float
+keys, or the path positions `comptrees` builds. The well-behaved test, the
+induced bit order and the sampler read the vector forms, and the
+computation-path indices the scalar ones. The sampler costs its m draws,
+one sort, one ranking loop and one pass over the groups, and skips the
+well-behaved test whenever its repairs prove it (see `sample_well_behaved`).
 """
 
 from __future__ import annotations
@@ -67,7 +75,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat, starmap
+from operator import ge
 from typing import NamedTuple
 
 from .counter_graph import CounterGraphIndex
@@ -822,18 +831,41 @@ def random_permutation_fn(m: int, rng) -> list[int]:
 
 def sigma_b1(idx: CounterGraphIndex, keys, i: int):
     """First (minimum) key among level i's b-chain one-edges."""
-    return min(keys[e] for e in idx.b1(i))
+    return min(idx.layout.b1[i - 1](keys))
 
 
 def sigma_a1(idx: CounterGraphIndex, keys, i: int):
     """Key at which every a chain of level i has been touched: the maximum
     over its chains of each chain's first (minimum) key."""
-    return max(min(keys[e] for e in idx.a1(i, j)) for j in range(1, idx.r + 1))
+    return max([min(chain(keys)) for chain in idx.layout.a1[i - 1]])
 
 
-def sigma_multi(keys, group):
-    """Key of the last copy of a multi-edge."""
-    return max(keys[e] for e in group)
+def sigma_multi(idx: CounterGraphIndex, keys, g: int):
+    """Key of the last copy of multi-edge g (an index into `multi_edges`)."""
+    return max(map(keys.__getitem__, idx.multi_edges[g]))
+
+
+def sigma_b1_all(idx: CounterGraphIndex, keys) -> list:
+    """`sigma_b1` of every level, level i at index i - 1."""
+    return [min(chain(keys)) for chain in idx.layout.b1]
+
+
+def sigma_a1_all(idx: CounterGraphIndex, keys) -> list:
+    """`sigma_a1` of every level, level i at index i - 1."""
+    return [
+        max([min(chain(keys)) for chain in chains]) for chains in idx.layout.a1
+    ]
+
+
+def sigma_multi_all(idx: CounterGraphIndex, keys):
+    """`sigma_multi` of every multi-edge, in group order: the layout's copy
+    columns folded pairwise. A comprehension's specialised compare costs
+    less per group than a call of `max` with several arguments."""
+    first, *rest = idx.layout.multi
+    top = first(keys)
+    for col in rest:
+        top = [x if x >= y else y for x, y in zip(top, col(keys))]
+    return top
 
 
 def is_well_behaved(idx: CounterGraphIndex, sigma) -> bool:
@@ -843,20 +875,20 @@ def is_well_behaved(idx: CounterGraphIndex, sigma) -> bool:
     a chain, and every a chain's first edge ahead of every multi-edge's
     last copy.
     """
-    level_a = [sigma_a1(idx, sigma, i) for i in idx.levels()]
-    if any(sigma_b1(idx, sigma, i) >= a for i, a in zip(idx.levels(), level_a)):
+    level_a = sigma_a1_all(idx, sigma)
+    if any(map(ge, sigma_b1_all(idx, sigma), level_a)):
         return False
-    threshold = max(level_a)
-    return all(sigma_multi(sigma, grp) > threshold for grp in idx.multi_edges)
+    return min(sigma_multi_all(idx, sigma)) > max(level_a)
 
 
 def induced_permutation(idx: CounterGraphIndex, sigma) -> list[int]:
     """Bit priorities induced by sigma: levels ranked by the first rank of
     their b chain. Entry 0 of the returned list is unused."""
-    order = sorted(idx.levels(), key=lambda i: sigma_b1(idx, sigma, i))
+    level_b = sigma_b1_all(idx, sigma)
     out = [0] * (idx.n + 1)
-    for rank, i in enumerate(order, start=1):
-        out[i] = rank
+    order = sorted(range(idx.n), key=level_b.__getitem__)
+    for rank, k in enumerate(order, start=1):
+        out[k + 1] = rank
     return out
 
 
@@ -872,25 +904,45 @@ def sample_well_behaved(idx: CounterGraphIndex, rng) -> list[int]:
     the largest such key. Neither repair disturbs the other constraint, and
     no repair touches an a-chain key, so the level thresholds read before
     the repairs stay valid. The rank order of the keys is the permutation.
+
+    Every statistic is read once, from the vector forms, before any repair
+    of its kind: the groups are disjoint, so one group's repair cannot
+    change another's test. An (a) repair draws its key, then its edge; a
+    (b) repair draws its copy, then its key.
+
+    The final `is_well_behaved` test on the ranks is skipped when every
+    repaired key landed strictly inside its bound (below the level's A in
+    (a), above the threshold in (b)), because then sigma is well-behaved: a
+    level or group that needed no repair already meets its condition
+    strictly on the keys; the repairs touch only b-chain and multi-edge
+    keys, so neither the A values nor the threshold move; and the sort
+    gives a strictly smaller key a smaller rank. Otherwise (a float tie,
+    or a key rounded onto its bound) the test runs and may reject and
+    redraw, so the draws are those of always testing.
     """
+    m = idx.n_edges
+    random, randrange = rng.random, rng.randrange
+    b_chains = [idx.b1(i) for i in idx.levels()]
     while True:
-        keys = [rng.random() for _ in range(idx.n_edges)]
-        level_a = [sigma_a1(idx, keys, i) for i in idx.levels()]
-        for i, a in zip(idx.levels(), level_a):
-            if sigma_b1(idx, keys, i) >= a:
-                b_edges = idx.b1(i)
-                keys[b_edges[rng.randrange(len(b_edges))]] = rng.random() * a
+        keys = list(starmap(random, repeat((), m)))
+        strict = True
+        level_a = sigma_a1_all(idx, keys)
+        for b, a, chain in zip(sigma_b1_all(idx, keys), level_a, b_chains):
+            if b >= a:
+                # the key before the edge: the order of `keys[...] = random() * a`
+                new = random() * a
+                keys[chain[randrange(len(chain))]] = new
+                strict = strict and new < a
         threshold = max(level_a)
-        for grp in idx.multi_edges:
-            if sigma_multi(keys, grp) <= threshold:
-                pick = grp[rng.randrange(len(grp))]
-                keys[pick] = threshold + rng.random() * (1.0 - threshold)
-        order = sorted(range(idx.n_edges), key=keys.__getitem__)
-        sigma = [0] * idx.n_edges
-        for rank, e in enumerate(order, start=1):
+        for grp, top in zip(idx.multi_edges, sigma_multi_all(idx, keys)):
+            if top <= threshold:
+                pick = grp[randrange(len(grp))]
+                new = keys[pick] = threshold + random() * (1.0 - threshold)
+                strict = strict and new > threshold
+        sigma = [0] * m
+        for rank, e in enumerate(sorted(range(m), key=keys.__getitem__), start=1):
             sigma[e] = rank
-        # float key collisions could break a strict comparison; retry if so
-        if is_well_behaved(idx, sigma):
+        if strict or is_well_behaved(idx, sigma):
             return sigma
 
 

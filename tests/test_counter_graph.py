@@ -1,5 +1,6 @@
 """Counter graph family: structure, costs, bit reading, optimal-edge family."""
 
+import pickle
 from random import Random
 
 import pytest
@@ -291,3 +292,33 @@ def test_index_json_dict():
     assert doc["params"] == {"n": 2, "r": 1, "s": 2, "t": 1}
     assert doc["groups"]["b1[1]"] == list(idx.b1(1))
     assert len(doc["multi_edges"]) == len(idx.multi_edges)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (2, 3, 1, 4), (3, 2, 2, 2)])
+def test_group_layout_is_derived_state(params, tmp_path):
+    # the getters read the index's own groups; the layout is left out of
+    # ==, repr and the sidecar, survives pickling, and `load_index` builds it
+    from pivotlab import experiments
+
+    g, idx = build_counter_graph(*params)
+    keys = list(range(100, 100 + idx.n_edges))
+    lay = idx.layout
+    for i in idx.levels():
+        assert set(lay.b1[i - 1](keys)) == {keys[e] for e in idx.b1(i)}
+        for j in range(1, idx.r + 1):
+            assert set(lay.a1[i - 1][j - 1](keys)) == {keys[e] for e in idx.a1(i, j)}
+    assert [list(col(keys)) for col in lay.multi] == [
+        [keys[ids[ell]] for ids in idx.multi_edges] for ell in range(idx.t)
+    ]
+    other = build_counter_graph(*params)[1]
+    other.layout = None
+    assert other == idx and repr(other) == repr(idx)
+    assert "layout" not in repr(idx)
+    assert "layout" not in str(cg.index_to_json_dict(idx))
+    again = pickle.loads(pickle.dumps(idx))
+    assert again == idx
+    assert again.layout.multi[0](keys) == lay.multi[0](keys)
+    sidecar = experiments.save_instance(str(tmp_path / "g.json"), g, idx)
+    loaded = experiments.load_index(sidecar, g)
+    assert loaded == idx
+    assert loaded.layout.b1[0](keys) == lay.b1[0](keys)

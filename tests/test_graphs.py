@@ -1,9 +1,13 @@
 """Graph core: distances, switches, oracles, serialization."""
 
+import os
+import tempfile
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotlab import counter_graph, rules
 from pivotlab.graphs import (
@@ -345,6 +349,24 @@ def test_json_round_trip(tmp_path):
     assert g2.costs == g.costs
     assert g2.target == g.target
     assert g2.edge_names == g.edge_names
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vertices=st.integers(min_value=1, max_value=12),
+    extra=st.integers(min_value=0, max_value=20),
+    max_cost=st.sampled_from((0, 1, 20, 2**70)),
+)
+def test_json_round_trip_property(seed, vertices, extra, max_cost):
+    # a fresh directory per example: pytest's tmp_path is one per test
+    g = random_dag(Random(seed), vertices, extra_edges=extra, max_cost=max_cost)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        save_graph_json(g, path)
+        g2 = load_graph_json(path)
+    assert (g2.n_vertices, g2.target, g2.tails, g2.heads, g2.costs) == (
+        g.n_vertices, g.target, g.tails, g.heads, g.costs)
 
 
 def test_json_big_costs_survive(tmp_path):

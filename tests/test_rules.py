@@ -350,6 +350,20 @@ def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra,
     assert tree_distances_list(g, tracker.chosen) == optimal_distances_list(g)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vertices=st.integers(min_value=2, max_value=10),
+    extra=st.integers(min_value=0, max_value=16),
+    rule=st.sampled_from(sorted(experiments.RULES)),
+)
+def test_every_registered_rule_ends_optimal(seed, vertices, extra, rule):
+    rng = Random(seed)
+    g = random_dag(rng, vertices, extra_edges=extra)
+    res = experiments.run_rule(rule, g, random_policy(g, rng), seed)
+    assert tree_distances_list(g, res.final_policy.chosen) == optimal_distances_list(g)
+
+
 def _assert_tracker_is_fresh_build(tracker, start):
     # a fresh build: one tree walk and a reduced-cost recompute from the
     # start, and the first pick list that `_nonbasic` gives with every flag
@@ -1218,6 +1232,32 @@ def test_dantzig_picks_most_negative():
     assert res.pivot_log == [(2, 0)]
 
 
+# the sets the tests build, from (1,1,1,1) up to (6,7,7,7)
+_TEST_SETS = (
+    (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 1), (1, 1, 3, 1), (1, 2, 2, 3),
+    (1, 2, 3, 4), (2, 1, 1, 1), (2, 1, 2, 1), (2, 1, 2, 2), (2, 1, 3, 2),
+    (2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 3, 3), (2, 2, 3, 4),
+    (2, 2, 8, 3), (2, 3, 2, 1), (2, 3, 2, 2), (2, 3, 3, 3), (2, 4, 6, 8),
+    (3, 1, 1, 1), (3, 1, 2, 1), (3, 1, 2, 3), (3, 2, 1, 2), (3, 2, 2, 1),
+    (3, 2, 2, 2), (3, 2, 3, 1), (3, 2, 3, 4), (3, 3, 3, 3), (3, 4, 5, 6),
+    (4, 1, 2, 3), (4, 2, 2, 2), (4, 3, 3, 3), (5, 2, 3, 2), (6, 2, 2, 2),
+    (6, 5, 5, 5), (6, 7, 7, 7),
+)
+
+
+@pytest.mark.parametrize("params", _TEST_SETS)
+def test_dantzig_from_the_zero_start_makes_v_minus_one_pivots(params):
+    # the contrast to the facet rules: from `initial_tree`, Dantzig's rule
+    # makes exactly V - 1 pivots, as many as there are non-target vertices,
+    # on every counter graph measured so far: all sets with n <= 6,
+    # r, s, t <= 3 and m <= 1200, and the sets up to (16,10,10,10) in
+    # ROADMAP item 7
+    g, idx = cg.build_counter_graph(*params)
+    res = dantzig(g, cg.initial_tree(idx))
+    assert res.pivots == g.n_vertices - 1
+    assert tree_distances_list(g, res.final_policy.chosen) == optimal_distances_list(g)
+
+
 def test_well_behaved_block_structure():
     _, idx = cg.build_counter_graph(2, 2, 2, 2)
     m = idx.n_edges
@@ -1492,6 +1532,194 @@ def test_group_statistics_read_float_keys_like_their_ranks():
             assert induced_permutation(idx, keys) == induced_permutation(idx, ranks)
             seen.add(wb)
     assert seen == {True, False}
+
+
+# The sampler before its statistics moved onto the index's GroupLayout,
+# kept verbatim with the generator statistics it read: the oracle for the
+# draws of `sample_well_behaved`.
+def _oracle_sigma_b1(idx, keys, i):
+    return min(keys[e] for e in idx.b1(i))
+
+
+def _oracle_sigma_a1(idx, keys, i):
+    return max(min(keys[e] for e in idx.a1(i, j)) for j in range(1, idx.r + 1))
+
+
+def _oracle_sigma_multi(keys, group):
+    return max(keys[e] for e in group)
+
+
+def _oracle_is_well_behaved(idx, sigma):
+    level_a = [_oracle_sigma_a1(idx, sigma, i) for i in idx.levels()]
+    if any(_oracle_sigma_b1(idx, sigma, i) >= a for i, a in zip(idx.levels(), level_a)):
+        return False
+    threshold = max(level_a)
+    return all(_oracle_sigma_multi(sigma, grp) > threshold for grp in idx.multi_edges)
+
+
+def _oracle_sample_well_behaved(idx, rng):
+    while True:
+        keys = [rng.random() for _ in range(idx.n_edges)]
+        level_a = [_oracle_sigma_a1(idx, keys, i) for i in idx.levels()]
+        for i, a in zip(idx.levels(), level_a):
+            if _oracle_sigma_b1(idx, keys, i) >= a:
+                b_edges = idx.b1(i)
+                keys[b_edges[rng.randrange(len(b_edges))]] = rng.random() * a
+        threshold = max(level_a)
+        for grp in idx.multi_edges:
+            if _oracle_sigma_multi(keys, grp) <= threshold:
+                pick = grp[rng.randrange(len(grp))]
+                keys[pick] = threshold + rng.random() * (1.0 - threshold)
+        order = sorted(range(idx.n_edges), key=keys.__getitem__)
+        sigma = [0] * idx.n_edges
+        for rank, e in enumerate(order, start=1):
+            sigma[e] = rank
+        # float key collisions could break a strict comparison; retry if so
+        if _oracle_is_well_behaved(idx, sigma):
+            return sigma
+
+
+# the sets the sampler was measured on, and criterion 9's eight
+_SAMPLER_SETS = (
+    (1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 2, 1), (3, 1, 2, 2), (2, 3, 1, 4),
+) + tuple((n, v, v, v) for n in (3, 4, 5, 6) for v in (2, 3))
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    # the answers of the sampler's final `is_well_behaved` test, one per call
+    seen = []
+
+    def counted(idx, sigma):
+        seen.append(is_well_behaved(idx, sigma))
+        return seen[-1]
+
+    monkeypatch.setattr(rules, "is_well_behaved", counted)
+    return seen
+
+
+@pytest.mark.parametrize("params", _SAMPLER_SETS)
+def test_sampler_draws_the_oracle_bits(params, monkeypatch):
+    # the same sigma and the same generator state, draw after draw; on these
+    # seeds every repair lands strictly inside its bound, so the final test
+    # never runs
+    _, idx = cg.build_counter_graph(*params)
+    fallbacks = _count_fallbacks(monkeypatch)
+    for seed in range(150):
+        ours, oracle = Random(seed), Random(seed)
+        for _ in range(2):
+            assert sample_well_behaved(idx, ours) == _oracle_sample_well_behaved(idx, oracle)
+            assert ours.getstate() == oracle.getstate()
+    assert fallbacks == []
+
+
+def test_sampler_draws_the_oracle_bits_on_a_large_set():
+    _, idx = cg.build_counter_graph(8, 9, 9, 9)
+    for seed in range(5):
+        ours, oracle = Random(seed), Random(seed)
+        assert sample_well_behaved(idx, ours) == _oracle_sample_well_behaved(idx, oracle)
+        assert ours.getstate() == oracle.getstate()
+
+
+class _ScriptedRandom(Random):
+    """A seeded generator whose first `random()` calls return a script.
+    Defining `getrandbits` keeps `randrange` on the generator's bits, not on
+    the scripted `random()`."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0) if self.script else super().random()
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+def _scripted_keys(idx, b, a, multi, low_group=None, low=None):
+    # one key per edge by its group: b for b-chain edges, a for a-chain
+    # edges, multi for multi-edges, except low for every copy of low_group
+    keys = []
+    for grp in idx.edge_group:
+        if grp[0] == "b1":
+            keys.append(b)
+        elif grp[0] == "a1":
+            keys.append(a)
+        else:
+            keys.append(low if grp[1] == low_group else multi)
+    return keys
+
+
+def _multi_group_beside_a_chains(idx, below: bool) -> int:
+    # a multi-edge whose copies all have lower (or all higher) ids than
+    # every a-chain edge, so a tie with an a-chain key breaks against it
+    # (or for it) in the id-stable sort
+    a_ids = [e for e, grp in enumerate(idx.edge_group) if grp[0] == "a1"]
+    for g, ids in enumerate(idx.multi_edges):
+        if (max(ids) < min(a_ids)) if below else (min(ids) > max(a_ids)):
+            return g
+    raise AssertionError("no such multi-edge")
+
+
+@pytest.mark.parametrize("t", [1, 3])
+@pytest.mark.parametrize("case", ["b-chain on its bound", "multi tie kept",
+                                  "multi tie redrawn"])
+def test_sampler_tests_a_repair_that_lands_on_its_bound(case, t, monkeypatch):
+    # a repaired key equal to its bound proves nothing, so the sampler runs
+    # the final test, which keeps the sample or rejects it and redraws; the
+    # oracle always runs it, so both make the same draws
+    _, idx = cg.build_counter_graph(1, 1, 1, t)
+    if case == "b-chain on its bound":
+        # every a-chain key is 0.0, so the b chain needs a repair, and its
+        # new key 0.7 * 0.0 lands on the bound 0.0
+        script = _scripted_keys(idx, b=0.5, a=0.0, multi=0.9) + [0.7]
+        want = [True]  # kept at the test
+    else:
+        # one multi-edge sorts below the threshold 0.5, and its repaired
+        # copy lands on 0.5: the tie breaks by id, against the sample when
+        # the copy's id is below the a-chain edge's
+        below = case == "multi tie redrawn"
+        g = _multi_group_beside_a_chains(idx, below)
+        script = _scripted_keys(idx, b=0.1, a=0.5, multi=0.9, low_group=g, low=0.3)
+        script.append(0.0)
+        # the redraw's repairs are strict, so it skips the test
+        want = [False] if below else [True]
+    fallbacks = _count_fallbacks(monkeypatch)
+    ours, oracle = _ScriptedRandom(5, script), _ScriptedRandom(5, script)
+    sigma = sample_well_behaved(idx, ours)
+    assert sigma == _oracle_sample_well_behaved(idx, oracle)
+    assert (ours.getstate(), ours.script) == (oracle.getstate(), oracle.script)
+    assert ours.script == []
+    assert fallbacks == want
+    assert _oracle_is_well_behaved(idx, sigma)
+
+
+@pytest.mark.parametrize(
+    "params", [(1, 1, 1, 1), (2, 1, 1, 1), (3, 1, 2, 2), (2, 3, 1, 4), (3, 2, 2, 2)]
+)
+def test_vector_statistics_equal_the_scalar_ones(params):
+    # on float keys and on their ranks, each vector form lists its scalar
+    # form, which equals the generator definition the oracle reads
+    _, idx = cg.build_counter_graph(*params)
+    rng = Random(sum(params))
+    m = idx.n_edges
+    for _ in range(20):
+        keys = [rng.random() for _ in range(m)]
+        ranks = [0] * m
+        for rank, e in enumerate(sorted(range(m), key=keys.__getitem__), start=1):
+            ranks[e] = rank
+        for key_list in (keys, ranks):
+            b = [rules.sigma_b1(idx, key_list, i) for i in idx.levels()]
+            a = [rules.sigma_a1(idx, key_list, i) for i in idx.levels()]
+            top = [rules.sigma_multi(idx, key_list, g)
+                   for g in range(len(idx.multi_edges))]
+            assert b == [_oracle_sigma_b1(idx, key_list, i) for i in idx.levels()]
+            assert a == [_oracle_sigma_a1(idx, key_list, i) for i in idx.levels()]
+            assert top == [_oracle_sigma_multi(key_list, grp) for grp in idx.multi_edges]
+            assert rules.sigma_b1_all(idx, key_list) == b
+            assert rules.sigma_a1_all(idx, key_list) == a
+            assert list(rules.sigma_multi_all(idx, key_list)) == top
+            assert is_well_behaved(idx, key_list) == _oracle_is_well_behaved(idx, key_list)
 
 
 # SHA-256 of the repr of each group's seeded results (see _pinned_logs),
