@@ -146,14 +146,20 @@ class Digraph:
 
 def _edge_subset(g: Digraph, subset: Iterable[int] | None) -> frozenset[int] | None:
     """The caller's edge ids, read once into a frozenset; None (every edge)
-    stays None. Raises NotAnEdgeError naming the ids that are not edges."""
+    stays None. Raises NotAnEdgeError naming the ids that are not edges: an
+    id must be an int in 0..m-1, so a float or bool equal to one is refused
+    too (the set would take 1.0 or True for 1, as they hash alike)."""
     if subset is None:
         return None
-    if g._edge_ids is None:
-        g._edge_ids = frozenset(range(g.n_edges))
+    edge_ids = g._edge_ids
+    if edge_ids is None:
+        edge_ids = g._edge_ids = frozenset(range(g.n_edges))
+    if not isinstance(subset, (frozenset, set, list, tuple, range)):
+        subset = list(subset)  # read a one-shot iterable once
     sub = frozenset(subset)
-    if not sub <= g._edge_ids:
-        raise NotAnEdgeError(f"no edges with ids {sorted(sub - g._edge_ids)}")
+    if not sub <= edge_ids or {*map(type, subset)} - {int}:
+        bad = {e: None for e in subset if type(e) is not int or e not in edge_ids}
+        raise NotAnEdgeError(f"no edges with ids {list(bad)}")
     return sub
 
 

@@ -22,15 +22,16 @@ randomness, and the rules behind which each runs:
 - `_facet_lazy`, behind `random_facet` (traced and untraced) and
   `lp.random_facet_lp`: a stack of frames, one per descent, each a rank
   cursor and a heap of improving columns, that draws a column's rank in a
-  frame (`_draw_rank`, `randbelow_exact` steps of a partial Fisher-Yates
-  shuffle) only when the column improves. A pivot costs per shifted vertex,
-  not per candidate. Its pivot oracle (a reduced-cost list `red`,
-  `pivot(e) -> leaving`, `nonbasic(in_f)` and `turned_improving()`, the
-  columns the last pivot made improving) is implemented by `_PivotTracker`
-  and by the LP basis tracker, and the turned columns are walked in id
-  order, so the graph run and the LP run of one seed draw the same bits
-  and pivot in lockstep. A traced run replays itself in `_facet_collapsed`
-  to emit its computation tree's event stream (see `random_facet`).
+  frame (one step of a partial Fisher-Yates shuffle, drawing the bits
+  `Random.randrange` draws, written out in the walk) only when the column
+  improves. A pivot costs per shifted vertex, not per candidate. Its pivot
+  oracle (a reduced-cost list `red`, `pivot(e) -> leaving`,
+  `nonbasic(in_f)` and `turned_improving()`, the columns the last pivot
+  made improving) is implemented by `_PivotTracker` and by the LP basis
+  tracker, and the turned columns are walked in id order, so the graph run
+  and the LP run of one seed draw the same bits and pivot in lockstep. A
+  traced run replays itself in `_facet_collapsed` to emit its computation
+  tree's event stream (see `random_facet`).
 - `_facet_collapsed`, behind `comptrees.follow_canonical`'s sub-solves and
   the trace replay: each descent asks an `arrange(avail) -> list` callable
   for its whole removal order and tests every candidate in the unwind; it
@@ -76,7 +77,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat, starmap
-from operator import ge
+from operator import ge, gt
 from typing import NamedTuple
 
 from .counter_graph import CounterGraphIndex
@@ -350,24 +351,6 @@ def shuffled_order(rng):
     return arrange
 
 
-def _draw_rank(size: int, revealed: dict, swap: dict, rng) -> int:
-    """A rank drawn uniformly from those of 1..size that no column of
-    `revealed` holds: one step of a partial Fisher-Yates shuffle.
-
-    Position i of 0..size-1 holds rank swap.get(i, i) + 1, and the first
-    size - len(revealed) positions hold the untaken ranks. A draw takes
-    position i = randbelow_exact(untaken) and moves the last untaken
-    position's rank into it. So no float is drawn, and drawing every rank of
-    a frame gives each order of them with probability 1/size!. The caller
-    records the rank in `revealed`.
-    """
-    last = size - len(revealed) - 1
-    i = randbelow_exact(last + 1, rng)
-    rank = swap.get(i, i) + 1
-    swap[i] = swap.get(last, last)
-    return rank
-
-
 def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
     """The fresh-randomness facet-removal recursion of `_facet_collapsed`
     under `shuffled_order`, drawing a column's rank only when it improves.
@@ -380,15 +363,22 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
     frame. One descent is one frame: its size N (the candidate count), its
     rank cursor (the unwind tests the ranks below it next; N + 1 at
     creation), a max-rank heap of keys -(rank * m + column) for the held
-    columns that improved, a map from column to revealed rank, and the
-    partial Fisher-Yates swaps over its untaken ranks (`_draw_rank`, one
-    `randbelow_exact(N - drawn)` a draw). A frame holds the cursor - 1
-    columns at the ranks below its cursor. The first frame's size is the
-    pool count, the in_f columns outside the basis; a new frame's size is
-    the pool count minus the columns the live frames hold, a running sum of
-    their cursor - 1. A pivot moves the entering column out of the pool and
-    the leaving column into it, so only a leaving column outside in_f
-    shrinks the count.
+    columns that improved, a map from column to revealed rank, its count n
+    of untaken ranks (N at creation), and the partial Fisher-Yates swaps
+    over them. Position p of 0..N-1 holds rank swap.get(p, p) + 1, and the
+    first n positions hold the untaken ranks. A draw takes position i, read
+    as `Random.randrange(n)` reads it (getrandbits(n.bit_length()), redrawn
+    while i >= n, so n = 1 still draws one bit), moves position n - 1's
+    rank into it and lowers n by one. No float is drawn, and drawing every
+    rank of a frame gives each order of them with probability 1/N!. The
+    draw is written out in the walk, not called, because a pivot makes
+    several (about 4-6 on the benchmark's counter graphs). A frame holds
+    the cursor - 1 columns at the ranks below its cursor. The first frame's
+    size is the pool count, the in_f columns outside the basis; a new
+    frame's size is the pool count minus the columns the live frames hold,
+    a running sum of their cursor - 1. A pivot moves the entering column
+    out of the pool and the leaving column into it, so only a leaving
+    column outside in_f shrinks the count.
 
     The top frame pops its highest-ranked entry with red < 0, sets its
     cursor to that rank and pivots, which pushes a frame; entries with red
@@ -436,25 +426,29 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
     red = tracker.red
     pivot = tracker.pivot
     turned = tracker.turned_improving
+    getrandbits = rng.getrandbits
     m = len(red)
+    every = all(in_f)  # in_f never changes, so the turned filter is read once
     heappush, heappop = heapq.heappush, heapq.heappop
     left_at = [0] * m  # pivot count at which each column last left the basis
     pool = len(tracker.nonbasic(in_f))
     held = 0  # columns the live frames hold: the sum of their cursor - 1
     created: list[int] = []
     cursor: list[int] = []
-    sizes: list[int] = []
+    untaken: list[int] = []  # per frame, the count of ranks not yet drawn
     heaps: list[list[int]] = []
     revealed: list[dict] = []
     swaps: list[dict] = []
 
     t = 0
     size = pool
-    improved = [x for x in compress(range(m), in_f) if red[x] < 0]
+    improved = list(compress(range(m), map(gt, repeat(0), red)))
+    if not every:
+        improved = [x for x in improved if in_f[x]]
     while True:
         created.append(t)
         cursor.append(size + 1)
-        sizes.append(size)
+        untaken.append(size)
         heaps.append([])
         revealed.append({})
         swaps.append({})
@@ -467,7 +461,19 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
                 ranks = revealed[k]
                 rank = ranks.get(x)
                 if rank is None:
-                    rank = ranks[x] = _draw_rank(sizes[k], ranks, swaps[k], rng)
+                    # position i of the untaken n, drawn as randrange(n)
+                    # draws it; the last untaken position's rank moves in
+                    n = untaken[k]
+                    if not n:
+                        raise AssertionError(f"column {x} has no untaken rank")
+                    untaken[k] = last = n - 1
+                    bits = n.bit_length()
+                    i = getrandbits(bits)
+                    while i >= n:
+                        i = getrandbits(bits)
+                    swap = swaps[k]
+                    rank = ranks[x] = swap.get(i, i) + 1
+                    swap[i] = swap.get(last, last)
                     if rank < cursor[k]:
                         heappush(heaps[k], -(rank * m + x))
                         break
@@ -484,7 +490,7 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
                 held -= cursor.pop() - 1
                 heaps.pop()
                 created.pop()
-                sizes.pop()
+                untaken.pop()
                 revealed.pop()
                 swaps.pop()
                 continue
@@ -499,7 +505,10 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
         if not in_f[leaving]:
             pool -= 1
         size = pool - held
-        improved = sorted(x for x in turned() if in_f[x])
+        improved = turned()
+        if not every:
+            improved = [x for x in improved if in_f[x]]
+        improved.sort()
 
 
 def _revealed_order(frames: list):

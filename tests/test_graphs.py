@@ -314,6 +314,29 @@ def test_every_subset_reader_rejects_non_edges(name, kind):
         assert read(g, start, given) == SUBSET_RESULTS[kind][name]
 
 
+def test_optimal_edge_set_refuses_float_and_bool_ids():
+    # 1.0 and True equal 1 and hash alike, so a set takes them for edge 1;
+    # the subset is refused by type, before any edge is read
+    g, _ = counter_graph.build_counter_graph(2, 1, 1, 1)
+    ids = list(range(2, g.n_edges))
+    for bad in ([0.0, 1.0], [True], [False, 1]):
+        with pytest.raises(NotAnEdgeError, match=rf"ids \[{bad[0]!r}"):
+            optimal_edge_set(g, bad + ids)
+    assert optimal_edge_set(g, [0, 1] + ids) == optimal_edge_set(g)
+
+
+@pytest.mark.parametrize("kind", ["dag", "cyclic"])
+@pytest.mark.parametrize("name", list(SUBSET_READERS))
+def test_every_subset_reader_refuses_float_and_bool_ids(name, kind):
+    g = _subset_graph(kind)
+    start = bfs_tree_policy(g)
+    valid = sorted(start.edge_set() | set(range(0, g.n_edges, 2)))
+    for given in (valid[:-1] + [float(valid[-1])], [True] + valid,
+                  (e for e in valid + [1.0])):
+        with pytest.raises(NotAnEdgeError, match="no edges with ids"):
+            SUBSET_READERS[name](g, start, given)
+
+
 @pytest.mark.parametrize(
     "target, tails, cost",
     [(1, [0], 2.9), (1, [0], Fraction(7, 2)), (1, [0], True), (1, [True], 2),

@@ -2,10 +2,13 @@
 permutation machinery, counter lower bounds."""
 
 import hashlib
+import heapq
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import compress
 from math import factorial, gcd
 from random import Random
 
@@ -941,6 +944,98 @@ def test_lazy_and_eager_engines_agree_in_law():
     assert stat < _chi2_quantile(0.999, len(bins) - 1), (stat, len(bins))
 
 
+# The lazy engine before its rank draw was written out in the walk, kept
+# verbatim (its docstring is `rules._facet_lazy`'s) with the draw it called:
+# the oracle for the bits `_facet_lazy` draws and the frames it records.
+def _draw_rank(size: int, revealed: dict, swap: dict, rng) -> int:
+    """A rank drawn uniformly from those of 1..size that no column of
+    `revealed` holds: one step of a partial Fisher-Yates shuffle.
+
+    Position i of 0..size-1 holds rank swap.get(i, i) + 1, and the first
+    size - len(revealed) positions hold the untaken ranks. A draw takes
+    position i = randbelow_exact(untaken) and moves the last untaken
+    position's rank into it. So no float is drawn, and drawing every rank of
+    a frame gives each order of them with probability 1/size!. The caller
+    records the rank in `revealed`.
+    """
+    last = size - len(revealed) - 1
+    i = rules.randbelow_exact(last + 1, rng)
+    rank = swap.get(i, i) + 1
+    swap[i] = swap.get(last, last)
+    return rank
+
+
+def _oracle_facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
+    red = tracker.red
+    pivot = tracker.pivot
+    turned = tracker.turned_improving
+    m = len(red)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    left_at = [0] * m  # pivot count at which each column last left the basis
+    pool = len(tracker.nonbasic(in_f))
+    held = 0  # columns the live frames hold: the sum of their cursor - 1
+    created: list[int] = []
+    cursor: list[int] = []
+    sizes: list[int] = []
+    heaps: list[list[int]] = []
+    revealed: list[dict] = []
+    swaps: list[dict] = []
+
+    t = 0
+    size = pool
+    improved = [x for x in compress(range(m), in_f) if red[x] < 0]
+    while True:
+        created.append(t)
+        cursor.append(size + 1)
+        sizes.append(size)
+        heaps.append([])
+        revealed.append({})
+        swaps.append({})
+        if frames is not None:
+            frames.append((size, revealed[-1]))
+        held += size
+        for x in improved:  # walk x up to the frame that holds it
+            k = bisect_left(created, left_at[x])
+            while True:
+                ranks = revealed[k]
+                rank = ranks.get(x)
+                if rank is None:
+                    rank = ranks[x] = _draw_rank(sizes[k], ranks, swaps[k], rng)
+                    if rank < cursor[k]:
+                        heappush(heaps[k], -(rank * m + x))
+                        break
+                elif rank < cursor[k]:
+                    break
+                k += 1
+        while heaps:
+            heap = heaps[-1]
+            while heap:
+                rank, e = divmod(-heappop(heap), m)
+                if red[e] < 0:
+                    break
+            else:
+                held -= cursor.pop() - 1
+                heaps.pop()
+                created.pop()
+                sizes.pop()
+                revealed.pop()
+                swaps.pop()
+                continue
+            break
+        else:
+            return
+        held -= cursor[-1] - rank
+        cursor[-1] = rank
+        leaving = pivot(e)
+        t += 1
+        left_at[leaving] = t
+        if not in_f[leaving]:
+            pool -= 1
+        size = pool - held
+        improved = sorted(x for x in turned() if in_f[x])
+
+
+
 @pytest.mark.parametrize("size, seed", [(3, 7104), (4, 7105)])
 def test_rank_draws_give_every_order_uniformly(size, seed):
     # a frame of `size` columns drawing every rank, column 0 first: each of
@@ -952,12 +1047,95 @@ def test_rank_draws_give_every_order_uniformly(size, seed):
     for _ in range(trials):
         revealed, swap = {}, {}
         for x in range(size):
-            revealed[x] = rules._draw_rank(size, revealed, swap, rng)
+            revealed[x] = _draw_rank(size, revealed, swap, rng)
         counts[tuple(revealed.values())] += 1
     assert counts.keys() <= set(orders)
     expected = trials / len(orders)
     stat = sum((counts[o] - expected) ** 2 / expected for o in orders)
     assert stat < _chi2_quantile(0.999, len(orders) - 1), stat
+
+
+class _TurnFilterTracker(rules._PivotTracker):
+    """The graph kernel counting the turned edges outside the run's edge
+    set, which the engine must drop before it walks them."""
+
+    def turned_improving(self):
+        listed = super().turned_improving()
+        self.outside += sum(not self.in_f[x] for x in listed)
+        return listed
+
+
+def _run_beside_the_oracle(make_tracker, in_f, seed):
+    # the engine and its oracle from one seed, each on a fresh oracle: the
+    # same pivot log, frame records and generator state; returns the
+    # engine's tracker, frames and generator state
+    runs = []
+    for engine in (rules._facet_lazy, _oracle_facet_lazy):
+        tracker, frames, rng = make_tracker(), [], Random(seed)
+        engine(tracker, in_f, rng, frames)
+        runs.append((tracker, frames, rng.getstate()))
+    (tracker, frames, state), (oracle, oracle_frames, oracle_state) = runs
+    assert tracker.log == oracle.log
+    assert frames == oracle_frames
+    assert state == oracle_state
+    return tracker, frames, state
+
+
+def _last_rank_draws(frames) -> int:
+    # frames whose every rank was drawn: the last draw had one untaken rank
+    return sum(0 < size == len(ranks) for size, ranks in frames)
+
+
+def test_lazy_engine_draws_the_oracle_bits():
+    # `rules._facet_lazy` against the engine as it was before its rank draw
+    # was written out in the walk: seeded runs from the zero start on
+    # counter graphs, then random starts on random DAGs and edge subsets,
+    # where turned edges outside the subset are dropped, with the LP run
+    # in lockstep; the public rules draw what the engine draws
+    last_draws = outside = 0
+    for params, seeds in (((1, 1, 1, 1), 40), ((2, 1, 1, 1), 40), ((2, 2, 2, 1), 30),
+                          ((3, 2, 2, 2), 12), ((4, 2, 2, 2), 8), ((6, 3, 3, 3), 4)):
+        g, idx = cg.build_counter_graph(*params)
+        b0 = cg.initial_tree(idx)
+        in_f = rules._start(g, b0, None)[1]
+        for seed in range(seeds):
+            tracker, frames, state = _run_beside_the_oracle(
+                lambda: rules._PivotTracker(g, b0), in_f, seed)
+            last_draws += _last_rank_draws(frames)
+            run_rng = Random(seed)
+            assert random_facet(g, b0, run_rng).pivot_log == tracker.log
+            assert run_rng.getstate() == state
+    rng = Random(7110)
+    for k in range(60):
+        g = random_dag(rng, rng.randrange(3, 10), extra_edges=rng.randrange(2, 14),
+                       max_cost=rng.choice((1, 2, 9)))
+        b0 = random_policy(g, rng)
+        keep = rng.choice((0.3, 0.6, 1.0))
+        subset = {e for e in range(g.n_edges) if rng.random() < keep} | b0.edge_set()
+        in_f = rules._start(g, b0, subset)[1]
+
+        def filter_tracker():
+            tracker = _TurnFilterTracker(g, b0)
+            tracker.in_f, tracker.outside = in_f, 0
+            return tracker
+
+        tracker, frames, state = _run_beside_the_oracle(filter_tracker, in_f, k)
+        last_draws += _last_rank_draws(frames)
+        outside += tracker.outside
+        run_rng = Random(k)
+        assert random_facet(g, b0, run_rng, subset=subset).pivot_log == tracker.log
+        assert run_rng.getstate() == state
+        prob, _, _ = lp.sp_to_lp(g)
+        basis = lp.tree_basis(g, b0)
+        lp_in_f = [j in subset for j in range(prob.n_cols)]
+        lp_tracker, lp_frames, lp_state = _run_beside_the_oracle(
+            lambda: lp._LPTracker(prob, basis), lp_in_f, k)
+        assert (lp_tracker.log, lp_frames, lp_state) == (tracker.log, frames, state)
+        lp_rng = Random(k)
+        assert lp.random_facet_lp(prob, sorted(subset), basis, lp_rng)[1] == tracker.log
+        assert lp_rng.getstate() == state
+    assert last_draws > 0
+    assert outside > 0
 
 
 class _NoFloatRandom(Random):
