@@ -633,8 +633,11 @@ def check_well_behaved_prob(
 def check_switch_identity(
     counter_runs: int = 30, dag_runs: int = 20, seed: int = 20248
 ) -> dict:
-    """Every traced run passes `comptrees.record_tree`: its computation
-    tree's right-child count equals its pivot count."""
+    """Every traced run's computation tree, `comptrees.record_tree` of its
+    frames, checks out against the graph: `ComputationTree.validate` re-runs
+    the eager recursion from the start, so each right child (one per pivot)
+    is an improving switch with the run's leaving edge, and every other
+    test of the unwind is not improving."""
     rng = Random(seed)
     g, idx = counter_graph.build_counter_graph(2, 2, 2, 2)
     start = counter_graph.initial_tree(idx)
@@ -647,8 +650,8 @@ def check_switch_identity(
     for gr, sr, run_seed in runs:
         run = rules.random_facet(gr, sr, Random(run_seed), trace=True)
         try:
-            comptrees.record_tree(run)
-        except AssertionError:
+            comptrees.record_tree(run).validate(gr, sr)
+        except (AssertionError, ValueError):
             failures += 1
     return _report(
         "switch-identity",

@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trials", type=int, default=1)
     p_run.add_argument("--start", choices=["auto", "zero", "bfs"], default="auto")
     p_run.add_argument("--trace", type=str, default=None,
-                       help="dump pivot log and computation tree JSON here")
+                       help="dump trial 0's pivot log as JSON here, with random-facet's "
+                            "computation tree, one node per descent")
     p_run.add_argument("--out", type=str, default=None, help="per-trial CSV path")
     p_run.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_seed(p_run)

@@ -5,7 +5,9 @@ A traced run of the fresh-randomness facet rule yields a binary computation
 tree: each node is one recursive call, the left child drops the picked edge,
 and the right child (present exactly when the pick improves the tree the
 first call returned) performs the switch. Right children therefore count
-pivots.
+pivots. The tree is kept one descent per node, a descent being a chain of
+left children down to a leaf, and is built from the frames the run itself
+recorded.
 
 The canonical follower watches a single root path of such a run: given a
 set S of bit levels (descending), it extends the path left or right
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from .counter_graph import CounterGraphIndex, initial_tree
-from .graphs import Digraph, Policy, apply_switch, improving_switches
+from .graphs import Digraph, Policy, tree_distances_list
 from .rules import (
     RunResult,
     _facet_collapsed,
@@ -39,128 +41,144 @@ from .rules import (
 )
 
 
+@dataclass
 class ComputationTree:
-    """Binary recursion tree stored as parallel arrays.
+    """The recursion tree of a traced `random_facet` run, one node per
+    descent, as parallel lists.
 
-    Per node: the picked edge (None at leaves), child ids, and for nodes
-    with a right child the leaving edge. Edge sets per node are implicit:
-    the left child's set drops the picked edge, the right child's set is
-    unchanged.
+    Descent j removes its `size[j]` candidates, rank 1 first, down to a
+    leaf, and its unwind tests them in descending rank. `revealed[j]` maps
+    each column whose rank the run drew there to that rank; the run never
+    drew the others. Node j > 0 is the right child that a pivot opened:
+    `parent[j]` is the descent whose unwind pivoted, `rank[j]` the entering
+    column's rank there and `leaving[j]` the column that left the basis. The
+    root, node 0, has None in those three. Nodes are in creation order, so
+    node j was opened by the run's pivot j - 1.
     """
 
-    def __init__(self):
-        self.picked: list[int | None] = []
-        self.left: list[int | None] = []
-        self.right: list[int | None] = []
-        self.leaving: list[int | None] = []
-
-    def _new_node(self) -> int:
-        self.picked.append(None)
-        self.left.append(None)
-        self.right.append(None)
-        self.leaving.append(None)
-        return len(self.picked) - 1
+    size: list[int]
+    revealed: list[dict]
+    parent: list[int | None]
+    rank: list[int | None]
+    leaving: list[int | None]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.picked)
+        return len(self.size)
 
     def switch_count(self) -> int:
-        return sum(1 for u in range(self.n_nodes) if self.right[u] is not None)
-
-    @classmethod
-    def from_events(cls, events: list) -> "ComputationTree":
-        """Rebuild the tree from a traced run's event stream."""
-        tree = cls()
-        cur = tree._new_node()
-        open_nodes: list[int] = []
-        for ev in events:
-            kind = ev[0]
-            if kind == "pick":
-                tree.picked[cur] = ev[1]
-                open_nodes.append(cur)
-                child = tree._new_node()
-                tree.left[cur] = child
-                cur = child
-            elif kind == "leaf":
-                cur = -1  # resolved; the next event must be an "up"
-            elif kind == "up":
-                u = open_nodes.pop()
-                _, pivoted, leaving = ev
-                if pivoted:
-                    child = tree._new_node()
-                    tree.right[u] = child
-                    tree.leaving[u] = leaving
-                    cur = child
-                else:
-                    cur = -1
-            else:
-                raise ValueError(f"unknown trace event {ev!r}")
-        if open_nodes:
-            raise ValueError("trace ended with unbalanced calls")
-        return tree
+        """The right children: every node but the root."""
+        return self.n_nodes - 1
 
     def validate(self, g: Digraph, start: Policy, edges=None) -> None:
-        """Recompute every node's edge set and entry tree and check the
-        child rules; intended for small traced runs. The root's edge set is
-        `edges`, the `subset` the run was given, or every edge.
+        """Re-run the eager recursion from the graph and check that it is
+        this tree, raising AssertionError where it is not; intended for
+        small traced runs. The root's edge set is `edges`, the `subset` the
+        run was given, or every edge.
 
-        The left child's edge set and tree follow from the parent directly,
-        but the right child's entry tree is the one returned by the whole
-        left subtree, so evaluation interleaves a top-down fill with a
-        bottom-up return pass.
+        Each descent takes the pool: the columns of the edge set outside the
+        basis that no unwinding descent holds. It puts its revealed columns
+        at their ranks and its other candidates at the untaken ranks in id
+        order, a placement that `rules._facet_lazy`'s docstring proves
+        consistent with every test the run made. The unwind tests each rank
+        on tree distances recomputed after every pivot: a rank with a right
+        child must improve and give that child's leaving column, and every
+        other rank must not improve.
         """
-        f_of: dict[int, frozenset[int]] = {
-            0: frozenset(range(g.n_edges) if edges is None else edges)}
-        b_of: dict[int, Policy] = {0: start}
-        returned: dict[int, Policy] = {}
-        stack: list[tuple[int, int]] = [(0, 0)]
+        costs, tails, heads = g.costs, g.tails, g.heads
+        chosen = list(start.chosen)
+        dist = tree_distances_list(g, chosen)
+        in_f = set(range(g.n_edges) if edges is None else edges)
+        pool = in_f - set(chosen)
+        n = self.n_nodes
+        stack: list[list] = []  # per unwinding descent: [node, order, rank]
+        opened = 0
+
+        def descend():
+            nonlocal opened
+            j = opened
+            opened += 1
+            size, revealed = self.size[j], self.revealed[j]
+            if size != len(pool) or not revealed.keys() <= pool:
+                raise AssertionError(f"descent {j}'s candidates are not the pool")
+            order: list = [None] * size
+            for x, r in revealed.items():
+                if not 0 < r <= size or order[r - 1] is not None:
+                    raise AssertionError(f"descent {j} reveals rank {r} twice or "
+                                         f"outside 1..{size}")
+                order[r - 1] = x
+            rest = iter(sorted(pool - revealed.keys()))
+            stack.append([j, [next(rest) if x is None else x for x in order], size])
+            pool.clear()
+
+        descend()
         while stack:
-            u, stage = stack.pop()
-            e = self.picked[u]
-            if e is None:
-                if f_of[u] != b_of[u].edge_set():
-                    raise AssertionError(f"leaf {u} still has free edges")
-                returned[u] = b_of[u]
+            top = stack[-1]
+            j, order, r = top
+            if not r:
+                stack.pop()
                 continue
-            if stage == 0:
-                lu = self.left[u]
-                if lu is None:
-                    raise AssertionError(f"node {u} picked an edge but has no left child")
-                f_of[lu] = f_of[u] - {e}
-                b_of[lu] = b_of[u]
-                stack.append((u, 1))
-                stack.append((lu, 0))
-            elif stage == 1:
-                sub_ret = returned[self.left[u]]  # type: ignore[index]
-                ru = self.right[u]
-                improving = e in improving_switches(g, sub_ret, f_of[u])
-                if (ru is not None) != improving:
-                    raise AssertionError(f"right child presence wrong at node {u}")
-                if ru is None:
-                    returned[u] = sub_ret
-                    continue
-                if sub_ret.chosen[g.tails[e]] != self.leaving[u]:
-                    raise AssertionError(f"leaving edge mismatch at node {u}")
-                f_of[ru] = f_of[u]
-                b_of[ru] = apply_switch(g, sub_ret, e)
-                stack.append((u, 2))
-                stack.append((ru, 0))
-            else:
-                returned[u] = returned[self.right[u]]  # type: ignore[index]
+            top[2] = r - 1
+            x = order[r - 1]
+            u = tails[x]
+            improves = costs[x] + dist[heads[x]] < dist[u]
+            child = opened < n and self.parent[opened] == j and self.rank[opened] == r
+            if improves != child:
+                raise AssertionError(
+                    f"rank {r} of descent {j} "
+                    + ("improves but has no right child" if improves
+                       else "has a right child but does not improve"))
+            if not improves:
+                pool.add(x)
+                continue
+            leaving = chosen[u]
+            if leaving != self.leaving[opened]:
+                raise AssertionError(f"leaving edge mismatch at node {opened}")
+            chosen[u] = x
+            dist = tree_distances_list(g, chosen)
+            if leaving in in_f:
+                pool.add(leaving)
+            descend()
+        if opened != n:
+            raise AssertionError(f"nodes {opened}..{n - 1} are never opened")
 
 
 def record_tree(result: RunResult) -> ComputationTree:
-    """Build the computation tree of a traced run and check that its right
-    edges count exactly the pivots performed."""
-    if result.trace_events is None:
+    """The computation tree of a traced `random_facet` run, from its frame
+    records and its pivot log (see `rules.random_facet`): frame j > 0 is
+    the right child of the latest earlier frame one level up, at the rank
+    that frame revealed for pivot j - 1's entering column.
+
+    Raises ValueError when the run was not traced or its frames cannot be
+    its tree: a frame count other than pivots + 1, a depth that skips a
+    level or opens a second root, or an entering column never ranked.
+    """
+    frames = result.frames
+    if frames is None:
         raise ValueError("run was not traced")
-    tree = ComputationTree.from_events(result.trace_events)
-    if tree.switch_count() != result.pivots:
-        raise AssertionError(
-            f"tree has {tree.switch_count()} switch nodes, run performed "
-            f"{result.pivots} pivots"
-        )
+    if len(frames) != result.pivots + 1:
+        raise ValueError(f"{len(frames)} frames for {result.pivots} pivots")
+    tree = ComputationTree([], [], [], [], [])
+    live: list[int] = []  # the frame stack: the latest frame at each depth
+    for j, (size, revealed, depth) in enumerate(frames):
+        lowest = 1 if j else 0
+        if not lowest <= depth <= len(live):
+            raise ValueError(f"frame {j} has depth {depth}, not in {lowest}..{len(live)}")
+        del live[depth:]
+        up = rank = leaving = None
+        if j:
+            up = live[-1]
+            entering, leaving = result.pivot_log[j - 1]
+            rank = tree.revealed[up].get(entering)
+            if rank is None:
+                raise ValueError(f"pivot {j - 1}'s entering column {entering} "
+                                 f"has no rank in frame {up}")
+        live.append(j)
+        tree.size.append(size)
+        tree.revealed.append(revealed)
+        tree.parent.append(up)
+        tree.rank.append(rank)
+        tree.leaving.append(leaving)
     return tree
 
 

@@ -259,25 +259,27 @@ def write_trace(
     rule: str, master_seed: int, g: Digraph, start: Policy, fh: TextIO
 ) -> None:
     """Dump trial 0's pivot log (plus the recursion tree for the facet rule)
-    as JSON to fh.
+    as JSON to fh, under `"schema": 2`.
 
     The trace is the run the CSV reports as trial 0: the same seed, and for
     `random-facet` the same draws, since a traced run draws what an
-    untraced one does. Its tree is the run's replay in the eager engine
-    (see `rules.random_facet`): the run draws a column's rank in a descent
-    only when the column improves, and the replay puts the columns it never
-    ranked at the untaken ranks in id order, a placement consistent with
-    every test the run made."""
+    untraced one does. Its tree is `comptrees.record_tree` of that run, one
+    node per descent, as lists over the nodes: `size`, `parent`, `rank`,
+    `leaving` (None, JSON null, at the root) and `revealed`, each node's
+    [column, rank] pairs for the ranks the run drew. Node j > 0 is the
+    right child opened by pivot j - 1, so the tree has one node more than
+    the run has pivots."""
     trial_seed = derive_seed(master_seed, 0)
-    doc: dict = {"rule": rule, "seed": trial_seed}
+    doc: dict = {"schema": 2, "rule": rule, "seed": trial_seed}
     if rule == "random-facet":
         run = rules.random_facet(g, start, Random(trial_seed), trace=True)
         tree = comptrees.record_tree(run)
         doc["tree"] = {
-            "picked": tree.picked,
-            "left": tree.left,
-            "right": tree.right,
+            "size": tree.size,
+            "parent": tree.parent,
+            "rank": tree.rank,
             "leaving": tree.leaving,
+            "revealed": [list(map(list, ranks.items())) for ranks in tree.revealed],
         }
     else:
         # only the facet recursion defines a computation tree

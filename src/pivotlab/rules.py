@@ -30,17 +30,17 @@ randomness, and the rules behind which each runs:
   made improving) is implemented by `_PivotTracker` and by the LP basis
   tracker, and the turned columns are walked in id order, so the graph run
   and the LP run of one seed draw the same bits and pivot in lockstep. A
-  traced run replays itself in `_facet_collapsed` to emit its computation
-  tree's event stream (see `random_facet`).
-- `_facet_collapsed`, behind `comptrees.follow_canonical`'s sub-solves and
-  the trace replay: each descent asks an `arrange(avail) -> list` callable
-  for its whole removal order and tests every candidate in the unwind; it
-  can emit the event stream from which `comptrees.ComputationTree`
-  rebuilds the recursion tree. The follower's `arrange` is
-  `shuffled_order(rng)`: id order, then `shuffle_exact`, which draws
-  exactly the bits `Random.shuffle` draws, at about half its cost. The
-  engine reads the caller's edge-set flags `in_f` but never writes them;
-  its docstring gives the argument that the one read needs no writes.
+  traced run keeps the engine's frame records, from which
+  `comptrees.record_tree` builds its computation tree (see `random_facet`).
+- `_facet_collapsed`, behind `comptrees.follow_canonical`'s sub-solves:
+  each descent asks an `arrange(avail) -> list` callable for its whole
+  removal order and tests every candidate in the unwind; it can emit an
+  event stream of its picks and tests, which the tests read. The
+  follower's `arrange` is `shuffled_order(rng)`: id order, then
+  `shuffle_exact`, which draws exactly the bits `Random.shuffle` draws, at
+  about half its cost. The engine reads the caller's edge-set flags `in_f`
+  but never writes them; its docstring gives the argument that the one
+  read needs no writes.
 
 The one-permutation rule, `random_facet_one_perm`, makes the pivots of
 `_facet_collapsed` with every candidate list sorted by sigma, on the frame
@@ -109,7 +109,8 @@ class RunResult:
     pivot_log: list[tuple[int, int]]  # (entering edge, leaving edge)
     final_policy: Policy
     sigma: list[int] | None = None
-    trace_events: list | None = None
+    # a traced `random_facet` run's frame records; see `random_facet`
+    frames: list | None = None
 
     @property
     def pivots(self) -> int:
@@ -255,9 +256,7 @@ class _PivotTracker:
         self.log.append((e, leaving))
         return leaving
 
-    def result(
-        self, rule: str, sigma=None, trace_events: list | None = None
-    ) -> RunResult:
+    def result(self, rule: str, sigma=None, frames: list | None = None) -> RunResult:
         """The run's record: its pivot log and the current tree as the final
         policy."""
         return RunResult(
@@ -265,7 +264,7 @@ class _PivotTracker:
             pivot_log=self.log,
             final_policy=Policy(self.chosen),
             sigma=None if sigma is None else list(sigma),
-            trace_events=trace_events,
+            frames=frames,
         )
 
 
@@ -278,15 +277,13 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
     order. `arrange(avail) -> list` returns the removal order (picked-first
     first) of the candidate list it is handed, and must not depend on the
     list's order: the follower passes `shuffled_order(rng)`, which sorts by
-    id before it shuffles, and a traced `random_facet` passes
-    `_revealed_order`, which places each column by its rank. (Sorting by a
-    fixed permutation instead gives the one-permutation rule;
-    `random_facet_one_perm` runs that rule on its own engine, and the tests
-    use this one as its oracle.) Each
-    descent strips the whole candidate list, which is the chain of left
-    children down to a leaf; the unwind tests candidates last-removed
-    first against the evolving basis, and every pivot opens the right
-    child: a sub-descent over the surviving candidates. An unwind is a
+    id before it shuffles. (Sorting by a fixed permutation instead gives the
+    one-permutation rule; `random_facet_one_perm` runs that rule on its own
+    engine, and the tests use this one as its oracle.) Each descent strips
+    the whole candidate list, which is the chain of left children down to a
+    leaf; the unwind tests candidates last-removed first against the
+    evolving basis, and every pivot opens the right child: a sub-descent
+    over the surviving candidates. An unwind is a
     reversed iterator over its descent's list; a pivot pauses it under the
     sub-descent's iterator on the stack. The pool `avail` is a list
     holding exactly the in_f columns outside the basis that no descent
@@ -306,7 +303,7 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
 
     With `events` given, the run appends ("pick", e) for each removal,
     ("leaf",) at the end of each descent and ("up", pivoted, leaving) for
-    each test, the stream `comptrees.ComputationTree.from_events` reads.
+    each test.
     """
     red = tracker.red
     pivot = tracker.pivot
@@ -420,8 +417,10 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
       over them finds x's first frame.
 
     The engine writes no flag, so in_f ends the call as it began. With
-    `frames` given, it appends each frame's (size, revealed) in creation
-    order, the ranks as the run left them; see `random_facet`.
+    `frames` given, it appends each frame's (size, revealed, depth) in
+    creation order: its candidate count, its map from column to rank as the
+    run left it, and its stack depth at creation (0 for the first frame).
+    See `random_facet`.
     """
     red = tracker.red
     pivot = tracker.pivot
@@ -453,7 +452,7 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
         revealed.append({})
         swaps.append({})
         if frames is not None:
-            frames.append((size, revealed[-1]))
+            frames.append((size, revealed[-1], len(cursor) - 1))
         held += size
         for x in improved:  # walk x up to the frame that holds it
             k = bisect_left(created, left_at[x])
@@ -511,26 +510,6 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
         improved.sort()
 
 
-def _revealed_order(frames: list):
-    """The `arrange` that replays a `_facet_lazy` run in `_facet_collapsed`:
-    descent k places frame k's revealed columns at their ranks and fills the
-    untaken ranks with its other candidates in id order. Raises
-    AssertionError when a descent's candidates cannot be frame k's."""
-    it = iter(frames)
-
-    def arrange(avail) -> list[int]:
-        size, revealed = next(it, (None, None))
-        if size != len(avail) or not revealed.keys() <= set(avail):
-            raise AssertionError("replayed descent differs from the run's frame")
-        order = [None] * size
-        for x, rank in revealed.items():
-            order[rank - 1] = x
-        rest = iter(sorted(set(avail) - revealed.keys()))
-        return [next(rest) if x is None else x for x in order]
-
-    return arrange
-
-
 def random_facet(
     g: Digraph,
     policy: Policy,
@@ -542,27 +521,19 @@ def random_facet(
 
     The run is `_facet_lazy`: every descent's removal order is uniform, but
     a column's rank in it is drawn only when the column improves. With
-    `trace`, the run also records its computation tree's event stream, the
-    stream `comptrees.ComputationTree.from_events` reads: `_facet_collapsed`
-    replays the run on a fresh kernel, each descent's order placing the
-    revealed columns at their ranks and filling the untaken ranks with the
-    unrevealed columns in id order. The run never drew those positions, and
-    any placement of them is consistent with every test it made, so the
-    replay makes the same pivots; if its pivot log differs from the run's,
-    AssertionError is raised. The pivots and the draws are the same with or
-    without `trace`.
+    `trace`, the result's `frames` holds the engine's frame records, one
+    per descent in creation order: (size, revealed, depth). That is the
+    computation tree `comptrees.record_tree` rebuilds: frame j > 0 was
+    opened by pivot j - 1, as the right child of the latest earlier frame
+    one level up, at the rank that frame revealed for the entering column.
+    The ranks the run never drew are not recorded; any placement of them is
+    consistent with every test it made. The pivots and the draws are the
+    same with or without `trace`.
     """
     tracker, in_f = _start(g, policy, subset)
     frames: list | None = [] if trace else None
     _facet_lazy(tracker, in_f, rng, frames)
-    events = None
-    if trace:
-        replay = _PivotTracker(g, policy)
-        events = []
-        _facet_collapsed(replay, in_f, _revealed_order(frames), events)
-        if replay.log != tracker.log:
-            raise AssertionError("replayed trace pivots differ from the run's")
-    return tracker.result("random-facet", trace_events=events)
+    return tracker.result("random-facet", frames=frames)
 
 
 def _edge_of_rank(sigma, m: int) -> list[int]:

@@ -45,9 +45,10 @@ def test_trivial_tree_single_node():
     g = Digraph(2, 1, tails=[0], heads=[1], costs=[1])
     run = random_facet(g, Policy((0, None)), Random(0), trace=True)
     tree = record_tree(run)
-    assert tree.n_nodes == 1
-    assert tree.picked[0] is None
+    # one descent with no candidate: the root is a leaf
+    assert tree == ComputationTree([0], [{}], [None], [None], [None])
     assert tree.switch_count() == 0
+    tree.validate(g, Policy((0, None)))
 
 
 def test_parallel_pair_tree_shape():
@@ -56,8 +57,9 @@ def test_parallel_pair_tree_shape():
     tree = record_tree(run)
     assert run.pivots == 1
     assert tree.switch_count() == 1
-    assert tree.picked[0] == 1
-    assert tree.left[0] is not None and tree.right[0] is not None
+    # the root removes edge 1, which improves: its right child takes over
+    # the pool, edge 0, which left the basis, and which does not improve
+    assert tree == ComputationTree([1, 1], [{1: 1}, {}], [None, 0], [None, 1], [None, 0])
     tree.validate(g, Policy((0, None)))
 
 
@@ -441,6 +443,23 @@ def test_wilson_interval_basics():
     assert low0 == 0.0
 
 
-def test_from_events_rejects_garbage():
-    with pytest.raises(ValueError):
-        ComputationTree.from_events([("bogus",)])
+def _traced_frames_case():
+    g, idx = cg.build_counter_graph(2, 2, 2, 1)
+    return random_facet(g, cg.initial_tree(idx), Random(7), trace=True)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda run: run.frames.pop(), "frames for"),
+    (lambda run: run.pivot_log.append(run.pivot_log[-1]), "frames for"),
+    # frame 1 is the root's right child, at depth 1
+    (lambda run: run.frames.__setitem__(1, run.frames[1][:2] + (2,)), "has depth"),
+    (lambda run: run.frames.__setitem__(1, run.frames[1][:2] + (0,)), "has depth"),
+    (lambda run: run.frames[0][1].pop(run.pivot_log[0][0]), "has no rank"),
+], ids=["frame-missing", "pivot-extra", "depth-skips-a-level", "second-root",
+        "entering-never-ranked"])
+def test_record_tree_rejects_malformed_frames(tamper, message):
+    run = _traced_frames_case()
+    assert run.pivots > 1 and record_tree(run).n_nodes == run.pivots + 1
+    tamper(run)
+    with pytest.raises(ValueError, match=message):
+        record_tree(run)

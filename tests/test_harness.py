@@ -533,8 +533,12 @@ def test_cli_trace_is_csv_trial_zero(rule, tmp_path, capsys):
     run = run_rule(rule, g, start, doc["seed"])
     assert [tuple(p) for p in doc["pivot_log"]] == run.pivot_log
     assert len(doc["pivot_log"]) == int(rows[0]["pivots"])
+    assert doc["schema"] == 2
     if rule == "random-facet":
-        assert sum(r is not None for r in doc["tree"]["right"]) == int(rows[0]["pivots"])
+        # one node per descent: the root, then one right child per pivot
+        tree = doc["tree"]
+        assert len(tree["size"]) - 1 == int(rows[0]["pivots"])
+        assert {*map(len, tree.values())} == {len(tree["size"])}
     else:  # only the facet recursion defines a computation tree
         assert "tree" not in doc
 

@@ -992,7 +992,7 @@ def _oracle_facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> 
         revealed.append({})
         swaps.append({})
         if frames is not None:
-            frames.append((size, revealed[-1]))
+            frames.append((size, revealed[-1], len(cursor) - 1))
         held += size
         for x in improved:  # walk x up to the frame that holds it
             k = bisect_left(created, left_at[x])
@@ -1083,7 +1083,7 @@ def _run_beside_the_oracle(make_tracker, in_f, seed):
 
 def _last_rank_draws(frames) -> int:
     # frames whose every rank was drawn: the last draw had one untaken rank
-    return sum(0 < size == len(ranks) for size, ranks in frames)
+    return sum(0 < size == len(ranks) for size, ranks, _depth in frames)
 
 
 def test_lazy_engine_draws_the_oracle_bits():
@@ -1192,6 +1192,7 @@ def test_lazy_engine_on_subsets(seed, vertices, extra, keep):
     traced = random_facet(g, b0, Random(run_seed), subset=subset, trace=True)
     assert traced.pivot_log == run.pivot_log
     comptrees.record_tree(traced).validate(g, b0, subset)
+    assert _expand_trace(g, b0, traced.frames, subset)[0] == run.pivot_log
 
 
 class _FlipsOnlyTracker(rules._PivotTracker):
@@ -1237,21 +1238,27 @@ def test_turned_columns_that_improved_already_draw_nothing():
     assert held > 20
 
 
-def test_traced_run_raises_when_its_replay_diverges(monkeypatch):
-    # a replay whose descents take the revealed order reversed makes other
-    # pivots, and the traced run refuses to report it: a descent or the
-    # pivot log differs from the run's
+def test_validate_refuses_a_tree_with_two_ranks_swapped():
+    # on each seed, the first frame with two revealed columns has its lowest
+    # and highest ranks traded, which gives a tree the eager recursion does
+    # not make (some swaps, such as of the two highest, can give another
+    # consistent tree); a wrong leaving edge is refused too. Both trees
+    # still build, since every entering column keeps a rank
     g, idx = cg.build_counter_graph(2, 2, 2, 1)
     b0 = cg.initial_tree(idx)
-    replay_order = rules._revealed_order
-
-    def reversed_order(frames):
-        arrange = replay_order(frames)
-        return lambda avail: arrange(avail)[::-1]
-
-    monkeypatch.setattr(rules, "_revealed_order", reversed_order)
-    with pytest.raises(AssertionError, match="^replayed "):
-        random_facet(g, b0, Random(7107), trace=True)
+    for seed in range(50):
+        run = random_facet(g, b0, Random(seed), trace=True)
+        comptrees.record_tree(run).validate(g, b0)
+        ranks = next(ranks for _size, ranks, _depth in run.frames if len(ranks) > 1)
+        (low, r_low), *_, (high, r_high) = sorted(ranks.items(), key=lambda kv: kv[1])
+        ranks[low], ranks[high] = r_high, r_low
+        with pytest.raises(AssertionError):
+            comptrees.record_tree(run).validate(g, b0)
+        ranks[low], ranks[high] = r_low, r_high
+        tree = comptrees.record_tree(run)
+        tree.leaving[1] = run.pivot_log[0][0]
+        with pytest.raises(AssertionError, match="leaving edge mismatch at node 1"):
+            tree.validate(g, b0)
 
 
 def test_random_facet_at_m_2040():
@@ -1900,6 +1907,38 @@ def test_vector_statistics_equal_the_scalar_ones(params):
             assert is_well_behaved(idx, key_list) == _oracle_is_well_behaved(idx, key_list)
 
 
+# The replay through which a traced run once emitted its computation tree,
+# kept as an oracle for the frame records: descent k of the eager engine
+# places frame k's revealed columns at their ranks and its other candidates
+# at the untaken ranks in id order, so it makes the run's pivots.
+def _revealed_order(frames: list):
+    """The `arrange` of that replay. Raises AssertionError when a descent's
+    candidates cannot be frame k's."""
+    it = iter(frames)
+
+    def arrange(avail) -> list[int]:
+        size, revealed, _depth = next(it, (None, None, None))
+        if size != len(avail) or not revealed.keys() <= set(avail):
+            raise AssertionError("replayed descent differs from the run's frame")
+        order = [None] * size
+        for x, rank in revealed.items():
+            order[rank - 1] = x
+        rest = iter(sorted(set(avail) - revealed.keys()))
+        return [next(rest) if x is None else x for x in order]
+
+    return arrange
+
+
+def _expand_trace(g, policy, frames, subset=None) -> tuple[list, list]:
+    """A traced run's frames replayed in `rules._facet_collapsed`: the
+    replay's pivot log and its event stream, ("pick", e) per removal,
+    ("leaf",) per descent and ("up", pivoted, leaving) per test."""
+    tracker, in_f = rules._start(g, policy, subset)
+    events: list = []
+    rules._facet_collapsed(tracker, in_f, _revealed_order(frames), events)
+    return tracker.log, events
+
+
 # SHA-256 of the repr of each group's seeded results (see _pinned_logs),
 # recorded when every shuffle was `Random.shuffle`; a change of a
 # random-number discipline or of the facet engine's pivot choice shows up
@@ -1907,7 +1946,10 @@ def test_vector_statistics_equal_the_scalar_ones(params):
 # the bit order they induce, recorded before the group statistics moved to
 # one set of helpers; "random-facet", "random-facet-traced" and "lp-facet"
 # were recorded when those runs moved to the lazily ranked engine, whose
-# draws (one rank per column that improves) differ from a shuffle per descent
+# draws (one rank per column that improves) differ from a shuffle per descent;
+# "random-facet-traced" hashes each traced run's pivot log with the event
+# stream `_expand_trace` makes of its frames, the stream the traced run
+# itself reported when it was recorded
 PINNED_LOG_DIGESTS = {
     "random-facet": "13a5ae85ad16afbab390c3c5aa37ad2a35bd494e5f1026af728c16b812a5d4aa",
     "random-facet-traced": "6de0ce374e0424aae693f0c84fe62ebaaa06d540d5083d53deab63e0f179abb4",
@@ -1941,7 +1983,9 @@ def _pinned_logs():
                 res = experiments.run_rule(rule, g, b0, s)
                 groups[rule].append((res.pivot_log, res.sigma))
             traced = random_facet(g, b0, Random(s), trace=True)
-            groups["random-facet-traced"].append((traced.pivot_log, traced.trace_events))
+            log, events = _expand_trace(g, b0, traced.frames)
+            assert log == traced.pivot_log
+            groups["random-facet-traced"].append((traced.pivot_log, events))
     g, idx = cg.build_counter_graph(4, 2, 2, 2)
     for seed in range(10):
         out = comptrees.follow_canonical(g, idx, [3, 1], Random(seed))
