@@ -24,7 +24,7 @@ from math import lcm
 from typing import Sequence
 
 from .graphs import Digraph, Policy, _tree_walk
-from .rules import _facet_lazy, _nonbasic
+from .rules import _facet_lazy
 
 
 class SingularBasisError(Exception):
@@ -309,23 +309,29 @@ class _LPTracker:
     """A basis of the LP as the facet engine's pivot oracle.
 
     `red` holds every column's reduced cost for the current basis as an
-    integer numerator over a positive denominator, which keeps its sign.
-    A pivot is `pivot_lp`, so a non-improving column raises ValueError and
-    leaves the state as it was; then the new basis is priced once, `red`
-    refreshed in place, and the columns whose reduced cost turned negative
-    kept for `turned_improving`.
+    integer numerator over a positive denominator, which keeps its sign, so
+    `improves` and `improving` read its signs. A pivot is `pivot_lp`, so a
+    non-improving column raises ValueError and leaves the state as it was;
+    then the new basis is priced once, `red` refreshed in place, and the
+    columns whose reduced cost turned negative kept for `turned_improving`.
+    `n_basic` is the basis size, the row count.
     """
 
     def __init__(self, lp: StdFormLP, basis: Sequence[int]):
         self.lp = lp
         self.basis = tuple(basis)
+        self.n_basic = lp.n_rows
         self.red = _price(lp, self.basis)[0]
         self.turned: list[int] = []
         self.log: list[tuple[int, int]] = []
 
-    def nonbasic(self, in_f: list) -> list[int]:
-        """The columns with in_f set that are not basic, in id order."""
-        return _nonbasic(in_f, self.basis)
+    def improves(self, j: int) -> bool:
+        """Whether column j has a negative reduced cost."""
+        return self.red[j] < 0
+
+    def improving(self) -> list[int]:
+        """The columns with a negative reduced cost, in id order."""
+        return [j for j, r in enumerate(self.red) if r < 0]
 
     def pivot(self, entering: int) -> int:
         self.basis, leaving = pivot_lp(self.lp, self.basis, entering)

@@ -2,19 +2,27 @@
 
 Every engine decides by exact integer reduced costs and performs only
 strictly improving switches, through one pivot kernel, `_PivotTracker`,
-which keeps every edge's reduced cost in the list `red`, so an improving
-test is a list read. A switch to edge e = (u, v) re-hangs u's subtree of
-the policy tree under v, so every vertex of that subtree moves by the same
-delta = red[e] = c(e) + y(v) - y(u) and nothing else moves; the summed tree
-distance changes by delta * |subtree|, and the strict-decrease invariant is
-therefore delta < 0, checked before any state changes. The kernel keeps no
-distances: a pivot updates the reduced costs of the edges at the subtree.
-Every engine builds its kernel from the start `Policy` (through `_start`
-when it takes an edge subset), and the kernel copies the snapshot that the
-graph keeps for its last start object, `_start_tree`, which prices the
-start from the distances of its one walk, `graphs._tree_walk`: the one
-check of a start and the one computation of tree distances. Trials that
-pass one start walk and price it once, and every other start is checked.
+which keeps the tree's vertex potentials y, its distances. A switch to edge
+e = (u, v) re-hangs u's subtree of the policy tree under v, so every vertex
+of that subtree moves by the same delta = c(e) + y(v) - y(u), e's reduced
+cost, and nothing else moves; the summed tree distance changes by delta *
+|subtree|, and the strict-decrease invariant is therefore delta < 0,
+checked before any state changes. A pivot writes |subtree| potentials
+(about 3 on the benchmark's counter graphs), where the reduced costs of
+the edges at the subtree number about 23. The engines that read few
+reduced costs per pivot (`_facet_lazy`, `random_facet_one_perm`,
+`bland_nonrec`) compute c(x) + y(head x) - y(tail x) where they read it;
+the ones that test most edges per pivot (`_facet_collapsed`,
+`random_facet_nonrec`, `bland_rec`, `dantzig`) read the kernel's `red`, a
+mirror of every reduced cost that is built on first read and then kept by
+every pivot. Every engine builds its kernel from the start `Policy`
+(through `_start` when it takes an edge subset), and the kernel copies the
+snapshot that the graph keeps for its last start object, `_start_tree`:
+the distances of the start's one walk, `graphs._tree_walk`, which is the
+one check of a start and the one computation of tree distances from
+scratch, and the reduced costs priced from them, which seed the first
+heaps and the mirror. Trials that pass one start walk and price it once,
+and every other start is checked.
 
 The facet-removal recursion runs on three engines. The two with fresh
 randomness, and the rules behind which each runs:
@@ -25,13 +33,14 @@ randomness, and the rules behind which each runs:
   frame (one step of a partial Fisher-Yates shuffle, drawing the bits
   `Random.randrange` draws, written out in the walk) only when the column
   improves. A pivot costs per shifted vertex, not per candidate. Its pivot
-  oracle (a reduced-cost list `red`, `pivot(e) -> leaving`,
-  `nonbasic(in_f)` and `turned_improving()`, the columns the last pivot
-  made improving) is implemented by `_PivotTracker` and by the LP basis
-  tracker, and the turned columns are walked in id order, so the graph run
-  and the LP run of one seed draw the same bits and pivot in lockstep. A
-  traced run keeps the engine's frame records, from which
-  `comptrees.record_tree` builds its computation tree (see `random_facet`).
+  oracle (`improves(e)`, `improving()`, `pivot(e) -> leaving`,
+  `turned_improving()`, the columns the last pivot made improving, and the
+  basis size `n_basic`) is implemented by `_PivotTracker`, from the
+  potentials, and by the LP basis tracker, and the turned columns are
+  walked in id order, so the graph run and the LP run of one seed draw the
+  same bits and pivot in lockstep. A traced run keeps the engine's frame
+  records, from which `comptrees.record_tree` builds its computation tree
+  (see `random_facet`).
 - `_facet_collapsed`, behind `comptrees.follow_canonical`'s sub-solves:
   each descent asks an `arrange(avail) -> list` callable for its whole
   removal order and tests every candidate in the unwind; it can emit an
@@ -145,19 +154,22 @@ def _nonbasic(in_f: list, basic) -> list[int]:
 
 class _StartTree(NamedTuple):
     """The derived state of one start tree, which no pivot touches: the
-    kernel copies its child lists and reduced costs, and
-    `comptrees.follow_canonical` reads its pick list."""
+    kernel copies its child lists and distances, the engines that read few
+    reduced costs per pivot seed their first heap from its reduced costs,
+    which also start the kernel's mirror, and `comptrees.follow_canonical`
+    reads its pick list."""
 
     start: Policy  # the object it was built from
     children: tuple  # of tuples
+    dist: tuple  # the tree distances: the kernel's potentials y at the start
     red: tuple
     picks: tuple  # the non-chosen edges in id order: `_nonbasic`, all flags set
 
 
 def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
     """The snapshot of the start `policy`, built on first use: its child
-    lists and every edge's reduced cost, priced from the distances of the
-    start's one walk, `graphs._tree_walk`, which are then dropped.
+    lists, the distances of the start's one walk, `graphs._tree_walk`, and
+    every edge's reduced cost priced from them.
 
     The graph keeps one entry, `g._start_tree`, hit only by the very object
     it was built from. A Policy never changes, so a hit is exact; an equal
@@ -170,47 +182,85 @@ def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
     dist, children = _tree_walk(g, policy.chosen)
     red = [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
     snap = g._start_tree = _StartTree(
-        policy, tuple(map(tuple, children)), tuple(red),
+        policy, tuple(map(tuple, children)), tuple(dist), tuple(red),
         tuple(_nonbasic(bytearray(b"\x01") * g.n_edges, policy.chosen)))
     return snap
 
 
 class _PivotTracker:
-    """The pivot kernel: the policy tree, every edge's reduced cost and the
-    pivot log. It keeps no distances; every rule decides by reduced costs.
+    """The pivot kernel: the policy tree, its vertex potentials and the
+    pivot log.
 
     `chosen` is the kernel's own list of the start's chosen edges (None at
-    the target) and `red` a list of exact integer reduced costs red[x] =
-    c(x) + y(head x) - y(tail x); both are mutated in place, never rebound,
-    so callers may hold them across pivots. `children[v]` lists the
-    vertices whose chosen edge points at v. The kernel copies the child
-    lists and `red` from the snapshot `_start_tree(g, policy)`, which raises
-    PolicyCycleError unless the start is a tree. A pivot on e = (u, v) walks
-    u's subtree through the child lists; every distance in it moves by
-    delta = red[e] = c(e) + y(v) - y(u), so for each of its vertices w the
-    reduced cost of every edge into w rises by delta and of every edge out
-    of w falls by delta, and an edge with both ends in the subtree keeps its
-    reduced cost. Then u moves from its old parent's child list to v's. A
-    pivot with delta >= 0 raises PivotInvariantError, and one whose head
-    lies in u's own subtree (possible only when the switch closes a
-    negative cycle) raises PolicyCycleError; both leave every field
-    unchanged. `shifted` holds the vertices the last pivot moved and `step`
-    its delta, so callers can re-test only the edges at those vertices.
+    the target) and `y` the list of tree distances, the potentials; both
+    are mutated in place, never rebound, so callers may hold them across
+    pivots. Edge x's reduced cost is c(x) + y(head x) - y(tail x), an exact
+    integer, and the engines that read few of them per pivot compute it
+    where they read it (`improves`, `improving`, `turned_improving`, or
+    inline from `y`). `children[v]` lists the vertices whose chosen edge
+    points at v. The kernel copies the child lists and `y` from the
+    snapshot `_start_tree(g, policy)`, which raises PolicyCycleError unless
+    the start is a tree, and keeps the snapshot as `snap`. A pivot on e =
+    (u, v) walks u's subtree through the child lists and moves every
+    potential in it by delta = c(e) + y(v) - y(u); nothing else moves. Then
+    u moves from its old parent's child list to v's. A pivot with delta >=
+    0 raises PivotInvariantError, and one whose head lies in u's own
+    subtree (possible only when the switch closes a negative cycle) raises
+    PolicyCycleError; both leave every field unchanged. `shifted` holds the
+    vertices the last pivot moved and `step` its delta, so callers can
+    re-test only the edges at those vertices.
+
+    `red`, the list of every edge's reduced cost, is a mirror for the
+    engines that test most edges per pivot: built on its first read (a copy
+    of the snapshot's before any pivot), then kept by every pivot, which
+    raises the reduced cost of every edge into a shifted vertex by delta
+    and lowers that of every edge out of one (an edge with both ends in the
+    subtree keeps its cost). Like `chosen`, it is never rebound.
     """
 
     def __init__(self, g: Digraph, policy: Policy):
         snap = _start_tree(g, policy)
         self.g = g
+        self.snap = snap
         self.chosen = list(policy.chosen)
         self.children = list(map(list, snap.children))
-        self.red = list(snap.red)
+        self.y = list(snap.dist)
+        self.mirror: list[int] | None = None  # `red`, once read
+        self.n_basic = g.n_vertices - 1
         self.shifted: list[int] = []
         self.step = 0  # the last pivot's delta
         self.log: list[tuple[int, int]] = []
 
+    def _reduced_costs(self):
+        """Every edge's reduced cost as it stands: the mirror, else the
+        snapshot's before any pivot, else a fresh pricing of `y`."""
+        if self.mirror is not None:
+            return self.mirror
+        if not self.log:
+            return self.snap.red
+        g, y = self.g, self.y
+        return [c + y[h] - y[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
+
+    @property
+    def red(self) -> list[int]:
+        """The mirror of every edge's reduced cost, built on first read."""
+        if self.mirror is None:
+            self.mirror = list(self._reduced_costs())
+        return self.mirror
+
     def nonbasic(self, in_f: list) -> list[int]:
         """The edges with in_f set that are not chosen, in id order."""
         return _nonbasic(in_f, self.chosen)
+
+    def improves(self, e: int) -> bool:
+        """Whether edge e has a negative reduced cost."""
+        g, y = self.g, self.y
+        return g.costs[e] + y[g.heads[e]] - y[g.tails[e]] < 0
+
+    def improving(self) -> list[int]:
+        """The edges with a negative reduced cost, in id order."""
+        red = self._reduced_costs()
+        return list(compress(range(len(red)), map(gt, repeat(0), red)))
 
     def turned_improving(self) -> list[int]:
         """The edges the last pivot made improving: the in-edges x of the
@@ -218,16 +268,17 @@ class _PivotTracker:
         only those reduced costs, so no other edge can have turned. An edge
         with both ends shifted kept its reduced cost, so it is listed only
         if it was improving already."""
-        red, delta, in_edges = self.red, self.step, self.g.in_edges
-        return [x for w in self.shifted for x in in_edges[w]
-                if red[x] < 0 <= red[x] - delta]
+        g, y, delta = self.g, self.y, self.step
+        costs, tails, in_edges = g.costs, g.tails, g.in_edges
+        return [x for w in self.shifted for yw in (y[w],) for x in in_edges[w]
+                if delta <= costs[x] + yw - y[tails[x]] < 0]
 
     def pivot(self, e: int) -> int:
         g = self.g
-        red = self.red
+        y = self.y
         u = g.tails[e]
         v = g.heads[e]
-        delta = red[e]
+        delta = g.costs[e] + y[v] - y[u]
         if delta >= 0:
             raise PivotInvariantError(
                 f"pivot on edge {e} would move the objective by {delta} per "
@@ -241,12 +292,18 @@ class _PivotTracker:
             raise PolicyCycleError(
                 f"edge {e} closes a cycle through vertex {u} and its subtree"
             )
-        in_edges, out_edges = g.in_edges, g.out_edges
-        for w in sub:
-            for x in in_edges[w]:
-                red[x] += delta
-            for x in out_edges[w]:
-                red[x] -= delta
+        red = self.mirror
+        if red is None:
+            for w in sub:
+                y[w] += delta
+        else:
+            in_edges, out_edges = g.in_edges, g.out_edges
+            for w in sub:
+                y[w] += delta
+                for x in in_edges[w]:
+                    red[x] += delta
+                for x in out_edges[w]:
+                    red[x] -= delta
         leaving = self.chosen[u]
         children[g.heads[leaving]].remove(u)
         children[v].append(u)
@@ -352,8 +409,13 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
     """The fresh-randomness facet-removal recursion of `_facet_collapsed`
     under `shuffled_order`, drawing a column's rank only when it improves.
 
-    `tracker` is the pivot oracle of `_facet_collapsed` plus
-    `turned_improving()`, the columns the last pivot made improving. Ranks
+    `tracker` is a pivot oracle: `improves(e)`, whether column e has a
+    negative reduced cost; `improving()`, every such column in id order;
+    `pivot(e) -> leaving`; `turned_improving()`, the columns the last pivot
+    made improving; and `n_basic`, the basis size. Every basic column must
+    have in_f set, which both callers check (`_start` and
+    `lp.random_facet_lp`). The engine reads no reduced-cost list, so the
+    graph kernel prices only the columns it tests, from its potentials. Ranks
     are removal positions: rank 1 is removed first, so an unwind tests its
     candidates in descending rank. The recursion is the frame stack of
     `random_facet_one_perm` with sigma[x] replaced by x's rank in each
@@ -371,27 +433,28 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
     draw is written out in the walk, not called, because a pivot makes
     several (about 4-6 on the benchmark's counter graphs). A frame holds
     the cursor - 1 columns at the ranks below its cursor. The first frame's
-    size is the pool count, the in_f columns outside the basis; a new
-    frame's size is the pool count minus the columns the live frames hold,
-    a running sum of their cursor - 1. A pivot moves the entering column
-    out of the pool and the leaving column into it, so only a leaving
-    column outside in_f shrinks the count.
+    size is the pool count, the in_f columns outside the basis: the in_f
+    count less `n_basic`. A new frame's size is the pool count minus the
+    columns the live frames hold, a running sum of their cursor - 1. A
+    pivot moves the entering column out of the pool and the leaving column,
+    which has in_f set, into it, so the pool count never changes.
 
-    The top frame pops its highest-ranked entry with red < 0, sets its
-    cursor to that rank and pivots, which pushes a frame; entries with red
-    >= 0 are dropped, and an empty heap pops the frame. After a pivot, the
-    engine takes the in_f columns of `turned_improving()` in id order. Each
-    column x walks up from the first live frame created at or after the
-    pivot where x last left the basis: it takes x's revealed rank there, or
-    reveals one by a draw. Below the cursor, x is held there, and pushed
-    unless it was revealed there already, in which case its entry stands;
-    otherwise the walk moves one frame up. The frame just pushed has cursor
-    N + 1, so the walk ends there at the latest. A listed column that was
-    improving before the pivot is held already: its walk retraces frames
-    that revealed it and draws nothing. So the draws depend only on the
-    columns that did turn, taken in id order, and oracles that agree on
-    those draw the same bits: a graph run and the LP run of its flow LP
-    pivot in lockstep.
+    The first frame's improving columns are `improving()`'s in_f columns.
+    The top frame pops its highest-ranked entry that still improves, sets
+    its cursor to that rank and pivots, which pushes a frame; entries that
+    no longer improve are dropped, and an empty heap pops the frame. After
+    a pivot, the engine takes the in_f columns of `turned_improving()` in
+    id order. Each column x walks up from the first live frame created at
+    or after the pivot where x last left the basis: it takes x's revealed
+    rank there, or reveals one by a draw. Below the cursor, x is held
+    there, and pushed unless it was revealed there already, in which case
+    its entry stands; otherwise the walk moves one frame up. The frame just
+    pushed has cursor N + 1, so the walk ends there at the latest. A listed
+    column that was improving before the pivot is held already: its walk
+    retraces frames that revealed it and draws nothing. So the draws depend
+    only on the columns that did turn, taken in id order, and oracles that
+    agree on those draw the same bits: a graph run and the LP run of its
+    flow LP pivot in lockstep.
 
     Why this is the eager recursion, with every descent's removal order
     uniform:
@@ -422,15 +485,15 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
     run left it, and its stack depth at creation (0 for the first frame).
     See `random_facet`.
     """
-    red = tracker.red
     pivot = tracker.pivot
+    improves = tracker.improves
     turned = tracker.turned_improving
     getrandbits = rng.getrandbits
-    m = len(red)
+    m = len(in_f)
     every = all(in_f)  # in_f never changes, so the turned filter is read once
     heappush, heappop = heapq.heappush, heapq.heappop
     left_at = [0] * m  # pivot count at which each column last left the basis
-    pool = len(tracker.nonbasic(in_f))
+    pool = sum(in_f) - tracker.n_basic  # every basic column has in_f set
     held = 0  # columns the live frames hold: the sum of their cursor - 1
     created: list[int] = []
     cursor: list[int] = []
@@ -441,7 +504,7 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
 
     t = 0
     size = pool
-    improved = list(compress(range(m), map(gt, repeat(0), red)))
+    improved = tracker.improving()
     if not every:
         improved = [x for x in improved if in_f[x]]
     while True:
@@ -483,7 +546,7 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
             heap = heaps[-1]
             while heap:
                 rank, e = divmod(-heappop(heap), m)
-                if red[e] < 0:
+                if improves(e):
                     break
             else:
                 held -= cursor.pop() - 1
@@ -501,8 +564,6 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
         leaving = pivot(e)
         t += 1
         left_at[leaving] = t
-        if not in_f[leaving]:
-            pool -= 1
         size = pool - held
         improved = turned()
         if not every:
@@ -592,20 +653,24 @@ def random_facet_one_perm(
       pivoted in: that column is now basic or, having left the basis after
       the frame was created and outlived every younger frame, in the pool.
       Either way its red is not negative while the frame is on top.
+
+    The first heap is seeded from the start snapshot's reduced costs; every
+    later red is priced from the kernel's potentials where it is read.
     """
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
     tracker, in_f = _start(g, policy, subset)
-    red = tracker.red
+    y = tracker.y
     pivot = tracker.pivot
     log = tracker.log
-    in_edges = g.in_edges
+    costs, heads, tails, in_edges = g.costs, g.heads, g.tails, g.in_edges
     heappush, heappop = heapq.heappush, heapq.heappop
     left_at = [0] * m  # pivot count at which each column last left the basis
     # frame k: created[k] (pivot count at its creation), cursor[k] and a heap
     # of -rank; basic columns have red 0, so the first heap needs no filter
     created = [0]
     cursor = [m + 1]
+    red = tracker.snap.red
     heap = [-sigma[e] for e in compress(range(m), in_f) if red[e] < 0]
     heapq.heapify(heap)
     heaps = [heap]
@@ -614,7 +679,8 @@ def random_facet_one_perm(
         while heap:
             rank = -heappop(heap)
             e = edge_of_rank[rank]
-            if red[e] < 0:
+            delta = costs[e] + y[heads[e]] - y[tails[e]]
+            if delta < 0:
                 break
         else:
             heaps.pop()
@@ -622,7 +688,6 @@ def random_facet_one_perm(
             cursor.pop()
             continue
         cursor[-1] = rank
-        delta = red[e]
         leaving = pivot(e)
         t = len(log)
         left_at[leaving] = t
@@ -630,8 +695,9 @@ def random_facet_one_perm(
         cursor.append(m + 1)
         heaps.append([])
         for w in tracker.shifted:
+            yw = y[w]
             for x in in_edges[w]:
-                r = red[x]
+                r = costs[x] + yw - y[tails[x]]
                 if r < 0 <= r - delta and in_f[x]:
                     k = bisect_left(created, left_at[x])
                     rank = sigma[x]
@@ -651,7 +717,7 @@ def random_facet_nonrec(g: Digraph, policy: Policy, rng) -> RunResult:
     """
     tracker = _PivotTracker(g, policy)
     red = tracker.red
-    perm = list(_start_tree(g, policy).picks)
+    perm = list(tracker.snap.picks)
     shuffle_exact(perm, rng)
     while True:
         j = next((i for i, e in enumerate(perm) if red[e] < 0), None)
@@ -717,24 +783,28 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
     edge among them), so only an edge into a shifted vertex that crossed
     to red < 0 is queued. Every improving edge of rank >= start has an
     entry, so the top one that still improves is the pick; any other, such
-    as an edge's second copy after a pivot on the first, is dropped.
+    as an edge's second copy after a pivot on the first, is dropped. As in
+    `random_facet_one_perm`, the first heap reads the start snapshot's
+    reduced costs and every later one is priced from the potentials.
     """
     edge_of_rank = _edge_of_rank(sigma, g.n_edges)
     tracker = _PivotTracker(g, policy)
-    red = tracker.red
-    in_edges = g.in_edges
+    y = tracker.y
+    costs, heads, tails, in_edges = g.costs, g.heads, g.tails, g.in_edges
     heappush, heappop = heapq.heappush, heapq.heappop
+    red = tracker.snap.red
     heap = [-r for e, r in enumerate(sigma) if red[e] < 0 and r >= start]
     heapq.heapify(heap)
     while heap:
         e = edge_of_rank[-heappop(heap)]
-        delta = red[e]
+        delta = costs[e] + y[heads[e]] - y[tails[e]]
         if delta >= 0:
             continue
         tracker.pivot(e)
         for w in tracker.shifted:
+            yw = y[w]
             for x in in_edges[w]:
-                r = red[x]
+                r = costs[x] + yw - y[tails[x]]
                 if r < 0 <= r - delta and sigma[x] >= start:
                     heappush(heap, -sigma[x])
     return tracker.result("bland-nonrec", sigma)

@@ -75,6 +75,10 @@ ALL_RULES = [
     ("random-bland", lambda g, b0, rng: random_bland(g, b0, rng)),
     ("dantzig", lambda g, b0, rng: dantzig(g, b0)),
 ]
+# the rules whose engines price reduced costs from the kernel's potentials,
+# and so never build its mirror `red`
+PRICING_RULES = {"random-facet", "random-facet-traced", "random-facet-1p",
+                 "bland-nonrec", "random-bland"}
 
 
 @pytest.mark.parametrize("name,runner", ALL_RULES)
@@ -115,18 +119,23 @@ def _children_rebuild(g, chosen):
     return children
 
 
+def _full_reduced_costs(g, dist):
+    return [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
+
+
 def _assert_kernel_is_full_recompute(tracker, before=None):
-    """Check what the engines read against a full recompute from the
-    kernel's chosen edges, d = tree_distances_list (which also checks that
-    they form a tree): every reduced cost is c + d[head] - d[tail], and the
-    child lists are the rebuild. Given the distances `before` the last
-    pivot, `shifted` is the set of vertices whose distance changed, each by
-    `step`. Returns d."""
+    """Check the kernel against a full recompute from its chosen edges, d =
+    tree_distances_list (which also checks that they form a tree), without
+    reading `red`, which would build the mirror: the potentials are d, the
+    mirror, once built, is every c + d[head] - d[tail], and the child lists
+    are the rebuild. Given the distances `before` the last pivot, `shifted`
+    is the set of vertices whose distance changed, each by `step`. Returns
+    d."""
     g = tracker.g
     dist = tree_distances_list(g, tracker.chosen)
-    assert tracker.red == [
-        c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
-    ]
+    assert tracker.y == dist
+    if tracker.mirror is not None:
+        assert tracker.mirror == _full_reduced_costs(g, dist)
     # a pivot moves its vertex to the end of its new parent's list
     assert [sorted(c) for c in tracker.children] == _children_rebuild(g, tracker.chosen)
     if before is not None:
@@ -138,9 +147,13 @@ def _assert_kernel_is_full_recompute(tracker, before=None):
 
 class _CheckedTracker(rules._PivotTracker):
     """The pivot kernel, checked against a full recompute at construction
-    and after every pivot."""
+    and after every pivot. With `mirror_after` = k, the k-th pivot reads
+    `red`, which builds the mirror if no engine has, so it is checked from
+    then on."""
 
     pivots_checked = 0
+    mirror_after = None
+    mirrors_built = 0
 
     def __init__(self, g, policy):
         super().__init__(g, policy)
@@ -149,9 +162,12 @@ class _CheckedTracker(rules._PivotTracker):
 
     def pivot(self, e: int) -> int:
         before = tree_distances_list(self.g, self.chosen)
-        red = self.red
+        y, mirror = self.y, self.mirror
         leaving = super().pivot(e)
-        assert self.red is red
+        assert self.y is y and self.mirror is mirror
+        if len(self.log) == self.mirror_after and mirror is None:
+            assert self.red is self.mirror
+            _CheckedTracker.mirrors_built += 1
         _assert_kernel_is_full_recompute(self, before)
         _CheckedTracker.pivots_checked += 1
         return leaving
@@ -162,6 +178,7 @@ def checked_kernel(monkeypatch):
     monkeypatch.setattr(rules, "_PivotTracker", _CheckedTracker)
     monkeypatch.setattr(comptrees, "_PivotTracker", _CheckedTracker)
     monkeypatch.setattr(_CheckedTracker, "pivots_checked", 0)
+    monkeypatch.setattr(_CheckedTracker, "mirrors_built", 0)
     return _CheckedTracker
 
 
@@ -175,12 +192,21 @@ def _kernel_instances(rng):
 
 
 @pytest.mark.parametrize("name,runner", ALL_RULES)
-def test_incremental_kernel_matches_full_recompute(name, runner, checked_kernel):
-    rng = Random(name)
-    for g, b0 in _kernel_instances(rng):
-        res = runner(g, b0, rng)
-        assert tree_distances_list(g, res.final_policy.chosen) == optimal_distances_list(g)
+def test_incremental_kernel_matches_full_recompute(name, runner, checked_kernel,
+                                                   monkeypatch):
+    # the potentials after every pivot; then a second pass over the same
+    # instances that builds the mirror at the second pivot, if the engine
+    # has not, and checks it from then on
+    for mirror_after in (None, 2):
+        monkeypatch.setattr(checked_kernel, "mirror_after", mirror_after)
+        rng = Random(name)
+        for g, b0 in _kernel_instances(rng):
+            res = runner(g, b0, rng)
+            final = res.final_policy.chosen
+            assert tree_distances_list(g, final) == optimal_distances_list(g)
     assert checked_kernel.pivots_checked > 0
+    if name in PRICING_RULES:
+        assert checked_kernel.mirrors_built > 0
 
 
 def test_canonical_follower_kernel_matches_full_recompute(checked_kernel):
@@ -340,17 +366,78 @@ def test_bland_heap_matches_linear_scan():
     data=st.data(),
 )
 def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra, data):
-    # any improving pivot, not just the ones a rule picks, keeps red, the
-    # child lists, shifted and step equal to a full recompute
+    # any improving pivot, not just the ones a rule picks, keeps the
+    # potentials, the child lists, shifted and step equal to a full
+    # recompute, and the mirror too once a drawn pivot count builds it
     rng = Random(seed)
     g = random_dag(rng, vertices, extra_edges=extra)
     tracker = _CheckedTracker(g, random_policy(g, rng))
+    tracker.mirror_after = data.draw(st.sampled_from((None, 0, 1, 3)))
+    if tracker.mirror_after == 0:
+        tracker.red
     while True:
-        improving = [e for e in range(g.n_edges) if tracker.red[e] < 0]
+        improving = tracker.improving()
         if not improving:
             break
         tracker.pivot(data.draw(st.sampled_from(improving)))
     assert tree_distances_list(g, tracker.chosen) == optimal_distances_list(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vertices=st.integers(min_value=2, max_value=12),
+    extra=st.integers(min_value=0, max_value=20),
+    keep=st.sampled_from((0.3, 0.7, 1.0)),
+    data=st.data(),
+)
+def test_kernel_reads_match_a_full_recompute(seed, vertices, extra, keep, data):
+    # along drawn improving pivots inside a random subset holding the start's
+    # edges: `turned_improving` is the brute-force list over the shifted
+    # vertices' in-edges, and `improving` every edge with a negative reduced
+    # cost, both priced afresh from the recomputed distances after the pivot
+    rng = Random(seed)
+    g = random_dag(rng, vertices, extra_edges=extra, max_cost=rng.choice((1, 2, 9)))
+    b0 = random_policy(g, rng)
+    subset = {e for e in range(g.n_edges) if rng.random() < keep} | b0.edge_set()
+    tracker = rules._PivotTracker(g, b0)
+    while True:
+        red = _full_reduced_costs(g, tree_distances_list(g, tracker.chosen))
+        assert tracker.improving() == [e for e in range(g.n_edges) if red[e] < 0]
+        if tracker.log:
+            delta = tracker.step
+            assert tracker.turned_improving() == [
+                x for w in tracker.shifted for x in g.in_edges[w]
+                if red[x] < 0 <= red[x] - delta]
+        assert tracker.improving() == [e for e in range(g.n_edges) if tracker.improves(e)]
+        choices = [e for e in tracker.improving() if e in subset]
+        if not choices:
+            break
+        tracker.pivot(data.draw(st.sampled_from(choices)))
+    assert tracker.mirror is None
+    assert tree_distances_list(g, tracker.chosen) == optimal_distances_list(g, subset)
+
+
+def test_only_engines_that_read_red_build_the_mirror(monkeypatch):
+    # the engines that read few reduced costs per pivot price them from the
+    # potentials, so their kernel ends every run with no mirror; the others
+    # read `red`, which builds it
+    made = []
+
+    class Recorded(rules._PivotTracker):
+        def __init__(self, g, policy):
+            super().__init__(g, policy)
+            made.append(self)
+
+    monkeypatch.setattr(rules, "_PivotTracker", Recorded)
+    g, idx = cg.build_counter_graph(3, 2, 2, 2)
+    b0 = cg.initial_tree(idx)
+    for name, runner in ALL_RULES:
+        for seed in range(3):
+            made.clear()
+            assert runner(g, b0, Random(seed)).pivots > 0
+            (tracker,) = made
+            assert (tracker.mirror is None) == (name in PRICING_RULES), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,9 +461,10 @@ def _assert_tracker_is_fresh_build(tracker, start):
     dist, children = _tree_walk(g, start.chosen)
     assert tracker.chosen == list(start.chosen)
     assert tracker.children == children
-    assert tracker.red == [
-        c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)
-    ]
+    assert tracker.y == dist
+    assert tracker.mirror is None
+    assert tracker.red == _full_reduced_costs(g, dist)
+    assert list(tracker.snap.red) == tracker.red
     picks = rules._nonbasic(bytearray(b"\x01") * g.n_edges, start.chosen)
     assert list(rules._start_tree(g, start).picks) == picks
 
@@ -417,19 +505,40 @@ def test_start_snapshot_is_a_fresh_build_on_counter_graphs():
 
 
 def _kernel_state(tracker):
-    return (list(tracker.chosen), list(tracker.red),
+    mirror = tracker.mirror
+    return (list(tracker.chosen), list(tracker.y),
+            None if mirror is None else list(mirror),
             [list(c) for c in tracker.children], list(tracker.shifted),
             tracker.step, list(tracker.log))
 
 
-def test_pivot_on_non_improving_edge_changes_nothing():
-    g = parallel_pair()
-    tracker = rules._PivotTracker(g, Policy((1, None)))
-    before = _kernel_state(tracker)
-    for e in (0, 1):  # a costlier edge, and the chosen edge itself
-        with pytest.raises(PivotInvariantError):
+def _assert_refused_pivot_changes_nothing(make_tracker, e, error):
+    # with the mirror off, and with it built
+    for build in (False, True):
+        tracker = make_tracker()
+        if build:
+            tracker.red
+        before = _kernel_state(tracker)
+        with pytest.raises(error):
             tracker.pivot(e)
         assert _kernel_state(tracker) == before
+
+
+def test_pivot_on_non_improving_edge_changes_nothing():
+    g = parallel_pair()
+    for e in (0, 1):  # a costlier edge, and the chosen edge itself
+        _assert_refused_pivot_changes_nothing(
+            lambda: rules._PivotTracker(g, Policy((1, None))), e, PivotInvariantError)
+    # after a pivot, the edge that left the tree
+    g, idx = cg.build_counter_graph(2, 1, 1, 1)
+
+    def pivoted():
+        tracker = rules._PivotTracker(g, cg.initial_tree(idx))
+        tracker.pivot(tracker.improving()[0])
+        return tracker
+
+    left = pivoted().log[0][1]
+    _assert_refused_pivot_changes_nothing(pivoted, left, PivotInvariantError)
 
 
 def test_switch_closing_a_negative_cycle_raises():
@@ -437,12 +546,9 @@ def test_switch_closing_a_negative_cycle_raises():
     # 0 -> 1 -> target, the edge 1 -> 0 improves but points into 1's subtree.
     g = Digraph(3, 2, tails=[0, 1, 0, 1], heads=[1, 0, 2, 2], costs=[-5, 1, 0, 0])
     start = Policy((0, 3, None))
-    tracker = rules._PivotTracker(g, start)
-    assert tracker.red[1] < 0
-    before = _kernel_state(tracker)
-    with pytest.raises(PolicyCycleError):
-        tracker.pivot(1)
-    assert _kernel_state(tracker) == before
+    assert rules._PivotTracker(g, start).improves(1)
+    _assert_refused_pivot_changes_nothing(
+        lambda: rules._PivotTracker(g, start), 1, PolicyCycleError)
     for run in (lambda: dantzig(g, start), lambda: bland_nonrec(g, start, [4, 3, 2, 1])):
         with pytest.raises(PolicyCycleError):
             run()
@@ -945,8 +1051,10 @@ def test_lazy_and_eager_engines_agree_in_law():
 
 
 # The lazy engine before its rank draw was written out in the walk, kept
-# verbatim (its docstring is `rules._facet_lazy`'s) with the draw it called:
-# the oracle for the bits `_facet_lazy` draws and the frames it records.
+# (its docstring is `rules._facet_lazy`'s) with the draw it called: the
+# oracle for the bits `_facet_lazy` draws and the frames it records. It
+# reads `red` and pivots on red < 0, where the engine asks the oracle, and
+# counts its pool from `n_basic`, as the LP oracle lists no nonbasic columns.
 def _draw_rank(size: int, revealed: dict, swap: dict, rng) -> int:
     """A rank drawn uniformly from those of 1..size that no column of
     `revealed` holds: one step of a partial Fisher-Yates shuffle.
@@ -972,7 +1080,8 @@ def _oracle_facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> 
     m = len(red)
     heappush, heappop = heapq.heappush, heapq.heappop
     left_at = [0] * m  # pivot count at which each column last left the basis
-    pool = len(tracker.nonbasic(in_f))
+    # the in_f columns outside the basis, which lies in in_f
+    pool = sum(in_f) - tracker.n_basic
     held = 0  # columns the live frames hold: the sum of their cursor - 1
     created: list[int] = []
     cursor: list[int] = []
