@@ -111,11 +111,8 @@ def check_bf_optimal(
 def _force_reset_at_most(idx, sub: set, i: int) -> None:
     # levels above i must not qualify as the reset level
     for i2 in range(i + 1, idx.n + 1):
-        if all(e in sub for e in idx.b1(i2)):
-            if not any(
-                all(e in sub for e in idx.a1(i2, j)) for j in range(1, idx.r + 1)
-            ):
-                sub.update(idx.a1(i2, 1))
+        if counter_graph.level_resets(idx, i2, sub):
+            sub.update(idx.a1(i2, 1))
 
 
 def check_make_switch(samples: int = 500, seed: int = 20241) -> dict:

@@ -16,7 +16,8 @@ identifiers, also used in the JSON sidecar index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, compress, repeat, starmap
+from operator import ge, itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import Digraph, Policy
@@ -308,10 +309,13 @@ def one_edge_tree(idx: CounterGraphIndex, rng=None) -> Policy:
     return Policy(chosen)
 
 
-def _last_missing(chain: Sequence[int], subset: Iterable[int]) -> int:
-    """The last 1-based position of `chain` missing from the subset, else 0."""
+def _last_missing(edges: Sequence[int], subset: Iterable[int]) -> int:
+    """The last 1-based position of `edges` missing from the subset, else 0."""
     sub = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    return next((p for p in range(len(chain), 0, -1) if chain[p - 1] not in sub), 0)
+    for p in range(len(edges), 0, -1):
+        if edges[p - 1] not in sub:
+            return p
+    return 0
 
 
 def last_b(idx: CounterGraphIndex, i: int, subset: Iterable[int]) -> int:
@@ -326,13 +330,14 @@ def last_a(idx: CounterGraphIndex, i: int, j: int, subset: Iterable[int]) -> int
 def is_functional(idx: CounterGraphIndex, subset: Iterable[int]) -> bool:
     """True iff the subset keeps at least one copy of every multi-edge."""
     sub = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    return all(any(e in sub for e in ids) for ids in idx.multi_edges)
+    return not any(map(sub.isdisjoint, idx.multi_edges))
 
 
-def _a_complete(idx: CounterGraphIndex, i: int, sub) -> bool:
-    """Whether some a chain of level i lies entirely in the subset."""
-    return any(
-        all(e in sub for e in idx.a1(i, j)) for j in range(1, idx.r + 1)
+def level_resets(idx: CounterGraphIndex, i: int, sub: set | frozenset) -> bool:
+    """Whether level i can be the reset level: its b chain lies in the set
+    `sub` and none of its a chains does."""
+    return sub.issuperset(idx.b1(i)) and not any(
+        sub.issuperset(idx.a1(i, j)) for j in range(1, idx.r + 1)
     )
 
 
@@ -342,11 +347,10 @@ def reset_level(idx: CounterGraphIndex, subset: Iterable[int]) -> int:
     All bits below this level read 0 in any optimal tree of the subgraph.
     """
     sub = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    out = 0
-    for i in idx.levels():
-        if all(e in sub for e in idx.b1(i)) and not _a_complete(idx, i, sub):
-            out = i
-    return out
+    for i in reversed(idx.levels()):
+        if level_resets(idx, i, sub):
+            return i
+    return 0
 
 
 def bit_value(
@@ -387,64 +391,60 @@ def bit_value(
 def bf_edge_set(idx: CounterGraphIndex, subset: Iterable[int]) -> frozenset[int]:
     """The exact optimal-edge family of the subgraph of a functional subset.
 
-    Case split per level against the reset level; every vertex keeps at
-    least one outgoing edge in the result.
+    Case split per level i against the reset level R. Each case keeps some
+    groups whole and keeps only the present copies of others; "past the
+    gap" means a chain's one-edges after its last missing one, and "up to
+    the gap" the escapes of the positions up to and including it.
+
+    - i > R, b chain intact: whole, the b chain and each a chain past its
+      gap (all of it when it has none); present copies, the a0 escapes up
+      to each a chain's gap, u1, and w^j of every intact a chain j.
+    - i > R, b chain broken: whole, the b chain past its gap; present
+      copies, the b0 escapes up to its gap, every a0, u0 and w0.
+    - i == R: whole, the b chain and each a chain past its gap; present
+      copies, the a0 escapes up to each a chain's gap, u1 and w0.
+    - i < R: nothing whole; present copies, every b0 and a0, u0, and
+      every w^j.
+
+    Every vertex keeps at least one outgoing edge in the result.
     """
     sub = subset if isinstance(subset, (set, frozenset)) else set(subset)
     if not is_functional(idx, sub):
         raise NotFunctionalError("subset misses every copy of some multi-edge")
     reset = reset_level(idx, sub)
+    r_range = range(1, idx.r + 1)
+    s_range = range(1, idx.s + 1)
     out: set[int] = set()
-
-    def keep_present(ids: Sequence[int]) -> None:
-        out.update(e for e in ids if e in sub)
-
-    def keep_a_chains(i: int) -> None:
-        # each a chain's one-edges past its last missing one, and the present
-        # a0 copies of the rest
-        for j in range(1, idx.r + 1):
-            la = last_a(idx, i, j, sub)
-            for k, e in enumerate(idx.a1(i, j), start=1):
-                if k > la:
-                    out.add(e)
-                else:
-                    keep_present(idx.a0(i, j, k))
-
+    present: list[Sequence[int]] = []  # groups kept by their present copies
     for i in idx.levels():
-        b_intact = all(e in sub for e in idx.b1(i))
-        if i > reset and b_intact:
-            out.update(idx.b1(i))
-            keep_a_chains(i)
-            keep_present(idx.u1(i))
-            for j in range(1, idx.r + 1):
-                if all(e in sub for e in idx.a1(i, j)):
-                    keep_present(idx.w_group(i, j))
-        elif i > reset:
-            lb = last_b(idx, i, sub)
-            for j, e in enumerate(idx.b1(i), start=1):
-                if j > lb:
-                    out.add(e)
+        b = idx.b1(i)
+        if i < reset:
+            present.extend([idx.b0(i, j) for j in range(1, len(b) + 1)])
+            present.extend([idx.a0(i, j, k) for j in r_range for k in s_range])
+            present.append(idx.u0(i))
+            present.extend([idx.w_group(i, j) for j in r_range])
+        elif sub.issuperset(b):
+            # i == R too, whose b chain is intact; there no a chain is
+            # whole, so only levels above R keep a w^j
+            out.update(b)
+            present.append(idx.u1(i))
+            for j in r_range:
+                a = idx.a1(i, j)
+                la = _last_missing(a, sub)
+                out.update(a[la:])
+                if la:
+                    present.extend([idx.a0(i, j, k) for k in range(1, la + 1)])
                 else:
-                    keep_present(idx.b0(i, j))
-            for j in range(1, idx.r + 1):
-                for k in range(1, idx.s + 1):
-                    keep_present(idx.a0(i, j, k))
-            keep_present(idx.u0(i))
-            keep_present(idx.w0(i))
-        elif i == reset:
-            out.update(idx.b1(i))
-            keep_a_chains(i)
-            keep_present(idx.u1(i))
-            keep_present(idx.w0(i))
-        else:  # i < reset
-            for j in range(1, idx.r * idx.s + 1):
-                keep_present(idx.b0(i, j))
-            for j in range(1, idx.r + 1):
-                for k in range(1, idx.s + 1):
-                    keep_present(idx.a0(i, j, k))
-            keep_present(idx.u0(i))
-            for j in range(1, idx.r + 1):
-                keep_present(idx.w_group(i, j))
+                    present.append(idx.w_group(i, j))
+            if i == reset:
+                present.append(idx.w0(i))
+        else:
+            lb = _last_missing(b, sub)
+            out.update(b[lb:])
+            present.extend([idx.b0(i, j) for j in range(1, lb + 1)])
+            present.extend([idx.a0(i, j, k) for j in r_range for k in s_range])
+            present += (idx.u0(i), idx.w0(i))
+    out.update(filter(sub.__contains__, chain.from_iterable(present)))
     return frozenset(out)
 
 
@@ -453,11 +453,12 @@ def random_functional_subset(
 ) -> frozenset[int]:
     """Drop each edge independently, then restore one copy of any multi-edge
     that went empty so the result stays functional."""
-    keep = [rng.random() >= drop for _ in range(idx.n_edges)]
+    m = idx.n_edges
+    keep = list(map(ge, starmap(rng.random, repeat((), m)), repeat(drop)))
     for ids in idx.multi_edges:
-        if not any(keep[e] for e in ids):
+        if not any(map(keep.__getitem__, ids)):
             keep[ids[rng.randrange(len(ids))]] = True
-    return frozenset(e for e in range(idx.n_edges) if keep[e])
+    return frozenset(compress(range(m), keep))
 
 
 def random_tree_within(

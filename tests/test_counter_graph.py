@@ -4,8 +4,11 @@ import pickle
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotlab import counter_graph as cg
+from pivotlab.checks import _varied_functional_subset
 from pivotlab.counter_graph import (
     BIT_ONE,
     BIT_UNDEFINED,
@@ -264,6 +267,183 @@ def test_bf_equals_oracle_random_subsets(params):
     for _ in range(25):
         sub = random_functional_subset(idx, rng, drop=0.35)
         assert bf_edge_set(idx, sub) == frozenset(optimal_edge_set(g, sub))
+
+
+# Literal definitions of the subset readers, written without set
+# operations, as the oracles of the readers and of the case split.
+
+
+def _brute_last_missing(chain, sub):
+    return max([p for p, e in enumerate(chain, start=1) if e not in sub], default=0)
+
+
+def _brute_functional(idx, sub):
+    return all(any(e in sub for e in ids) for ids in idx.multi_edges)
+
+
+def _brute_reset(idx, sub):
+    def chain_in(chain):
+        return all(e in sub for e in chain)
+
+    return max(
+        [
+            i for i in idx.levels()
+            if chain_in(idx.b1(i))
+            and not any(chain_in(idx.a1(i, j)) for j in range(1, idx.r + 1))
+        ],
+        default=0,
+    )
+
+
+def _case_split_bf(idx, sub):
+    """The reference for `bf_edge_set`: the case split tested one edge at a
+    time in a generator per group, over the literal readers above."""
+    assert _brute_functional(idx, sub)
+    reset = _brute_reset(idx, sub)
+    out = set()
+
+    def keep_present(ids):
+        out.update(e for e in ids if e in sub)
+
+    def keep_a_chains(i):
+        for j in range(1, idx.r + 1):
+            la = _brute_last_missing(idx.a1(i, j), sub)
+            for k, e in enumerate(idx.a1(i, j), start=1):
+                if k > la:
+                    out.add(e)
+                else:
+                    keep_present(idx.a0(i, j, k))
+
+    for i in idx.levels():
+        b_intact = all(e in sub for e in idx.b1(i))
+        if i > reset and b_intact:
+            out.update(idx.b1(i))
+            keep_a_chains(i)
+            keep_present(idx.u1(i))
+            for j in range(1, idx.r + 1):
+                if all(e in sub for e in idx.a1(i, j)):
+                    keep_present(idx.w_group(i, j))
+        elif i > reset:
+            lb = _brute_last_missing(idx.b1(i), sub)
+            for j, e in enumerate(idx.b1(i), start=1):
+                if j > lb:
+                    out.add(e)
+                else:
+                    keep_present(idx.b0(i, j))
+            for j in range(1, idx.r + 1):
+                for k in range(1, idx.s + 1):
+                    keep_present(idx.a0(i, j, k))
+            keep_present(idx.u0(i))
+            keep_present(idx.w0(i))
+        elif i == reset:
+            out.update(idx.b1(i))
+            keep_a_chains(i)
+            keep_present(idx.u1(i))
+            keep_present(idx.w0(i))
+        else:  # i < reset
+            for j in range(1, idx.r * idx.s + 1):
+                keep_present(idx.b0(i, j))
+            for j in range(1, idx.r + 1):
+                for k in range(1, idx.s + 1):
+                    keep_present(idx.a0(i, j, k))
+            keep_present(idx.u0(i))
+            for j in range(1, idx.r + 1):
+                keep_present(idx.w_group(i, j))
+    return frozenset(out)
+
+
+def _level_cases(idx, sub):
+    """Which of the four cases of the case split each level falls in."""
+    reset = _brute_reset(idx, sub)
+    for i in idx.levels():
+        if i < reset:
+            yield "below-reset"
+        elif i == reset:
+            yield "at-reset"
+        elif all(e in sub for e in idx.b1(i)):
+            yield "above-intact"
+        else:
+            yield "above-broken"
+
+
+def test_bf_edge_set_property():
+    # all four cases and a multi-copy t must come up over the run
+    seen_cases = set()
+    seen_t = set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        params=st.tuples(
+            st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def prop(params, seed):
+        g, idx = build_counter_graph(*params)
+        rng = Random(seed)
+        sub = _varied_functional_subset(idx, rng)
+        fam = bf_edge_set(idx, sub)
+        assert fam == _case_split_bf(idx, sub)
+        assert fam == frozenset(optimal_edge_set(g, sub))
+        edges = sorted(sub)
+        for given_sub in (edges, (e for e in edges), set(edges), frozenset(edges)):
+            assert bf_edge_set(idx, given_sub) == fam
+        gone = idx.multi_edges[rng.randrange(len(idx.multi_edges))]
+        with pytest.raises(NotFunctionalError):
+            bf_edge_set(idx, sub - set(gone))
+        seen_cases.update(_level_cases(idx, sub))
+        seen_t.add(params[3])
+
+    prop()
+    assert seen_cases == {"above-intact", "above-broken", "at-reset", "below-reset"}
+    assert max(seen_t) >= 2
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (2, 2, 2, 2), (3, 1, 3, 2), (4, 3, 3, 3)])
+def test_subset_readers_match_literal_definitions(params):
+    g, idx = build_counter_graph(*params)
+    rng = Random(sum(params))
+    full = frozenset(range(g.n_edges))
+    subsets = [frozenset(), full]
+    for _ in range(40):
+        sub = _varied_functional_subset(idx, rng)
+        gone = idx.multi_edges[rng.randrange(len(idx.multi_edges))]
+        subsets += [sub, sub - set(gone)]
+    assert any(not _brute_functional(idx, sub) for sub in subsets[2:])
+    for sub in subsets:
+        for given_sub in (sub, set(sub), sorted(sub)):
+            assert is_functional(idx, given_sub) == _brute_functional(idx, sub)
+            assert reset_level(idx, given_sub) == _brute_reset(idx, sub)
+            for i in idx.levels():
+                assert last_b(idx, i, given_sub) == _brute_last_missing(idx.b1(i), sub)
+                for j in range(1, idx.r + 1):
+                    assert last_a(idx, i, j, given_sub) == _brute_last_missing(
+                        idx.a1(i, j), sub)
+    assert not is_functional(idx, frozenset())
+    assert reset_level(idx, frozenset()) == 0
+    assert is_functional(idx, full) and reset_level(idx, full) == 0
+
+
+def _per_edge_random_functional_subset(idx, rng, drop=0.3):
+    """The reference for `random_functional_subset`: the same draws, one
+    edge at a time."""
+    keep = [rng.random() >= drop for _ in range(idx.n_edges)]
+    for ids in idx.multi_edges:
+        if not any(keep[e] for e in ids):
+            keep[ids[rng.randrange(len(ids))]] = True
+    return frozenset(e for e in range(idx.n_edges) if keep[e])
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (3, 2, 2, 2), (4, 3, 3, 3)])
+def test_random_functional_subset_draws_as_per_edge_body(params):
+    # same subset and same generator state after the call, drops at both ends
+    _, idx = build_counter_graph(*params)
+    for seed in range(200):
+        for drop in (0.0, 0.3, 0.7, 1.0):
+            fast, slow = Random(seed), Random(seed)
+            assert random_functional_subset(idx, fast, drop) == (
+                _per_edge_random_functional_subset(idx, slow, drop))
+            assert fast.getstate() == slow.getstate()
 
 
 def test_trees_inside_family_read_bits_by_reset():
