@@ -8,7 +8,6 @@ parameters. The registry backs the `verify` CLI subcommand.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -17,6 +16,8 @@ from . import comptrees, counter_graph, counters, lp, rules
 from .graphs import (
     Digraph,
     Policy,
+    PolicyCycleError,
+    _tree_walk,
     apply_switch,
     improving_switches,
     optimal_edge_set,
@@ -193,8 +194,23 @@ class _TreeTable:
     `imp[tid]`, an int whose bit e is set exactly when edge e improves on
     the tree (`c_e + d[head] < d[tail]` on its exact distances, computed
     once), and `tree[tid]`, the bits of the tree's own edges. A tree edge
-    never improves on its own tree. `switch` is cached per (id, edge). Each
-    enumeration builds its own table, so nothing outlives the call.
+    never improves on its own tree. It also keeps the distances `dist[tid]`
+    and `order[tid]`, the vertices in an order that puts each after the
+    head of its tree edge, the target first.
+
+    The start is priced from scratch by `graphs._tree_walk`, which checks
+    it. A switched tree is priced from its parent by `switch`: swapping
+    edge e in at u = tail(e) moves u's subtree, the vertices after u in the
+    parent's order whose tree edge points into it, by the switch's delta
+    `c_e + d[head(e)] - d[u]`, and no other distance. The moved vertices go
+    to the end of the order, after head(e); a head inside the subtree would
+    close a cycle, and raises PolicyCycleError as `_tree_walk` would.
+
+    `switch` is cached per (id, edge) in `switches`, under the key
+    `tid * m + e`. Every entry is a (tree id, leaving edge) pair, so a hit
+    is always truthy, and the enumerators read the cache at the call site
+    as `switches.get(key) or switch(tid, e)`: a hit costs one dict read.
+    Each enumeration builds its own table, so nothing outlives the call.
     """
 
     def __init__(self, g: Digraph):
@@ -203,35 +219,71 @@ class _TreeTable:
         self.trees: list[tuple] = []
         self.imp: list[int] = []
         self.tree: list[int] = []
-        self._switched: dict[int, tuple[int, int]] = {}
+        self.dist: list[list[int]] = []
+        self.order: list[list[int]] = []
+        self.switches: dict[int, tuple[int, int]] = {}
 
     def intern(self, chosen: tuple) -> int:
+        """The id of a tree priced from scratch."""
         tid = self.ids.get(chosen)
         if tid is None:
-            g = self.g
-            heads, tails, costs = g.heads, g.tails, g.costs
-            d = tree_distances_list(g, chosen)
-            imp = 0
-            for e in range(g.n_edges):
-                if costs[e] + d[heads[e]] < d[tails[e]]:
-                    imp |= 1 << e
-            tid = self.ids[chosen] = len(self.trees)
-            self.trees.append(chosen)
-            self.imp.append(imp)
-            self.tree.append(sum(1 << e for e in chosen if e is not None))
+            d, children = _tree_walk(self.g, chosen)
+            order = [self.g.target]
+            for v in order:  # the walk appends to the list it iterates over
+                order += children[v]
+            mask = sum(1 << e for e in chosen if e is not None)
+            tid = self._add(chosen, mask, d, order)
+        return tid
+
+    def _add(self, chosen: tuple, mask: int, d: list[int], order: list[int]) -> int:
+        g = self.g
+        heads, tails, costs = g.heads, g.tails, g.costs
+        imp = 0
+        for e in range(g.n_edges):
+            if costs[e] + d[heads[e]] < d[tails[e]]:
+                imp |= 1 << e
+        tid = self.ids[chosen] = len(self.trees)
+        self.trees.append(chosen)
+        self.imp.append(imp)
+        self.tree.append(mask)
+        self.dist.append(d)
+        self.order.append(order)
         return tid
 
     def switch(self, tid: int, e: int) -> tuple[int, int]:
         """The id of tree `tid` with edge e swapped in, and the edge that
         leaves it."""
-        key = tid * self.g.n_edges + e
-        hit = self._switched.get(key)
+        g = self.g
+        key = tid * g.n_edges + e
+        hit = self.switches.get(key)
         if hit is None:
-            switched = list(self.trees[tid])
-            u = self.g.tails[e]
-            leaving = switched[u]
-            switched[u] = e
-            hit = self._switched[key] = (self.intern(tuple(switched)), leaving)
+            heads = g.heads
+            chosen = self.trees[tid]
+            u = g.tails[e]
+            leaving = chosen[u]
+            switched = chosen[:u] + (e,) + chosen[u + 1:]
+            sid = self.ids.get(switched)
+            if sid is None:
+                d = self.dist[tid]
+                delta = g.costs[e] + d[heads[e]] - d[u]
+                d = d[:]
+                d[u] += delta
+                order = self.order[tid]
+                at = order.index(u)
+                kept, moved, inside = order[:at], [u], {u}
+                for v in order[at + 1:]:
+                    if heads[chosen[v]] in inside:
+                        inside.add(v)
+                        moved.append(v)
+                        d[v] += delta
+                    else:
+                        kept.append(v)
+                if heads[e] in inside:
+                    raise PolicyCycleError(
+                        f"chosen edges cycle through vertex {u}")
+                mask = self.tree[tid] ^ (1 << leaving) ^ (1 << e)
+                sid = self._add(switched, mask, d, kept + moved)
+            hit = self.switches[key] = (sid, leaving)
         return hit
 
 
@@ -246,8 +298,14 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     entry (den, exp, dist) holds the expectation exp / den and the
     probability dist[tree id] / den of each returned tree as integer
     numerators over one denominator. Terms are added over the lcm of their
-    denominators, and each entry is reduced by one gcd when it is stored;
-    the only `Fraction` is the returned value.
+    denominators: the running sums are rescaled in place before a term
+    over a new denominator is added, and each entry is reduced by one gcd
+    when it is stored; the only `Fraction` is the returned value.
+
+    Most calls would return a cached value, so the caller reads the memo
+    and the table's switch cache itself, as `memo.get(key) or go(key)`:
+    every entry is a non-empty tuple, so a hit is always truthy and costs
+    one dict read, and `go` runs on a miss only.
 
     A facet with no edge improving on its tree (`facet & imp == 0`) is a
     leaf: it returns its tree after 0 pivots with probability 1. This is
@@ -262,10 +320,12 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     `imp[t]` OR-ed with `reach` of every tree one improving switch away
     from t, with switches taken over the whole graph, a superset of what
     any facet allows. Improving switches strictly lower the objective, so
-    the trees form a DAG under them and the mask is well defined. Let N be
-    the edges of f outside `reach[t] | tree[t]`. None of them improves on a
-    tree reachable from t, and none is a tree edge of one, since every edge
-    a switch brings in is in `reach[t]`. The cut is exact, by induction on
+    the trees form a DAG under them and the mask is well defined. Every
+    tree a call meets is reachable from the start, so all the masks are
+    computed, as `cut[t]`, before the first call. Let N be the edges of f
+    outside `reach[t] | tree[t]`. None of them improves on a tree reachable
+    from t, and none is a tree edge of one, since every edge a switch
+    brings in is in `reach[t]`. The cut is exact, by induction on
     (|f|, objective):
     - a pick e in N improves on no tree that `go(f - e, t)` returns, so the
       branch is the law of `go(f - e, t)`, which is `go(f - N, t)`;
@@ -278,70 +338,72 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
 
     From the zero start of counter graph (n, 1, 1, 1) it gives 4, 3302/315
     and 3416341/178200 for n = 1, 2, 3, and 380449/23100 at (2, 1, 2, 1);
-    (3, 1, 1, 1) took 1.8 s and 81 MB peak RSS on a 2-core Xeon box with
-    Python 3.11.7, against 9.4 s and 304 MB without the cut.
+    (3, 1, 1, 1) takes 0.7-1.0 s and 95 MB peak RSS on a shared 2-core Xeon
+    box with Python 3.11.7, against 5.8 s and 331 MB without the cut.
     """
     table = _TreeTable(g)
-    imp, tree, switch = table.imp, table.tree, table.switch
+    m = g.n_edges
+    imp, tree, switch, switches = table.imp, table.tree, table.switch, table.switches
     reach: dict[int, int] = {}
     memo: dict[tuple[int, int], tuple[int, int, dict]] = {}
 
     def reach_of(t: int) -> int:
         r = reach.get(t)
         if r is None:
-            r = m = imp[t]
-            while m:
-                bit = m & -m
-                m ^= bit
+            r = mask = imp[t]
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
                 r |= reach_of(switch(t, bit.bit_length() - 1)[0])
             reach[t] = r
         return r
 
-    def go(f: int, t: int) -> tuple[int, int, dict]:
-        key = (f, t)  # f is cut for t (see the docstring)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def go(key: tuple[int, int]) -> tuple[int, int, dict]:
+        # called on a memo miss; f is cut for t (see the docstring)
+        f, t = key
         if not f & imp[t]:
             hit = memo[key] = (1, 0, {t: 1})
             return hit
         cands = f & ~tree[t]
         n_cands = cands.bit_count()
         den, exp_total = 1, 0
-        dist_total: dict = defaultdict(int)
-
-        def over(d: int) -> int:
-            # rescale the running sums to a multiple of d; den // d
-            nonlocal den, exp_total
-            if den % d:
-                k = d // gcd(den, d)
-                den *= k
-                exp_total *= k
-                for ret in dist_total:
-                    dist_total[ret] *= k
-            return den // d
-
-        # `over` may rescale the sums, so each call comes before the sum
-        # it scales for is read
+        dist_total: dict[int, int] = {}
         while cands:
             bit = cands & -cands
             cands ^= bit
-            den_left, exp_left, dist_left = go(f ^ bit, t)
-            k = over(den_left)
+            e = bit.bit_length() - 1
+            left = (f ^ bit, t)
+            den_left, exp_left, dist_left = memo.get(left) or go(left)
+            # rescale the running sums to a multiple of each denominator
+            # before a term over it is added
+            if den % den_left:
+                s = den_left // gcd(den, den_left)
+                den *= s
+                exp_total *= s
+                for ret in dist_total:
+                    dist_total[ret] *= s
+            k = den // den_left  # kept equal as den grows below
             exp_total += exp_left * k
             for ret, p in dist_left.items():
                 if imp[ret] & bit:
-                    switched, _ = switch(ret, bit.bit_length() - 1)
-                    den_right, exp_right, dist_right = go(
-                        f & (reach_of(switched) | tree[switched]), switched)
+                    switched = (switches.get(ret * m + e) or switch(ret, e))[0]
+                    right = (f & cut[switched], switched)
+                    den_right, exp_right, dist_right = memo.get(right) or go(right)
+                    d = den_left * den_right
+                    if den % d:
+                        s = d // gcd(den, d)
+                        den *= s
+                        exp_total *= s
+                        k *= s
+                        for ret2 in dist_total:
+                            dist_total[ret2] *= s
                     # p / den_left * (1 + exp_right / den_right)
-                    q = p * over(den_left * den_right)
+                    q = p * (den // d)
                     exp_total += q * (den_right + exp_right)
                     for ret2, p2 in dist_right.items():
-                        dist_total[ret2] += q * p2
+                        dist_total[ret2] = dist_total.get(ret2, 0) + q * p2
                 else:
-                    k = over(den_left)
-                    dist_total[ret] += p * k
+                    dist_total[ret] = dist_total.get(ret, 0) + p * k
         den *= n_cands
         common = gcd(den, exp_total, *dist_total.values())
         hit = memo[key] = (
@@ -352,7 +414,9 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
         return hit
 
     t0 = table.intern(start.chosen)
-    den, exp, _ = go(reach_of(t0) | tree[t0], t0)
+    reach_of(t0)  # meets every tree that a call can meet
+    cut = [reach[t] | tree[t] for t in range(len(tree))]
+    den, exp, _ = go((cut[t0], t0))
     return Fraction(exp, den)
 
 
@@ -369,7 +433,10 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
     leaving edge are joined by OR. A memo entry is the expectation as an
     integer pair (num, den), summed over the lcm of the children's
     denominators and reduced by one gcd, with factorials read from a table;
-    the only `Fraction` is the returned value.
+    the only `Fraction` is the returned value. As in
+    `expected_pivots_recursive`, the caller reads the memo and the switch
+    cache itself, as `memo.get(key) or go(key)`; an entry, (0, 1) too, is
+    a non-empty tuple, so a hit is always truthy.
 
     A pivot to an optimal tree is a leaf, added in closed form. The edges
     of a state are always exactly the non-tree edges of its tree, so every
@@ -381,21 +448,20 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
     built. This is exact, not an approximation.
     """
     table = _TreeTable(g)
-    imp, switch = table.imp, table.switch
+    m = g.n_edges
+    imp, switch, switches = table.imp, table.switch, table.switches
     fact = [1]
-    for k in range(1, g.n_edges + 1):
+    for k in range(1, m + 1):
         fact.append(fact[-1] * k)
     memo: dict[tuple, tuple[int, int]] = {}
 
-    def go(blocks: tuple, t: int) -> tuple[int, int]:
-        key = (blocks, t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        m = imp[t]
+    def go(key: tuple) -> tuple[int, int]:
+        # called on a memo miss
+        blocks, t = key
+        t_imp = imp[t]
         earlier = 0
         for bi, blk in enumerate(blocks):
-            imp_blk = blk & m
+            imp_blk = blk & t_imp
             if not imp_blk:
                 earlier |= blk
                 continue
@@ -410,7 +476,8 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
             while imp_blk:
                 bit = imp_blk & -imp_blk
                 imp_blk ^= bit
-                switched, leaving = switch(t, bit.bit_length() - 1)
+                e = bit.bit_length() - 1
+                switched, leaving = switches.get(t * m + e) or switch(t, e)
                 if not imp[switched]:
                     # every child is (0, 1); the weights sum to
                     # sum_a C(|non|, a) a! (b_len - a - 1)! = b_len! / |imp|
@@ -426,7 +493,8 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
                     new_blocks = (scanned | a_set,)
                     if rest:
                         new_blocks += (rest,)
-                    c_num, c_den = go(new_blocks + later, switched)
+                    child = (new_blocks + later, switched)
+                    c_num, c_den = memo.get(child) or go(child)
                     if den % c_den:
                         k = c_den // gcd(den, c_den)
                         den *= k
@@ -439,12 +507,12 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
             common = gcd(num, den)
             hit = memo[key] = (num // common, den // common)
             return hit
-        memo[key] = (0, 1)
-        return memo[key]
+        hit = memo[key] = (0, 1)
+        return hit
 
     t0 = table.intern(start.chosen)
-    nontree = ((1 << g.n_edges) - 1) & ~table.tree[t0]
-    num, den = go((nontree,), t0)
+    nontree = ((1 << m) - 1) & ~table.tree[t0]
+    num, den = go(((nontree,), t0))
     return Fraction(num, den)
 
 

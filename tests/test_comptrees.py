@@ -63,6 +63,15 @@ def test_parallel_pair_tree_shape():
     tree.validate(g, Policy((0, None)))
 
 
+def test_validate_refuses_a_revealed_rank_of_zero():
+    # the parallel pair's tree with its root's one reveal at rank 0 instead
+    # of 1; ranks run 1..size, so there is no rank 0 to place the edge at
+    g = parallel_pair()
+    tree = ComputationTree([1, 1], [{1: 0}, {}], [None, 0], [None, 1], [None, 0])
+    with pytest.raises(AssertionError, match=r"reveals rank 0 twice or outside 1\.\.1"):
+        tree.validate(g, Policy((0, None)))
+
+
 def test_record_tree_requires_trace():
     g = parallel_pair()
     run = random_facet(g, Policy((0, None)), Random(0))
@@ -95,6 +104,9 @@ def test_sigma_p_edges_and_groups():
     path = [(b1[2], "R"), (a11[0], "L"), (a12[1], "L"), (b1[0], "L")]
     assert sigma_p(idx, path, b1[2]) == 0
     assert sigma_p(idx, path, 9999 if 9999 < idx.n_edges else a11[1]) is None
+    # the ids just outside 0..m-1 name no edge either
+    assert sigma_p(idx, path, idx.n_edges) is None
+    assert sigma_p(idx, path, -1) is None
     assert sigma_p(idx, path, ("b1", 1)) == 0
     assert sigma_p(idx, path, ("b1", 2)) is None
     assert sigma_p(idx, path, ("a1", 1, 1)) == 1

@@ -12,6 +12,7 @@ import tempfile
 import textwrap
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,20 @@ def test_check_registry_small_params():
     )["passed"]
     assert run_check("bland-equiv", dag_instances=10, counter_sigmas=3)["passed"]
     assert run_check("switch-identity", counter_runs=4, dag_runs=4)["passed"]
+
+
+def test_lower_bound_check_passes_a_run_at_its_bound():
+    # the counter's increments are a lower bound: a stub run with exactly
+    # that many pivots passes, and one with a pivot fewer fails
+    _, idx = counter_graph.build_counter_graph(3, 2, 2, 2)
+    for fewer, passed in ((0, True), (1, False)):
+        def stub(g, start, sigma, fewer=fewer):
+            return SimpleNamespace(pivots=checks._counter_bound(idx, sigma) - fewer)
+
+        report = checks._lower_bound_check("stub", (3,), (2,), 5, 1, stub)
+        assert report["passed"] is passed
+        assert report["details"]["checked"] == 5
+        assert report["details"]["total_violations"] == 5 * fewer
 
 
 def test_switch_identity_reads_each_run_through_record_tree(monkeypatch):

@@ -13,12 +13,14 @@ from math import factorial, gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_graphs import _random_cyclic
 
 from pivotlab import checks, comptrees, counter_graph as cg, counters, experiments, lp, rules
 from pivotlab.graphs import (
     Digraph,
+    NegativeCycleError,
     NotAnEdgeError,
     Policy,
     PolicyCycleError,
@@ -304,9 +306,23 @@ def test_randbelow_exact_is_random_randrange():
         for n in range(1, 601):
             assert rules.randbelow_exact(n, rng) == ref.randrange(n), (n, seed)
             assert rng.getstate() == ref.getstate(), (n, seed)
+
+    class FewDraws:
+        # a guard that lets n <= 0 through loops forever on the real
+        # generator; this one fails the test after a few draws instead
+        draws = 0
+
+        def getrandbits(self, k):
+            self.draws += 1
+            if self.draws > 3:
+                raise AssertionError(f"drew {self.draws} times from an empty range")
+            return 0
+
     for n in (0, -1):
+        rng = FewDraws()
         with pytest.raises(ValueError):
-            rules.randbelow_exact(n, Random(0))
+            rules.randbelow_exact(n, rng)
+        assert rng.draws == 0
 
 
 def test_traced_run_is_the_untraced_run():
@@ -440,18 +456,45 @@ def test_only_engines_that_read_red_build_the_mirror(monkeypatch):
             assert (tracker.mirror is None) == (name in PRICING_RULES), name
 
 
-@settings(max_examples=40, deadline=None)
+def _cyclic_instances(rng, count: int, max_edges: int):
+    # `_random_cyclic` graphs that have a cycle but no negative cycle and at
+    # most max_edges edges, each with a `random_policy` start; other draws
+    # are skipped
+    while count:
+        g = _random_cyclic(rng, rng.randrange(2, 6))
+        if g.n_edges > max_edges or g.is_acyclic:
+            continue
+        try:
+            optimal_distances_list(g)
+        except NegativeCycleError:
+            continue
+        count -= 1
+        yield g, random_policy(g, rng)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     vertices=st.integers(min_value=2, max_value=10),
     extra=st.integers(min_value=0, max_value=16),
     rule=st.sampled_from(sorted(experiments.RULES)),
+    cyclic=st.booleans(),
 )
-def test_every_registered_rule_ends_optimal(seed, vertices, extra, rule):
+def test_every_registered_rule_ends_optimal(seed, vertices, extra, rule, cyclic):
+    # on DAGs, and on `_random_cyclic` graphs (which size their own extra
+    # edges) whose draws with a negative cycle are skipped
     rng = Random(seed)
-    g = random_dag(rng, vertices, extra_edges=extra)
+    if cyclic:
+        g = _random_cyclic(rng, vertices)
+        try:
+            optimal = optimal_distances_list(g)
+        except NegativeCycleError:
+            assume(False)
+    else:
+        g = random_dag(rng, vertices, extra_edges=extra)
+        optimal = optimal_distances_list(g)
     res = experiments.run_rule(rule, g, random_policy(g, rng), seed)
-    assert tree_distances_list(g, res.final_policy.chosen) == optimal_distances_list(g)
+    assert tree_distances_list(g, res.final_policy.chosen) == optimal
 
 
 def _assert_tracker_is_fresh_build(tracker, start):
@@ -937,6 +980,73 @@ def test_pruned_enumerators_match_unpruned_oracles():
         for b0 in starts:
             assert (checks.expected_pivots_recursive(g, b0)
                     == _expected_pivots_recursive_unpruned(g, b0)), (params, b0)
+    # graphs with a cycle and no negative cycle, m <= 12; the oracles walk
+    # every tree from scratch, so this checks the table's switched trees,
+    # priced from their parents, too
+    values = set()
+    for g, b0 in _cyclic_instances(Random(20252), 80, max_edges=12):
+        rec = checks.expected_pivots_recursive(g, b0)
+        assert rec == checks.expected_pivots_nonrec(g, b0), (g, b0)
+        assert rec == _expected_pivots_recursive_unpruned(g, b0), (g, b0)
+        assert rec == _expected_pivots_nonrec_unpruned(g, b0), (g, b0)
+        values.add(rec)
+    assert len(values) > 10 and any(v.denominator > 1 for v in values)
+
+
+def _improving_mask(g, d) -> int:
+    return sum(1 << e for e in range(g.n_edges)
+               if g.costs[e] + d[g.heads[e]] < d[g.tails[e]])
+
+
+def test_tree_table_prices_switched_trees_as_from_scratch():
+    # every tree one improving switch at a time from the start, on DAGs and
+    # on cyclic graphs: the distances priced from the parent, the improving
+    # and tree masks and the order equal those of a fresh walk
+    rng = Random(20253)
+    instances = list(_cyclic_instances(rng, 40, max_edges=16))
+    for _ in range(40):
+        g = random_dag(rng, rng.randrange(3, 8), extra_edges=rng.randrange(2, 10),
+                       max_cost=(1, 2, 6)[rng.randrange(3)])
+        instances.append((g, random_policy(g, rng)))
+    switched = 0
+    for g, b0 in instances:
+        table = checks._TreeTable(g)
+        todo = [table.intern(b0.chosen)]
+        while todo:
+            t = todo.pop()
+            chosen = table.trees[t]
+            d = tree_distances_list(g, chosen)
+            assert table.dist[t] == d
+            assert table.imp[t] == _improving_mask(g, d)
+            assert table.tree[t] == sum(1 << e for e in chosen if e is not None)
+            order = table.order[t]
+            assert sorted(order) == list(range(g.n_vertices))
+            assert order[0] == g.target
+            place = {v: k for k, v in enumerate(order)}
+            assert all(place[g.heads[chosen[v]]] < place[v] for v in order[1:])
+            for e in range(g.n_edges):
+                if table.imp[t] >> e & 1:
+                    before = len(table.trees)
+                    s, leaving = table.switch(t, e)
+                    assert leaving == chosen[g.tails[e]]
+                    assert table.trees[s] == apply_switch(g, Policy(chosen), e).chosen
+                    if len(table.trees) > before:
+                        switched += 1
+                        todo.append(s)
+    assert switched > 200
+
+
+def test_enumerators_refuse_a_switch_that_closes_a_cycle():
+    # 0 -> 1 -> 0 costs -5: edge 2 improves on the start and closes the
+    # negative cycle, so both enumerators raise as a fresh walk would
+    g = Digraph(3, 2, tails=[0, 1, 0], heads=[2, 0, 1], costs=[0, 0, -5])
+    b0 = Policy((0, 1, None))
+    with pytest.raises(PolicyCycleError):
+        tree_distances_list(g, apply_switch(g, b0, 2).chosen)
+    for enumerate_pivots in (checks.expected_pivots_recursive,
+                             checks.expected_pivots_nonrec):
+        with pytest.raises(PolicyCycleError, match="cycle through vertex 0"):
+            enumerate_pivots(g, b0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1387,6 +1497,14 @@ def test_bland_formulations_identical_logs():
             bland_rec(g, b0, sigma).pivot_log
             == bland_nonrec(g, b0, sigma).pivot_log
         )
+    # and on cyclic graphs without a negative cycle
+    pivots = 0
+    for g, b0 in _cyclic_instances(rng, 60, max_edges=30):
+        sigma = random_permutation_fn(g.n_edges, rng)
+        rec = bland_rec(g, b0, sigma)
+        assert rec.pivot_log == bland_nonrec(g, b0, sigma).pivot_log
+        pivots += rec.pivots
+    assert pivots > 60
 
 
 def test_bland_on_counter_graph_reaches_one_edge_optimum():
@@ -1545,7 +1663,7 @@ def test_dantzig_from_the_zero_start_makes_v_minus_one_pivots(params):
     # makes exactly V - 1 pivots, as many as there are non-target vertices,
     # on every counter graph measured so far: all sets with n <= 6,
     # r, s, t <= 3 and m <= 1200, and the sets up to (16,10,10,10) in
-    # ROADMAP item 7
+    # ROADMAP item 4
     g, idx = cg.build_counter_graph(*params)
     res = dantzig(g, cg.initial_tree(idx))
     assert res.pivots == g.n_vertices - 1
