@@ -29,7 +29,10 @@ def rand_count(indices: Sequence[int], rng) -> int:
         idx = rng.randrange(len(ns))
         return go(ns[:idx] + ns[idx + 1:]) + 1 + go(ns[:idx])
 
-    return go(sorted(indices))
+    try:
+        return go(sorted(indices))
+    finally:
+        del go  # it calls itself through its cell: a cycle until deleted
 
 
 def rand_count_one_perm(indices: Sequence[int], priority: Sequence[int]) -> int:
@@ -48,7 +51,10 @@ def rand_count_one_perm(indices: Sequence[int], priority: Sequence[int]) -> int:
         total = go(ns[:idx] + ns[idx + 1:])
         return total + 1 + go(ns[:idx])
 
-    return go(order)
+    try:
+        return go(order)
+    finally:
+        del go  # it calls itself through its cell: a cycle until deleted
 
 
 def expected_increments(n: int) -> Fraction:
@@ -107,7 +113,10 @@ def enumerate_expected_increments(indices: Sequence[int]) -> Fraction:
             total += go(ns[:idx] + ns[idx + 1:]) + 1 + go(ns[:idx])
         return total / len(ns)
 
-    return go(tuple(sorted(indices)))
+    try:
+        return go(tuple(sorted(indices)))
+    finally:
+        del go  # the cache wrapper calls itself through its cell
 
 
 def one_perm_mean_over_permutations(n: int) -> Fraction:

@@ -5,9 +5,19 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from test_graphs import _random_cyclic
 
 from pivotlab import lp
-from pivotlab.graphs import Digraph, Policy, random_dag, random_policy, tree_distances_list
+from pivotlab.checks import _lp_lockstep_problem
+from pivotlab.graphs import (
+    Digraph,
+    NegativeCycleError,
+    Policy,
+    optimal_distances_list,
+    random_dag,
+    random_policy,
+    tree_distances_list,
+)
 from pivotlab.lp import (
     DegenerateError,
     SingularBasisError,
@@ -203,6 +213,29 @@ def test_random_facet_lp_against_brute_force():
             continue
         done += 1
         assert lp.objective_value(prob, basis) == best
+
+
+def test_lp_lockstep_on_cyclic_graphs():
+    # criterion 12's lockstep on `_random_cyclic` graphs that have a cycle
+    # but no negative cycle, each from a `random_policy` start: equal pivot
+    # logs, and after every pivot duals equal to the tree distances and the
+    # reduced-cost formula holding
+    rng = Random(12)
+    runs = pivoted = 0
+    while runs < 500:
+        g = _random_cyclic(rng, rng.randrange(2, 8))
+        if g.is_acyclic:
+            continue
+        try:
+            optimal_distances_list(g)
+        except NegativeCycleError:
+            continue
+        start = random_policy(g, rng)
+        run_seed = rng.randrange(2**32)
+        assert _lp_lockstep_problem(g, start, run_seed) is None, (g, start, run_seed)
+        runs += 1
+        pivoted += tree_distances_list(g, start.chosen) != optimal_distances_list(g)
+    assert pivoted > 400
 
 
 def test_brute_force_no_feasible_basis():

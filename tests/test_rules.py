@@ -1,6 +1,7 @@
 """Pivoting rules: termination at the optimum, formulation equivalences,
 permutation machinery, counter lower bounds."""
 
+import gc
 import hashlib
 import heapq
 import itertools
@@ -1047,6 +1048,60 @@ def test_enumerators_refuse_a_switch_that_closes_a_cycle():
                              checks.expected_pivots_nonrec):
         with pytest.raises(PolicyCycleError, match="cycle through vertex 0"):
             enumerate_pivots(g, b0)
+
+
+class _RaisingRandom:
+    # draws index 0 three times, then raises deep inside `rand_count`
+    def __init__(self):
+        self.draws = 0
+
+    def randrange(self, n):
+        self.draws += 1
+        if self.draws > 3:
+            raise LookupError("out of draws")
+        return 0
+
+
+def test_recursive_oracles_leave_no_cyclic_garbage():
+    # each oracle's inner `go` calls itself through its closure cell; the
+    # cycle is broken on every exit, so reference counting frees a call's
+    # memo when it returns or raises and the cyclic collector finds nothing
+    g = random_dag(Random(5), 5, extra_edges=5)
+    b0 = random_policy(g, Random(5))
+    calls = [
+        lambda: checks.expected_pivots_recursive(g, b0),
+        lambda: checks.expected_pivots_nonrec(g, b0),
+        lambda: counters.rand_count([1, 2, 3, 4], Random(1)),
+        lambda: counters.rand_count_one_perm([1, 2, 3, 4], [0, 2, 4, 1, 3]),
+        lambda: counters.enumerate_expected_increments([1, 2, 3]),
+    ]
+    raising = [
+        lambda: counters.rand_count([1, 2, 3, 4, 5], _RaisingRandom()),
+        lambda: counters.rand_count_one_perm([1, 2, 3, 4], [0, 2, 4, 1]),
+    ]
+    rng = Random(1)
+    while len(raising) < 12:  # graphs on which both enumerators meet a cycle
+        h = _random_cyclic(rng, rng.randrange(3, 7))
+        try:
+            h0 = random_policy(h, rng)
+            checks.expected_pivots_recursive(h, h0)
+        except PolicyCycleError:
+            raising += [lambda h=h, h0=h0: checks.expected_pivots_recursive(h, h0),
+                        lambda h=h, h0=h0: checks.expected_pivots_nonrec(h, h0)]
+        except (ValueError, NegativeCycleError):
+            pass
+    gc.disable()
+    try:
+        gc.collect()
+        for k, call in enumerate(calls):
+            assert call() > 0
+            assert gc.collect() == 0, k
+        for k, call in enumerate(raising):
+            with pytest.raises((PolicyCycleError, LookupError)):
+                call()
+            assert gc.collect() == 0, k
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=40, deadline=None)
