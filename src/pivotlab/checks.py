@@ -188,7 +188,8 @@ def check_bland_equiv(
 
 
 class _TreeTable:
-    """The trees one enumeration meets, interned as int ids, with bitmasks.
+    """The trees the exact enumerators meet on one graph, interned as int
+    ids, with bitmasks.
 
     A tree tuple gets its id on first sight. Per id the table keeps
     `imp[tid]`, an int whose bit e is set exactly when edge e improves on
@@ -198,28 +199,37 @@ class _TreeTable:
     and `order[tid]`, the vertices in an order that puts each after the
     head of its tree edge, the target first.
 
-    The start is priced from scratch by `graphs._tree_walk`, which checks
-    it. A switched tree is priced from its parent by `switch`: swapping
-    edge e in at u = tail(e) moves u's subtree, the vertices after u in the
-    parent's order whose tree edge points into it, by the switch's delta
-    `c_e + d[head(e)] - d[u]`, and no other distance. The moved vertices go
-    to the end of the order, after head(e); a head inside the subtree would
-    close a cycle, and raises PolicyCycleError as `_tree_walk` would.
+    A start is priced from scratch by `intern`, through `graphs._tree_walk`,
+    which checks it. A switched tree is priced from its parent by `switch`:
+    swapping edge e in at u = tail(e) moves u's subtree, the vertices after
+    u in the parent's order whose tree edge points into it, by the switch's
+    delta `c_e + d[head(e)] - d[u]`, and no other distance. The moved
+    vertices go to the end of the order, after head(e); a head inside the
+    subtree would close a cycle, and raises PolicyCycleError as `_tree_walk`
+    would, before anything is written.
 
     `switch` is cached per (id, edge) in `switches`, under the key
     `tid * m + e`. Every entry is a (tree id, leaving edge) pair, so a hit
     is always truthy, and the enumerators read the cache at the call site
     as `switches.get(key) or switch(tid, e)`: a hit costs one dict read.
-    Each enumeration builds its own table, so nothing outlives the call.
-    The enumerator's `go` (and the recursive one's `reach_of`) calls
-    itself through its closure cell, a cycle that holds the memo, the
-    table and every entry; each enumerator deletes them in a `finally`,
-    so reference counting frees all of it when the call returns or
-    raises, and the cyclic collector never has to find it.
+    `reach[tid]` and `cut[tid]` are the recursive enumerator's masks (see
+    `expected_pivots_recursive`), None until it first meets the tree.
+
+    All of it depends on the graph and the tree only, not on the start or
+    on the enumerator, so a graph keeps one table (`_tree_table(g)`), and
+    the second enumerator run on a graph, or a second start, prices no tree
+    twice. The table holds the graph's edge tuples, not the graph, so no
+    cycle joins the two and reference counting frees the table with its
+    graph. The per-call state, each enumerator's memo and its `go` (and the
+    recursive one's `reach_of`), is not kept: `go` calls itself through its
+    closure cell, a cycle that holds the memo and every entry, and each
+    enumerator deletes it in a `finally`, so reference counting frees the
+    memo when the call returns or raises.
     """
 
     def __init__(self, g: Digraph):
-        self.g = g
+        self.m = g.n_edges
+        self.heads, self.tails, self.costs = g.heads, g.tails, g.costs
         self.ids: dict[tuple, int] = {}
         self.trees: list[tuple] = []
         self.imp: list[int] = []
@@ -227,13 +237,15 @@ class _TreeTable:
         self.dist: list[list[int]] = []
         self.order: list[list[int]] = []
         self.switches: dict[int, tuple[int, int]] = {}
+        self.reach: list[int | None] = []
+        self.cut: list[int | None] = []
 
-    def intern(self, chosen: tuple) -> int:
-        """The id of a tree priced from scratch."""
+    def intern(self, g: Digraph, chosen: tuple) -> int:
+        """The id of a tree of g, the table's graph, priced from scratch."""
         tid = self.ids.get(chosen)
         if tid is None:
-            d, children = _tree_walk(self.g, chosen)
-            order = [self.g.target]
+            d, children = _tree_walk(g, chosen)
+            order = [g.target]
             for v in order:  # the walk appends to the list it iterates over
                 order += children[v]
             mask = sum(1 << e for e in chosen if e is not None)
@@ -241,10 +253,9 @@ class _TreeTable:
         return tid
 
     def _add(self, chosen: tuple, mask: int, d: list[int], order: list[int]) -> int:
-        g = self.g
-        heads, tails, costs = g.heads, g.tails, g.costs
+        heads, tails, costs = self.heads, self.tails, self.costs
         imp = 0
-        for e in range(g.n_edges):
+        for e in range(self.m):
             if costs[e] + d[heads[e]] < d[tails[e]]:
                 imp |= 1 << e
         tid = self.ids[chosen] = len(self.trees)
@@ -253,24 +264,25 @@ class _TreeTable:
         self.tree.append(mask)
         self.dist.append(d)
         self.order.append(order)
+        self.reach.append(None)
+        self.cut.append(None)
         return tid
 
     def switch(self, tid: int, e: int) -> tuple[int, int]:
         """The id of tree `tid` with edge e swapped in, and the edge that
         leaves it."""
-        g = self.g
-        key = tid * g.n_edges + e
+        key = tid * self.m + e
         hit = self.switches.get(key)
         if hit is None:
-            heads = g.heads
+            heads = self.heads
             chosen = self.trees[tid]
-            u = g.tails[e]
+            u = self.tails[e]
             leaving = chosen[u]
             switched = chosen[:u] + (e,) + chosen[u + 1:]
             sid = self.ids.get(switched)
             if sid is None:
                 d = self.dist[tid]
-                delta = g.costs[e] + d[heads[e]] - d[u]
+                delta = self.costs[e] + d[heads[e]] - d[u]
                 d = d[:]
                 d[u] += delta
                 order = self.order[tid]
@@ -292,20 +304,31 @@ class _TreeTable:
         return hit
 
 
+def _tree_table(g: Digraph) -> _TreeTable:
+    """The graph's one `_TreeTable`, built by the first enumerator that runs
+    on it."""
+    table = g._tree_table
+    if table is None:
+        table = g._tree_table = _TreeTable(g)
+    return table
+
+
 def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     """Exact expected pivot count of the recursive facet rule by exhaustive
     enumeration of every random choice, with the full distribution over
     returned trees threaded through the recursion.
 
-    Trees are int ids of a `_TreeTable` and a facet is an int mask over the
-    edges, so a memo key is (facet mask, tree id). The facet's candidates
-    are the set bits of `facet & ~tree`, taken in ascending order. A memo
-    entry (den, exp, dist) holds the expectation exp / den and the
-    probability dist[tree id] / den of each returned tree as integer
-    numerators over one denominator. Terms are added over the lcm of their
-    denominators: the running sums are rescaled in place before a term
-    over a new denominator is added, and each entry is reduced by one gcd
-    when it is stored; the only `Fraction` is the returned value.
+    Trees are int ids of the graph's `_TreeTable`, shared with
+    `expected_pivots_nonrec` and with calls from other starts, and a facet
+    is an int mask over the edges, so a memo key is (facet mask, tree id).
+    The memo is the call's own. The facet's candidates are the set bits of
+    `facet & ~tree`, taken in ascending order. A memo entry (den, exp,
+    dist) holds the expectation exp / den and the probability
+    dist[tree id] / den of each returned tree as integer numerators over
+    one denominator. Terms are added over the lcm of their denominators:
+    the running sums are rescaled in place before a term over a new
+    denominator is added, and each entry is reduced by one gcd when it is
+    stored; the only `Fraction` is the returned value.
 
     Most calls would return a cached value, so the caller reads the memo
     and the table's switch cache itself, as `memo.get(key) or go(key)`:
@@ -325,13 +348,14 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     `imp[t]` OR-ed with `reach` of every tree one improving switch away
     from t, with switches taken over the whole graph, a superset of what
     any facet allows. Improving switches strictly lower the objective, so
-    the trees form a DAG under them and the mask is well defined. Every
-    tree a call meets is reachable from the start, so all the masks are
-    computed, as `cut[t]`, before the first call. Let N be the edges of f
-    outside `reach[t] | tree[t]`. None of them improves on a tree reachable
-    from t, and none is a tree edge of one, since every edge a switch
-    brings in is in `reach[t]`. The cut is exact, by induction on
-    (|f|, objective):
+    the trees form a DAG under them and the mask is well defined; it does
+    not depend on the start, so the table keeps it, and `cut[t]`, once
+    computed. Every tree a call meets is reachable from the start, so all
+    the masks it reads are computed before the first call. Let N be the
+    edges of f outside `reach[t] | tree[t]`. None of them improves on a
+    tree reachable from t, and none is a tree edge of one, since every
+    edge a switch brings in is in `reach[t]`. The cut is exact, by
+    induction on (|f|, objective):
     - a pick e in N improves on no tree that `go(f - e, t)` returns, so the
       branch is the law of `go(f - e, t)`, which is `go(f - N, t)`;
     - a pick outside N is uniform over the rest, as in `go(f - N, t)`; its
@@ -347,14 +371,14 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
     and 78 MB peak RSS in a fresh process on a shared 2-core Xeon box with
     Python 3.11.7 (5.8 s and 331 MB without the cut, measured earlier).
     """
-    table = _TreeTable(g)
+    table = _tree_table(g)
     m = g.n_edges
     imp, tree, switch, switches = table.imp, table.tree, table.switch, table.switches
-    reach: dict[int, int] = {}
+    reach, cut = table.reach, table.cut
     memo: dict[tuple[int, int], tuple[int, int, dict]] = {}
 
     def reach_of(t: int) -> int:
-        r = reach.get(t)
+        r = reach[t]
         if r is None:
             r = mask = imp[t]
             while mask:
@@ -362,6 +386,7 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
                 mask ^= bit
                 r |= reach_of(switch(t, bit.bit_length() - 1)[0])
             reach[t] = r
+            cut[t] = r | tree[t]
         return r
 
     def go(key: tuple[int, int]) -> tuple[int, int, dict]:
@@ -420,9 +445,8 @@ def expected_pivots_recursive(g: Digraph, start: Policy) -> Fraction:
         return hit
 
     try:
-        t0 = table.intern(start.chosen)
+        t0 = table.intern(g, start.chosen)
         reach_of(t0)  # meets every tree that a call can meet
-        cut = [reach[t] | tree[t] for t in range(len(tree))]
         den, exp, _ = go((cut[t0], t0))
     finally:
         del go, reach_of  # see the docstring of `_TreeTable`
@@ -436,16 +460,17 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
     blocks. A pivot merges everything scanned before the entering edge
     (plus the leaving edge) into one reshuffled block and leaves the
     unscanned order alone, which is exactly the prefix-reshuffle the rule
-    performs. Trees are int ids of a `_TreeTable` and each block is an int
-    mask over the edges, so a memo key is (blocks, tree id); the blocks
-    before the pivot's block, the scanned non-improving edges and the
-    leaving edge are joined by OR. A memo entry is the expectation as an
-    integer pair (num, den), summed over the lcm of the children's
-    denominators and reduced by one gcd, with factorials read from a table;
-    the only `Fraction` is the returned value. As in
-    `expected_pivots_recursive`, the caller reads the memo and the switch
-    cache itself, as `memo.get(key) or go(key)`; an entry, (0, 1) too, is
-    a non-empty tuple, so a hit is always truthy.
+    performs. Trees are int ids of the graph's `_TreeTable`, shared with
+    `expected_pivots_recursive` and with calls from other starts, and each
+    block is an int mask over the edges, so a memo key is (blocks, tree
+    id), in the call's own memo; the blocks before the pivot's block, the
+    scanned non-improving edges and the leaving edge are joined by OR. A
+    memo entry is the expectation as an integer pair (num, den), summed
+    over the lcm of the children's denominators and reduced by one gcd,
+    with factorials read from a table; the only `Fraction` is the returned
+    value. As in `expected_pivots_recursive`, the caller reads the memo
+    and the switch cache itself, as `memo.get(key) or go(key)`; an entry,
+    (0, 1) too, is a non-empty tuple, so a hit is always truthy.
 
     A pivot to an optimal tree is a leaf, added in closed form. The edges
     of a state are always exactly the non-tree edges of its tree, so every
@@ -456,7 +481,7 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
     the 2^k children over the block's k non-improving edges are never
     built. This is exact, not an approximation.
     """
-    table = _TreeTable(g)
+    table = _tree_table(g)
     m = g.n_edges
     imp, switch, switches = table.imp, table.switch, table.switches
     fact = [1]
@@ -520,7 +545,7 @@ def expected_pivots_nonrec(g: Digraph, start: Policy) -> Fraction:
         return hit
 
     try:
-        t0 = table.intern(start.chosen)
+        t0 = table.intern(g, start.chosen)
         nontree = ((1 << m) - 1) & ~table.tree[t0]
         num, den = go(((nontree,), t0))
     finally:

@@ -11,6 +11,7 @@ import inspect
 import json
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from random import Random
 
 from . import checks, comptrees, counters, experiments, rules
@@ -128,15 +129,34 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _fraction_text(f: Fraction) -> str:
+    """`num/den` in decimal at any length. str() of an int refuses more
+    than sys.get_int_max_str_digits() digits (4300 by default since Python
+    3.10.7), a guard against slow conversions of untrusted input; these
+    ints are computed here, so the limit is lifted for this conversion."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return f"{f.numerator}/{f.denominator}"
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_counter(args) -> int:
     if args.n < 0:
         raise BadConfigError("--n must be non-negative")
     if args.exact:
-        f = counters.expected_increments(args.n)
-        print(f"{f.numerator}/{f.denominator}")
+        print(_fraction_text(counters.expected_increments(args.n)))
         return 0
     if args.trials < 1:
         raise BadConfigError("--trials must be at least 1")
+    if args.n > counters.COUNT_N_MAX:
+        raise BadConfigError(
+            f"--n must be at most {counters.COUNT_N_MAX} without --exact: "
+            f"a count recurses n + 1 frames deep")
     values = []
     for trial in range(args.trials):
         trng = Random(derive_seed(args.seed, trial))

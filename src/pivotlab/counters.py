@@ -14,6 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+# the largest n that `pivotlab counter` counts over: `rand_count` and
+# `rand_count_one_perm` recurse n + 1 frames deep, and Python's default
+# limit is 1000 frames, so this leaves room for the callers' frames
+COUNT_N_MAX = 800
+
 
 def rand_count(indices: Sequence[int], rng) -> int:
     """Randomized count over `indices`; returns the number of bits set.

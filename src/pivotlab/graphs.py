@@ -104,6 +104,10 @@ class Digraph:
         # canonical follower began from (`rules._start_tree`), built on first
         # use and hit only by that same object
         self._start_tree = None
+        # the exact enumerators' table of the trees they meet on this graph
+        # (`checks._tree_table`), built by the first one that runs; it holds
+        # no reference back to the graph
+        self._tree_table = None
 
     def _unreachable(self) -> set[int]:
         """Vertices that cannot reach the target."""

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pivotlab
-from pivotlab import checks, cli, comptrees, counter_graph, experiments, rules
+from pivotlab import checks, cli, comptrees, counter_graph, counters, experiments, rules
 from pivotlab.checks import UnknownCheckError, run_check
 from pivotlab.experiments import (
     RULES,
@@ -280,6 +280,50 @@ def test_cli_counter_trials(capsys):
                    "--trials", "50", "--seed", "3"])
     assert rc == 0
     assert "mean=" in capsys.readouterr().out
+
+
+def _decimal_int(text: str) -> int:
+    # int() refuses more than sys.get_int_max_str_digits() digits at once
+    value = 0
+    for at in range(0, len(text), 1000):
+        chunk = text[at:at + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_cli_counter_exact_prints_past_the_int_digit_limit(capsys):
+    # at n = 1700 the numerator and denominator have about 4790 and 4760
+    # digits, past the default limit of 4300 on int-to-str conversion; the
+    # value is printed whole and the limit is left as it was
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    assert cli.main(["counter", "--exact", "--n", "1700"]) == 0
+    assert get_limit() == limit
+    num, den = capsys.readouterr().out.strip().split("/")
+    assert len(num) > 4300 and len(den) > 4300
+    expected = counters.expected_increments(1700)
+    assert (_decimal_int(num), _decimal_int(den)) == (expected.numerator,
+                                                      expected.denominator)
+
+
+def test_cli_counter_refuses_a_count_too_deep_before_any_draw(capsys, monkeypatch):
+    # a count over n indices recurses n + 1 frames deep: the largest n
+    # allowed runs from here, one more exits 2 on one error line before a
+    # single draw
+    def no_count(*args, **kwargs):
+        raise AssertionError("a count ran")
+
+    n = counters.COUNT_N_MAX
+    always_first = SimpleNamespace(randrange=lambda k: 0)
+    assert counters.rand_count(range(1, n + 1), always_first) == n
+    assert counters.rand_count_one_perm(range(1, n + 1), range(n + 1)) == n
+    monkeypatch.setattr(counters, "rand_count", no_count)
+    monkeypatch.setattr(counters, "rand_count_one_perm", no_count)
+    for variant in ("fresh", "one-perm"):
+        argv = ["counter", "--variant", variant, "--n", str(n + 1), "--trials", "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_verify_pass_and_fail(tmp_path, capsys):
@@ -588,6 +632,8 @@ def test_cli_trace_is_csv_trial_zero(rule, tmp_path, capsys):
         ["gen", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
         ["counter", "--n", "-3", "--exact"],
         ["counter", "--n", "5", "--trials", "0"],
+        ["counter", "--n", "1200", "--trials", "1"],
+        ["counter", "--variant", "one-perm", "--n", "1200", "--trials", "1"],
         ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
          "--out", "DIR"],
         ["run", "--rule", "dantzig", "--n", "1", "--r", "1", "--s", "1", "--t", "1",
@@ -604,7 +650,8 @@ def test_cli_trace_is_csv_trial_zero(rule, tmp_path, capsys):
          "run-partial-params", "run-no-graph", "run-zero-threads", "run-negative-threads",
          "run-zero-trials",
          "gen-params", "counter-negative-n",
-         "counter-zero-trials", "run-out-dir", "run-trace-dir", "gen-out-dir",
+         "counter-zero-trials", "counter-deep-n", "counter-one-perm-deep-n",
+         "run-out-dir", "run-trace-dir", "gen-out-dir",
          "analyze-out-dir", "verify-out-dir"],
 )
 def test_cli_bad_flag_is_a_usage_error(tmp_path, capsys, argv):

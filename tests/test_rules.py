@@ -994,6 +994,67 @@ def test_pruned_enumerators_match_unpruned_oracles():
     assert len(values) > 10 and any(v.denominator > 1 for v in values)
 
 
+def _enumeration_outcome(enumerate_pivots, g, b0):
+    # the value, or PolicyCycleError if the call raised it
+    try:
+        return enumerate_pivots(g, b0)
+    except PolicyCycleError:
+        return PolicyCycleError
+
+
+def test_enumerators_share_one_tree_table_per_graph():
+    # a graph keeps one tree table, filled by whichever enumerator runs
+    # first. Every call gives what it gives on a freshly built copy of the
+    # graph, whether the table was filled by the other enumerator, from
+    # another start, or by a call that raised: on the DAGs and cyclic graphs
+    # of test_pruned_enumerators_match_unpruned_oracles, and on graphs with
+    # a negative cycle, where every call raises
+    rng = Random(20251)
+    instances = []
+    for k in range(60):
+        g = random_dag(rng, rng.randrange(3, 7), extra_edges=rng.randrange(1, 8),
+                       max_cost=(1, 2, 6)[k % 3])
+        instances.append((g, [_costliest_start(g), random_policy(g, rng)]))
+    for g, b0 in _cyclic_instances(Random(20252), 40, max_edges=12):
+        instances.append((g, [b0, random_policy(g, rng)]))
+    negative = 0
+    while negative < 10:
+        g = _random_cyclic(rng, rng.randrange(2, 6))
+        try:
+            starts = [random_policy(g, rng) for _ in range(2)]
+            optimal_distances_list(g)
+        except NegativeCycleError:
+            instances.append((g, starts))
+            negative += 1
+        except ValueError:  # no random start found
+            pass
+    recursive, nonrec = checks.expected_pivots_recursive, checks.expected_pivots_nonrec
+
+    def fresh(g: Digraph) -> Digraph:
+        return Digraph(g.n_vertices, g.target, g.tails, g.heads, g.costs)
+
+    raised = 0
+    for g, (b0, b1) in instances:
+        calls = [(recursive, b0), (nonrec, b0), (recursive, b1), (nonrec, b1)]
+        expected = [_enumeration_outcome(f, fresh(g), b) for f, b in calls]
+        raised += expected.count(PolicyCycleError)
+        for order in (calls, calls[::-1]):
+            shared = fresh(g)
+            for f, b in order:
+                outcome = _enumeration_outcome(f, shared, b)
+                assert outcome == expected[calls.index((f, b))], (g, f, b)
+            assert shared._tree_table is not None
+        if PolicyCycleError not in expected:
+            # the recursive enumerator meets every tree the other one meets
+            # from the same start, so after it the other prices none
+            shared = fresh(g)
+            recursive(shared, b0)
+            trees = len(shared._tree_table.trees)
+            nonrec(shared, b0)
+            assert len(shared._tree_table.trees) == trees
+    assert raised == 4 * negative
+
+
 def _improving_mask(g, d) -> int:
     return sum(1 << e for e in range(g.n_edges)
                if g.costs[e] + d[g.heads[e]] < d[g.tails[e]])
@@ -1012,7 +1073,7 @@ def test_tree_table_prices_switched_trees_as_from_scratch():
     switched = 0
     for g, b0 in instances:
         table = checks._TreeTable(g)
-        todo = [table.intern(b0.chosen)]
+        todo = [table.intern(g, b0.chosen)]
         while todo:
             t = todo.pop()
             chosen = table.trees[t]
@@ -1065,7 +1126,9 @@ class _RaisingRandom:
 def test_recursive_oracles_leave_no_cyclic_garbage():
     # each oracle's inner `go` calls itself through its closure cell; the
     # cycle is broken on every exit, so reference counting frees a call's
-    # memo when it returns or raises and the cyclic collector finds nothing
+    # memo when it returns or raises and the cyclic collector finds nothing.
+    # The graph's tree table, which both enumerators fill, holds no
+    # reference back to the graph, so the two are freed together
     g = random_dag(Random(5), 5, extra_edges=5)
     b0 = random_policy(g, Random(5))
     calls = [
@@ -1096,6 +1159,9 @@ def test_recursive_oracles_leave_no_cyclic_garbage():
         for k, call in enumerate(calls):
             assert call() > 0
             assert gc.collect() == 0, k
+        assert g._tree_table is not None
+        del g
+        assert gc.collect() == 0
         for k, call in enumerate(raising):
             with pytest.raises((PolicyCycleError, LookupError)):
                 call()
