@@ -157,6 +157,12 @@ def cmd_counter(args) -> int:
         raise BadConfigError(
             f"--n must be at most {counters.COUNT_N_MAX} without --exact: "
             f"a count recurses n + 1 frames deep")
+    exact = counters.expected_increments(args.n)
+    if args.trials * exact > counters.COUNT_INCREMENTS_MAX:
+        raise BadConfigError(
+            f"{args.trials} trials at --n {args.n} make about "
+            f"{float(args.trials * exact):.3g} increments, over the cap of "
+            f"{counters.COUNT_INCREMENTS_MAX:.0e}: lower --trials or --n")
     values = []
     for trial in range(args.trials):
         trng = Random(derive_seed(args.seed, trial))
@@ -166,7 +172,6 @@ def cmd_counter(args) -> int:
             prio = [0] + rules.random_permutation_fn(args.n, trng)
             values.append(counters.rand_count_one_perm(range(1, args.n + 1), prio))
     mean = sum(values) / len(values)
-    exact = counters.expected_increments(args.n)
     print(
         f"variant={args.variant} n={args.n} trials={args.trials} "
         f"mean={mean:.4f} exact={float(exact):.4f}"

@@ -19,6 +19,11 @@ from typing import Sequence
 # limit is 1000 frames, so this leaves room for the callers' frames
 COUNT_N_MAX = 800
 
+# the most increments, trials times `expected_increments(n)`, that `pivotlab
+# counter` runs: a count takes about 1 µs per increment, so the cap is about
+# 100 s, where the default 1000 trials at n = 100 would take about 8 hours
+COUNT_INCREMENTS_MAX = 10**8
+
 
 def rand_count(indices: Sequence[int], rng) -> int:
     """Randomized count over `indices`; returns the number of bits set.

@@ -108,6 +108,9 @@ class Digraph:
         # (`checks._tree_table`), built by the first one that runs; it holds
         # no reference back to the graph
         self._tree_table = None
+        # the in-edges grouped into twins (`_in_twins`), built on first use by
+        # a pivot kernel, so building a graph pays nothing for them
+        self._in_twins: tuple | None = None
 
     def _unreachable(self) -> set[int]:
         """Vertices that cannot reach the target."""
@@ -146,6 +149,32 @@ class Digraph:
     @property
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
+
+
+def _in_twins(g: Digraph) -> tuple:
+    """Each vertex's in-edges grouped into twins, built on first use and
+    kept as `g._in_twins`.
+
+    Entry v is a tuple of `(tail, cost, ids)` groups, one per distinct
+    (tail, cost) among v's in-edges, in the order of their lowest ids; `ids`
+    lists, ascending, the in-edges of v with that tail and cost. Members of
+    a group share tail, head and cost, so they have one reduced cost c +
+    y(v) - y(tail) at every tree: a scan over a vertex's in-edges can price
+    each group once (`rules._PivotTracker.turned_improving`). A counter
+    graph's multi-edges are its groups of t copies. The groups hold ids
+    only, so they keep no reference back to the graph.
+    """
+    twins = g._in_twins
+    if twins is None:
+        tails, costs = g.tails, g.costs
+        groups: list[tuple] = []
+        for es in g.in_edges:
+            by_key: dict[tuple[int, int], list[int]] = {}
+            for e in es:
+                by_key.setdefault((tails[e], costs[e]), []).append(e)
+            groups.append(tuple((u, c, tuple(ids)) for (u, c), ids in by_key.items()))
+        twins = g._in_twins = tuple(groups)
+    return twins
 
 
 def _edge_subset(g: Digraph, subset: Iterable[int] | None) -> frozenset[int] | None:

@@ -8,14 +8,18 @@ of that subtree moves by the same delta = c(e) + y(v) - y(u), e's reduced
 cost, and nothing else moves; the summed tree distance changes by delta *
 |subtree|, and the strict-decrease invariant is therefore delta < 0,
 checked before any state changes. A pivot writes |subtree| potentials
-(about 3 on the benchmark's counter graphs), where the reduced costs of
-the edges at the subtree number about 23. The engines that read few
-reduced costs per pivot (`_facet_lazy`, `random_facet_one_perm`,
-`bland_nonrec`) compute c(x) + y(head x) - y(tail x) where they read it;
-the ones that test most edges per pivot (`_facet_collapsed`,
-`random_facet_nonrec`, `bland_rec`, `dantzig`) read the kernel's `red`, a
-mirror of every reduced cost that is built on first read and then kept by
-every pivot. Every engine builds its kernel from the start `Policy`
+(3.1-3.8 on the benchmark's counter graphs), where the reduced costs of
+the edges at the subtree, in and out, number about 23. After a pivot the
+engines that read few reduced costs (`_facet_lazy`, `random_facet_one_perm`,
+`bland_nonrec`, `dantzig`) scan only the in-edges of the subtree, about
+10 per pivot there, and price them by twin group (`graphs._in_twins`:
+copies with one tail, head and cost share a reduced cost), 5-7 groups per
+pivot at t = 2 and 3, and 8-11 at (8,9,9,9) for 36-50 in-edges.
+They compute c(x) + y(head x) - y(tail x) where they read it; the ones
+that test most edges per pivot (`_facet_collapsed`, `random_facet_nonrec`,
+`bland_rec`) read the kernel's `red`, a mirror of every reduced cost that
+is built on first read and then kept by every pivot. Every engine builds
+its kernel from the start `Policy`
 (through `_start` when it takes an edge subset), and the kernel copies the
 snapshot that the graph keeps for its last start object, `_start_tree`:
 the distances of the start's one walk, `graphs._tree_walk`, which is the
@@ -96,6 +100,7 @@ from .graphs import (
     PolicyCycleError,
     _edge_subset,
     _edge_tail,
+    _in_twins,
     _tree_walk,
     optimal_distances_list,
     tree_distances_list,
@@ -208,7 +213,9 @@ class _PivotTracker:
     subtree (possible only when the switch closes a negative cycle) raises
     PolicyCycleError; both leave every field unchanged. `shifted` holds the
     vertices the last pivot moved and `step` its delta, so callers can
-    re-test only the edges at those vertices.
+    re-test only the edges at those vertices; `twins` is the graph's
+    in-edges grouped into twins (`graphs._in_twins`), by which the turn
+    scans price them.
 
     `red`, the list of every edge's reduced cost, is a mirror for the
     engines that test most edges per pivot: built on its first read (a copy
@@ -225,6 +232,7 @@ class _PivotTracker:
         self.chosen = list(policy.chosen)
         self.children = list(map(list, snap.children))
         self.y = list(snap.dist)
+        self.twins = _in_twins(g)
         self.mirror: list[int] | None = None  # `red`, once read
         self.n_basic = g.n_vertices - 1
         self.shifted: list[int] = []
@@ -267,11 +275,15 @@ class _PivotTracker:
         shifted vertices with red[x] < 0 <= red[x] - delta. A pivot lowers
         only those reduced costs, so no other edge can have turned. An edge
         with both ends shifted kept its reduced cost, so it is listed only
-        if it was improving already."""
-        g, y, delta = self.g, self.y, self.step
-        costs, tails, in_edges = g.costs, g.tails, g.in_edges
-        return [x for w in self.shifted for yw in (y[w],) for x in in_edges[w]
-                if delta <= costs[x] + yw - y[tails[x]] < 0]
+        if it was improving already.
+
+        The scan prices each twin group (`graphs._in_twins`) once, since its
+        copies share tail, head and cost and so one reduced cost, and lists
+        every copy of a group that turned: the same edges as a test per
+        in-edge, listed vertex by vertex, group by group, not in id order."""
+        y, delta, twins = self.y, self.step, self.twins
+        return [x for w in self.shifted for yw in (y[w],) for u, c, ids in twins[w]
+                if delta <= c + yw - y[u] < 0 for x in ids]
 
     def pivot(self, e: int) -> int:
         g = self.g
@@ -655,7 +667,10 @@ def random_facet_one_perm(
       Either way its red is not negative while the frame is on top.
 
     The first heap is seeded from the start snapshot's reduced costs; every
-    later red is priced from the kernel's potentials where it is read.
+    later red is priced from the kernel's potentials where it is read. The
+    turn scan prices each twin group of a shifted vertex's in-edges once,
+    as `_PivotTracker.turned_improving` does, and walks every in_f copy of
+    a group that turned, so it queues the edges a test per in-edge queues.
     """
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
@@ -663,7 +678,8 @@ def random_facet_one_perm(
     y = tracker.y
     pivot = tracker.pivot
     log = tracker.log
-    costs, heads, tails, in_edges = g.costs, g.heads, g.tails, g.in_edges
+    twins = tracker.twins
+    costs, heads, tails = g.costs, g.heads, g.tails
     heappush, heappop = heapq.heappush, heapq.heappop
     left_at = [0] * m  # pivot count at which each column last left the basis
     # frame k: created[k] (pivot count at its creation), cursor[k] and a heap
@@ -696,14 +712,16 @@ def random_facet_one_perm(
         heaps.append([])
         for w in tracker.shifted:
             yw = y[w]
-            for x in in_edges[w]:
-                r = costs[x] + yw - y[tails[x]]
-                if r < 0 <= r - delta and in_f[x]:
-                    k = bisect_left(created, left_at[x])
-                    rank = sigma[x]
-                    while cursor[k] <= rank:
-                        k += 1
-                    heappush(heaps[k], -rank)
+            for u, c, ids in twins[w]:
+                r = c + yw - y[u]
+                if r < 0 <= r - delta:
+                    for x in ids:
+                        if in_f[x]:
+                            k = bisect_left(created, left_at[x])
+                            rank = sigma[x]
+                            while cursor[k] <= rank:
+                                k += 1
+                            heappush(heaps[k], -rank)
     return tracker.result("random-facet-1p", sigma)
 
 
@@ -785,12 +803,15 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
     entry, so the top one that still improves is the pick; any other, such
     as an edge's second copy after a pivot on the first, is dropped. As in
     `random_facet_one_perm`, the first heap reads the start snapshot's
-    reduced costs and every later one is priced from the potentials.
+    reduced costs and every later one is priced from the potentials, and
+    the turn scan prices each twin group once and queues every copy of a
+    group that turned whose rank is >= start.
     """
     edge_of_rank = _edge_of_rank(sigma, g.n_edges)
     tracker = _PivotTracker(g, policy)
     y = tracker.y
-    costs, heads, tails, in_edges = g.costs, g.heads, g.tails, g.in_edges
+    twins = tracker.twins
+    costs, heads, tails = g.costs, g.heads, g.tails
     heappush, heappop = heapq.heappush, heapq.heappop
     red = tracker.snap.red
     heap = [-r for e, r in enumerate(sigma) if red[e] < 0 and r >= start]
@@ -803,10 +824,12 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
         tracker.pivot(e)
         for w in tracker.shifted:
             yw = y[w]
-            for x in in_edges[w]:
-                r = costs[x] + yw - y[tails[x]]
-                if r < 0 <= r - delta and sigma[x] >= start:
-                    heappush(heap, -sigma[x])
+            for u, c, ids in twins[w]:
+                r = c + yw - y[u]
+                if r < 0 <= r - delta:
+                    for x in ids:
+                        if sigma[x] >= start:
+                            heappush(heap, -sigma[x])
     return tracker.result("bland-nonrec", sigma)
 
 
@@ -820,15 +843,47 @@ def random_bland(g: Digraph, policy: Policy, rng) -> RunResult:
 
 def dantzig(g: Digraph, policy: Policy) -> RunResult:
     """Baseline rule: pivot on the edge of smallest reduced cost
-    cost(e) + y(head) - y(tail); ties break to the lowest edge id."""
+    cost(e) + y(head) - y(tail); ties break to the lowest edge id.
+
+    The improving edges wait in a heap of (reduced cost, id), seeded from
+    the start snapshot's reduced costs. A pivot lowers the reduced cost
+    only of edges into the shifted subtree, so after each one the engine
+    pushes, for every twin group (`graphs._in_twins`) of a shifted vertex's
+    in-edges whose reduced cost is negative, that cost with the group's
+    lowest id. Each top is priced from the potentials: at its key it is the
+    pick, and otherwise it is dropped.
+
+    Why the top priced at its key is the scan's pick, the lowest id of
+    smallest reduced cost: twins tie on every tree, so the pick is always
+    its group's lowest id, and every such edge that improves has an entry
+    at its reduced cost as it stands. A pivot on the pick, at reduced cost
+    delta, raises the reduced cost only of edges out of the shifted
+    subtree, each by -delta from at least delta, so to 0 or above; such an
+    edge improves again only once a later pivot lowers it, and that pivot
+    pushes it at its new price. So the entry pushed at the last pivot that
+    lowered an improving edge (or the seed) still holds its price, and a
+    top priced at its key is its own edge's (red, id), the least over the
+    improving edges: the pick. A top priced off its key is an edge that no
+    longer improves, or a stale copy of an edge pushed again since. An
+    empty heap leaves no improving edge. The engine reads no `red`.
+    """
     tracker = _PivotTracker(g, policy)
-    red = tracker.red
-    edges = range(g.n_edges)
-    while True:
-        best = min(edges, key=red.__getitem__, default=None)
-        if best is None or red[best] >= 0:
-            break
-        tracker.pivot(best)
+    y, twins, pivot = tracker.y, tracker.twins, tracker.pivot
+    costs, heads, tails = g.costs, g.heads, g.tails
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap = [(r, e) for e, r in enumerate(tracker.snap.red) if r < 0]
+    heapq.heapify(heap)
+    while heap:
+        key, e = heappop(heap)
+        if costs[e] + y[heads[e]] - y[tails[e]] != key:
+            continue
+        pivot(e)
+        for w in tracker.shifted:
+            yw = y[w]
+            for u, c, ids in twins[w]:
+                r = c + yw - y[u]
+                if r < 0:
+                    heappush(heap, (r, ids[0]))
     return tracker.result("dantzig")
 
 

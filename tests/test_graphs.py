@@ -1,7 +1,9 @@
 """Graph core: distances, switches, oracles, serialization."""
 
+import gc
 import os
 import tempfile
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -18,6 +20,7 @@ from pivotlab.graphs import (
     Policy,
     PolicyCycleError,
     SelfReplaceWarning,
+    _in_twins,
     apply_switch,
     bfs_tree_policy,
     improving_switches,
@@ -201,6 +204,88 @@ def _random_cyclic(rng, n: int) -> Digraph:
         heads.append(v)
         costs.append(rng.randrange(-15, 11))
     return Digraph(n + 1, n, tails, heads, costs)
+
+
+def _with_twins(rng, g: Digraph) -> Digraph:
+    # g plus copies of random edges, most with the same cost (twins of the
+    # original) and some one unit dearer (parallel but no twin), all edges
+    # then renumbered in random order, so twins need not have adjacent ids
+    tails, heads, costs = list(g.tails), list(g.heads), list(g.costs)
+    for _ in range(rng.randrange(1, g.n_edges + 1)):
+        e = rng.randrange(len(tails))
+        tails.append(tails[e])
+        heads.append(heads[e])
+        costs.append(costs[e] + (rng.random() < 0.2))
+    order = list(range(len(tails)))
+    rng.shuffle(order)
+    return Digraph(g.n_vertices, g.target, [tails[e] for e in order],
+                   [heads[e] for e in order], [costs[e] for e in order])
+
+
+def _assert_twin_groups(g: Digraph) -> None:
+    # each vertex's groups partition its in-edges; a group's members share
+    # tail, head and cost, which its entry names; no two groups of a vertex
+    # share (tail, cost); ids ascend within a group
+    twins = _in_twins(g)
+    assert len(twins) == g.n_vertices
+    for v, groups in enumerate(twins):
+        members = [e for _, _, ids in groups for e in ids]
+        assert sorted(members) == list(g.in_edges[v])
+        assert len({(u, c) for u, c, _ in groups}) == len(groups)
+        for u, c, ids in groups:
+            assert list(ids) == sorted(set(ids)) and ids
+            assert {(g.tails[e], g.heads[e], g.costs[e]) for e in ids} == {(u, v, c)}
+
+
+def test_twin_groups_partition_the_in_edges():
+    rng = Random(3401)
+    for _ in range(150):
+        g = random_dag(rng, rng.randrange(2, 10), extra_edges=rng.randrange(0, 12),
+                       max_cost=rng.choice((1, 3, 20)))
+        _assert_twin_groups(g)
+        _assert_twin_groups(_with_twins(rng, g))
+        _assert_twin_groups(_with_twins(rng, _random_cyclic(rng, rng.randrange(2, 8))))
+    for params in ((2, 1, 1, 1), (2, 1, 1, 2), (3, 2, 2, 3), (4, 3, 3, 3)):
+        _assert_twin_groups(counter_graph.build_counter_graph(*params)[0])
+
+
+def test_twin_groups_are_built_on_first_use_and_kept():
+    g = random_dag(Random(3402), 6, extra_edges=8)
+    assert g._in_twins is None
+    twins = _in_twins(g)
+    assert g._in_twins is twins and _in_twins(g) is twins
+
+
+@pytest.mark.parametrize("params, groups, edges", [
+    ((2, 1, 1, 1), 0, 0),
+    ((2, 1, 1, 2), 12, 24),
+    ((2, 1, 2, 2), 16, 32),
+    ((3, 1, 1, 2), 18, 36),
+    ((2, 2, 2, 2), 26, 52),
+])
+def test_counter_graph_twin_groups(params, groups, edges):
+    # the groups of two or more copies: the multi-edges, t copies each
+    g, idx = counter_graph.build_counter_graph(*params)
+    multi = [ids for vertex in _in_twins(g) for _, _, ids in vertex if len(ids) > 1]
+    assert (len(multi), sum(map(len, multi))) == (groups, edges)
+    if params[3] > 1:
+        assert sorted(multi) == sorted(map(tuple, idx.multi_edges))
+
+
+def test_twin_groups_leave_no_cyclic_garbage():
+    # the groups hold ids, not the graph, so graph and groups are freed by
+    # reference counting
+    gc.collect()
+    gc.disable()
+    try:
+        g = counter_graph.build_counter_graph(3, 2, 2, 3)[0]
+        _in_twins(g)
+        alive = weakref.ref(g)
+        del g
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_relaxation_reports_exactly_the_unreachable_vertices():

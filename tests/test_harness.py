@@ -326,6 +326,40 @@ def test_cli_counter_refuses_a_count_too_deep_before_any_draw(capsys, monkeypatc
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_counter_refuses_too_many_increments_before_any_draw(capsys, monkeypatch):
+    # a count makes about expected_increments(n) increments, so trials whose
+    # estimate passes the cap exit 2 on one error line that names it, before
+    # a single draw; the most trials under the cap run
+    calls = []
+
+    def stub_count(*args, **kwargs):
+        calls.append(args)
+        return 0
+
+    monkeypatch.setattr(counters, "rand_count", stub_count)
+    monkeypatch.setattr(counters, "rand_count_one_perm", stub_count)
+    n = 50
+    fits = int(counters.COUNT_INCREMENTS_MAX // counters.expected_increments(n))
+    for variant in ("fresh", "one-perm"):
+        for trials, code in ((fits, 0), (fits + 1, 2)):
+            calls.clear()
+            argv = ["counter", "--variant", variant, "--n", str(n),
+                    "--trials", str(trials)]
+            assert cli.main(argv) == code
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert len(calls) == trials and f"trials={trials}" in out
+                continue
+            estimate = float(trials * counters.expected_increments(n))
+            assert not calls and not out
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"about {estimate:.3g} increments" in err
+        # the default 1000 trials at n = 100, about 2.8e10 increments
+        assert cli.main(["counter", "--variant", variant, "--n", "100"]) == 2
+        assert "about 2.8e+10 increments" in capsys.readouterr().err
+        assert not calls
+
+
 def test_cli_verify_pass_and_fail(tmp_path, capsys):
     rc = cli.main(["verify", "recurrence", "--params", '{"n_max": 30}'])
     assert rc == 0

@@ -12,11 +12,12 @@ from fractions import Fraction
 from itertools import compress
 from math import factorial, gcd
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_graphs import _random_cyclic
+from test_graphs import _random_cyclic, _with_twins
 
 from pivotlab import checks, comptrees, counter_graph as cg, counters, experiments, lp, rules
 from pivotlab.graphs import (
@@ -81,7 +82,7 @@ ALL_RULES = [
 # the rules whose engines price reduced costs from the kernel's potentials,
 # and so never build its mirror `red`
 PRICING_RULES = {"random-facet", "random-facet-traced", "random-facet-1p",
-                 "bland-nonrec", "random-bland"}
+                 "bland-nonrec", "random-bland", "dantzig"}
 
 
 @pytest.mark.parametrize("name,runner", ALL_RULES)
@@ -410,9 +411,11 @@ def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra,
 )
 def test_kernel_reads_match_a_full_recompute(seed, vertices, extra, keep, data):
     # along drawn improving pivots inside a random subset holding the start's
-    # edges: `turned_improving` is the brute-force list over the shifted
-    # vertices' in-edges, and `improving` every edge with a negative reduced
-    # cost, both priced afresh from the recomputed distances after the pivot
+    # edges: `turned_improving` lists the edges of the brute-force list over
+    # the shifted vertices' in-edges, each once (it walks twin groups, so not
+    # in that list's order), and `improving` every edge with a negative
+    # reduced cost, both priced afresh from the recomputed distances after
+    # the pivot
     rng = Random(seed)
     g = random_dag(rng, vertices, extra_edges=extra, max_cost=rng.choice((1, 2, 9)))
     b0 = random_policy(g, rng)
@@ -423,9 +426,9 @@ def test_kernel_reads_match_a_full_recompute(seed, vertices, extra, keep, data):
         assert tracker.improving() == [e for e in range(g.n_edges) if red[e] < 0]
         if tracker.log:
             delta = tracker.step
-            assert tracker.turned_improving() == [
+            assert sorted(tracker.turned_improving()) == sorted(
                 x for w in tracker.shifted for x in g.in_edges[w]
-                if red[x] < 0 <= red[x] - delta]
+                if red[x] < 0 <= red[x] - delta)
         assert tracker.improving() == [e for e in range(g.n_edges) if tracker.improves(e)]
         choices = [e for e in tracker.improving() if e in subset]
         if not choices:
@@ -1578,6 +1581,100 @@ def test_turned_columns_that_improved_already_draw_nothing():
     assert held > 20
 
 
+class _TurnScanTracker(rules._PivotTracker):
+    """The graph kernel checking every turn scan against the slow oracle:
+    after each pivot, the per-edge rule delta <= red[x] < 0 over the
+    in-edges x of `shifted`, with red priced from a full
+    `tree_distances_list` recompute. The lazy engine's scan is
+    `turned_improving`. The one-permutation and Bland engines scan inline
+    and push each edge they find onto a heap as -sigma[x], so the keys
+    pushed between two pivots (`pushed`, filled by a recording push) read,
+    through `edge_of_rank`, as the edges their scan found. The test sets
+    `pushed`, `edge_of_rank` (None for the lazy engine) and `made`, the
+    list of kernels built."""
+
+    pushed = edge_of_rank = made = None
+
+    def __init__(self, g, policy):
+        super().__init__(g, policy)
+        self.expected = None
+        self.scans = 0
+        self.made.append(self)
+
+    def check_pushed(self):
+        if self.expected is not None:
+            assert sorted(self.edge_of_rank[-k] for k in self.pushed) == self.expected
+            self.scans += 1
+
+    def pivot(self, e):
+        if self.edge_of_rank is not None:
+            self.check_pushed()
+        leaving = super().pivot(e)
+        g = self.g
+        red = _full_reduced_costs(g, tree_distances_list(g, self.chosen))
+        self.expected = sorted(x for w in self.shifted for x in g.in_edges[w]
+                               if self.step <= red[x] < 0)
+        self.pushed.clear()
+        return leaving
+
+    def turned_improving(self):
+        listed = super().turned_improving()
+        assert sorted(listed) == self.expected
+        self.scans += 1
+        return listed
+
+
+def test_turn_scans_find_the_edges_of_the_per_edge_rule(monkeypatch):
+    # seeded random-facet, random-facet-1p and random-bland runs on counter
+    # graphs with t = 1, 2, 3 and on DAGs and cyclic graphs with injected
+    # twins: every scan, which prices each twin group once, finds exactly
+    # the edges that testing each in-edge finds
+    pushed = []
+
+    def push(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(rules, "heapq", SimpleNamespace(
+        heappush=push, heappop=heapq.heappop, heapify=heapq.heapify,
+        heapreplace=heapq.heapreplace))
+    monkeypatch.setattr(rules, "_PivotTracker", _TurnScanTracker)
+    monkeypatch.setattr(_TurnScanTracker, "pushed", pushed)
+    rng = Random(7110)
+    cases = []
+    for params in ((3, 2, 2, 1), (3, 2, 2, 2), (3, 2, 2, 3), (2, 3, 3, 3), (4, 2, 2, 3)):
+        g, idx = cg.build_counter_graph(*params)
+        cases += [(g, cg.initial_tree(idx)), (g, cg.one_edge_tree(idx)),
+                  (g, random_policy(g, rng))]
+    for _ in range(40):
+        g = random_dag(rng, rng.randrange(3, 12), extra_edges=rng.randrange(2, 16),
+                       max_cost=rng.choice((1, 2, 9)))
+        g = _with_twins(rng, g)
+        cases.append((g, random_policy(g, rng)))
+    for g, b0 in _cyclic_instances(rng, 30, 40):
+        g = _with_twins(rng, g)
+        cases.append((g, random_policy(g, rng)))
+    scans = Counter()
+    for k, (g, b0) in enumerate(cases):
+        sigma = random_permutation_fn(g.n_edges, Random(k))
+        edge_of_rank = rules._edge_of_rank(sigma, g.n_edges)
+        for name, run, ranks in (
+            ("random-facet", lambda: random_facet(g, b0, Random(k)), None),
+            ("random-facet-1p", lambda: random_facet_one_perm(g, b0, sigma), edge_of_rank),
+            ("random-bland", lambda: bland_nonrec(g, b0, sigma), edge_of_rank),
+        ):
+            made = []
+            monkeypatch.setattr(_TurnScanTracker, "made", made)
+            monkeypatch.setattr(_TurnScanTracker, "edge_of_rank", ranks)
+            res = run()
+            (tracker,) = made
+            if ranks is not None:
+                tracker.check_pushed()  # the scan after the last pivot
+            assert tracker.scans == res.pivots, (name, k)
+            scans[name] += tracker.scans
+    assert min(scans.values()) > 500, scans
+
+
 def test_validate_refuses_a_tree_with_two_ranks_swapped():
     # on each seed, the first frame with two revealed columns has its lowest
     # and highest ranks traded, which gives a tree the eager recursion does
@@ -1763,6 +1860,85 @@ def test_dantzig_picks_most_negative():
     g = Digraph(2, 1, tails=[0, 0, 0], heads=[1, 1, 1], costs=[9, 5, 2])
     res = dantzig(g, Policy((0, None)))
     assert res.pivot_log == [(2, 0)]
+
+
+def _dantzig_scan(g, policy):
+    """Dantzig's rule as an O(m) `min` over the kernel's mirror `red` per
+    pivot, ties to the lowest id: `rules.dantzig` before its heap, kept as
+    the heap's oracle."""
+    tracker = rules._PivotTracker(g, policy)
+    red = tracker.red
+    edges = range(g.n_edges)
+    while True:
+        best = min(edges, key=red.__getitem__, default=None)
+        if best is None or red[best] >= 0:
+            break
+        tracker.pivot(best)
+    return tracker.result("dantzig")
+
+
+def _dantzig_cases(rng):
+    # counter graphs with n <= 4 and r, s, t <= 3, (2,2,2,3) among them,
+    # from three starts; 300 random DAGs, every other one with injected
+    # twins; 100 `_random_cyclic` graphs with a cycle and no negative cycle
+    for params in itertools.product(range(1, 5), range(1, 4), range(1, 4), range(1, 4)):
+        g, idx = cg.build_counter_graph(*params)
+        for start in (cg.initial_tree(idx), cg.one_edge_tree(idx), random_policy(g, rng)):
+            yield g, start
+    for k in range(300):
+        g = random_dag(rng, rng.randrange(2, 12), extra_edges=rng.randrange(0, 16),
+                       max_cost=rng.choice((1, 3, 20)))
+        if k % 2:
+            g = _with_twins(rng, g)
+        yield g, random_policy(g, rng)
+    yield from _cyclic_instances(rng, 100, 40)
+
+
+def test_dantzig_heap_matches_the_mirror_scan():
+    # the heap pivots exactly where the scan does, ties included; the
+    # scan's reads of `red` build the mirror, the heap's kernel never does
+    for g, start in _dantzig_cases(Random(7301)):
+        got = dantzig(g, start)
+        want = _dantzig_scan(g, start)
+        assert got.pivot_log == want.pivot_log
+        assert got.final_policy == want.final_policy
+
+
+def test_dantzig_heap_raises_where_the_scan_raises():
+    # on `_random_cyclic` graphs with a negative cycle, both refuse the same
+    # pivot, named in the PolicyCycleError, or both end at the same tree
+    rng = Random(7302)
+    raised = 0
+    while raised < 30:
+        g = _random_cyclic(rng, rng.randrange(2, 6))
+        try:
+            optimal_distances_list(g)
+            continue
+        except NegativeCycleError:
+            pass
+        try:
+            start = random_policy(g, rng)
+        except ValueError:
+            continue
+        try:
+            want = _dantzig_scan(g, start).pivot_log
+        except PolicyCycleError as exc:
+            with pytest.raises(PolicyCycleError, match=f"^{exc}$"):
+                dantzig(g, start)
+            raised += 1
+        else:
+            assert dantzig(g, start).pivot_log == want
+
+
+def test_dantzig_reads_no_red(monkeypatch):
+    def no_red(self):
+        raise AssertionError("dantzig read the mirror")
+
+    cases = list(itertools.islice(_dantzig_cases(Random(7303)), 400))
+    wants = [_dantzig_scan(g, start).pivot_log for g, start in cases]
+    monkeypatch.setattr(rules._PivotTracker, "red", property(no_red))
+    for (g, start), want in zip(cases, wants):
+        assert dantzig(g, start).pivot_log == want
 
 
 # the sets the tests build, from (1,1,1,1) up to (6,7,7,7)
