@@ -183,12 +183,12 @@ def cmd_analyze(args) -> int:
     if args.trials < 1:
         raise BadConfigError("--trials must be at least 1")
     try:
-        levels = [int(x) for x in args.S.split(",") if x]
+        levels = [int(x) for x in args.S.split(",")]
     except ValueError as exc:
         raise BadConfigError(f"--S {args.S!r} is not a list of integers") from exc
     g, idx, _ = load_instance(args.graph, None, "zero")
-    if any(i < 1 or i > idx.n for i in levels):
-        raise BadConfigError(f"--S levels must lie in 1..{idx.n}")
+    if len(set(levels)) < len(levels) or any(i < 1 or i > idx.n for i in levels):
+        raise BadConfigError(f"--S levels must be distinct and lie in 1..{idx.n}")
     seeds = [derive_seed(args.seed, trial) for trial in range(args.trials)]
     # the output is opened before the first trial, so that a path that
     # cannot be written fails before any work is done

@@ -199,12 +199,20 @@ def _path_keys(idx: CounterGraphIndex, path: ComputationPath) -> list[int]:
     return keys
 
 
+def _index(k, top: int, what: str) -> int:
+    """`k` as a level (`top` = n) or a chain (`top` = r): an int, not a bool,
+    in 1..top, else ValueError, since 0 or -1 would index another level."""
+    if type(k) is not int or not 1 <= k <= top:
+        raise ValueError(f"{what} {k!r} is not an int in 1..{top}")
+    return k
+
+
 def sigma_p(idx: CounterGraphIndex, path: ComputationPath, target) -> int | None:
     """Path index of an edge or an edge group.
 
     `target` is an edge id, ("b1", i), ("a1", i, j) for one chain, or
     ("a1", i) for the full-level cover index (max over chains of the chain
-    minimum). Absent means None.
+    minimum). Absent means None. Levels and chains are checked by `_index`.
     """
     keys = _path_keys(idx, path)
     absent = len(path)
@@ -212,12 +220,13 @@ def sigma_p(idx: CounterGraphIndex, path: ComputationPath, target) -> int | None
     if type(target) is int:  # a bool is no edge id
         # an id outside the graph names no edge of the path
         pos = keys[target] if 0 <= target < idx.n_edges else absent
-    elif kind == "b1":
-        pos = sigma_b1(idx, keys, target[1])
+    elif kind == "b1" and len(target) == 2:
+        pos = sigma_b1(idx, keys, _index(target[1], idx.n, "level"))
     elif kind == "a1" and len(target) == 3:
-        pos = min(keys[e] for e in idx.a1(target[1], target[2]))
-    elif kind == "a1":
-        pos = sigma_a1(idx, keys, target[1])
+        i = _index(target[1], idx.n, "level")
+        pos = min(keys[e] for e in idx.a1(i, _index(target[2], idx.r, "chain")))
+    elif kind == "a1" and len(target) == 2:
+        pos = sigma_a1(idx, keys, _index(target[1], idx.n, "level"))
     else:
         raise ValueError(f"unknown sigma_p target {target!r}")
     return None if pos == absent else pos
@@ -258,7 +267,7 @@ def follow_canonical(
     The follower only steers which child of the current node to expand:
     left-steps drop the picked edge, right-steps let the first recursive
     call run to completion through the ordinary solver, then perform the
-    switch. Levels must be distinct; they are followed in descending order.
+    switch. Levels are merged when repeated and followed in descending order.
 
     Each pick is uniform over the pick list: the id-ordered nonbasic edges
     of the current edge set, as `nonbasic` returns them, drawn by
@@ -268,11 +277,13 @@ def follow_canonical(
     tree.
 
     Left steps never pivot, and most paths stop before their first right
-    step, so the pivot kernel is built only at that step. Up front, the
-    follower reads the start's snapshot, `rules._start_tree`: the one start
-    check, `graphs._tree_walk` (a tree with None at the target, else
-    PolicyCycleError), and the pick list over all edges. The graph keeps
-    the snapshot of the last start `Policy` object it was built from, so the
+    step, so the pivot kernel is built only at that step, with the
+    follower's own list of every reduced cost, which its sub-solves and
+    switches keep through `shift_costs`. Up front, the follower reads the
+    start's snapshot, `rules._start_tree`: the one start check,
+    `graphs._tree_walk` (a tree with None at the target, else
+    PolicyCycleError), and the pick list over all edges. The graph keeps the
+    snapshot of the last start `Policy` object it was built from, so the
     trials of an estimate, which pass one start object, walk and price it
     once, and the kernel copies it; an equal start built afresh is walked
     again, and a refused one on every call. A path that stops before its
@@ -283,12 +294,10 @@ def follow_canonical(
     edge set. Each pick reads its edge's group once, which gives both the
     direction and any stop, and a left step books its removal there.
     """
-    s_sorted = sorted(set(s_levels), reverse=True)
+    s_sorted = sorted({_index(i, idx.n, "level") for i in s_levels}, reverse=True)
     if not s_sorted:
         return CanonicalOutcome(NOT_APPLICABLE)
     n, r = idx.n, idx.r
-    if any(i < 1 or i > n for i in s_sorted):
-        raise ValueError("schedule levels must lie in 1..n")
     if start is None:
         start = initial_tree(idx)
     snap = _start_tree(g, start)  # raises unless the start is a tree
@@ -369,12 +378,14 @@ def follow_canonical(
         if tracker is None:
             tracker = _PivotTracker(g, start)
             log = tracker.log
+            red = list(snap.red)
         in_f[e] = 0
-        _facet_collapsed(tracker, in_f, shuffled_order(rng))
+        _facet_collapsed(tracker, red, in_f, shuffled_order(rng))
         in_f[e] = 1
-        if tracker.red[e] >= 0:
+        if red[e] >= 0:
             return CanonicalOutcome(MISSING_CHILD, detail, path, len(log))
         tracker.pivot(e)
+        tracker.shift_costs(red)
         if stop == CANONICAL:
             return CanonicalOutcome(CANONICAL, detail, path, len(log))
         cands = tracker.nonbasic(in_f)
@@ -385,7 +396,7 @@ def classify_path(
 ) -> tuple[str, object]:
     """Post-hoc classification of a recorded path, straight from the
     definitions; independent of the follower's incremental bookkeeping."""
-    s_sorted = sorted(set(s_levels), reverse=True)
+    s_sorted = sorted({_index(i, idx.n, "level") for i in s_levels}, reverse=True)
     if not s_sorted:
         return NOT_APPLICABLE, None
     if not path:

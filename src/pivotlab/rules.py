@@ -15,17 +15,17 @@ engines that read few reduced costs (`_facet_lazy`, `random_facet_one_perm`,
 10 per pivot there, and price them by twin group (`graphs._in_twins`:
 copies with one tail, head and cost share a reduced cost), 5-7 groups per
 pivot at t = 2 and 3, and 8-11 at (8,9,9,9) for 36-50 in-edges.
-They compute c(x) + y(head x) - y(tail x) where they read it; the ones
-that test most edges per pivot (`_facet_collapsed`, `random_facet_nonrec`,
-`bland_rec`) read the kernel's `red`, a mirror of every reduced cost that
-is built on first read and then kept by every pivot. Every engine builds
-its kernel from the start `Policy`
+They compute c(x) + y(head x) - y(tail x) where they read it. The ones
+that test every candidate (`_facet_collapsed`, `random_facet_nonrec`,
+`bland_rec`) keep their own list of every reduced cost, copied from the
+start snapshot, and bring it up to date after each pivot with the kernel's
+`shift_costs`. Every engine builds its kernel from the start `Policy`
 (through `_start` when it takes an edge subset), and the kernel copies the
 snapshot that the graph keeps for its last start object, `_start_tree`:
 the distances of the start's one walk, `graphs._tree_walk`, which is the
 one check of a start and the one computation of tree distances from
 scratch, and the reduced costs priced from them, which seed the first
-heaps and the mirror. Trials that pass one start walk and price it once,
+heaps and lists. Trials that pass one start walk and price it once,
 and every other start is checked.
 
 The facet-removal recursion runs on three engines. The two with fresh
@@ -161,8 +161,8 @@ class _StartTree(NamedTuple):
     """The derived state of one start tree, which no pivot touches: the
     kernel copies its child lists and distances, the engines that read few
     reduced costs per pivot seed their first heap from its reduced costs,
-    which also start the kernel's mirror, and `comptrees.follow_canonical`
-    reads its pick list."""
+    the engines that test every candidate copy them into their own list,
+    and `comptrees.follow_canonical` reads its pick list."""
 
     start: Policy  # the object it was built from
     children: tuple  # of tuples
@@ -215,14 +215,8 @@ class _PivotTracker:
     vertices the last pivot moved and `step` its delta, so callers can
     re-test only the edges at those vertices; `twins` is the graph's
     in-edges grouped into twins (`graphs._in_twins`), by which the turn
-    scans price them.
-
-    `red`, the list of every edge's reduced cost, is a mirror for the
-    engines that test most edges per pivot: built on its first read (a copy
-    of the snapshot's before any pivot), then kept by every pivot, which
-    raises the reduced cost of every edge into a shifted vertex by delta
-    and lowers that of every edge out of one (an edge with both ends in the
-    subtree keeps its cost). Like `chosen`, it is never rebound.
+    scans price them; `shift_costs` applies the last pivot to a caller's
+    list of every edge's reduced cost.
     """
 
     def __init__(self, g: Digraph, policy: Policy):
@@ -233,28 +227,10 @@ class _PivotTracker:
         self.children = list(map(list, snap.children))
         self.y = list(snap.dist)
         self.twins = _in_twins(g)
-        self.mirror: list[int] | None = None  # `red`, once read
         self.n_basic = g.n_vertices - 1
         self.shifted: list[int] = []
         self.step = 0  # the last pivot's delta
         self.log: list[tuple[int, int]] = []
-
-    def _reduced_costs(self):
-        """Every edge's reduced cost as it stands: the mirror, else the
-        snapshot's before any pivot, else a fresh pricing of `y`."""
-        if self.mirror is not None:
-            return self.mirror
-        if not self.log:
-            return self.snap.red
-        g, y = self.g, self.y
-        return [c + y[h] - y[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
-
-    @property
-    def red(self) -> list[int]:
-        """The mirror of every edge's reduced cost, built on first read."""
-        if self.mirror is None:
-            self.mirror = list(self._reduced_costs())
-        return self.mirror
 
     def nonbasic(self, in_f: list) -> list[int]:
         """The edges with in_f set that are not chosen, in id order."""
@@ -266,8 +242,13 @@ class _PivotTracker:
         return g.costs[e] + y[g.heads[e]] - y[g.tails[e]] < 0
 
     def improving(self) -> list[int]:
-        """The edges with a negative reduced cost, in id order."""
-        red = self._reduced_costs()
+        """The edges with a negative reduced cost, in id order: read from
+        the start snapshot before the first pivot, priced from `y` after it."""
+        if self.log:
+            g, y = self.g, self.y
+            red = [c + y[h] - y[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
+        else:
+            red = self.snap.red
         return list(compress(range(len(red)), map(gt, repeat(0), red)))
 
     def turned_improving(self) -> list[int]:
@@ -304,18 +285,8 @@ class _PivotTracker:
             raise PolicyCycleError(
                 f"edge {e} closes a cycle through vertex {u} and its subtree"
             )
-        red = self.mirror
-        if red is None:
-            for w in sub:
-                y[w] += delta
-        else:
-            in_edges, out_edges = g.in_edges, g.out_edges
-            for w in sub:
-                y[w] += delta
-                for x in in_edges[w]:
-                    red[x] += delta
-                for x in out_edges[w]:
-                    red[x] -= delta
+        for w in sub:
+            y[w] += delta
         leaving = self.chosen[u]
         children[g.heads[leaving]].remove(u)
         children[v].append(u)
@@ -324,6 +295,19 @@ class _PivotTracker:
         self.step = delta
         self.log.append((e, leaving))
         return leaving
+
+    def shift_costs(self, red: list[int]) -> None:
+        """Apply the last pivot to `red`, a caller's list of every edge's
+        reduced cost before it: the cost of every edge into a shifted vertex
+        rises by `step`, and that of every edge out of one falls by it, so
+        an edge with both ends shifted keeps its cost."""
+        delta = self.step
+        in_edges, out_edges = self.g.in_edges, self.g.out_edges
+        for w in self.shifted:
+            for x in in_edges[w]:
+                red[x] += delta
+            for x in out_edges[w]:
+                red[x] -= delta
 
     def result(self, rule: str, sigma=None, frames: list | None = None) -> RunResult:
         """The run's record: its pivot log and the current tree as the final
@@ -337,30 +321,31 @@ class _PivotTracker:
         )
 
 
-def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -> None:
+def _facet_collapsed(tracker, red: list, in_f: list, arrange,
+                     events: list | None = None) -> None:
     """The facet-removal recursion over the columns with in_f set.
 
-    `tracker` is a pivot oracle: `red`, a list of the current reduced cost
-    of every column that `pivot` updates in place; `pivot(e) -> leaving`;
-    and `nonbasic(in_f)`, the list of in_f columns outside the basis, in id
-    order. `arrange(avail) -> list` returns the removal order (picked-first
-    first) of the candidate list it is handed, and must not depend on the
-    list's order: the follower passes `shuffled_order(rng)`, which sorts by
-    id before it shuffles. (Sorting by a fixed permutation instead gives the
-    one-permutation rule; `random_facet_one_perm` runs that rule on its own
-    engine, and the tests use this one as its oracle.) Each descent strips
-    the whole candidate list, which is the chain of left children down to a
-    leaf; the unwind tests candidates last-removed first against the
-    evolving basis, and every pivot opens the right child: a sub-descent
-    over the surviving candidates. An unwind is a
-    reversed iterator over its descent's list; a pivot pauses it under the
-    sub-descent's iterator on the stack. The pool `avail` is a list
-    holding exactly the in_f columns outside the basis that no descent
-    still unwinding holds: a descent empties it, and the unwind appends
-    each restored column that does not improve, and each leaving column
-    still in_f. It never holds a duplicate. A restored column was cleared
-    from the pool by the descent that removed it; a leaving column was
-    basic, so neither the pool nor any unwinding descent held it.
+    `tracker` is a pivot oracle: `pivot(e) -> leaving`; `shift_costs(red)`,
+    which the engine calls after each pivot to keep `red`, the caller's list
+    of every column's reduced cost, current; and `nonbasic(in_f)`, the in_f
+    columns outside the basis, in id order. `arrange(avail) -> list` returns
+    the removal order (picked-first first) of the candidate list it is
+    handed, and must not depend on the list's order: the follower passes
+    `shuffled_order(rng)`, which sorts by id before it shuffles. (Sorting by
+    a fixed permutation instead gives the one-permutation rule;
+    `random_facet_one_perm` runs that rule on its own engine, and the tests
+    use this one as its oracle.) Each descent strips the whole candidate
+    list, which is the chain of left children down to a leaf; the unwind
+    tests candidates last-removed first against the evolving basis, and
+    every pivot opens the right child: a sub-descent over the surviving
+    candidates. An unwind is a reversed iterator over its descent's list; a
+    pivot pauses it under the sub-descent's iterator on the stack. The pool
+    `avail` is a list holding exactly the in_f columns outside the basis
+    that no descent still unwinding holds: a descent empties it, and the
+    unwind appends each restored column that does not improve, and each
+    leaving column still in_f. It never holds a duplicate. A restored column
+    was cleared from the pool by the descent that removed it; a leaving
+    column was basic, so neither the pool nor any unwinding descent held it.
 
     The engine writes no flag, so in_f ends the call as it began. The
     textbook form clears a column's flag when a descent removes it and sets
@@ -374,8 +359,8 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
     ("leaf",) at the end of each descent and ("up", pivoted, leaving) for
     each test.
     """
-    red = tracker.red
     pivot = tracker.pivot
+    shift = tracker.shift_costs
     avail = tracker.nonbasic(in_f)
     add = avail.append
 
@@ -392,6 +377,7 @@ def _facet_collapsed(tracker, in_f: list, arrange, events: list | None = None) -
         for e in stack[-1]:
             if red[e] < 0:
                 leaving = pivot(e)
+                shift(red)
                 if in_f[leaving]:
                     add(leaving)
                 if events is not None:
@@ -734,7 +720,7 @@ def random_facet_nonrec(g: Digraph, policy: Policy, rng) -> RunResult:
     Both shuffles are `shuffle_exact`.
     """
     tracker = _PivotTracker(g, policy)
-    red = tracker.red
+    red = list(tracker.snap.red)
     perm = list(tracker.snap.picks)
     shuffle_exact(perm, rng)
     while True:
@@ -743,6 +729,7 @@ def random_facet_nonrec(g: Digraph, policy: Policy, rng) -> RunResult:
             break
         e = perm[j]
         leaving = tracker.pivot(e)
+        tracker.shift_costs(red)
         prefix = perm[:j] + [leaving]
         shuffle_exact(prefix, rng)
         perm = prefix + perm[j + 1:]
@@ -766,7 +753,7 @@ def bland_rec(
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
     tracker = _PivotTracker(g, policy)
-    red = tracker.red
+    red = list(tracker.snap.red)
     # frame: [rank, stage]; global policy threads through the recursion
     stack = [[ell, 0]]
     while stack:
@@ -783,6 +770,7 @@ def bland_rec(
         if red[e] < 0:
             before = Policy(tracker.chosen) if frame_hook else None
             tracker.pivot(e)
+            tracker.shift_costs(red)
             if frame_hook:
                 frame_hook(rank, before, e, Policy(tracker.chosen))
             frame[1] = 0  # tail call: rerun this suffix with the new tree
@@ -865,7 +853,7 @@ def dantzig(g: Digraph, policy: Policy) -> RunResult:
     top priced at its key is its own edge's (red, id), the least over the
     improving edges: the pick. A top priced off its key is an edge that no
     longer improves, or a stale copy of an edge pushed again since. An
-    empty heap leaves no improving edge. The engine reads no `red`.
+    empty heap leaves no improving edge.
     """
     tracker = _PivotTracker(g, policy)
     y, twins, pivot = tracker.y, tracker.twins, tracker.pivot

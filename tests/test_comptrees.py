@@ -158,6 +158,34 @@ def test_follow_rejects_bad_levels():
         follow_canonical(g, idx, [5], Random(0))
 
 
+def test_levels_and_chains_are_checked_in_one_place():
+    # a level is an int in 1..n and a chain an int in 1..r, else ValueError:
+    # ("b1", 0) read level n through a wrapped index, ("b1", -2) level 1 and
+    # True level 1; past the range a level or chain raised a bare IndexError
+    # or KeyError, and classify_path read [3, 0] as a schedule
+    g, idx = cg.build_counter_graph(3, 2, 2, 2)
+    path = [(idx.b1(1)[0], R), (idx.a1(2, 1)[0], L)]
+    for target in (("b1", 0), ("b1", -2), ("b1", True), ("b1", 4), ("b1", 1.0),
+                   ("a1", 0), ("a1", True), ("a1", 1, 0), ("a1", 1, 3),
+                   ("a1", 1, True), ("a1", 4, 1)):
+        with pytest.raises(ValueError, match=r"^(level|chain) .* not an int in 1\.\.[23]$"):
+            sigma_p(idx, path, target)
+    bad_level = r"^level .* is not an int in 1\.\.3$"
+    for levels in ([3, 0], [4], [True], [3, -1], [2.0], [1, "2"]):
+        with pytest.raises(ValueError, match=bad_level):
+            classify_path(idx, levels, path)
+        with pytest.raises(ValueError, match=bad_level):
+            follow_canonical(g, idx, levels, Random(0))
+
+
+def test_repeated_levels_are_merged():
+    g, idx = cg.build_counter_graph(3, 2, 2, 2)
+    for seed in range(20):
+        out = follow_canonical(g, idx, [3, 1, 3], Random(seed))
+        assert out == follow_canonical(g, idx, [1, 3], Random(seed))
+        assert classify_path(idx, [1, 3, 1], out.path) == classify_path(idx, [3, 1], out.path)
+
+
 # The follower's per-pick bookkeeping before it became flat lists, kept
 # verbatim as the rebuild oracle's.
 class _FollowState:
@@ -242,6 +270,14 @@ def _improves(g, tracker, e):
     return g.costs[e] + d[g.heads[e]] < d[g.tails[e]]
 
 
+def _sub_solve(g, tracker, in_f, rng):
+    """The eager sub-solve on a reduced-cost list priced afresh from a full
+    recompute of the kernel's distances."""
+    d = tree_distances_list(g, tracker.chosen)
+    red = [c + d[h] - d[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
+    _facet_collapsed(tracker, red, in_f, shuffled_order(rng))
+
+
 def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
     """The follower with its pick list rebuilt from every edge at each path
     step, and each switch tested on recomputed distances; the oracle for the
@@ -262,7 +298,7 @@ def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
         path.append((e, direction))
         if stop == CANONICAL:
             in_f[e] = False
-            _facet_collapsed(tracker, in_f, shuffled_order(rng))
+            _sub_solve(g, tracker, in_f, rng)
             in_f[e] = True
             if not _improves(g, tracker, e):
                 return CanonicalOutcome(MISSING_CHILD, detail, path, len(tracker.log))
@@ -275,7 +311,7 @@ def _follow_canonical_rebuild(g, idx, s_levels, rng, start=None):
             in_f[e] = False
             continue
         in_f[e] = False
-        _facet_collapsed(tracker, in_f, shuffled_order(rng))
+        _sub_solve(g, tracker, in_f, rng)
         in_f[e] = True
         if not _improves(g, tracker, e):
             return CanonicalOutcome(MISSING_CHILD, None, path, len(tracker.log))

@@ -652,6 +652,9 @@ def test_cli_trace_is_csv_trial_zero(rule, tmp_path, capsys):
         ["verify", "well-behaved-prob", "--params", '{"rst": 0}'],
         ["analyze", "--S", "a", "--graph", "GRAPH"],
         ["analyze", "--S", "9", "--graph", "GRAPH"],
+        ["analyze", "--S", "", "--graph", "GRAPH"],
+        ["analyze", "--S", ",", "--graph", "GRAPH"],
+        ["analyze", "--S", "1,1", "--graph", "GRAPH"],
         ["analyze", "--S", "1", "--trials", "0", "--graph", "GRAPH"],
         ["run", "--rule", "dantzig", "--n", "0", "--r", "1", "--s", "1", "--t", "1"],
         ["run", "--rule", "dantzig", "--graph", "GRAPH", "--n", "5"],
@@ -680,7 +683,8 @@ def test_cli_trace_is_csv_trial_zero(rule, tmp_path, capsys):
          "params-bool", "params-negative", "params-zero-trials",
          "params-not-a-list", "params-negative-entry", "params-empty-list",
          "params-zero-chain", "levels-text",
-         "levels-range", "zero-trials", "counter-params", "run-graph-and-params",
+         "levels-range", "levels-empty", "levels-comma", "levels-repeated",
+         "zero-trials", "counter-params", "run-graph-and-params",
          "run-partial-params", "run-no-graph", "run-zero-threads", "run-negative-threads",
          "run-zero-trials",
          "gen-params", "counter-negative-n",

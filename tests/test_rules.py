@@ -79,10 +79,6 @@ ALL_RULES = [
     ("random-bland", lambda g, b0, rng: random_bland(g, b0, rng)),
     ("dantzig", lambda g, b0, rng: dantzig(g, b0)),
 ]
-# the rules whose engines price reduced costs from the kernel's potentials,
-# and so never build its mirror `red`
-PRICING_RULES = {"random-facet", "random-facet-traced", "random-facet-1p",
-                 "bland-nonrec", "random-bland", "dantzig"}
 
 
 @pytest.mark.parametrize("name,runner", ALL_RULES)
@@ -127,19 +123,21 @@ def _full_reduced_costs(g, dist):
     return [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
 
 
+def _priced(tracker):
+    """Every edge's reduced cost at the kernel's tree, from a full recompute
+    of its distances: the list a caller hands `_facet_collapsed`."""
+    return _full_reduced_costs(tracker.g, tree_distances_list(tracker.g, tracker.chosen))
+
+
 def _assert_kernel_is_full_recompute(tracker, before=None):
     """Check the kernel against a full recompute from its chosen edges, d =
-    tree_distances_list (which also checks that they form a tree), without
-    reading `red`, which would build the mirror: the potentials are d, the
-    mirror, once built, is every c + d[head] - d[tail], and the child lists
-    are the rebuild. Given the distances `before` the last pivot, `shifted`
-    is the set of vertices whose distance changed, each by `step`. Returns
-    d."""
+    tree_distances_list (which also checks that they form a tree): the
+    potentials are d and the child lists are the rebuild. Given the
+    distances `before` the last pivot, `shifted` is the set of vertices
+    whose distance changed, each by `step`. Returns d."""
     g = tracker.g
     dist = tree_distances_list(g, tracker.chosen)
     assert tracker.y == dist
-    if tracker.mirror is not None:
-        assert tracker.mirror == _full_reduced_costs(g, dist)
     # a pivot moves its vertex to the end of its new parent's list
     assert [sorted(c) for c in tracker.children] == _children_rebuild(g, tracker.chosen)
     if before is not None:
@@ -151,13 +149,12 @@ def _assert_kernel_is_full_recompute(tracker, before=None):
 
 class _CheckedTracker(rules._PivotTracker):
     """The pivot kernel, checked against a full recompute at construction
-    and after every pivot. With `mirror_after` = k, the k-th pivot reads
-    `red`, which builds the mirror if no engine has, so it is checked from
-    then on."""
+    and after every pivot; and every caller's reduced-cost list, checked
+    against a full recompute each time `shift_costs` applies a pivot to
+    it."""
 
     pivots_checked = 0
-    mirror_after = None
-    mirrors_built = 0
+    lists_checked = 0
 
     def __init__(self, g, policy):
         super().__init__(g, policy)
@@ -166,15 +163,17 @@ class _CheckedTracker(rules._PivotTracker):
 
     def pivot(self, e: int) -> int:
         before = tree_distances_list(self.g, self.chosen)
-        y, mirror = self.y, self.mirror
+        y = self.y
         leaving = super().pivot(e)
-        assert self.y is y and self.mirror is mirror
-        if len(self.log) == self.mirror_after and mirror is None:
-            assert self.red is self.mirror
-            _CheckedTracker.mirrors_built += 1
+        assert self.y is y
         _assert_kernel_is_full_recompute(self, before)
         _CheckedTracker.pivots_checked += 1
         return leaving
+
+    def shift_costs(self, red):
+        super().shift_costs(red)
+        assert red == _priced(self)
+        _CheckedTracker.lists_checked += 1
 
 
 @pytest.fixture
@@ -182,7 +181,7 @@ def checked_kernel(monkeypatch):
     monkeypatch.setattr(rules, "_PivotTracker", _CheckedTracker)
     monkeypatch.setattr(comptrees, "_PivotTracker", _CheckedTracker)
     monkeypatch.setattr(_CheckedTracker, "pivots_checked", 0)
-    monkeypatch.setattr(_CheckedTracker, "mirrors_built", 0)
+    monkeypatch.setattr(_CheckedTracker, "lists_checked", 0)
     return _CheckedTracker
 
 
@@ -196,29 +195,26 @@ def _kernel_instances(rng):
 
 
 @pytest.mark.parametrize("name,runner", ALL_RULES)
-def test_incremental_kernel_matches_full_recompute(name, runner, checked_kernel,
-                                                   monkeypatch):
-    # the potentials after every pivot; then a second pass over the same
-    # instances that builds the mirror at the second pivot, if the engine
-    # has not, and checks it from then on
-    for mirror_after in (None, 2):
-        monkeypatch.setattr(checked_kernel, "mirror_after", mirror_after)
-        rng = Random(name)
-        for g, b0 in _kernel_instances(rng):
-            res = runner(g, b0, rng)
-            final = res.final_policy.chosen
-            assert tree_distances_list(g, final) == optimal_distances_list(g)
+def test_incremental_kernel_matches_full_recompute(name, runner, checked_kernel):
+    # the potentials after every pivot, and an engine that keeps its own
+    # reduced-cost list (`bland_rec`, `random_facet_nonrec`) shifts it after
+    # every pivot, each time equal to a full recompute
+    rng = Random(name)
+    for g, b0 in _kernel_instances(rng):
+        res = runner(g, b0, rng)
+        final = res.final_policy.chosen
+        assert tree_distances_list(g, final) == optimal_distances_list(g)
     assert checked_kernel.pivots_checked > 0
-    if name in PRICING_RULES:
-        assert checked_kernel.mirrors_built > 0
+    assert checked_kernel.lists_checked in (0, checked_kernel.pivots_checked)
 
 
 def test_canonical_follower_kernel_matches_full_recompute(checked_kernel):
-    # the follower hands the facet engine pre-edited edge sets
+    # the follower hands the facet engine pre-edited edge sets, and keeps
+    # one reduced-cost list across its sub-solves and its own switches
     g, idx = cg.build_counter_graph(4, 2, 2, 2)
     for seed in range(10):
         comptrees.follow_canonical(g, idx, [3, 1], Random(seed))
-    assert checked_kernel.pivots_checked > 0
+    assert checked_kernel.lists_checked == checked_kernel.pivots_checked > 0
 
 
 def _check_pool_against_rebuild(rng, order):
@@ -255,7 +251,7 @@ def _check_pool_against_rebuild(rng, order):
             assert in_f == entry
             return arrange_checked(avail)
 
-        rules._facet_collapsed(tracker, in_f, arrange, events)
+        rules._facet_collapsed(tracker, _priced(tracker), in_f, arrange, events)
         assert in_f == entry
 
 
@@ -381,24 +377,36 @@ def test_bland_heap_matches_linear_scan():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     vertices=st.integers(min_value=2, max_value=12),
     extra=st.integers(min_value=0, max_value=20),
+    cyclic=st.booleans(),
     data=st.data(),
 )
-def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra, data):
+def test_kernel_matches_full_recompute_along_drawn_pivots(seed, vertices, extra, cyclic,
+                                                          data):
     # any improving pivot, not just the ones a rule picks, keeps the
     # potentials, the child lists, shifted and step equal to a full
-    # recompute, and the mirror too once a drawn pivot count builds it
+    # recompute, and a list kept by `shift_costs` equal to every reduced
+    # cost; on DAGs, and on `_random_cyclic` graphs (which size their own
+    # extra edges) whose draws with a negative cycle are skipped
     rng = Random(seed)
-    g = random_dag(rng, vertices, extra_edges=extra)
+    if cyclic:
+        g = _random_cyclic(rng, vertices)
+        try:
+            optimal = optimal_distances_list(g)
+        except NegativeCycleError:
+            assume(False)
+    else:
+        g = random_dag(rng, vertices, extra_edges=extra)
+        optimal = optimal_distances_list(g)
     tracker = _CheckedTracker(g, random_policy(g, rng))
-    tracker.mirror_after = data.draw(st.sampled_from((None, 0, 1, 3)))
-    if tracker.mirror_after == 0:
-        tracker.red
+    red = list(tracker.snap.red)
     while True:
         improving = tracker.improving()
+        assert improving == [e for e in range(g.n_edges) if red[e] < 0]
         if not improving:
             break
         tracker.pivot(data.draw(st.sampled_from(improving)))
-    assert tree_distances_list(g, tracker.chosen) == optimal_distances_list(g)
+        tracker.shift_costs(red)
+    assert tree_distances_list(g, tracker.chosen) == optimal
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,30 +442,7 @@ def test_kernel_reads_match_a_full_recompute(seed, vertices, extra, keep, data):
         if not choices:
             break
         tracker.pivot(data.draw(st.sampled_from(choices)))
-    assert tracker.mirror is None
     assert tree_distances_list(g, tracker.chosen) == optimal_distances_list(g, subset)
-
-
-def test_only_engines_that_read_red_build_the_mirror(monkeypatch):
-    # the engines that read few reduced costs per pivot price them from the
-    # potentials, so their kernel ends every run with no mirror; the others
-    # read `red`, which builds it
-    made = []
-
-    class Recorded(rules._PivotTracker):
-        def __init__(self, g, policy):
-            super().__init__(g, policy)
-            made.append(self)
-
-    monkeypatch.setattr(rules, "_PivotTracker", Recorded)
-    g, idx = cg.build_counter_graph(3, 2, 2, 2)
-    b0 = cg.initial_tree(idx)
-    for name, runner in ALL_RULES:
-        for seed in range(3):
-            made.clear()
-            assert runner(g, b0, Random(seed)).pivots > 0
-            (tracker,) = made
-            assert (tracker.mirror is None) == (name in PRICING_RULES), name
 
 
 def _cyclic_instances(rng, count: int, max_edges: int):
@@ -509,9 +494,7 @@ def _assert_tracker_is_fresh_build(tracker, start):
     assert tracker.chosen == list(start.chosen)
     assert tracker.children == children
     assert tracker.y == dist
-    assert tracker.mirror is None
-    assert tracker.red == _full_reduced_costs(g, dist)
-    assert list(tracker.snap.red) == tracker.red
+    assert list(tracker.snap.red) == _full_reduced_costs(g, dist)
     picks = rules._nonbasic(bytearray(b"\x01") * g.n_edges, start.chosen)
     assert list(rules._start_tree(g, start).picks) == picks
 
@@ -552,23 +535,17 @@ def test_start_snapshot_is_a_fresh_build_on_counter_graphs():
 
 
 def _kernel_state(tracker):
-    mirror = tracker.mirror
     return (list(tracker.chosen), list(tracker.y),
-            None if mirror is None else list(mirror),
             [list(c) for c in tracker.children], list(tracker.shifted),
             tracker.step, list(tracker.log))
 
 
 def _assert_refused_pivot_changes_nothing(make_tracker, e, error):
-    # with the mirror off, and with it built
-    for build in (False, True):
-        tracker = make_tracker()
-        if build:
-            tracker.red
-        before = _kernel_state(tracker)
-        with pytest.raises(error):
-            tracker.pivot(e)
-        assert _kernel_state(tracker) == before
+    tracker = make_tracker()
+    before = _kernel_state(tracker)
+    with pytest.raises(error):
+        tracker.pivot(e)
+    assert _kernel_state(tracker) == before
 
 
 def test_pivot_on_non_improving_edge_changes_nothing():
@@ -1255,7 +1232,7 @@ def test_lazy_engine_mean_matches_the_exact_expectation(params, seed):
 def _eager_facet_pivots(g, b0, rng) -> int:
     """Pivot count of the eager engine: every descent shuffled in full."""
     tracker, in_f = rules._start(g, b0, None)
-    rules._facet_collapsed(tracker, in_f, rules.shuffled_order(rng))
+    rules._facet_collapsed(tracker, _priced(tracker), in_f, rules.shuffled_order(rng))
     return len(tracker.log)
 
 
@@ -1287,8 +1264,9 @@ def test_lazy_and_eager_engines_agree_in_law():
 # The lazy engine before its rank draw was written out in the walk, kept
 # (its docstring is `rules._facet_lazy`'s) with the draw it called: the
 # oracle for the bits `_facet_lazy` draws and the frames it records. It
-# reads `red` and pivots on red < 0, where the engine asks the oracle, and
-# counts its pool from `n_basic`, as the LP oracle lists no nonbasic columns.
+# tests every in_f column with `improves` for its first frame, where the
+# engine asks `improving()`, and counts its pool from `n_basic`, as the LP
+# oracle lists no nonbasic columns.
 def _draw_rank(size: int, revealed: dict, swap: dict, rng) -> int:
     """A rank drawn uniformly from those of 1..size that no column of
     `revealed` holds: one step of a partial Fisher-Yates shuffle.
@@ -1308,10 +1286,10 @@ def _draw_rank(size: int, revealed: dict, swap: dict, rng) -> int:
 
 
 def _oracle_facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
-    red = tracker.red
+    improves = tracker.improves
     pivot = tracker.pivot
     turned = tracker.turned_improving
-    m = len(red)
+    m = len(in_f)
     heappush, heappop = heapq.heappush, heapq.heappop
     left_at = [0] * m  # pivot count at which each column last left the basis
     # the in_f columns outside the basis, which lies in in_f
@@ -1326,7 +1304,7 @@ def _oracle_facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> 
 
     t = 0
     size = pool
-    improved = [x for x in compress(range(m), in_f) if red[x] < 0]
+    improved = [x for x in compress(range(m), in_f) if improves(x)]
     while True:
         created.append(t)
         cursor.append(size + 1)
@@ -1354,7 +1332,7 @@ def _oracle_facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> 
             heap = heaps[-1]
             while heap:
                 rank, e = divmod(-heappop(heap), m)
-                if red[e] < 0:
+                if improves(e):
                     break
             else:
                 held -= cursor.pop() - 1
@@ -1543,7 +1521,7 @@ class _FlipsOnlyTracker(rules._PivotTracker):
     cost turned negative at the last pivot."""
 
     def pivot(self, e):
-        self.before = list(self.red)
+        self.before = _priced(self)
         return super().pivot(e)
 
     def turned_improving(self):
@@ -1771,7 +1749,7 @@ def _one_perm_oracle(g, b0, sigma, subset=None):
     policy."""
     tracker, in_f = rules._start(g, b0, subset)
     rules._facet_collapsed(
-        tracker, in_f, lambda avail: sorted(avail, key=sigma.__getitem__)
+        tracker, _priced(tracker), in_f, lambda avail: sorted(avail, key=sigma.__getitem__)
     )
     return tracker.log, Policy(tuple(tracker.chosen))
 
@@ -1863,13 +1841,13 @@ def test_dantzig_picks_most_negative():
 
 
 def _dantzig_scan(g, policy):
-    """Dantzig's rule as an O(m) `min` over the kernel's mirror `red` per
-    pivot, ties to the lowest id: `rules.dantzig` before its heap, kept as
-    the heap's oracle."""
+    """Dantzig's rule as an O(m) `min` over every edge's reduced cost, priced
+    from a full recompute before each pivot, ties to the lowest id: the
+    heap's oracle."""
     tracker = rules._PivotTracker(g, policy)
-    red = tracker.red
     edges = range(g.n_edges)
     while True:
+        red = _priced(tracker)
         best = min(edges, key=red.__getitem__, default=None)
         if best is None or red[best] >= 0:
             break
@@ -1894,9 +1872,8 @@ def _dantzig_cases(rng):
     yield from _cyclic_instances(rng, 100, 40)
 
 
-def test_dantzig_heap_matches_the_mirror_scan():
-    # the heap pivots exactly where the scan does, ties included; the
-    # scan's reads of `red` build the mirror, the heap's kernel never does
+def test_dantzig_heap_matches_the_scan():
+    # the heap pivots exactly where the scan does, ties included
     for g, start in _dantzig_cases(Random(7301)):
         got = dantzig(g, start)
         want = _dantzig_scan(g, start)
@@ -1928,17 +1905,6 @@ def test_dantzig_heap_raises_where_the_scan_raises():
             raised += 1
         else:
             assert dantzig(g, start).pivot_log == want
-
-
-def test_dantzig_reads_no_red(monkeypatch):
-    def no_red(self):
-        raise AssertionError("dantzig read the mirror")
-
-    cases = list(itertools.islice(_dantzig_cases(Random(7303)), 400))
-    wants = [_dantzig_scan(g, start).pivot_log for g, start in cases]
-    monkeypatch.setattr(rules._PivotTracker, "red", property(no_red))
-    for (g, start), want in zip(cases, wants):
-        assert dantzig(g, start).pivot_log == want
 
 
 # the sets the tests build, from (1,1,1,1) up to (6,7,7,7)
@@ -2459,7 +2425,7 @@ def _expand_trace(g, policy, frames, subset=None) -> tuple[list, list]:
     ("leaf",) per descent and ("up", pivoted, leaving) per test."""
     tracker, in_f = rules._start(g, policy, subset)
     events: list = []
-    rules._facet_collapsed(tracker, in_f, _revealed_order(frames), events)
+    rules._facet_collapsed(tracker, _priced(tracker), in_f, _revealed_order(frames), events)
     return tracker.log, events
 
 
