@@ -15,6 +15,10 @@ engines that read few reduced costs (`_facet_lazy`, `random_facet_one_perm`,
 10 per pivot there, and price them by twin group (`graphs._in_twins`:
 copies with one tail, head and cost share a reduced cost), 5-7 groups per
 pivot at t = 2 and 3, and 8-11 at (8,9,9,9) for 36-50 in-edges.
+The lazy engine walks every copy of a group that turned improving, since
+each copy draws its own rank. The heap engines (`random_facet_one_perm`,
+`bland_nonrec`, `dantzig`) push one entry per group they queue, the copy
+they would take first, since twins improve together and stop together.
 They compute c(x) + y(head x) - y(tail x) where they read it. The ones
 that test every candidate (`_facet_collapsed`, `random_facet_nonrec`,
 `bland_rec`) keep their own list of every reduced cost, copied from the
@@ -646,17 +650,31 @@ def random_facet_one_perm(
       heap entry that still has red < 0, and sets its cursor to that rank;
       if there is no such entry, the frame is popped. That is the general
       unwind's pick, because every entry with red < 0 is a column the frame
-      still holds. Entries above the cursor were popped before the frame
-      last pivoted. An entry at the cursor is a copy of the column it last
-      pivoted in: that column is now basic or, having left the basis after
-      the frame was created and outlived every younger frame, in the pool.
-      Either way its red is not negative while the frame is on top.
+      still holds, and the pick has an entry (next point). Entries above
+      the cursor were popped before the frame last pivoted. An entry at the
+      cursor is a copy of the column it last pivoted in: that column is now
+      basic or, having left the basis after the frame was created and
+      outlived every younger frame, in the pool. Either way its red is not
+      negative while the frame is on top.
+    - The turn scan prices each twin group of a shifted vertex's in-edges
+      once, as `_PivotTracker.turned_improving` does, and each in_f copy of
+      a group that turned finds its place as above; only the copy whose
+      place comes first in the engine's order, top frame first, then
+      highest rank, is pushed. Twins share one reduced cost on every tree,
+      so they turn improving together and stop together. The pushed copy is
+      the first of its group the engine reaches: any older live entry of
+      another copy sits at that copy's current place, which is no higher,
+      and a frame is popped only once its heap is empty. If that entry is
+      popped while the group improves, the engine pivots on it, and every
+      twin is left at reduced cost 0; if it is popped stale, the group does
+      not improve. Either way the other copies could only be dropped as
+      stale until the next turn, and that turn pushes again. So a copy the
+      general unwind would pick, its frame's highest-ranked improving
+      column, is the pushed one, and its entry is live.
 
-    The first heap is seeded from the start snapshot's reduced costs; every
-    later red is priced from the kernel's potentials where it is read. The
-    turn scan prices each twin group of a shifted vertex's in-edges once,
-    as `_PivotTracker.turned_improving` does, and walks every in_f copy of
-    a group that turned, so it queues the edges a test per in-edge queues.
+    The first heap is seeded from the start snapshot's reduced costs, every
+    improving in_f column; every later red is priced from the kernel's
+    potentials where it is read.
     """
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
@@ -701,13 +719,17 @@ def random_facet_one_perm(
             for u, c, ids in twins[w]:
                 r = c + yw - y[u]
                 if r < 0 <= r - delta:
+                    bk = br = -1
                     for x in ids:
                         if in_f[x]:
                             k = bisect_left(created, left_at[x])
                             rank = sigma[x]
                             while cursor[k] <= rank:
                                 k += 1
-                            heappush(heaps[k], -rank)
+                            if k > bk or k == bk and rank > br:
+                                bk, br = k, rank
+                    if bk >= 0:
+                        heappush(heaps[bk], -br)
     return tracker.result("random-facet-1p", sigma)
 
 
@@ -787,13 +809,28 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
     A pivot with step delta < 0 lowers the reduced cost only of edges into
     the shifted subtree from outside it (edges out of it rise, the leaving
     edge among them), so only an edge into a shifted vertex that crossed
-    to red < 0 is queued. Every improving edge of rank >= start has an
-    entry, so the top one that still improves is the pick; any other, such
-    as an edge's second copy after a pivot on the first, is dropped. As in
-    `random_facet_one_perm`, the first heap reads the start snapshot's
-    reduced costs and every later one is priced from the potentials, and
-    the turn scan prices each twin group once and queues every copy of a
-    group that turned whose rank is >= start.
+    to red < 0 can have turned improving. The turn scan prices each twin
+    group (`graphs._in_twins`) of those edges once, and for a group that
+    turned pushes only its highest rank, if that is >= start. As in
+    `random_facet_one_perm`, the first heap holds every improving edge of
+    rank >= start, read from the start snapshot's reduced costs, and every
+    later red is priced from the potentials. The top entry that still
+    improves is the pick, and a top that does not is dropped:
+
+    - Twins share one reduced cost on every tree, so they turn improving
+      together and stop together, and the rule's pick, the improving edge
+      of largest rank >= start, is its group's highest rank.
+    - The heap gives the largest rank first, so the pushed copy is the
+      first of its group it reaches; any older entry of another copy has a
+      lower rank. If that entry is popped while the group improves, the
+      engine pivots on it, and every twin is left at reduced cost 0; if it
+      is popped stale, the group does not improve. Either way the other
+      copies could only be dropped as stale until the next turn, and that
+      turn pushes again.
+    - So every improving group with a rank >= start has a live entry at its
+      highest rank: the one pushed at the turn that made it improving (or
+      seeded), which no pop has reached since, as a pop while the group
+      improves pivots on it.
     """
     edge_of_rank = _edge_of_rank(sigma, g.n_edges)
     tracker = _PivotTracker(g, policy)
@@ -815,9 +852,12 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
             for u, c, ids in twins[w]:
                 r = c + yw - y[u]
                 if r < 0 <= r - delta:
+                    top = 0
                     for x in ids:
-                        if sigma[x] >= start:
-                            heappush(heap, -sigma[x])
+                        if sigma[x] > top:
+                            top = sigma[x]
+                    if top >= start:
+                        heappush(heap, -top)
     return tracker.result("bland-nonrec", sigma)
 
 

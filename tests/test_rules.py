@@ -339,7 +339,9 @@ def test_traced_run_is_the_untraced_run():
 
 def _bland_linear_scan(g, policy, sigma, start=1):
     """The fixed-permutation rule by definition: rescan every edge in
-    descending rank order before each pivot. Returns the pivot log."""
+    descending rank order before each pivot, each priced from a full
+    `tree_distances_list` recompute. Returns the pivot log and the final
+    policy."""
     by_rank_desc = [
         e for e in sorted(range(g.n_edges), key=sigma.__getitem__, reverse=True)
         if sigma[e] >= start
@@ -349,7 +351,7 @@ def _bland_linear_scan(g, policy, sigma, start=1):
         imp = improving_switches(g, policy)
         e = next((x for x in by_rank_desc if x in imp), None)
         if e is None:
-            return log
+            return log, policy
         log.append((e, policy.chosen[g.tails[e]]))
         policy = apply_switch(g, policy, e)
 
@@ -369,7 +371,7 @@ def test_bland_heap_matches_linear_scan():
         start = rng.choice([1, 1, 2, rng.randrange(1, g.n_edges + 2)])
         assert bland_nonrec(g, b0, sigma, start=start).pivot_log == _bland_linear_scan(
             g, b0, sigma, start
-        )
+        )[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1564,14 +1566,16 @@ class _TurnScanTracker(rules._PivotTracker):
     after each pivot, the per-edge rule delta <= red[x] < 0 over the
     in-edges x of `shifted`, with red priced from a full
     `tree_distances_list` recompute. The lazy engine's scan is
-    `turned_improving`. The one-permutation and Bland engines scan inline
-    and push each edge they find onto a heap as -sigma[x], so the keys
-    pushed between two pivots (`pushed`, filled by a recording push) read,
-    through `edge_of_rank`, as the edges their scan found. The test sets
-    `pushed`, `edge_of_rank` (None for the lazy engine) and `made`, the
-    list of kernels built."""
+    `turned_improving`, which lists every edge found. The one-permutation
+    and Bland engines scan inline and push one key -sigma[x] per twin group
+    that turned, so the keys pushed between two pivots (`pushed`, filled by
+    a recording push) read, through `edge_of_rank`, as one copy of each
+    group of the edges found, grouped by (tail, head, cost); for Bland
+    (`start` set), the copy of highest rank, which is >= start. The test
+    sets `pushed`, `edge_of_rank` (None for the lazy engine), `start` (None
+    but for Bland) and `made`, the list of kernels built."""
 
-    pushed = edge_of_rank = made = None
+    pushed = edge_of_rank = start = made = None
 
     def __init__(self, g, policy):
         super().__init__(g, policy)
@@ -1581,7 +1585,17 @@ class _TurnScanTracker(rules._PivotTracker):
 
     def check_pushed(self):
         if self.expected is not None:
-            assert sorted(self.edge_of_rank[-k] for k in self.pushed) == self.expected
+            g, edge_of_rank, start = self.g, self.edge_of_rank, self.start
+            groups = defaultdict(list)
+            for x in self.expected:
+                groups[g.tails[x], g.heads[x], g.costs[x]].append(x)
+            keys = sorted(-k for k in self.pushed)
+            assert len(keys) == len(groups)
+            assert {(g.tails[x], g.heads[x], g.costs[x])
+                    for x in map(edge_of_rank.__getitem__, keys)} == set(groups)
+            if start is not None:
+                tops = sorted(max(map(edge_of_rank.index, ids)) for ids in groups.values())
+                assert keys == tops and all(key >= start for key in keys)
             self.scans += 1
 
     def pivot(self, e):
@@ -1606,7 +1620,8 @@ def test_turn_scans_find_the_edges_of_the_per_edge_rule(monkeypatch):
     # seeded random-facet, random-facet-1p and random-bland runs on counter
     # graphs with t = 1, 2, 3 and on DAGs and cyclic graphs with injected
     # twins: every scan, which prices each twin group once, finds exactly
-    # the edges that testing each in-edge finds
+    # the edges that testing each in-edge finds, and the rank engines push
+    # one copy of each twin group among them
     pushed = []
 
     def push(heap, item):
@@ -1636,14 +1651,16 @@ def test_turn_scans_find_the_edges_of_the_per_edge_rule(monkeypatch):
     for k, (g, b0) in enumerate(cases):
         sigma = random_permutation_fn(g.n_edges, Random(k))
         edge_of_rank = rules._edge_of_rank(sigma, g.n_edges)
-        for name, run, ranks in (
-            ("random-facet", lambda: random_facet(g, b0, Random(k)), None),
-            ("random-facet-1p", lambda: random_facet_one_perm(g, b0, sigma), edge_of_rank),
-            ("random-bland", lambda: bland_nonrec(g, b0, sigma), edge_of_rank),
+        for name, run, ranks, start in (
+            ("random-facet", lambda: random_facet(g, b0, Random(k)), None, None),
+            ("random-facet-1p", lambda: random_facet_one_perm(g, b0, sigma), edge_of_rank,
+             None),
+            ("random-bland", lambda: bland_nonrec(g, b0, sigma), edge_of_rank, 1),
         ):
             made = []
             monkeypatch.setattr(_TurnScanTracker, "made", made)
             monkeypatch.setattr(_TurnScanTracker, "edge_of_rank", ranks)
+            monkeypatch.setattr(_TurnScanTracker, "start", start)
             res = run()
             (tracker,) = made
             if ranks is not None:
@@ -1795,6 +1812,73 @@ def test_one_perm_engine_matches_general_engine_on_counter_graphs():
     assert g.n_edges >= 5000
     sigma = sample_well_behaved(idx, rng)
     assert _assert_one_perm_matches_oracle(g, cg.initial_tree(idx), sigma) > 1000
+
+
+def _turned_groups(g, b0, log):
+    """The twin groups (their ids) that turned improving at each pivot of
+    `log`, replayed from b0 on a fresh kernel."""
+    tracker = rules._PivotTracker(g, b0)
+    y = tracker.y
+    for e, _ in log:
+        tracker.pivot(e)
+        for w in tracker.shifted:
+            for u, c, ids in tracker.twins[w]:
+                r = c + y[w] - y[u]
+                if r < 0 <= r - tracker.step:
+                    yield ids
+
+
+def test_rank_engines_match_oracles_on_wide_twin_groups():
+    # the one-permutation and Bland engines push one heap entry per twin
+    # group that turned; on counter graphs with t = 5 and 8, and on DAGs and
+    # cyclic graphs with injected twins, their logs and final trees are the
+    # oracles': `_one_perm_oracle`, also under subsets that split twin
+    # groups, and `_bland_linear_scan`, also with start inside a group's rank
+    # spread, at its top among them. Turned groups with two or more eligible
+    # copies (in_f, or rank >= start) occur, and so do split ones
+    rng = Random(3614)
+    cases = []
+    for params in ((3, 2, 2, 5), (2, 2, 2, 8)):
+        g, idx = cg.build_counter_graph(*params)
+        for k in range(6):
+            sigma = (sample_well_behaved(idx, rng) if k % 2
+                     else random_permutation_fn(g.n_edges, rng))
+            cases.append((g, cg.initial_tree(idx) if k < 4 else random_policy(g, rng), sigma))
+    for _ in range(40):
+        g = random_dag(rng, rng.randrange(3, 12), extra_edges=rng.randrange(2, 16),
+                       max_cost=rng.choice((1, 2, 9)))
+        g = _with_twins(rng, g)
+        cases.append((g, random_policy(g, rng), random_permutation_fn(g.n_edges, rng)))
+    for g, _ in _cyclic_instances(rng, 20, 40):
+        g = _with_twins(rng, g)
+        cases.append((g, random_policy(g, rng), random_permutation_fn(g.n_edges, rng)))
+    wide = Counter()
+    split = Counter()
+
+    def tally(name, g, b0, log, eligible):
+        for ids in _turned_groups(g, b0, log):
+            n = sum(map(eligible, ids))
+            wide[name] += n >= 2
+            split[name] += 0 < n < len(ids)
+
+    for g, b0, sigma in cases:
+        groups = [ids for v in rules._in_twins(g) for _, _, ids in v if len(ids) > 1]
+        for subset in (None, {e for e in range(g.n_edges) if rng.random() < 0.6}):
+            if subset is not None:
+                subset |= b0.edge_set()
+            res = random_facet_one_perm(g, b0, sigma, subset=subset)
+            assert (res.pivot_log, res.final_policy) == _one_perm_oracle(g, b0, sigma, subset)
+            tally("1p", g, b0, res.pivot_log,
+                  lambda x: subset is None or x in subset)
+        starts = [1]
+        if groups:
+            ranks = sorted(sigma[x] for x in rng.choice(groups))
+            starts += [rng.randrange(ranks[0] + 1, ranks[-1] + 1), ranks[-1]]
+        for start in starts:
+            res = bland_nonrec(g, b0, sigma, start=start)
+            assert (res.pivot_log, res.final_policy) == _bland_linear_scan(g, b0, sigma, start)
+            tally("bland", g, b0, res.pivot_log, lambda x: sigma[x] >= start)
+    assert min(wide.values()) > 150 and min(split.values()) > 10, (wide, split)
 
 
 @pytest.mark.parametrize("rule", [random_facet_one_perm, bland_rec, bland_nonrec])
