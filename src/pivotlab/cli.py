@@ -156,9 +156,10 @@ def cmd_counter(args) -> int:
     if args.n > counters.COUNT_N_MAX:
         raise BadConfigError(
             f"--n must be at most {counters.COUNT_N_MAX} without --exact: "
-            f"a count recurses n + 1 frames deep")
+            f"a fresh count recurses n + 1 frames deep")
     exact = counters.expected_increments(args.n)
-    if args.trials * exact > counters.COUNT_INCREMENTS_MAX:
+    # a one-permutation count is closed-form, O(n^2) whatever the increments
+    if args.variant == "fresh" and args.trials * exact > counters.COUNT_INCREMENTS_MAX:
         raise BadConfigError(
             f"{args.trials} trials at --n {args.n} make about "
             f"{float(args.trials * exact):.3g} increments, over the cap of "

@@ -5,6 +5,11 @@ picks an index i (uniformly at random, or by a fixed priority order in the
 one-permutation variant), first counts over N minus i, then sets bit i,
 clears every bit of N below i, and finally counts over the cleared part.
 The quantity of interest is the number of 0-to-1 bit sets performed.
+
+The fresh count `rand_count` is run as that recursion, one step per
+increment. The one-permutation count `rand_count_one_perm` is computed in
+closed form, as the number of subsequences whose priorities decrease (the
+proof is in its docstring), so its cost is O(n^2) whatever the count.
 """
 
 from __future__ import annotations
@@ -14,14 +19,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-# the largest n that `pivotlab counter` counts over: `rand_count` and
-# `rand_count_one_perm` recurse n + 1 frames deep, and Python's default
-# limit is 1000 frames, so this leaves room for the callers' frames
+# the largest n that `pivotlab counter` counts over: `rand_count` recurses
+# n + 1 frames deep, and Python's default limit is 1000 frames, so this
+# leaves room for the callers' frames; `rand_count_one_perm` does not
+# recurse, and at this n a trial takes about n^2 / 2 = 3.2e5 steps
 COUNT_N_MAX = 800
 
 # the most increments, trials times `expected_increments(n)`, that `pivotlab
-# counter` runs: a count takes about 1 µs per increment, so the cap is about
-# 100 s, where the default 1000 trials at n = 100 would take about 8 hours
+# counter --variant fresh` runs: a fresh count takes about 1 µs per
+# increment, so the cap is about 100 s, where the default 1000 trials at
+# n = 100 would take about 8 hours
 COUNT_INCREMENTS_MAX = 10**8
 
 
@@ -46,25 +53,31 @@ def rand_count(indices: Sequence[int], rng) -> int:
 
 
 def rand_count_one_perm(indices: Sequence[int], priority: Sequence[int]) -> int:
-    """Deterministic variant: always picks the index of minimum priority.
+    """Deterministic variant: always picks the index of minimum priority,
+    the lowest such index on a tie; returns the number of bits set.
 
     `priority` maps index i to its rank (1-indexed list; entry 0 unused, or
     any sequence indexable by the counter indices).
+
+    The count is computed in closed form, in O(n^2) steps and no recursion:
+    it is the number of non-empty subsequences of `sorted(indices)` whose
+    priorities strictly decrease. Let i* be the index the count picks, the
+    one of least key (priority[i], i). A subsequence whose priorities
+    strictly decrease is one whose keys decrease, since of two indices with
+    one priority the later has the greater key. Such a subsequence either
+    avoids i*, and is one of N minus i*; or holds i*, which has the least
+    key and so comes last: the rest is such a subsequence of N below i*,
+    or empty. So the number obeys the count's recursion, count(N) =
+    count(N minus i*) + 1 + count(N below i*), with count of the empty set
+    0. Ending the subsequences at each index j in turn, f[j] = 1 + the sum
+    of f[i] over i < j with a greater priority, and the count is the sum
+    of f.
     """
-    order = sorted(indices)
-
-    def go(ns: list[int]) -> int:
-        if not ns:
-            return 0
-        i = min(ns, key=priority.__getitem__)
-        idx = ns.index(i)
-        total = go(ns[:idx] + ns[idx + 1:])
-        return total + 1 + go(ns[:idx])
-
-    try:
-        return go(order)
-    finally:
-        del go  # it calls itself through its cell: a cycle until deleted
+    prio = [priority[i] for i in sorted(indices)]
+    ends: list[int] = []  # f[j]: the subsequences that end at index j
+    for pj in prio:
+        ends.append(1 + sum([f for f, pi in zip(ends, prio) if pi > pj]))
+    return sum(ends)
 
 
 def expected_increments(n: int) -> Fraction:

@@ -18,19 +18,23 @@ pivot at t = 2 and 3, and 8-11 at (8,9,9,9) for 36-50 in-edges.
 The lazy engine walks every copy of a group that turned improving, since
 each copy draws its own rank. The heap engines (`random_facet_one_perm`,
 `bland_nonrec`, `dantzig`) push one entry per group they queue, the copy
-they would take first, since twins improve together and stop together.
-They compute c(x) + y(head x) - y(tail x) where they read it. The ones
-that test every candidate (`_facet_collapsed`, `random_facet_nonrec`,
-`bland_rec`) keep their own list of every reduced cost, copied from the
-start snapshot, and bring it up to date after each pivot with the kernel's
-`shift_costs`. Every engine builds its kernel from the start `Policy`
+they would take first, since twins improve together and stop together;
+the one-permutation engine walks its frame stack for only one of a
+group's copies that never left the basis, the highest-ranked, since they
+all start at the first frame. They compute c(x) + y(head x) - y(tail x)
+where they read it. The ones that test every candidate (`_facet_collapsed`,
+`random_facet_nonrec`, `bland_rec`) keep their own list of every reduced
+cost, copied from the start snapshot, and bring it up to date after each
+pivot with the kernel's `shift_costs`. Every engine builds its kernel from the start `Policy`
 (through `_start` when it takes an edge subset), and the kernel copies the
 snapshot that the graph keeps for its last start object, `_start_tree`:
 the distances of the start's one walk, `graphs._tree_walk`, which is the
 one check of a start and the one computation of tree distances from
-scratch, and the reduced costs priced from them, which seed the first
-heaps and lists. Trials that pass one start walk and price it once,
-and every other start is checked.
+scratch, the reduced costs priced from them, which seed the lists, and the
+ids of the improving edges among them, which seed the first heaps (and
+`improving()` before the first pivot) in O(#improving), not O(m). Trials
+that pass one start walk and price it once, and every other start is
+checked.
 
 The facet-removal recursion runs on three engines. The two with fresh
 randomness, and the rules behind which each runs:
@@ -164,21 +168,23 @@ def _nonbasic(in_f: list, basic) -> list[int]:
 class _StartTree(NamedTuple):
     """The derived state of one start tree, which no pivot touches: the
     kernel copies its child lists and distances, the engines that read few
-    reduced costs per pivot seed their first heap from its reduced costs,
-    the engines that test every candidate copy them into their own list,
-    and `comptrees.follow_canonical` reads its pick list."""
+    reduced costs per pivot seed their first heap from its improving edges,
+    the engines that test every candidate copy its reduced costs into their
+    own list, and `comptrees.follow_canonical` reads its pick list."""
 
     start: Policy  # the object it was built from
     children: tuple  # of tuples
     dist: tuple  # the tree distances: the kernel's potentials y at the start
     red: tuple
+    improving: tuple  # the edges with red < 0, in id order
     picks: tuple  # the non-chosen edges in id order: `_nonbasic`, all flags set
 
 
 def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
     """The snapshot of the start `policy`, built on first use: its child
     lists, the distances of the start's one walk, `graphs._tree_walk`, and
-    every edge's reduced cost priced from them.
+    every edge's reduced cost priced from them, with the ids of those below
+    0 in id order.
 
     The graph keeps one entry, `g._start_tree`, hit only by the very object
     it was built from. A Policy never changes, so a hit is exact; an equal
@@ -192,6 +198,7 @@ def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
     red = [c + dist[h] - dist[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
     snap = g._start_tree = _StartTree(
         policy, tuple(map(tuple, children)), tuple(dist), tuple(red),
+        tuple(compress(range(len(red)), map(gt, repeat(0), red))),
         tuple(_nonbasic(bytearray(b"\x01") * g.n_edges, policy.chosen)))
     return snap
 
@@ -248,11 +255,10 @@ class _PivotTracker:
     def improving(self) -> list[int]:
         """The edges with a negative reduced cost, in id order: read from
         the start snapshot before the first pivot, priced from `y` after it."""
-        if self.log:
-            g, y = self.g, self.y
-            red = [c + y[h] - y[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
-        else:
-            red = self.snap.red
+        if not self.log:
+            return list(self.snap.improving)
+        g, y = self.g, self.y
+        red = [c + y[h] - y[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
         return list(compress(range(len(red)), map(gt, repeat(0), red)))
 
     def turned_improving(self) -> list[int]:
@@ -671,10 +677,17 @@ def random_facet_one_perm(
       stale until the next turn, and that turn pushes again. So a copy the
       general unwind would pick, its frame's highest-ranked improving
       column, is the pushed one, and its entry is live.
+    - Of a group's in_f copies, those that have never left the basis in
+      this run (`left_at` 0) all start their walk at frame 0, and a walk
+      from one frame never ends lower for a higher rank: a cursor above a
+      rank is above every lower one. So the highest-ranked of them has the
+      best place among them, and only it is walked; each copy that has left
+      the basis is walked from its own first frame, and the best place over
+      all of these gets the push.
 
-    The first heap is seeded from the start snapshot's reduced costs, every
-    improving in_f column; every later red is priced from the kernel's
-    potentials where it is read.
+    The first heap is seeded from the start snapshot's list of improving
+    columns, those with in_f set; every later red is priced from the
+    kernel's potentials where it is read.
     """
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
@@ -687,11 +700,10 @@ def random_facet_one_perm(
     heappush, heappop = heapq.heappush, heapq.heappop
     left_at = [0] * m  # pivot count at which each column last left the basis
     # frame k: created[k] (pivot count at its creation), cursor[k] and a heap
-    # of -rank; basic columns have red 0, so the first heap needs no filter
+    # of -rank; basic columns have red 0, so no start improving edge is basic
     created = [0]
     cursor = [m + 1]
-    red = tracker.snap.red
-    heap = [-sigma[e] for e in compress(range(m), in_f) if red[e] < 0]
+    heap = [-sigma[e] for e in tracker.snap.improving if in_f[e]]
     heapq.heapify(heap)
     heaps = [heap]
     while heaps:
@@ -720,14 +732,25 @@ def random_facet_one_perm(
                 r = c + yw - y[u]
                 if r < 0 <= r - delta:
                     bk = br = -1
+                    top = 0  # the highest rank of an in_f copy never left
                     for x in ids:
                         if in_f[x]:
-                            k = bisect_left(created, left_at[x])
+                            at = left_at[x]
                             rank = sigma[x]
-                            while cursor[k] <= rank:
-                                k += 1
-                            if k > bk or k == bk and rank > br:
-                                bk, br = k, rank
+                            if at:
+                                k = bisect_left(created, at)
+                                while cursor[k] <= rank:
+                                    k += 1
+                                if k > bk or k == bk and rank > br:
+                                    bk, br = k, rank
+                            elif rank > top:
+                                top = rank
+                    if top:
+                        k = 0
+                        while cursor[k] <= top:
+                            k += 1
+                        if k > bk or k == bk and top > br:
+                            bk, br = k, top
                     if bk >= 0:
                         heappush(heaps[bk], -br)
     return tracker.result("random-facet-1p", sigma)
@@ -813,7 +836,7 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
     group (`graphs._in_twins`) of those edges once, and for a group that
     turned pushes only its highest rank, if that is >= start. As in
     `random_facet_one_perm`, the first heap holds every improving edge of
-    rank >= start, read from the start snapshot's reduced costs, and every
+    rank >= start, read from the start snapshot's improving edges, and every
     later red is priced from the potentials. The top entry that still
     improves is the pick, and a top that does not is dropped:
 
@@ -838,8 +861,7 @@ def bland_nonrec(g: Digraph, policy: Policy, sigma, start: int = 1) -> RunResult
     twins = tracker.twins
     costs, heads, tails = g.costs, g.heads, g.tails
     heappush, heappop = heapq.heappush, heapq.heappop
-    red = tracker.snap.red
-    heap = [-r for e, r in enumerate(sigma) if red[e] < 0 and r >= start]
+    heap = [-sigma[e] for e in tracker.snap.improving if sigma[e] >= start]
     heapq.heapify(heap)
     while heap:
         e = edge_of_rank[-heappop(heap)]
@@ -874,7 +896,7 @@ def dantzig(g: Digraph, policy: Policy) -> RunResult:
     cost(e) + y(head) - y(tail); ties break to the lowest edge id.
 
     The improving edges wait in a heap of (reduced cost, id), seeded from
-    the start snapshot's reduced costs. A pivot lowers the reduced cost
+    the start snapshot's improving edges. A pivot lowers the reduced cost
     only of edges into the shifted subtree, so after each one the engine
     pushes, for every twin group (`graphs._in_twins`) of a shifted vertex's
     in-edges whose reduced cost is negative, that cost with the group's
@@ -899,7 +921,8 @@ def dantzig(g: Digraph, policy: Policy) -> RunResult:
     y, twins, pivot = tracker.y, tracker.twins, tracker.pivot
     costs, heads, tails = g.costs, g.heads, g.tails
     heappush, heappop = heapq.heappush, heapq.heappop
-    heap = [(r, e) for e, r in enumerate(tracker.snap.red) if r < 0]
+    red = tracker.snap.red
+    heap = [(red[e], e) for e in tracker.snap.improving]
     heapq.heapify(heap)
     while heap:
         key, e = heappop(heap)

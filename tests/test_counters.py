@@ -1,5 +1,6 @@
 """Counter model: hand-traced values, exact identities, sampling sanity."""
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -26,6 +27,48 @@ def test_two_bits_expected_five_halves():
     assert counters.enumerate_expected_increments([1, 2]) == Fraction(5, 2)
     # and the oracle matches the closed form
     assert counters.expected_increments(2) == Fraction(5, 2)
+
+
+def _one_perm_count_recursive(indices, priority) -> int:
+    # the one-permutation count as the counter runs it: pick the index of
+    # least priority (`min` takes the lowest on a tie), count over the
+    # rest, set it, then count over the indices below it
+    def go(ns: list) -> int:
+        if not ns:
+            return 0
+        i = min(ns, key=priority.__getitem__)
+        idx = ns.index(i)
+        return go(ns[:idx] + ns[idx + 1:]) + 1 + go(ns[:idx])
+
+    try:
+        return go(sorted(indices))
+    finally:
+        del go
+
+
+def test_one_perm_closed_form_matches_the_recursion_on_every_permutation():
+    for n in range(9):
+        ns = list(range(1, n + 1))
+        for perm in itertools.permutations(ns):
+            prio = [0, *perm]
+            assert counters.rand_count_one_perm(ns, prio) == _one_perm_count_recursive(ns, prio)
+
+
+def test_one_perm_closed_form_matches_the_recursion_on_subsets_with_ties():
+    # index subsets of 1..30 in any order, priorities from a small range so
+    # that they tie, and from a large one
+    rng = Random(1410)
+    for k in range(600):
+        ns = rng.sample(range(1, 31), rng.randrange(0, 21))
+        prio = [rng.randrange(1, 4 if k % 2 else 100) for _ in range(31)]
+        assert counters.rand_count_one_perm(ns, prio) == _one_perm_count_recursive(ns, prio)
+
+
+def test_one_perm_count_refuses_a_short_priority():
+    # index 4 has no priority: both forms raise IndexError
+    for count in (counters.rand_count_one_perm, _one_perm_count_recursive):
+        with pytest.raises(IndexError):
+            count([1, 2, 3, 4], [0, 2, 4, 1])
 
 
 def test_one_perm_hand_traces():

@@ -307,9 +307,9 @@ def test_cli_counter_exact_prints_past_the_int_digit_limit(capsys):
 
 
 def test_cli_counter_refuses_a_count_too_deep_before_any_draw(capsys, monkeypatch):
-    # a count over n indices recurses n + 1 frames deep: the largest n
+    # a fresh count over n indices recurses n + 1 frames deep: the largest n
     # allowed runs from here, one more exits 2 on one error line before a
-    # single draw
+    # single draw, in both variants
     def no_count(*args, **kwargs):
         raise AssertionError("a count ran")
 
@@ -327,9 +327,11 @@ def test_cli_counter_refuses_a_count_too_deep_before_any_draw(capsys, monkeypatc
 
 
 def test_cli_counter_refuses_too_many_increments_before_any_draw(capsys, monkeypatch):
-    # a count makes about expected_increments(n) increments, so trials whose
-    # estimate passes the cap exit 2 on one error line that names it, before
-    # a single draw; the most trials under the cap run
+    # a fresh count makes about expected_increments(n) increments, so fresh
+    # trials whose estimate passes the cap exit 2 on one error line that
+    # names it, before a single draw; the most trials under the cap run. A
+    # one-permutation count is closed-form, O(n^2) whatever its increments,
+    # so the same trials run in that variant
     calls = []
 
     def stub_count(*args, **kwargs):
@@ -341,7 +343,8 @@ def test_cli_counter_refuses_too_many_increments_before_any_draw(capsys, monkeyp
     n = 50
     fits = int(counters.COUNT_INCREMENTS_MAX // counters.expected_increments(n))
     for variant in ("fresh", "one-perm"):
-        for trials, code in ((fits, 0), (fits + 1, 2)):
+        for trials in (fits, fits + 1):
+            code = 2 if variant == "fresh" and trials > fits else 0
             calls.clear()
             argv = ["counter", "--variant", variant, "--n", str(n),
                     "--trials", str(trials)]
@@ -354,10 +357,25 @@ def test_cli_counter_refuses_too_many_increments_before_any_draw(capsys, monkeyp
             assert not calls and not out
             assert err.startswith("error: ") and err.count("\n") == 1
             assert f"about {estimate:.3g} increments" in err
-        # the default 1000 trials at n = 100, about 2.8e10 increments
-        assert cli.main(["counter", "--variant", variant, "--n", "100"]) == 2
-        assert "about 2.8e+10 increments" in capsys.readouterr().err
-        assert not calls
+    # the default 1000 trials at n = 100, about 2.8e10 increments
+    calls.clear()
+    assert cli.main(["counter", "--variant", "fresh", "--n", "100"]) == 2
+    assert "about 2.8e+10 increments" in capsys.readouterr().err
+    assert not calls
+    assert cli.main(["counter", "--variant", "one-perm", "--n", "100"]) == 0
+    assert len(calls) == 1000 and "trials=1000" in capsys.readouterr().out
+
+
+def test_cli_one_perm_counter_runs_past_the_increments_cap(capsys):
+    # the default 1000 one-permutation trials at n = 64 make about 5.8e8
+    # increments, over the fresh count's cap; each is a closed-form count
+    assert 1000 * counters.expected_increments(64) > counters.COUNT_INCREMENTS_MAX
+    assert cli.main(["counter", "--variant", "one-perm", "--n", "64", "--seed", "3"]) == 0
+    out = capsys.readouterr().out.split()
+    assert out[:3] == ["variant=one-perm", "n=64", "trials=1000"]
+    mean = float(out[3].removeprefix("mean="))
+    exact = float(out[4].removeprefix("exact="))
+    assert 0 < mean < 10 * exact
 
 
 def test_cli_verify_pass_and_fail(tmp_path, capsys):

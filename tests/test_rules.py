@@ -490,13 +490,19 @@ def test_every_registered_rule_ends_optimal(seed, vertices, extra, rule, cyclic)
 
 def _assert_tracker_is_fresh_build(tracker, start):
     # a fresh build: one tree walk and a reduced-cost recompute from the
-    # start, and the first pick list that `_nonbasic` gives with every flag
+    # start, the ids of the improving edges among them, which `improving()`
+    # reads before the first pivot, and the first pick list that `_nonbasic`
+    # gives with every flag
     g = tracker.g
     dist, children = _tree_walk(g, start.chosen)
     assert tracker.chosen == list(start.chosen)
     assert tracker.children == children
     assert tracker.y == dist
-    assert list(tracker.snap.red) == _full_reduced_costs(g, dist)
+    red = _full_reduced_costs(g, dist)
+    assert list(tracker.snap.red) == red
+    improving = [e for e, r in enumerate(red) if r < 0]
+    assert list(tracker.snap.improving) == improving
+    assert not tracker.log and tracker.improving() == improving
     picks = rules._nonbasic(bytearray(b"\x01") * g.n_edges, start.chosen)
     assert list(rules._start_tree(g, start).picks) == picks
 
@@ -534,6 +540,38 @@ def test_start_snapshot_is_a_fresh_build_on_counter_graphs():
         g, idx = cg.build_counter_graph(*params)
         starts = [cg.initial_tree(idx), cg.one_edge_tree(idx), random_policy(g, rng)]
         _check_snapshot_alternating_starts(g, starts, rng)
+
+
+def test_start_snapshot_is_a_fresh_build_on_cyclic_and_twin_graphs():
+    # `_random_cyclic` graphs without a negative cycle, and DAGs and cyclic
+    # graphs with injected twins, whose improving edges include twin copies
+    rng = Random(3637)
+    graphs = [g for g, _ in _cyclic_instances(rng, 15, 40)]
+    graphs += [_with_twins(rng, random_dag(rng, rng.randrange(2, 10),
+                                           extra_edges=rng.randrange(0, 12)))
+               for _ in range(15)]
+    graphs += [_with_twins(rng, g) for g, _ in _cyclic_instances(rng, 15, 40)]
+    for g in graphs:
+        _check_snapshot_alternating_starts(g, [random_policy(g, rng) for _ in range(2)], rng)
+
+
+def test_a_refused_start_stores_no_snapshot():
+    # a start that `_tree_walk` refuses (a cycle, a float entry, a target
+    # entry other than None) raises before any snapshot is stored: the graph
+    # keeps none, or keeps the last good start's, whose improving edges the
+    # next kernel from that start reads
+    g = Digraph(3, 2, tails=[0, 1, 1, 0], heads=[1, 0, 2, 2], costs=[1, 1, 1, 5])
+    good = Policy((3, 2, None))
+    refused = [Policy((0, 1, None)), Policy((0, 2.0, None)), Policy((0, 2, 1))]
+    for kept in (None, good):
+        if kept is not None:
+            _assert_tracker_is_fresh_build(rules._PivotTracker(g, kept), kept)
+        for start in refused:
+            with pytest.raises(PolicyCycleError):
+                rules._PivotTracker(g, start)
+            assert g._start_tree is None if kept is None else g._start_tree.start is kept
+    assert g._start_tree.improving == (0,)
+    assert rules._PivotTracker(g, good).improving() == [0]
 
 
 def _kernel_state(tracker):
@@ -1109,6 +1147,8 @@ def test_recursive_oracles_leave_no_cyclic_garbage():
     # each oracle's inner `go` calls itself through its closure cell; the
     # cycle is broken on every exit, so reference counting frees a call's
     # memo when it returns or raises and the cyclic collector finds nothing.
+    # The one-permutation count, closed-form, has no closure; it stays here,
+    # also raising IndexError on a priority too short for its indices.
     # The graph's tree table, which both enumerators fill, holds no
     # reference back to the graph, so the two are freed together
     g = random_dag(Random(5), 5, extra_edges=5)
@@ -1828,6 +1868,54 @@ def _turned_groups(g, b0, log):
                     yield ids
 
 
+def _one_perm_every_walk(g, b0, sigma, subset=None):
+    """The one-permutation engine with every in_f copy of a turned twin
+    group walked up the frame stack from its own first frame, and its first
+    heap seeded by a test of every column. Returns the pivot log and, for
+    each turned group, its ids and, for each in_f copy, (copy, whether it
+    has left the basis, its place (frame, rank)); the best place is pushed."""
+    m = g.n_edges
+    edge_of_rank = rules._edge_of_rank(sigma, m)
+    tracker, in_f = rules._start(g, b0, subset)
+    y = tracker.y
+    left_at = [0] * m
+    created, cursor = [0], [m + 1]
+    heaps = [[-sigma[e] for e in range(m) if in_f[e] and tracker.improves(e)]]
+    heapq.heapify(heaps[0])
+    turned = []
+    while heaps:
+        heap = heaps[-1]
+        while heap:
+            rank = -heapq.heappop(heap)
+            if tracker.improves(edge_of_rank[rank]):
+                break
+        else:
+            for stack in (heaps, created, cursor):
+                stack.pop()
+            continue
+        cursor[-1] = rank
+        left_at[tracker.pivot(edge_of_rank[rank])] = t = len(tracker.log)
+        created.append(t)
+        cursor.append(m + 1)
+        heaps.append([])
+        for w in tracker.shifted:
+            for u, c, ids in tracker.twins[w]:
+                r = c + y[w] - y[u]
+                if r < 0 <= r - tracker.step:
+                    copies = []
+                    for x in ids:
+                        if in_f[x]:
+                            k = bisect_left(created, left_at[x])
+                            while cursor[k] <= sigma[x]:
+                                k += 1
+                            copies.append((x, left_at[x] > 0, (k, sigma[x])))
+                    turned.append((ids, copies))
+                    if copies:
+                        k, rank = max(place for _, _, place in copies)
+                        heapq.heappush(heaps[k], -rank)
+    return tracker.log, turned
+
+
 def test_rank_engines_match_oracles_on_wide_twin_groups():
     # the one-permutation and Bland engines push one heap entry per twin
     # group that turned; on counter graphs with t = 5 and 8, and on DAGs and
@@ -1835,7 +1923,13 @@ def test_rank_engines_match_oracles_on_wide_twin_groups():
     # oracles': `_one_perm_oracle`, also under subsets that split twin
     # groups, and `_bland_linear_scan`, also with start inside a group's rank
     # spread, at its top among them. Turned groups with two or more eligible
-    # copies (in_f, or rank >= start) occur, and so do split ones
+    # copies (in_f, or rank >= start) occur, and so do split ones.
+    # The one-permutation engine walks, of a group's in_f copies that never
+    # left the basis, only the highest-ranked: beside `_one_perm_every_walk`,
+    # which walks every copy and makes the same pivots, that copy's place is
+    # the best of theirs. Groups with two or more such copies occur, and so
+    # do groups where a copy that has left beats them, and split groups
+    # whose highest never-left copy is outside in_f
     rng = Random(3614)
     cases = []
     for params in ((3, 2, 2, 5), (2, 2, 2, 8)):
@@ -1854,6 +1948,7 @@ def test_rank_engines_match_oracles_on_wide_twin_groups():
         cases.append((g, random_policy(g, rng), random_permutation_fn(g.n_edges, rng)))
     wide = Counter()
     split = Counter()
+    never_left = Counter()
 
     def tally(name, g, b0, log, eligible):
         for ids in _turned_groups(g, b0, log):
@@ -1870,6 +1965,21 @@ def test_rank_engines_match_oracles_on_wide_twin_groups():
             assert (res.pivot_log, res.final_policy) == _one_perm_oracle(g, b0, sigma, subset)
             tally("1p", g, b0, res.pivot_log,
                   lambda x: subset is None or x in subset)
+            log, turned = _one_perm_every_walk(g, b0, sigma, subset)
+            assert log == res.pivot_log
+            for ids, copies in turned:
+                never = [(x, place) for x, left, place in copies if not left]
+                if not never:
+                    continue
+                # a copy outside in_f never enters the basis, so never leaves
+                top = max([x for x in ids if subset is not None and x not in subset]
+                          + [x for x, _ in never], key=sigma.__getitem__)
+                walked = max(never, key=lambda copy: sigma[copy[0]])
+                assert walked[1] == max(place for _, place in never)
+                never_left["wide"] += len(never) >= 2
+                never_left["left beats"] += (max(place for _, _, place in copies)
+                                             > walked[1])
+                never_left["top outside"] += top != walked[0]
         starts = [1]
         if groups:
             ranks = sorted(sigma[x] for x in rng.choice(groups))
@@ -1879,6 +1989,8 @@ def test_rank_engines_match_oracles_on_wide_twin_groups():
             assert (res.pivot_log, res.final_policy) == _bland_linear_scan(g, b0, sigma, start)
             tally("bland", g, b0, res.pivot_log, lambda x: sigma[x] >= start)
     assert min(wide.values()) > 150 and min(split.values()) > 10, (wide, split)
+    assert (never_left["wide"] > 150 and never_left["left beats"] > 30
+            and never_left["top outside"] > 5), never_left
 
 
 @pytest.mark.parametrize("rule", [random_facet_one_perm, bland_rec, bland_nonrec])
