@@ -8,13 +8,15 @@ of that subtree moves by the same delta = c(e) + y(v) - y(u), e's reduced
 cost, and nothing else moves; the summed tree distance changes by delta *
 |subtree|, and the strict-decrease invariant is therefore delta < 0,
 checked before any state changes. A pivot writes |subtree| potentials
-(3.1-3.8 on the benchmark's counter graphs), where the reduced costs of
-the edges at the subtree, in and out, number about 23. After a pivot the
-engines that read few reduced costs (`_facet_lazy`, `random_facet_one_perm`,
-`bland_nonrec`, `dantzig`) scan only the in-edges of the subtree, about
-10 per pivot there, and price them by twin group (`graphs._in_twins`:
-copies with one tail, head and cost share a reduced cost), 5-7 groups per
-pivot at t = 2 and 3, and 8-11 at (8,9,9,9) for 36-50 in-edges.
+(3.1-3.8 on the benchmark's counter graphs), where the reduced costs of the
+edges at the subtree, in and out, number about 23; 70-82% of the pivots
+there switch a leaf of the tree, which writes one potential and walks no
+subtree. After a pivot the engines that read few reduced costs
+(`_facet_lazy`, `random_facet_one_perm`, `bland_nonrec`, `dantzig`) scan
+only the in-edges of the subtree, about 10 per pivot there, and price them
+by twin group (`graphs._in_twins`: copies with one tail, head and cost
+share a reduced cost), 5-7 groups per pivot at t = 2 and 3, and 8-11 at
+(8,9,9,9) for 36-50 in-edges.
 The lazy engine walks every copy of a group that turned improving, since
 each copy draws its own rank. The heap engines (`random_facet_one_perm`,
 `bland_nonrec`, `dantzig`) push one entry per group they queue, the copy
@@ -203,6 +205,10 @@ def _start_tree(g: Digraph, policy: Policy) -> _StartTree:
     return snap
 
 
+def _cycle_error(e: int, u: int) -> PolicyCycleError:
+    return PolicyCycleError(f"edge {e} closes a cycle through vertex {u} and its subtree")
+
+
 class _PivotTracker:
     """The pivot kernel: the policy tree, its vertex potentials and the
     pivot log.
@@ -216,23 +222,27 @@ class _PivotTracker:
     inline from `y`). `children[v]` lists the vertices whose chosen edge
     points at v. The kernel copies the child lists and `y` from the
     snapshot `_start_tree(g, policy)`, which raises PolicyCycleError unless
-    the start is a tree, and keeps the snapshot as `snap`. A pivot on e =
-    (u, v) walks u's subtree through the child lists and moves every
+    the start is a tree, and keeps the snapshot as `snap`; it reads the
+    graph's `tails`, `heads` and `costs` through its own fields. A pivot on
+    e = (u, v) walks u's subtree through the child lists and moves every
     potential in it by delta = c(e) + y(v) - y(u); nothing else moves. Then
-    u moves from its old parent's child list to v's. A pivot with delta >=
-    0 raises PivotInvariantError, and one whose head lies in u's own
-    subtree (possible only when the switch closes a negative cycle) raises
-    PolicyCycleError; both leave every field unchanged. `shifted` holds the
-    vertices the last pivot moved and `step` its delta, so callers can
-    re-test only the edges at those vertices; `twins` is the graph's
-    in-edges grouped into twins (`graphs._in_twins`), by which the turn
-    scans price them; `shift_costs` applies the last pivot to a caller's
-    list of every edge's reduced cost.
+    u moves from its old parent's child list to v's. A leaf u, with no
+    child, is its own subtree, so its pivot walks nothing and writes the
+    one potential y(u). A pivot with delta >= 0 raises PivotInvariantError,
+    and one whose head lies in u's own subtree (possible only when the
+    switch closes a negative cycle; at a leaf, only a self-loop v == u)
+    raises PolicyCycleError; both leave every field unchanged. `shifted`
+    holds the vertices the last pivot moved and `step` its delta, so
+    callers can re-test only the edges at those vertices; `twins` is the
+    graph's in-edges grouped into twins (`graphs._in_twins`), by which the
+    turn scans price them; `shift_costs` applies the last pivot to a
+    caller's list of every edge's reduced cost.
     """
 
     def __init__(self, g: Digraph, policy: Policy):
         snap = _start_tree(g, policy)
         self.g = g
+        self.tails, self.heads, self.costs = g.tails, g.heads, g.costs
         self.snap = snap
         self.chosen = list(policy.chosen)
         self.children = list(map(list, snap.children))
@@ -249,16 +259,16 @@ class _PivotTracker:
 
     def improves(self, e: int) -> bool:
         """Whether edge e has a negative reduced cost."""
-        g, y = self.g, self.y
-        return g.costs[e] + y[g.heads[e]] - y[g.tails[e]] < 0
+        y = self.y
+        return self.costs[e] + y[self.heads[e]] - y[self.tails[e]] < 0
 
     def improving(self) -> list[int]:
         """The edges with a negative reduced cost, in id order: read from
         the start snapshot before the first pivot, priced from `y` after it."""
         if not self.log:
             return list(self.snap.improving)
-        g, y = self.g, self.y
-        red = [c + y[h] - y[t] for c, h, t in zip(g.costs, g.heads, g.tails)]
+        y = self.y
+        red = [c + y[h] - y[t] for c, h, t in zip(self.costs, self.heads, self.tails)]
         return list(compress(range(len(red)), map(gt, repeat(0), red)))
 
     def turned_improving(self) -> list[int]:
@@ -277,28 +287,32 @@ class _PivotTracker:
                 if delta <= c + yw - y[u] < 0 for x in ids]
 
     def pivot(self, e: int) -> int:
-        g = self.g
         y = self.y
-        u = g.tails[e]
-        v = g.heads[e]
-        delta = g.costs[e] + y[v] - y[u]
+        heads = self.heads
+        u = self.tails[e]
+        v = heads[e]
+        delta = self.costs[e] + y[v] - y[u]
         if delta >= 0:
             raise PivotInvariantError(
                 f"pivot on edge {e} would move the objective by {delta} per "
                 f"vertex of the subtree at vertex {u}"
             )
         children = self.children
-        sub = [u]
-        for w in sub:  # the walk appends to the list it iterates over
-            sub.extend(children[w])
-        if v in sub:
-            raise PolicyCycleError(
-                f"edge {e} closes a cycle through vertex {u} and its subtree"
-            )
-        for w in sub:
-            y[w] += delta
+        if children[u]:
+            sub = [u]
+            for w in sub:  # the walk appends to the list it iterates over
+                sub.extend(children[w])
+            if v in sub:
+                raise _cycle_error(e, u)
+            for w in sub:
+                y[w] += delta
+        else:  # a leaf is its own subtree, so only a self-loop closes a cycle
+            if v == u:
+                raise _cycle_error(e, u)
+            y[u] += delta
+            sub = [u]
         leaving = self.chosen[u]
-        children[g.heads[leaving]].remove(u)
+        children[heads[leaving]].remove(u)
         children[v].append(u)
         self.chosen[u] = e
         self.shifted = sub
@@ -429,9 +443,9 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
     `random_facet_one_perm` with sigma[x] replaced by x's rank in each
     frame. One descent is one frame: its size N (the candidate count), its
     rank cursor (the unwind tests the ranks below it next; N + 1 at
-    creation), a max-rank heap of keys -(rank * m + column) for the held
+    opening), a max-rank heap of keys -(rank * m + column) for the held
     columns that improved, a map from column to revealed rank, its count n
-    of untaken ranks (N at creation), and the partial Fisher-Yates swaps
+    of untaken ranks (N at opening), and the partial Fisher-Yates swaps
     over them. Position p of 0..N-1 holds rank swap.get(p, p) + 1, and the
     first n positions hold the untaken ranks. A draw takes position i, read
     as `Random.randrange(n)` reads it (getrandbits(n.bit_length()), redrawn
@@ -449,20 +463,23 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
 
     The first frame's improving columns are `improving()`'s in_f columns.
     The top frame pops its highest-ranked entry that still improves, sets
-    its cursor to that rank and pivots, which pushes a frame; entries that
-    no longer improve are dropped, and an empty heap pops the frame. After
-    a pivot, the engine takes the in_f columns of `turned_improving()` in
-    id order. Each column x walks up from the first live frame created at
-    or after the pivot where x last left the basis: it takes x's revealed
-    rank there, or reveals one by a draw. Below the cursor, x is held
-    there, and pushed unless it was revealed there already, in which case
-    its entry stands; otherwise the walk moves one frame up. The frame just
-    pushed has cursor N + 1, so the walk ends there at the latest. A listed
-    column that was improving before the pivot is held already: its walk
-    retraces frames that revealed it and draws nothing. So the draws depend
-    only on the columns that did turn, taken in id order, and oracles that
-    agree on those draw the same bits: a graph run and the LP run of its
-    flow LP pivot in lockstep.
+    its cursor to that rank and pivots, which starts the next descent's
+    frame above the live ones; entries that no longer improve are dropped,
+    and an empty heap pops the frame. After a pivot, the engine takes the
+    in_f columns of `turned_improving()` in id order. Each column x walks up
+    from the first live frame created at or after the pivot where x last
+    left the basis: it takes x's revealed rank there, or reveals one by a
+    draw. Below the cursor, x is held there, and pushed unless it was
+    revealed there already, in which case its entry stands; otherwise the
+    walk moves one frame up. The pivot's frame is opened when a walk first
+    reaches it, one index above the live frames; its cursor is N + 1, so
+    the walk ends there at the latest. A frame that no walk reaches would
+    hold no entry and be popped at once, with no draw and no other effect,
+    so it is never opened. A listed column that was improving before the
+    pivot is held already: its walk retraces frames that revealed it and
+    draws nothing. So the draws depend only on the columns that did turn,
+    taken in id order, and oracles that agree on those draw the same bits:
+    a graph run and the LP run of its flow LP pivot in lockstep.
 
     Why this is the eager recursion, with every descent's removal order
     uniform:
@@ -488,10 +505,11 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
       over them finds x's first frame.
 
     The engine writes no flag, so in_f ends the call as it began. With
-    `frames` given, it appends each frame's (size, revealed, depth) in
-    creation order: its candidate count, its map from column to rank as the
-    run left it, and its stack depth at creation (0 for the first frame).
-    See `random_facet`.
+    `frames` given, it appends each descent's (size, revealed, depth) in
+    creation order, whether or not its frame was opened: its candidate
+    count, its map from column to rank as the run left it (empty for a
+    frame never opened), and its stack depth at creation (0 for the first
+    frame). See `random_facet`.
     """
     pivot = tracker.pivot
     improves = tracker.improves
@@ -516,18 +534,21 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
     if not every:
         improved = [x for x in improved if in_f[x]]
     while True:
-        created.append(t)
-        cursor.append(size + 1)
-        untaken.append(size)
-        heaps.append([])
-        revealed.append({})
-        swaps.append({})
-        if frames is not None:
-            frames.append((size, revealed[-1], len(cursor) - 1))
-        held += size
+        # this pivot's frame sits at depth, over the live frames, and is
+        # opened when a walk first reaches it
+        depth = live = len(cursor)
         for x in improved:  # walk x up to the frame that holds it
             k = bisect_left(created, left_at[x])
             while True:
+                if k == live:
+                    live += 1
+                    created.append(t)
+                    cursor.append(size + 1)
+                    untaken.append(size)
+                    heaps.append([])
+                    revealed.append({})
+                    swaps.append({})
+                    held += size
                 ranks = revealed[k]
                 rank = ranks.get(x)
                 if rank is None:
@@ -550,6 +571,8 @@ def _facet_lazy(tracker, in_f: list, rng, frames: list | None = None) -> None:
                 elif rank < cursor[k]:
                     break
                 k += 1
+        if frames is not None:
+            frames.append((size, revealed[depth] if live > depth else {}, depth))
         while heaps:
             heap = heaps[-1]
             while heap:
@@ -591,13 +614,15 @@ def random_facet(
     The run is `_facet_lazy`: every descent's removal order is uniform, but
     a column's rank in it is drawn only when the column improves. With
     `trace`, the result's `frames` holds the engine's frame records, one
-    per descent in creation order: (size, revealed, depth). That is the
-    computation tree `comptrees.record_tree` rebuilds: frame j > 0 was
-    opened by pivot j - 1, as the right child of the latest earlier frame
-    one level up, at the rank that frame revealed for the entering column.
-    The ranks the run never drew are not recorded; any placement of them is
-    consistent with every test it made. The pivots and the draws are the
-    same with or without `trace`.
+    per descent in creation order, opened or not: (size, revealed, depth),
+    with an empty `revealed` for a descent whose frame no walk reached, as
+    no column improved in it. That is the computation tree
+    `comptrees.record_tree` rebuilds: frame j > 0 was opened by pivot
+    j - 1, as the right child of the latest earlier frame one level up, at
+    the rank that frame revealed for the entering column. The ranks the run
+    never drew are not recorded; any placement of them is consistent with
+    every test it made. The pivots and the draws are the same with or
+    without `trace`.
     """
     tracker, in_f = _start(g, policy, subset)
     frames: list | None = [] if trace else None
@@ -648,9 +673,14 @@ def random_facet_one_perm(
       after the pivot where x last left the basis whose rank cursor is
       above sigma[x]. No older frame holds x, which was basic after each
       of them was created; a younger frame whose cursor passed sigma[x]
-      tested x and restored it to the pool; and the frame pushed at this
-      pivot stands for the pool. Creation times rise up the stack, so a
-      bisect over them finds where to start looking.
+      tested x and restored it to the pool; and this pivot's frame stands
+      for the pool. That frame is opened on its first push; until then a
+      cursor of m + 1, above every rank, stands for it on top of the
+      cursors, so every walk ends there at the latest, and it is popped if
+      nothing lands (the frame would hold no entry and be popped at once).
+      Creation times rise up the stack, so a bisect over those of the
+      opened frames finds where to start looking, one index past them
+      being this pivot's frame.
     - Each frame is a rank cursor plus a max-rank heap of the columns it
       holds that have improved. The top frame pivots on its highest-ranked
       heap entry that still has red < 0, and sets its cursor to that rank;
@@ -687,7 +717,8 @@ def random_facet_one_perm(
 
     The first heap is seeded from the start snapshot's list of improving
     columns, those with in_f set; every later red is priced from the
-    kernel's potentials where it is read.
+    kernel's potentials where it is read. Without a subset, every in_f flag
+    is set, and the turn scan reads none.
     """
     m = g.n_edges
     edge_of_rank = _edge_of_rank(sigma, m)
@@ -703,6 +734,7 @@ def random_facet_one_perm(
     # of -rank; basic columns have red 0, so no start improving edge is basic
     created = [0]
     cursor = [m + 1]
+    every = subset is None  # then every in_f flag is set
     heap = [-sigma[e] for e in tracker.snap.improving if in_f[e]]
     heapq.heapify(heap)
     heaps = [heap]
@@ -723,9 +755,7 @@ def random_facet_one_perm(
         leaving = pivot(e)
         t = len(log)
         left_at[leaving] = t
-        created.append(t)
-        cursor.append(m + 1)
-        heaps.append([])
+        cursor.append(m + 1)  # this pivot's frame, opened on its first push
         for w in tracker.shifted:
             yw = y[w]
             for u, c, ids in twins[w]:
@@ -734,7 +764,7 @@ def random_facet_one_perm(
                     bk = br = -1
                     top = 0  # the highest rank of an in_f copy never left
                     for x in ids:
-                        if in_f[x]:
+                        if every or in_f[x]:
                             at = left_at[x]
                             rank = sigma[x]
                             if at:
@@ -752,7 +782,12 @@ def random_facet_one_perm(
                         if k > bk or k == bk and top > br:
                             bk, br = k, top
                     if bk >= 0:
+                        if bk == len(heaps):
+                            created.append(t)
+                            heaps.append([])
                         heappush(heaps[bk], -br)
+        if len(cursor) > len(heaps):  # nothing landed in this pivot's frame
+            cursor.pop()
     return tracker.result("random-facet-1p", sigma)
 
 

@@ -186,12 +186,22 @@ def checked_kernel(monkeypatch):
 
 
 def _kernel_instances(rng):
+    # DAGs, two counter graphs, then `_random_cyclic` graphs with a cycle and
+    # no negative cycle, and DAGs and such cyclic graphs with injected twins
     for _ in range(15):
         g = random_dag(rng, rng.randrange(2, 12), extra_edges=rng.randrange(0, 14))
         yield g, random_policy(g, rng)
     for params in ((3, 2, 2, 2), (4, 3, 3, 3)):
         g, idx = cg.build_counter_graph(*params)
         yield g, cg.initial_tree(idx)
+    yield from _cyclic_instances(rng, 150, 40)
+    for _ in range(150):
+        g = _with_twins(rng, random_dag(rng, rng.randrange(2, 12),
+                                        extra_edges=rng.randrange(0, 14)))
+        yield g, random_policy(g, rng)
+    for g, _ in _cyclic_instances(rng, 150, 40):
+        g = _with_twins(rng, g)
+        yield g, random_policy(g, rng)
 
 
 @pytest.mark.parametrize("name,runner", ALL_RULES)
@@ -616,6 +626,28 @@ def test_switch_closing_a_negative_cycle_raises():
     for run in (lambda: dantzig(g, start), lambda: bland_nonrec(g, start, [4, 3, 2, 1])):
         with pytest.raises(PolicyCycleError):
             run()
+
+
+def test_negative_self_loop_at_a_leaf_raises():
+    # a pivot at a leaf of the tree shifts the leaf alone, so the one cycle
+    # it can close is a self-loop. In the tree 0 -> 1 -> target, vertex 0 is
+    # a leaf, and its loop 0 -> 0 costs -1: it improves on every tree, so
+    # every rule pivots on it at last, and the kernel refuses that pivot
+    g = Digraph(3, 2, tails=[0, 1, 0, 1, 0], heads=[1, 2, 0, 0, 2],
+                costs=[1, 1, -1, 3, 9])
+    start = Policy((0, 1, None))
+    tracker = rules._PivotTracker(g, start)
+    assert not tracker.children[0] and tracker.improves(2)
+    _assert_refused_pivot_changes_nothing(
+        lambda: rules._PivotTracker(g, start), 2, PolicyCycleError)
+    with pytest.raises(PolicyCycleError, match="^edge 2 closes a cycle through vertex 0 "):
+        tracker.pivot(2)
+    for name, runner in ALL_RULES:
+        with pytest.raises(PolicyCycleError, match="^edge 2 "):
+            runner(g, start, Random(5))
+    for rule in experiments.RULES:
+        with pytest.raises(PolicyCycleError, match="^edge 2 "):
+            experiments.run_rule(rule, g, start, 5)
 
 
 def test_objective_decreases_along_every_log():
